@@ -94,7 +94,8 @@ fn bench_fft(rows: &mut Vec<String>) {
         // kernel did before the per-domain cache.
         let (uncached_ms, _) = time_with_pool(&zkml_par::Pool::new(1), reps, || {
             let mut v = vals.clone();
-            zkml_poly::fft::fft_in_place(&mut v, domain.omega, k);
+            let tw = zkml_poly::fft::build_twiddles(domain.omega, domain.n);
+            zkml_poly::fft::fft_in_place_with(&mut v, k, &tw);
             v
         });
         rows.push(format!(

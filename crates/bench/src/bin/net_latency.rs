@@ -1,6 +1,7 @@
 //! Submission-path benchmark for the serving layer: latency and throughput
-//! of job submission at 1/4/16 concurrent clients, comparing the legacy
-//! spool protocol (atomic tmp-write + rename into a watched directory)
+//! of job submission at 1/4/16 concurrent clients, comparing a file-drop
+//! baseline (the removed spool protocol's submit: atomic tmp-write + rename
+//! into a watched directory, kept here only as the baseline row)
 //! against the HTTP gateway (socket round-trip through parsing, admission,
 //! journal write-ahead, and lane enqueue).
 //!
@@ -94,8 +95,8 @@ where
 }
 
 /// Spool submission: reserve a unique stem, write the request to a tmp
-/// file, and atomically rename it into place — the same steps as
-/// `zkml submit --spool` minus argument parsing.
+/// file, and atomically rename it into place — the steps the removed
+/// `zkml submit --spool` took, minus argument parsing.
 fn bench_spool(clients: usize, dir: &Path) -> Row {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     run_clients("spool", clients, |_, _| {

@@ -24,9 +24,9 @@ use zkml_ff::Fr;
 use zkml_model::Graph;
 use zkml_pcs::Params;
 use zkml_plonk::{
-    commit_weights, create_proof_bound, create_proof_committed, create_proof_with_rng, keygen,
-    verify_proof, verify_proof_committed, CommittedWeights, ConstraintSystem, PlonkError,
-    Preprocessed, ProvingKey, VerifyingKey, WeightCommitment, WitnessSource, BLINDING_FACTORS,
+    commit_weights, create_proof_committed, create_proof_with_rng, keygen, verify_proof,
+    verify_proof_committed, CommittedWeights, ConstraintSystem, PlonkError, Preprocessed,
+    ProvingKey, VerifyingKey, WeightCommitment, WitnessSource, BLINDING_FACTORS,
 };
 use zkml_tensor::Tensor;
 
@@ -470,26 +470,11 @@ impl CompiledCircuit {
         Ok(create_proof_with_rng(params, pk, &witness, rng)?)
     }
 
-    /// Produces a proof bound to a context string (see
-    /// [`zkml_plonk::create_proof_bound`]). Segmented proving binds each
-    /// segment proof to the bundle's chain digest and position.
-    pub fn prove_bound(
-        &self,
-        params: &Params,
-        pk: &ProvingKey,
-        rng: &mut impl RngCore,
-        binding: &[u8],
-    ) -> Result<Vec<u8>, ZkmlError> {
-        if self.has_committed() {
-            let (_, weights) = self.commit_weights(params)?;
-            return self.prove_with_weights(params, pk, rng, binding, &weights);
-        }
-        let witness = ZkmlWitness { c: self };
-        Ok(create_proof_bound(params, pk, &witness, rng, binding)?)
-    }
-
-    /// Produces a proof reusing pre-encoded committed weights (the
-    /// commit-once/prove-many path: no weight re-encoding, no keygen).
+    /// Produces a proof bound to a context string, reusing pre-encoded
+    /// committed weights (the commit-once/prove-many path: no weight
+    /// re-encoding, no keygen). Segmented proving binds each segment proof
+    /// to the bundle's chain digest and position; a circuit with no
+    /// committed columns passes [`CommittedWeights::empty`].
     pub fn prove_with_weights(
         &self,
         params: &Params,

@@ -10,25 +10,17 @@
 //! zkml submit mnist --http 127.0.0.1:9944 [--tenant T] [--wait] [--dir D]
 //! zkml status --http 127.0.0.1:9944 --id 3 [--dir D]
 //! zkml cancel --http 127.0.0.1:9944 --id 3
-//! zkml serve --spool /tmp/zkml-spool [--workers 2] [--once] [--cache-dir D]
-//! zkml submit mnist --spool /tmp/zkml-spool [--seed 7] [--wait]
 //! ```
 //!
-//! The primary serving surface is HTTP (`serve --http`): a std-only
-//! HTTP/1.1 gateway with a durable job journal, per-tenant admission, and
-//! priority lanes (see `zkml-net`). Rejections for backpressure map to
-//! HTTP 429 on the wire and exit code 3 in the client.
-//!
-//! `serve --spool`/`submit --spool` speak the legacy spool-directory
-//! protocol: `submit` drops a `<job>.req` file (atomic rename), `serve`
-//! picks it up, proves through the `zkml-service` worker pool, and writes
-//! `<job>.out/` with the proof artifacts and a `status` file.
+//! The serving surface is HTTP (`serve --http`): a std-only HTTP/1.1
+//! gateway with a durable job journal, per-tenant admission, and priority
+//! lanes (see `zkml-net`). Rejections for backpressure map to HTTP 429 on
+//! the wire and exit code 3 in the client.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zkml::{optimizer, OptimizerOptions};
 use zkml_ff::PrimeField;
@@ -39,12 +31,8 @@ use zkml_net::{
 };
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{verify_proof_committed, VerifyingKey, WeightCommitment};
-use zkml_service::{
-    decode_public, encode_public, write_proof_dir, BatchOutcome, BatchReport, JobHandle, JobSpec,
-    ProvingService, ServiceConfig, SRS_SEED,
-};
+use zkml_service::{decode_public, encode_public, synthetic_inputs, ServiceConfig, SRS_SEED};
 use zkml_shard::{FreshKeySource, KeySource, SegmentSpec, SegmentedProof};
-use zkml_tensor::{FixedPoint, Tensor};
 
 /// A CLI failure: a usage error (exit 2), a runtime error (exit 1), a
 /// retryable backpressure rejection — rate limit, quota, queue full —
@@ -145,16 +133,12 @@ fn usage() -> &'static str {
      zkml serve --http <addr> [--workers N] [--queue N] [--cache-dir <dir>]\n             \
      [--journal <file>] [--port-file <file>] [--handlers N] [--lane-cap N]\n             \
      [--rate R] [--burst B] [--quota Q] [--tenant-limit NAME:RATE:BURST:QUOTA]...\n             \
-     [--deadline-s S] [--verify-batch N] [--no-verify]\n  \
+     [--deadline-s S] [--no-verify]\n  \
      zkml submit <model> --http <addr> [--tenant T] [--priority interactive|batch]\n             \
      [--backend kzg|ipa] [--seed N] [--segments N|auto] [--model <digest>]\n             \
      [--wait] [--timeout-s S] [--dir <out-dir>]\n  \
      zkml status --http <addr> --id <job> [--dir <out-dir>]\n  \
-     zkml cancel --http <addr> --id <job>\n  \
-     zkml serve --spool <dir> [--workers N] [--queue N] [--cache-dir <dir>]   (legacy)\n             \
-     [--once] [--poll-ms M] [--deadline-s S] [--verify-batch N] [--no-verify]\n  \
-     zkml submit <model> --spool <dir> [--backend kzg|ipa] [--seed N]         (legacy)\n             \
-     [--segments N|auto] [--wait] [--timeout-s S]"
+     zkml cancel --http <addr> --id <job>"
 }
 
 /// Resolves a model argument: a zoo name or a `.zkml` model file.
@@ -296,33 +280,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let model = parse_model_digest(args)?;
             verify_flow(Path::new(&dir), model)
         }
-        Some("serve") if has_flag(args, "--http") => serve_http_flow(args),
-        Some("serve") => serve_flow(args),
-        Some("submit") if has_flag(args, "--http") => submit_http_flow(args),
-        Some("submit") => submit_flow(args),
+        Some("serve") => serve_http_flow(args),
+        Some("submit") => submit_http_flow(args),
         Some("status") => status_http_flow(args),
         Some("cancel") => cancel_http_flow(args),
         _ => Err(CliError::Usage),
     }
-}
-
-/// Deterministic quantized inputs for the standalone prove flows.
-fn cli_inputs(g: &Graph, scale_bits: u32, seed: u64) -> Vec<Tensor<i64>> {
-    let fp = FixedPoint::new(scale_bits);
-    let mut rng = StdRng::seed_from_u64(seed);
-    g.inputs
-        .iter()
-        .map(|id| {
-            let shape = g.shape(*id).to_vec();
-            let n: usize = shape.iter().product();
-            Tensor::new(
-                shape,
-                (0..n)
-                    .map(|_| fp.quantize(rng.gen_range(-1.0..1.0)))
-                    .collect(),
-            )
-        })
-        .collect()
 }
 
 /// Standalone commit-model: compile once, commit the weight columns, and
@@ -335,7 +298,7 @@ fn commit_model_flow(g: &Graph, backend: Backend, max_k: u32, dir: &Path) -> Res
     let opts = OptimizerOptions::new(backend, max_k);
     // Circuit layouts depend only on the architecture, not on input values,
     // so the commitment is valid for proofs over any input seed.
-    let inputs = cli_inputs(g, opts.numeric.scale_bits, 0);
+    let inputs = synthetic_inputs(g, opts.numeric.scale_bits, 0);
     let report = optimizer::optimize(g, &inputs, &opts, hw)
         .map_err(|e| CliError::Msg(format!("optimize {}: {e}", g.name)))?;
     let compiled = report
@@ -381,7 +344,7 @@ fn prove_flow(
         .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
     let hw = zkml::cost::HardwareStats::cached();
     let opts = OptimizerOptions::new(backend, max_k);
-    let inputs = cli_inputs(g, opts.numeric.scale_bits, seed);
+    let inputs = synthetic_inputs(g, opts.numeric.scale_bits, seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let report = optimizer::optimize(g, &inputs, &opts, hw)
         .map_err(|e| CliError::Msg(format!("optimize {}: {e}", g.name)))?;
@@ -490,7 +453,7 @@ fn prove_segmented_flow(
         .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
     let hw = zkml::cost::HardwareStats::cached();
     let opts = OptimizerOptions::new(backend, max_k);
-    let inputs = cli_inputs(g, opts.numeric.scale_bits, seed);
+    let inputs = synthetic_inputs(g, opts.numeric.scale_bits, seed);
 
     let t = Instant::now();
     let sched = zkml::layers::lower_graph(g, &inputs, opts.numeric);
@@ -657,396 +620,11 @@ fn verify_bundle_flow(bytes: &[u8]) -> Result<(), CliError> {
 }
 
 // ---------------------------------------------------------------------------
-// Spool protocol: serve / submit.
-// ---------------------------------------------------------------------------
-
-struct SpoolRequest {
-    stem: String,
-    model: String,
-    backend: Backend,
-    seed: u64,
-    segments: Option<SegmentSpec>,
-}
-
-fn parse_request(path: &Path) -> Result<SpoolRequest, String> {
-    let stem = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .ok_or("bad request filename")?
-        .to_string();
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read request: {e}"))?;
-    let mut model = None;
-    let mut backend = Backend::Kzg;
-    let mut seed = 1u64;
-    let mut segments = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, value) = line.split_once('=').ok_or("request line missing '='")?;
-        match key.trim() {
-            "model" => model = Some(value.trim().to_string()),
-            "backend" => {
-                backend = match value.trim() {
-                    "kzg" => Backend::Kzg,
-                    "ipa" => Backend::Ipa,
-                    other => return Err(format!("bad backend '{other}'")),
-                }
-            }
-            "seed" => seed = value.trim().parse().map_err(|_| "bad seed".to_string())?,
-            "segments" => {
-                segments = Some(match value.trim() {
-                    "auto" => SegmentSpec::Auto,
-                    n => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => SegmentSpec::Fixed(n),
-                        _ => return Err(format!("bad segments '{n}'")),
-                    },
-                })
-            }
-            other => return Err(format!("unknown request key '{other}'")),
-        }
-    }
-    Ok(SpoolRequest {
-        stem,
-        model: model.ok_or("request missing model=")?,
-        backend,
-        seed,
-        segments,
-    })
-}
-
-fn write_status(spool: &Path, stem: &str, status: &str) {
-    let out_dir = spool.join(format!("{stem}.out"));
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let _ = std::fs::write(out_dir.join("status"), status);
-    }
-}
-
-/// Joins proved jobs with their (batched, hence later) verification
-/// outcomes, so a job's status file is written only once its proof has
-/// actually been checked. Workers enqueue a proof for verification before
-/// the serve loop sees the job complete, so outcomes can arrive in either
-/// order relative to the proof artifacts.
-#[derive(Default)]
-struct VerifyTracker {
-    /// Proved jobs waiting for a verification outcome: job id -> (spool
-    /// stem, status line to write on success).
-    awaiting: std::collections::HashMap<u64, (String, String)>,
-    /// Verification outcomes that arrived before the job's artifacts were
-    /// drained from the service.
-    early: std::collections::HashMap<u64, BatchOutcome>,
-    /// Total proofs that failed verification.
-    failed: usize,
-}
-
-impl VerifyTracker {
-    fn settle(&mut self, spool: &Path, stem: &str, ok_line: &str, outcome: &BatchOutcome) {
-        if outcome.ok {
-            write_status(spool, stem, ok_line);
-            println!("job {} verified: {stem}", outcome.job_id);
-        } else {
-            self.failed += 1;
-            let msg = outcome.error.as_deref().unwrap_or("proof rejected");
-            write_status(
-                spool,
-                stem,
-                &format!("error: proof failed verification: {msg}\n"),
-            );
-            println!("job {} FAILED verification: {stem}: {msg}", outcome.job_id);
-        }
-    }
-
-    /// Called when the serve loop drains a completed proving job.
-    fn on_proved(&mut self, spool: &Path, job_id: u64, stem: &str, ok_line: String) {
-        match self.early.remove(&job_id) {
-            Some(outcome) => self.settle(spool, stem, &ok_line, &outcome),
-            None => {
-                self.awaiting.insert(job_id, (stem.to_string(), ok_line));
-            }
-        }
-    }
-
-    /// Called with each batch-verification report.
-    fn record_flush(&mut self, spool: &Path, report: &BatchReport) {
-        for outcome in &report.outcomes {
-            match self.awaiting.remove(&outcome.job_id) {
-                Some((stem, ok_line)) => self.settle(spool, &stem, &ok_line, outcome),
-                None => {
-                    self.early.insert(outcome.job_id, outcome.clone());
-                }
-            }
-        }
-    }
-}
-
-fn serve_flow(args: &[String]) -> Result<(), CliError> {
-    let spool = PathBuf::from(flag_value(args, "--spool").ok_or(CliError::Usage)?);
-    std::fs::create_dir_all(&spool)
-        .map_err(|e| CliError::Msg(format!("create spool {}: {e}", spool.display())))?;
-    let once = has_flag(args, "--once");
-    let poll = Duration::from_millis(parsed_flag(args, "--poll-ms", 100u64)?);
-    let deadline_s: u64 = parsed_flag(args, "--deadline-s", 0)?;
-    let verify = !has_flag(args, "--no-verify");
-    let verify_batch: usize = parsed_flag(args, "--verify-batch", 4usize)?.max(1);
-    let cfg = ServiceConfig {
-        workers: parsed_flag(args, "--workers", 2usize)?,
-        queue_capacity: parsed_flag(args, "--queue", 16usize)?,
-        default_deadline: (deadline_s > 0).then(|| Duration::from_secs(deadline_s)),
-        cache_dir: flag_value(args, "--cache-dir").map(PathBuf::from),
-        verify_after_prove: verify,
-        ..ServiceConfig::default()
-    };
-    let service =
-        ProvingService::start(cfg).map_err(|e| CliError::Msg(format!("start service: {e}")))?;
-    println!(
-        "serving spool {} ({} workers, queue {}){}",
-        spool.display(),
-        service.worker_count(),
-        parsed_flag(args, "--queue", 16usize)?,
-        if once { ", one-shot" } else { "" }
-    );
-
-    let mut inflight: Vec<(String, JobHandle)> = Vec::new();
-    let mut tracker = VerifyTracker::default();
-    loop {
-        // Pick up new requests. A request is removed from the spool only
-        // once the service accepts it; on Busy it stays for the next scan.
-        let mut reqs: Vec<PathBuf> = std::fs::read_dir(&spool)
-            .map_err(|e| CliError::Msg(format!("scan spool: {e}")))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "req"))
-            .collect();
-        reqs.sort();
-        for path in reqs {
-            let request = match parse_request(&path) {
-                Ok(r) => r,
-                Err(msg) => {
-                    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("bad");
-                    write_status(&spool, stem, &format!("error: {msg}\n"));
-                    let _ = std::fs::remove_file(&path);
-                    continue;
-                }
-            };
-            let graph = match resolve_model(&request.model) {
-                Ok(g) => g,
-                Err(_) => {
-                    write_status(
-                        &spool,
-                        &request.stem,
-                        &format!("error: unknown model '{}'\n", request.model),
-                    );
-                    let _ = std::fs::remove_file(&path);
-                    continue;
-                }
-            };
-            let spec = match request.segments {
-                Some(segments) => JobSpec::prove_segmented(
-                    Arc::new(graph),
-                    request.backend,
-                    request.seed,
-                    segments,
-                ),
-                None => JobSpec::prove(Arc::new(graph), request.backend, request.seed),
-            };
-            match service.submit(spec) {
-                Ok(handle) => {
-                    println!("job {} accepted: {}", handle.id(), request.stem);
-                    let _ = std::fs::remove_file(&path);
-                    inflight.push((request.stem, handle));
-                }
-                Err(zkml_service::ServiceError::Busy { .. }) => {
-                    // Backpressure: leave the request in the spool.
-                    break;
-                }
-                Err(e) => {
-                    write_status(&spool, &request.stem, &format!("error: {e}\n"));
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
-
-        // Drain completed jobs without blocking new pickups for long.
-        let mut still_running = Vec::new();
-        for (stem, handle) in inflight {
-            match handle.wait_timeout(Duration::from_millis(10)) {
-                None => still_running.push((stem, handle)),
-                Some(Ok(Some(artifacts))) => {
-                    let out_dir = spool.join(format!("{stem}.out"));
-                    match write_proof_dir(&out_dir, &artifacts) {
-                        Ok(()) => {
-                            let ok_line = format!(
-                                "ok model={} k={} segments={} cache={:?} prove_ms={}\n",
-                                artifacts.model,
-                                artifacts.k,
-                                artifacts.segments,
-                                artifacts.cache,
-                                artifacts.prove_ms
-                            );
-                            println!(
-                                "job {} proved: {} (k={}, {} segment(s), cache {:?}, {} ms)",
-                                artifacts.job_id,
-                                stem,
-                                artifacts.k,
-                                artifacts.segments,
-                                artifacts.cache,
-                                artifacts.prove_ms
-                            );
-                            if verify && artifacts.bundle.is_none() {
-                                // Status is written once the proof clears
-                                // batched verification, so 'ok' really
-                                // means verified.
-                                tracker.on_proved(&spool, artifacts.job_id, &stem, ok_line);
-                            } else {
-                                // Segmented bundles are verified inline by
-                                // the worker (the batch verifier knows
-                                // nothing of chain bindings), so a drained
-                                // bundle job is already verified.
-                                write_status(&spool, &stem, &ok_line);
-                            }
-                        }
-                        Err(e) => write_status(&spool, &stem, &format!("error: {e}\n")),
-                    }
-                }
-                Some(Ok(None)) => write_status(&spool, &stem, "ok\n"),
-                Some(Err(e)) => {
-                    println!("job failed: {stem}: {e}");
-                    write_status(&spool, &stem, &format!("error: {e}\n"));
-                }
-            }
-        }
-        inflight = still_running;
-
-        // Flush batched verification inside the loop: once a batch has
-        // accumulated, or as soon as the service goes idle. Without this
-        // the long-running mode would queue proofs (and their key
-        // material) forever and never actually verify them.
-        if verify {
-            let pending = service.pending_verifications();
-            if pending >= verify_batch || (pending > 0 && inflight.is_empty()) {
-                let report = service.flush_verifications();
-                tracker.record_flush(&spool, &report);
-            }
-        }
-
-        if once && inflight.is_empty() {
-            let empty = !std::fs::read_dir(&spool)
-                .map_err(|e| CliError::Msg(format!("scan spool: {e}")))?
-                .filter_map(|entry| entry.ok().map(|e| e.path()))
-                .any(|p| p.extension().is_some_and(|ext| ext == "req"));
-            if empty {
-                break;
-            }
-        }
-        std::thread::sleep(poll);
-    }
-
-    if verify {
-        let report = service.flush_verifications();
-        tracker.record_flush(&spool, &report);
-    }
-    let snap = service.snapshot();
-    println!(
-        "batch verification: {} proofs verified, {} failed",
-        snap.proofs_verified, snap.verify_failures
-    );
-    println!("{}", snap.to_json());
-    if tracker.failed > 0 {
-        return Err(CliError::Msg(format!(
-            "{} proof(s) failed batched verification",
-            tracker.failed
-        )));
-    }
-    Ok(())
-}
-
-fn submit_flow(args: &[String]) -> Result<(), CliError> {
-    let model = args.get(1).ok_or(CliError::Usage)?;
-    let spool = PathBuf::from(flag_value(args, "--spool").ok_or(CliError::Usage)?);
-    std::fs::create_dir_all(&spool)
-        .map_err(|e| CliError::Msg(format!("create spool {}: {e}", spool.display())))?;
-    let backend = parse_backend(args);
-    let seed: u64 = parsed_flag(args, "--seed", 1)?;
-    let segments = parse_segments(args)?;
-
-    let mut body = format!(
-        "model={model}\nbackend={}\nseed={seed}\n",
-        match backend {
-            Backend::Kzg => "kzg",
-            Backend::Ipa => "ipa",
-        }
-    );
-    match segments {
-        Some(SegmentSpec::Auto) => body.push_str("segments=auto\n"),
-        Some(SegmentSpec::Fixed(n)) => body.push_str(&format!("segments={n}\n")),
-        None => {}
-    }
-    // Reserve the first free job slot by creating its .tmp file with
-    // O_EXCL: concurrent submitters that race to the same index all but
-    // one lose the create and move on to the next slot, so no request is
-    // ever silently overwritten. The tmp-write + rename keeps the
-    // serve-side scan atomic.
-    let mut stem = None;
-    for i in 0..10_000 {
-        let candidate = format!("job-{i:04}");
-        let busy = ["tmp", "req", "out", "done"]
-            .iter()
-            .any(|ext| spool.join(format!("{candidate}.{ext}")).exists());
-        if busy {
-            continue;
-        }
-        let tmp = spool.join(format!("{candidate}.tmp"));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&tmp)
-        {
-            Ok(mut f) => {
-                use std::io::Write;
-                f.write_all(body.as_bytes())
-                    .map_err(|e| CliError::Msg(format!("write request: {e}")))?;
-                stem = Some(candidate);
-                break;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(e) => return Err(CliError::Msg(format!("reserve job slot: {e}"))),
-        }
-    }
-    let stem = stem.ok_or_else(|| CliError::Msg("no free job slot in spool".to_string()))?;
-    let tmp = spool.join(format!("{stem}.tmp"));
-    let req = spool.join(format!("{stem}.req"));
-    std::fs::rename(&tmp, &req).map_err(|e| CliError::Msg(format!("publish request: {e}")))?;
-    println!("submitted {stem} ({model}, {backend}, seed {seed})");
-
-    if has_flag(args, "--wait") {
-        let timeout = Duration::from_secs(parsed_flag(args, "--timeout-s", 600u64)?);
-        let status_path = spool.join(format!("{stem}.out")).join("status");
-        let start = Instant::now();
-        loop {
-            if let Ok(status) = std::fs::read_to_string(&status_path) {
-                print!("{status}");
-                if status.starts_with("ok") {
-                    return Ok(());
-                }
-                return Err(CliError::Msg(format!("job {stem} failed")));
-            }
-            if start.elapsed() > timeout {
-                return Err(CliError::Msg(format!(
-                    "timed out after {timeout:?} waiting for {stem}"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // HTTP protocol: serve / submit / status / cancel.
 // ---------------------------------------------------------------------------
 
 /// Set by SIGINT/SIGTERM; the serve loop polls it and shuts down gracefully
-/// (drain the lanes, settle verification, fsync the journal).
+/// (drain the lanes, fsync the journal).
 static SHUTDOWN_REQUESTED: std::sync::atomic::AtomicBool =
     std::sync::atomic::AtomicBool::new(false);
 
@@ -1129,7 +707,6 @@ fn serve_http_flow(args: &[String]) -> Result<(), CliError> {
         admission,
         journal: flag_value(args, "--journal").map(PathBuf::from),
         handler_threads: parsed_flag(args, "--handlers", 4usize)?,
-        verify_batch: parsed_flag(args, "--verify-batch", 4usize)?,
     };
     install_shutdown_handler();
     let gateway = Gateway::start(cfg).map_err(|e| CliError::Msg(format!("start gateway: {e}")))?;

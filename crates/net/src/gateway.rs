@@ -4,9 +4,10 @@
 //! Request path: `POST /v1/jobs` → admission (token bucket, quota, lane
 //! bound) → journal `submitted` → priority lane. A single dispatcher
 //! thread drains the lanes by weighted round-robin into the service's
-//! bounded queue (journaling `started`), polls in-flight handles, joins
-//! batched verification outcomes, and appends exactly one terminal record
-//! per job. `GET /v1/jobs/{id}` serves status and (hex-encoded) artifacts,
+//! bounded queue (journaling `started`), polls in-flight handles, and
+//! appends exactly one terminal record per job (the service verifies each
+//! proof in the worker, so a job that completes is a verified one).
+//! `GET /v1/jobs/{id}` serves status and (hex-encoded) artifacts,
 //! `DELETE /v1/jobs/{id}` cancels cooperatively, `GET /v1/stats` merges the
 //! service snapshot with per-tenant admission counters.
 
@@ -45,8 +46,6 @@ pub struct GatewayConfig {
     pub journal: Option<PathBuf>,
     /// HTTP handler threads.
     pub handler_threads: usize,
-    /// Flush batched verification once this many proofs are pending.
-    pub verify_batch: usize,
 }
 
 impl Default for GatewayConfig {
@@ -57,7 +56,6 @@ impl Default for GatewayConfig {
             admission: AdmissionConfig::default(),
             journal: None,
             handler_threads: 4,
-            verify_batch: 4,
         }
     }
 }
@@ -146,8 +144,6 @@ struct Inner {
     interactive_weight: usize,
     batch_weight: usize,
     lane_capacity: usize,
-    verify_batch: usize,
-    verify_after_prove: bool,
     started: Instant,
 }
 
@@ -176,8 +172,8 @@ enum Outcome {
 }
 
 /// The running HTTP gateway. Dropping it performs a graceful shutdown:
-/// stop accepting, drain both lanes and all in-flight jobs, flush batched
-/// verification, fsync the journal.
+/// stop accepting, drain both lanes and all in-flight jobs, fsync the
+/// journal.
 pub struct Gateway {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
@@ -190,7 +186,6 @@ impl Gateway {
     /// Binds the listener, replays the journal, starts the proving service,
     /// the dispatcher, and the handler pool.
     pub fn start(cfg: GatewayConfig) -> std::io::Result<Gateway> {
-        let verify_after_prove = cfg.service.verify_after_prove;
         let (journal, records) = match &cfg.journal {
             Some(path) => {
                 let (j, recs) = Journal::open(path)?;
@@ -211,8 +206,6 @@ impl Gateway {
             interactive_weight: cfg.admission.interactive_weight.max(1),
             batch_weight: cfg.admission.batch_weight.max(1),
             lane_capacity: cfg.admission.lane_capacity.max(1),
-            verify_batch: cfg.verify_batch.max(1),
-            verify_after_prove,
             started: Instant::now(),
         });
         replay_into(&inner, &records);
@@ -267,7 +260,7 @@ impl Gateway {
     }
 
     /// Graceful shutdown: stop accepting, drain lanes and in-flight jobs,
-    /// flush verification, fsync the journal. Blocks until done.
+    /// fsync the journal. Blocks until done.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -911,7 +904,6 @@ fn pop_weighted(inner: &Inner, cursor: &mut usize) -> Option<u64> {
 struct DispatchInfo {
     tenant: String,
     spec: JobSpec,
-    joins_batch_verify: bool,
 }
 
 /// What to do with a job popped from a lane.
@@ -936,7 +928,6 @@ fn build_dispatch(inner: &Inner, id: u64) -> Dispatch {
     if entry.cancel.is_cancelled() {
         return Dispatch::Abort(tenant, Box::new(Outcome::Cancelled));
     }
-    let mut joins_batch_verify = false;
     let kind = match &entry.desc {
         JobDesc::Prove {
             backend,
@@ -963,15 +954,12 @@ fn build_dispatch(inner: &Inner, id: u64) -> Dispatch {
                     seed: *seed,
                     segments: *spec,
                 },
-                None => {
-                    joins_batch_verify = inner.verify_after_prove;
-                    JobKind::Prove {
-                        graph,
-                        backend: *backend,
-                        seed: *seed,
-                        model: *model_digest,
-                    }
-                }
+                None => JobKind::Prove {
+                    graph,
+                    backend: *backend,
+                    seed: *seed,
+                    model: *model_digest,
+                },
             }
         }
         JobDesc::Sleep { ms } => JobKind::Sleep(Duration::from_millis(*ms)),
@@ -993,11 +981,7 @@ fn build_dispatch(inner: &Inner, id: u64) -> Dispatch {
         },
     };
     let spec = JobSpec::new(kind).with_cancel(entry.cancel.clone());
-    Dispatch::Ready(Box::new(DispatchInfo {
-        tenant,
-        spec,
-        joins_batch_verify,
-    }))
+    Dispatch::Ready(Box::new(DispatchInfo { tenant, spec }))
 }
 
 /// Applies a terminal outcome: registry state, journal record, tenant slot.
@@ -1013,9 +997,7 @@ fn finish(inner: &Inner, id: u64, tenant: &str, outcome: Outcome) {
         Outcome::Completed(artifacts) => {
             entry.state = JobState::Completed;
             entry.result_available = true;
-            if let Some(a) = artifacts {
-                entry.artifacts = Some(*a);
-            }
+            entry.artifacts = artifacts.map(|a| *a);
             let (k, segments, prove_ms) = entry
                 .artifacts
                 .as_ref()
@@ -1044,10 +1026,8 @@ fn finish(inner: &Inner, id: u64, tenant: &str, outcome: Outcome) {
 }
 
 fn dispatcher_loop(inner: Arc<Inner>) {
-    // (gateway id, tenant, handle, joins batch verify)
-    let mut inflight: Vec<(u64, String, JobHandle, bool)> = Vec::new();
-    // service job id -> gateway job id, for joining batch-verify outcomes.
-    let mut awaiting_verify: HashMap<u64, u64> = HashMap::new();
+    // (gateway id, tenant, handle)
+    let mut inflight: Vec<(u64, String, JobHandle)> = Vec::new();
     let mut cursor = 0usize;
     loop {
         let draining = inner.shutdown.load(Ordering::SeqCst);
@@ -1073,7 +1053,7 @@ fn dispatcher_loop(inner: Arc<Inner>) {
                     if let Some(entry) = inner.registry.lock().unwrap().get_mut(&id) {
                         entry.state = JobState::Running;
                     }
-                    inflight.push((id, info.tenant, handle, info.joins_batch_verify));
+                    inflight.push((id, info.tenant, handle));
                 }
                 Err(ServiceError::Busy { .. }) => {
                     // Backpressure from the bounded queue: put the job back
@@ -1096,26 +1076,15 @@ fn dispatcher_loop(inner: Arc<Inner>) {
 
         // 2. Poll in-flight jobs without blocking long.
         let mut still = Vec::new();
-        for (id, tenant, handle, joins) in inflight {
+        for (id, tenant, handle) in inflight {
             match handle.wait_timeout(Duration::from_millis(1)) {
-                None => still.push((id, tenant, handle, joins)),
-                Some(Ok(Some(artifacts))) => {
-                    if joins {
-                        // Completed but unverified: hold at Running until
-                        // the batched verifier rules.
-                        awaiting_verify.insert(artifacts.job_id, id);
-                        if let Some(entry) = inner.registry.lock().unwrap().get_mut(&id) {
-                            entry.artifacts = Some(artifacts);
-                        }
-                    } else {
-                        finish(
-                            &inner,
-                            id,
-                            &tenant,
-                            Outcome::Completed(Some(Box::new(artifacts))),
-                        );
-                    }
-                }
+                None => still.push((id, tenant, handle)),
+                Some(Ok(Some(artifacts))) => finish(
+                    &inner,
+                    id,
+                    &tenant,
+                    Outcome::Completed(Some(Box::new(artifacts))),
+                ),
                 Some(Ok(None)) => finish(&inner, id, &tenant, Outcome::Completed(None)),
                 Some(Err(ServiceError::Cancelled)) => {
                     finish(&inner, id, &tenant, Outcome::Cancelled)
@@ -1125,48 +1094,10 @@ fn dispatcher_loop(inner: Arc<Inner>) {
         }
         inflight = still;
 
-        // 3. Settle batched verification. A job's `completed` record is
-        //    written only after its proof actually verified.
-        if inner.verify_after_prove {
-            let pending = inner.service.pending_verifications();
-            if pending >= inner.verify_batch || (pending > 0 && inflight.is_empty()) {
-                let report = inner.service.flush_verifications();
-                for outcome in &report.outcomes {
-                    let Some(gid) = awaiting_verify.remove(&outcome.job_id) else {
-                        continue;
-                    };
-                    let tenant = inner
-                        .registry
-                        .lock()
-                        .unwrap()
-                        .get(&gid)
-                        .map(|e| e.tenant.clone())
-                        .unwrap_or_default();
-                    if outcome.ok {
-                        finish(&inner, gid, &tenant, Outcome::Completed(None));
-                    } else {
-                        let msg = outcome
-                            .error
-                            .clone()
-                            .unwrap_or_else(|| "proof rejected".to_string());
-                        finish(
-                            &inner,
-                            gid,
-                            &tenant,
-                            Outcome::Failed(format!("proof failed verification: {msg}")),
-                        );
-                    }
-                }
-            }
-        }
-
-        // 4. Drain-and-exit on shutdown.
-        if draining && inflight.is_empty() && awaiting_verify.is_empty() {
-            let lanes_empty = {
-                let lanes = inner.lanes.lock().unwrap();
-                lanes.interactive.is_empty() && lanes.batch.is_empty()
-            };
-            if lanes_empty && inner.service.pending_verifications() == 0 {
+        // 3. Drain-and-exit on shutdown.
+        if draining && inflight.is_empty() {
+            let lanes = inner.lanes.lock().unwrap();
+            if lanes.interactive.is_empty() && lanes.batch.is_empty() {
                 break;
             }
         }

@@ -1,10 +1,7 @@
 //! zkml-net: an HTTP/JSON front end for the proving service.
 //!
-//! The spool-directory protocol (files dropped into a watched directory)
-//! was the repo's first serving surface; it cannot express backpressure,
-//! multi-tenancy, or restart recovery. This crate replaces it with a
-//! std-only threaded HTTP/1.1 server — no async runtime, hand-rolled
-//! parsing — exposing:
+//! A std-only threaded HTTP/1.1 server — no async runtime, hand-rolled
+//! parsing — and the repo's only serving surface, exposing:
 //!
 //! * `POST /v1/jobs` — submit a prove / segmented-prove / verify job,
 //! * `GET /v1/jobs/{id}` — poll status and fetch hex-encoded artifacts,

@@ -286,3 +286,72 @@ fn submissions_rejected_while_draining() {
     // come down even though a job was mid-flight when the drain started.
     gw.shutdown();
 }
+
+/// A finished proof must not wait on unrelated work: with other jobs in
+/// flight for the whole run, a prove job still reaches `completed`, already
+/// verified by its worker.
+#[test]
+fn prove_job_completes_while_other_jobs_are_in_flight() {
+    let (gw, addr) = start(GatewayConfig {
+        service: small_service(),
+        ..GatewayConfig::default()
+    });
+    let submit = |body: &str| -> u64 {
+        let resp = post_job(&addr, body);
+        assert_eq!(resp.status, 202, "body: {}", resp.body);
+        Json::parse(&resp.body)
+            .unwrap()
+            .get("job_id")
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let in_flight = |id: u64| {
+        let doc = job_status(&addr, id);
+        matches!(
+            doc.get("status").and_then(Json::as_str),
+            Some("queued" | "running")
+        )
+    };
+
+    let prove = submit("{\"kind\":\"prove\",\"model\":\"mnist\",\"seed\":3}");
+    // A running sleep job cannot be cancelled, so one long sleep would pin
+    // the shutdown below; two short ones, topped up every turn, keep other
+    // work in flight exactly as long as the prove job runs.
+    let mut sleeps: Vec<u64> = Vec::new();
+    let started = Instant::now();
+    loop {
+        sleeps.retain(|id| in_flight(*id));
+        while sleeps.len() < 2 {
+            sleeps.push(submit("{\"kind\":\"sleep\",\"sleep_ms\":500}"));
+        }
+        let doc = job_status(&addr, prove);
+        match doc.get("status").and_then(Json::as_str).unwrap() {
+            "completed" => break,
+            "queued" | "running" => {}
+            other => panic!("prove job ended {other}: {doc:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(180),
+            "prove job never completed while other jobs were in flight"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        sleeps.iter().any(|id| in_flight(*id)),
+        "the prove job must complete while another job is still in flight"
+    );
+
+    let stats = http_request(&addr, "GET", "/v1/stats", None).unwrap();
+    let service = Json::parse(&stats.body).unwrap();
+    let service = service.get("service").unwrap();
+    assert_eq!(
+        service.get("proofs_verified").and_then(Json::as_u64),
+        Some(1)
+    );
+    assert_eq!(
+        service.get("verify_failures").and_then(Json::as_u64),
+        Some(0)
+    );
+
+    gw.shutdown();
+}

@@ -17,7 +17,6 @@
 //! is what makes the ZKML cost model (crate `zkml`, module `cost`)
 //! transferable.
 
-pub mod arena;
 pub mod circuit;
 pub mod expression;
 pub mod keygen;
@@ -27,7 +26,6 @@ pub mod prover;
 pub mod serialize;
 pub mod verifier;
 
-pub use arena::PolyArena;
 pub use circuit::{
     CellRef, ConstraintSystem, Gate, Lookup, Preprocessed, WitnessSource, BLINDING_FACTORS,
 };
@@ -37,8 +35,8 @@ pub use keygen::{
     ProvingKey, VerifyingKey, WeightCommitment,
 };
 pub use mock::{GridWitness, MockProver, VerifyFailure};
-pub use prover::{create_proof, create_proof_bound, create_proof_committed, create_proof_with_rng};
-pub use verifier::{verify_proof, verify_proof_committed, verify_proof_deferred};
+pub use prover::{create_proof_committed, create_proof_with_rng};
+pub use verifier::{verify_proof, verify_proof_committed};
 
 /// Errors produced by key generation, proving, or verification.
 #[derive(Debug)]

@@ -1,6 +1,5 @@
 //! Proof creation.
 
-use crate::arena::PolyArena;
 use crate::circuit::WitnessSource;
 use crate::expression::{Column, Expression};
 use crate::keygen::{CommittedWeights, ProvingKey};
@@ -62,65 +61,34 @@ fn eval_on_row(
     e.evaluate_on_grid(i, n, instance, advice, fixed, challenges)
 }
 
-/// Creates a proof for the given witness, using OS randomness for blinding.
-pub fn create_proof(
-    params: &Params,
-    pk: &ProvingKey,
-    witness: &dyn WitnessSource,
-) -> Result<Vec<u8>, PlonkError> {
-    create_proof_with_rng(params, pk, witness, &mut rand::rngs::OsRng)
-}
-
-/// Creates a proof with caller-supplied randomness (deterministic tests).
+/// Creates a proof with caller-supplied randomness, for a circuit with no
+/// committed columns and no binding.
 pub fn create_proof_with_rng(
     params: &Params,
     pk: &ProvingKey,
     witness: &dyn WitnessSource,
     rng: &mut impl RngCore,
 ) -> Result<Vec<u8>, PlonkError> {
-    create_proof_bound(params, pk, witness, rng, &[])
+    create_proof_committed(params, pk, witness, rng, &[], &CommittedWeights::empty())
 }
 
-/// Creates a proof bound to an application-chosen context string.
+/// Creates a proof, optionally bound to a context string and to committed
+/// (weight) columns.
 ///
-/// The binding is absorbed into the Fiat–Shamir transcript right after the
-/// verifying-key digest, so the proof only verifies against the same bytes
-/// (see [`crate::verify_proof_deferred`]). Segmented proving uses this to
-/// pin each segment proof to its chain digest and position, making segments
-/// non-interchangeable across bundles. An empty binding absorbs nothing and
-/// is byte-identical to [`create_proof_with_rng`].
-pub fn create_proof_bound(
-    params: &Params,
-    pk: &ProvingKey,
-    witness: &dyn WitnessSource,
-    rng: &mut impl RngCore,
-    binding: &[u8],
-) -> Result<Vec<u8>, PlonkError> {
-    if pk.vk.cs.num_committed > 0 {
-        return Err(PlonkError::Synthesis(
-            "circuit has committed columns; use create_proof_committed with \
-             the model's CommittedWeights"
-                .into(),
-        ));
-    }
-    create_proof_committed(
-        params,
-        pk,
-        witness,
-        rng,
-        binding,
-        &CommittedWeights::empty(),
-    )
-}
-
-/// Creates a proof for a circuit with committed (weight) columns.
+/// `binding` is absorbed into the Fiat–Shamir transcript right after the
+/// verifying-key and weight digests, so the proof only verifies against the
+/// same bytes (see [`crate::verify_proof_committed`]). Segmented proving uses
+/// this to pin each segment proof to its chain digest and position, making
+/// segments non-interchangeable across bundles. An empty binding absorbs
+/// nothing.
 ///
 /// `weights` is the prover side of a [`crate::keygen::WeightCommitment`]
-/// produced once per model by [`crate::keygen::commit_weights`]; its digest
-/// is absorbed into the transcript right after the verifying-key digest, so
-/// the proof verifies only against that exact published commitment. No
-/// weight interpolation or commitment work happens here — the per-proof
-/// weight cost is a handful of polynomial evaluations.
+/// produced once per model by [`crate::keygen::commit_weights`]
+/// ([`CommittedWeights::empty`] for a circuit with no committed columns);
+/// its digest is absorbed into the transcript right after the verifying-key
+/// digest, so the proof verifies only against that exact published
+/// commitment. No weight interpolation or commitment work happens here — the
+/// per-proof weight cost is a handful of polynomial evaluations.
 pub fn create_proof_committed(
     params: &Params,
     pk: &ProvingKey,
@@ -157,11 +125,6 @@ pub fn create_proof_committed(
         transcript.absorb(b"bind", binding);
     }
     let mut proof = Writer::new();
-    // Retired polynomial buffers are recycled through this arena across the
-    // grand-product and quotient phases instead of round-tripping through
-    // the allocator. Contents are always overwritten before reuse, so the
-    // recycling can never change a proof byte.
-    let arena = PolyArena::new();
 
     // --- Instance columns ------------------------------------------------
     let mut instance = witness.instance();
@@ -393,13 +356,12 @@ pub fn create_proof_committed(
         // chunking cannot change any value.
         zkml_par::par_chunks_mut(&mut den, ROW_CHUNK, |_, _, chunk| batch_invert(chunk));
         let factors: Vec<Fr> = zkml_par::par_map(usable, |i| num[i] * den[i]);
-        let mut z = arena.take_zeroed(n);
+        let mut z = vec![Fr::zero(); n];
         scan_products(carry, &factors, &mut z);
         carry = z[usable];
         for v in z[usable + 1..].iter_mut() {
             *v = Fr::random(rng);
         }
-        arena.put_all([num, den, factors]);
         perm_z_values.push(z);
     }
     if !cs.permutation_columns.is_empty() && carry != Fr::one() {
@@ -408,7 +370,7 @@ pub fn create_proof_committed(
         ));
     }
     for z in &perm_z_values {
-        let mut coeffs = arena.take_copy(z);
+        let mut coeffs = z.clone();
         domain.ifft(&mut coeffs);
         let poly = Coeffs::new(coeffs);
         let com = params.commit(&poly);
@@ -428,7 +390,7 @@ pub fn create_proof_committed(
         let factors: Vec<Fr> = zkml_par::par_map(usable, |i| {
             (w.a_compressed[i] + beta) * (w.t_compressed[i] + gamma) * den[i]
         });
-        let mut z = arena.take_zeroed(n);
+        let mut z = vec![Fr::zero(); n];
         scan_products(Fr::one(), &factors, &mut z);
         if z[usable] != Fr::one() {
             return Err(PlonkError::Synthesis(format!(
@@ -439,8 +401,7 @@ pub fn create_proof_committed(
         for v in z[usable + 1..].iter_mut() {
             *v = Fr::random(rng);
         }
-        arena.put_all([den, factors]);
-        let mut coeffs = arena.take_copy(&z);
+        let mut coeffs = z.clone();
         domain.ifft(&mut coeffs);
         let poly = Coeffs::new(coeffs);
         let com = params.commit(&poly);
@@ -455,15 +416,12 @@ pub fn create_proof_committed(
     // --- Quotient ----------------------------------------------------------
     let ext = &pk.domains;
     let ext_n = ext.ext.n;
-    // Extended-coset scratch vectors are `factor * n` elements each; pulling
-    // them from the arena reuses the buffers the grand-product loops just
-    // retired.
     let to_ext = |values: &[Fr]| -> Vec<Fr> {
-        let mut c = arena.take_copy(values);
+        let mut c = values.to_vec();
         domain.ifft(&mut c);
         ext.coset_ext(c)
     };
-    let poly_to_ext = |p: &Coeffs<Fr>| ext.coset_ext(arena.take_copy(&p.values));
+    let poly_to_ext = |p: &Coeffs<Fr>| ext.coset_ext(p.values.clone());
 
     let instance_ext: Vec<Vec<Fr>> =
         zkml_par::par_map(instance_polys.len(), |i| poly_to_ext(&instance_polys[i]));
@@ -499,7 +457,7 @@ pub fn create_proof_committed(
     };
 
     // Coset point values for the permutation "identity" side.
-    let mut coset_points = arena.take_zeroed(ext_n);
+    let mut coset_points = vec![Fr::zero(); ext_n];
     zkml_par::par_chunks_mut(&mut coset_points, ROW_CHUNK, |_, start, chunk| {
         let mut cur = ext.ext.coset_gen * ext.ext.omega.pow(&[start as u64]);
         for slot in chunk.iter_mut() {
@@ -508,7 +466,7 @@ pub fn create_proof_committed(
         }
     });
 
-    let mut combined = arena.take_zeroed(ext_n);
+    let mut combined = vec![Fr::zero(); ext_n];
     let add_term = |term: &(dyn Fn(usize) -> Fr + Sync), combined: &mut Vec<Fr>| {
         zkml_par::par_for_each_mut(combined, |i, c| {
             *c = *c * y + term(i);

@@ -8,10 +8,11 @@
 //! proving service can spill generated keys to disk and skip keygen on warm
 //! restarts.
 
-use crate::circuit::{ConstraintSystem, Gate, Lookup};
+use crate::circuit::{ConstraintSystem, Gate, Lookup, BLINDING_FACTORS};
 use crate::expression::{Column, Expression, Rotation};
 use crate::keygen::{ProvingKey, VerifyingKey, WeightCommitment};
 use crate::PlonkError;
+use zkml_ff::{FftField, Fr};
 use zkml_pcs::{ReadError, Reader, Writer};
 
 fn write_column(w: &mut Writer, c: &Column) {
@@ -194,7 +195,70 @@ pub fn write_cs(w: &mut Writer, cs: &ConstraintSystem) {
     let _ = write_column; // byte-tag variant kept private for tests
 }
 
-/// Deserializes a constraint system.
+/// Largest column or challenge count a deserialized constraint system may
+/// declare; the verifier loops over these counts before reading any proof
+/// byte, so they are bounded here.
+const MAX_COLUMNS: usize = 1 << 16;
+
+/// Whether every column and challenge `e` queries exists in `cs`.
+fn expr_in_range(e: &Expression, cs: &ConstraintSystem) -> bool {
+    match e {
+        Expression::Constant(_) => true,
+        Expression::Instance(i, _) => *i < cs.num_instance,
+        Expression::Advice(i, _) => *i < cs.num_advice,
+        Expression::Fixed(i, _) => *i < cs.num_fixed,
+        Expression::Challenge(i) => *i < cs.num_challenges,
+        Expression::Neg(a) | Expression::Scaled(a, _) => expr_in_range(a, cs),
+        Expression::Sum(a, b) | Expression::Product(a, b) => {
+            expr_in_range(a, cs) && expr_in_range(b, cs)
+        }
+    }
+}
+
+/// Rejects a deserialized constraint system the prover or verifier would
+/// index out of bounds on: the bytes are untrusted, and everything past
+/// this point indexes columns, phases and challenges without checking.
+fn validate_cs(cs: &ConstraintSystem) -> Result<(), ReadError> {
+    let counts = [
+        cs.num_instance,
+        cs.num_advice,
+        cs.num_fixed,
+        cs.num_committed,
+        cs.num_challenges,
+    ];
+    if counts.iter().any(|&n| n > MAX_COLUMNS) {
+        return Err(ReadError("too many columns or challenges"));
+    }
+    // Phase-1 columns are committed only after the phase challenges, which
+    // exist only when the system declares some.
+    let max_phase = if cs.num_challenges > 0 { 1 } else { 0 };
+    if cs.advice_phase.iter().any(|&p| p > max_phase) {
+        return Err(ReadError("advice phase out of range"));
+    }
+    let exprs = cs.gates.iter().flat_map(|g| g.polys.iter()).chain(
+        cs.lookups
+            .iter()
+            .flat_map(|l| l.inputs.iter().chain(l.table.iter())),
+    );
+    for e in exprs {
+        if !expr_in_range(e, cs) {
+            return Err(ReadError("expression queries a missing column"));
+        }
+    }
+    let column_exists = |c: &Column| match *c {
+        Column::Instance(i) => i < cs.num_instance,
+        Column::Advice(i) => i < cs.num_advice,
+        Column::Fixed(i) => i < cs.num_fixed,
+        Column::Committed(i) => i < cs.num_committed,
+    };
+    if !cs.permutation_columns.iter().all(column_exists) {
+        return Err(ReadError("permutation over a missing column"));
+    }
+    Ok(())
+}
+
+/// Deserializes a constraint system, validated against out-of-range
+/// column, phase and challenge references.
 pub fn read_cs(r: &mut Reader) -> Result<ConstraintSystem, ReadError> {
     let mut cs = ConstraintSystem::new();
     cs.num_instance = r.u64()? as usize;
@@ -207,7 +271,7 @@ pub fn read_cs(r: &mut Reader) -> Result<ConstraintSystem, ReadError> {
         return Err(ReadError("phase vector length mismatch"));
     }
     cs.advice_phase = (0..np)
-        .map(|_| r.u64().map(|v| v as u8))
+        .map(|_| u8::try_from(r.u64()?).map_err(|_| ReadError("advice phase out of range")))
         .collect::<Result<_, _>>()?;
     let ngates = r.u64()? as usize;
     if ngates > 1 << 16 {
@@ -250,6 +314,7 @@ pub fn read_cs(r: &mut Reader) -> Result<ConstraintSystem, ReadError> {
         let c = read_column(r)?;
         cs.permutation_columns.push(c);
     }
+    validate_cs(&cs)?;
     Ok(cs)
 }
 
@@ -279,21 +344,31 @@ impl VerifyingKey {
         w.finish()
     }
 
-    /// Deserializes a verifying key.
+    /// Deserializes a verifying key. The bytes are untrusted: `k` must give
+    /// a domain the field supports with room for the blinding rows, and the
+    /// commitment vectors must have the lengths the verifier indexes by.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ReadError> {
         let mut r = Reader::new(bytes);
         let k = r.u32()?;
+        if k > Fr::TWO_ADICITY || (1usize << k) <= BLINDING_FACTORS + 1 {
+            return Err(ReadError("circuit size exponent out of range"));
+        }
         let cs = read_cs(&mut r)?;
         let nf = r.u64()? as usize;
         if nf > 1 << 20 {
             return Err(ReadError("too many fixed commitments"));
         }
-        let fixed_commitments = (0..nf).map(|_| r.g1()).collect::<Result<_, _>>()?;
+        let fixed_commitments: Vec<_> = (0..nf).map(|_| r.g1()).collect::<Result<_, _>>()?;
         let ns = r.u64()? as usize;
         if ns > 1 << 20 {
             return Err(ReadError("too many sigma commitments"));
         }
-        let sigma_commitments = (0..ns).map(|_| r.g1()).collect::<Result<_, _>>()?;
+        let sigma_commitments: Vec<_> = (0..ns).map(|_| r.g1()).collect::<Result<_, _>>()?;
+        if fixed_commitments.len() != cs.num_fixed
+            || sigma_commitments.len() != cs.permutation_columns.len()
+        {
+            return Err(ReadError("commitment count does not match the circuit"));
+        }
         let digest: [u8; 64] = r
             .take_bytes(64)?
             .try_into()

@@ -17,7 +17,7 @@ pub fn verify_proof(
     instance: &[Vec<Fr>],
     proof: &[u8],
 ) -> Result<(), PlonkError> {
-    let v = verify_proof_deferred(params, vk, instance, proof, &[])?;
+    let v = verify_proof_committed(params, vk, instance, proof, &[], None)?;
     if v.settle(params) {
         Ok(())
     } else {
@@ -27,41 +27,21 @@ pub fn verify_proof(
     }
 }
 
-/// Verifies a proof bound to a context string, deferring the backend's
-/// final check when possible.
+/// Verifies a proof, deferring the backend's final check when possible.
 ///
-/// Mirrors the prover's [`crate::create_proof_bound`]: the binding is
-/// absorbed right after the verifying-key digest (nothing is absorbed when
-/// empty), so a proof created under one binding fails under any other. On
-/// the KZG backend the returned [`Verification`] carries the pending
+/// Mirrors [`crate::prover::create_proof_committed`]. The digest of the
+/// *published* [`WeightCommitment`] (required exactly when the circuit has
+/// committed columns) is absorbed right after the verifying-key digest, so a
+/// proof created under one weight commitment fails under any other —
+/// tampering with a single weight after publication changes the column
+/// commitment, the digest, and therefore every Fiat–Shamir challenge. The
+/// binding is absorbed next (nothing when empty), so a proof created under
+/// one binding fails under any other.
+///
+/// On the KZG backend the returned [`Verification`] carries the pending
 /// pairing inputs; callers batch many of them through
 /// [`zkml_pcs::batch_check`] to settle a whole proof bundle with one
 /// multi-pairing. IPA verifies completely.
-pub fn verify_proof_deferred(
-    params: &Params,
-    vk: &VerifyingKey,
-    instance: &[Vec<Fr>],
-    proof: &[u8],
-    binding: &[u8],
-) -> Result<Verification, PlonkError> {
-    if vk.cs.num_committed > 0 {
-        return Err(PlonkError::Verify(
-            "circuit has committed columns; use verify_proof_committed with \
-             the published WeightCommitment"
-                .into(),
-        ));
-    }
-    verify_proof_committed(params, vk, instance, proof, binding, None)
-}
-
-/// Verifies a proof for a circuit with committed (weight) columns against a
-/// *published* [`WeightCommitment`], deferring the backend's final check.
-///
-/// Mirrors [`crate::prover::create_proof_committed`]: the commitment digest
-/// is absorbed right after the verifying-key digest, so a proof created
-/// under one weight commitment fails under any other — tampering with a
-/// single weight after publication changes the column commitment, the
-/// digest, and therefore every Fiat–Shamir challenge.
 pub fn verify_proof_committed(
     params: &Params,
     vk: &VerifyingKey,
@@ -71,6 +51,15 @@ pub fn verify_proof_committed(
     weights: Option<&WeightCommitment>,
 ) -> Result<Verification, PlonkError> {
     let cs = &vk.cs;
+    // An untrusted key claiming a larger circuit than the params were set
+    // up for is rejected before anything is sized by its `2^k`.
+    if vk.k > params.k() {
+        return Err(PlonkError::Verify(format!(
+            "verifying key has k = {} but the params support k <= {}",
+            vk.k,
+            params.k()
+        )));
+    }
     let wc = match weights {
         Some(wc) => {
             if wc.k != vk.k {

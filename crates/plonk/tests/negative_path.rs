@@ -1,6 +1,7 @@
 //! Negative-path verifier tests: corrupt each section of a serialized proof
 //! and assert both backends reject without panicking; malformed public
-//! inputs must also reject cleanly.
+//! inputs must also reject cleanly, and so must every single-byte mutation
+//! of the serialized verifying key.
 //!
 //! The proof layout mirrors the transcript schedule (see `prover.rs`):
 //! advice commitments | lookup permuted a/s pairs | permutation grand
@@ -15,7 +16,7 @@ use zkml_pcs::{Backend, Params};
 use zkml_plonk::protocol::opening_plan;
 use zkml_plonk::{
     create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Preprocessed, Rotation, WitnessSource,
+    Preprocessed, Rotation, VerifyingKey, WitnessSource,
 };
 
 struct VecWitness {
@@ -281,4 +282,54 @@ fn malformed_public_instances_rejected() {
     let n = 1usize << 5;
     let overlong = vec![vec![Fr::one(); n]];
     assert!(verify_proof(&params, &pk.vk, &overlong, &proof).is_err());
+}
+
+/// A verifying key is attacker-controlled bytes (it rides inside bundles and
+/// proof directories). Flipping the low and the high bit of every byte must
+/// end in a parse error or a rejected proof, never a panic. A mutation that
+/// is accepted may only have touched what the verifier never reads: gate and
+/// lookup labels, and the unused high bytes of tag and rotation words, all
+/// of which re-serialize to the original bytes once the labels are restored.
+fn assert_vk_mutations_handled(
+    backend: Backend,
+    params_k: u32,
+    cs: &ConstraintSystem,
+    pre: &Preprocessed,
+    witness: &VecWitness,
+    instance: &[Vec<Fr>],
+) {
+    let (params, pk, proof) = prove(backend, params_k, cs, pre, witness);
+    let bytes = pk.vk.to_bytes();
+    for pos in 0..bytes.len() {
+        for mask in [0x01u8, 0x80] {
+            let mut bad = bytes.clone();
+            bad[pos] ^= mask;
+            let Ok(mut vk) = VerifyingKey::from_bytes(&bad) else {
+                continue;
+            };
+            if verify_proof(&params, &vk, instance, &proof).is_err() {
+                continue;
+            }
+            for (g, orig) in vk.cs.gates.iter_mut().zip(&pk.vk.cs.gates) {
+                g.name.clone_from(&orig.name);
+            }
+            for (l, orig) in vk.cs.lookups.iter_mut().zip(&pk.vk.cs.lookups) {
+                l.name.clone_from(&orig.name);
+            }
+            assert_eq!(
+                vk.to_bytes(),
+                bytes,
+                "{backend}: accepted a verifying key mutated at byte {pos} (mask {mask:#04x})"
+            );
+        }
+    }
+}
+
+#[test]
+fn mutated_verifying_keys_never_panic() {
+    let (cs, pre, witness, instance) = mul_chain();
+    assert_vk_mutations_handled(Backend::Kzg, 6, &cs, &pre, &witness, &instance);
+    assert_vk_mutations_handled(Backend::Ipa, 5, &cs, &pre, &witness, &instance);
+    let (cs, pre, witness) = lookup_circuit();
+    assert_vk_mutations_handled(Backend::Kzg, 7, &cs, &pre, &witness, &[]);
 }

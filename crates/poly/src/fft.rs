@@ -1,23 +1,13 @@
-//! In-place radix-2 decimation-in-time NTT with cached twiddle tables and a
-//! cache-blocked four-step layout for large transforms.
+//! In-place radix-2 decimation-in-time NTT with cached twiddle tables.
 //!
 //! The twiddle table (`1, ω, ω², …, ω^{n/2-1}`) is built once per domain via
 //! [`build_twiddles`] and shared across every call through
-//! [`fft_in_place_with`]; smaller stages and the four-step sub-transforms
-//! stride through the same table, so no call recomputes powers.
+//! [`fft_in_place_with`]; smaller stages stride through the same table, so
+//! no call recomputes powers.
 //!
-//! Transforms of size `2^k` with `k >=` [`FOUR_STEP_MIN_K`] use the
-//! four-step (Bailey) decomposition `n = n1 * n2`: transpose, `n2` row FFTs
-//! of size `n1`, a twiddle pass, transpose, `n1` row FFTs of size `n2`, and
-//! a final reordering transpose. Each row fits in cache, unlike the late
-//! stages of a monolithic radix-2 transform whose butterfly strides exceed
-//! it. Field arithmetic is exact, so the four-step output is bit-identical
-//! to the radix-2 one.
-//!
-//! Butterfly stages, row FFTs and transposes run in parallel on the
-//! `zkml-par` pool with fixed chunk boundaries; every path computes the same
-//! exact field values regardless of which thread runs it, so results are
-//! bit-identical at any thread count.
+//! Butterfly stages run in parallel on the `zkml-par` pool with fixed chunk
+//! boundaries; every path computes the same exact field values regardless of
+//! which thread runs it, so results are bit-identical at any thread count.
 
 use zkml_ff::FftField;
 
@@ -27,13 +17,6 @@ const PAR_FFT_MIN: usize = 4096;
 
 /// Minimum elements per parallel chunk inside a stage.
 const PAR_CHUNK_MIN: usize = 1024;
-
-/// Transforms of `2^k` elements with `k` at or above this use the four-step
-/// cache-blocked layout.
-pub const FOUR_STEP_MIN_K: u32 = 16;
-
-/// Tile edge for the cache-blocked transpose.
-const TILE: usize = 32;
 
 /// Reverses the low `bits` bits of `n`.
 #[inline]
@@ -78,10 +61,8 @@ fn butterfly<F: FftField>(
     }
 }
 
-/// Serial radix-2 core. `stride0` maps sub-transform twiddle indices into
-/// the full-size table: the transform's root is `ω^stride0`, so twiddle `j`
-/// of the sub-transform is `twiddles[j * stride0]`.
-fn radix2_serial<F: FftField>(a: &mut [F], k: u32, twiddles: &[F], stride0: usize) {
+/// Serial radix-2 core.
+fn radix2_serial<F: FftField>(a: &mut [F], k: u32, twiddles: &[F]) {
     let n = a.len();
     if n == 1 {
         return;
@@ -95,7 +76,7 @@ fn radix2_serial<F: FftField>(a: &mut [F], k: u32, twiddles: &[F], stride0: usiz
     let half = n / 2;
     let mut m = 1;
     while m < n {
-        let stride = (half / m) * stride0;
+        let stride = half / m;
         for start in (0..n).step_by(2 * m) {
             let (lo, hi) = a[start..start + 2 * m].split_at_mut(m);
             butterfly(lo, hi, twiddles, 0, stride);
@@ -104,7 +85,7 @@ fn radix2_serial<F: FftField>(a: &mut [F], k: u32, twiddles: &[F], stride0: usiz
     }
 }
 
-/// Parallel radix-2 path for mid-size transforms (stage-level parallelism).
+/// Parallel radix-2 path (stage-level parallelism).
 fn radix2_parallel<F: FftField>(a: &mut [F], k: u32, twiddles: &[F]) {
     let n = a.len();
     for i in 0..n {
@@ -158,80 +139,6 @@ fn radix2_parallel<F: FftField>(a: &mut [F], k: u32, twiddles: &[F]) {
     }
 }
 
-/// Cache-blocked transpose: `src` is `rows x cols` row-major; `dst` becomes
-/// `cols x rows` row-major. Parallel over bands of output rows with fixed
-/// boundaries, so the result is identical at any thread count.
-fn transpose<F: FftField>(src: &[F], dst: &mut [F], rows: usize, cols: usize) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    let band = rows * TILE.min(cols);
-    zkml_par::for_each_chunk_exact(dst, band, |_, start, out| {
-        let c0 = start / rows;
-        for r0 in (0..rows).step_by(TILE) {
-            let r1 = (r0 + TILE).min(rows);
-            for (ci, orow) in out.chunks_exact_mut(rows).enumerate() {
-                let c = c0 + ci;
-                for r in r0..r1 {
-                    orow[r] = src[r * cols + c];
-                }
-            }
-        }
-    });
-}
-
-/// Runs an independent radix-2 FFT on every `2^krow`-element row of `buf`,
-/// parallel over groups of rows.
-fn row_ffts<F: FftField>(buf: &mut [F], krow: u32, twiddles: &[F], stride0: usize) {
-    let row_len = 1usize << krow;
-    let rows_per_task = (PAR_CHUNK_MIN / row_len).max(1);
-    zkml_par::for_each_chunk_exact(buf, row_len * rows_per_task, |_, _, chunk| {
-        for row in chunk.chunks_exact_mut(row_len) {
-            radix2_serial(row, krow, twiddles, stride0);
-        }
-    });
-}
-
-/// Four-step (Bailey) FFT: `n = n1 * n2` with the input viewed as `n1` rows
-/// of `n2` columns. Column FFTs (as row FFTs after a transpose), a twiddle
-/// pass by `ω^{s2·t1}`, row FFTs, and a reordering transpose. Every
-/// sub-transform reads the shared full-size twiddle table with a stride.
-fn four_step<F: FftField>(a: &mut [F], k: u32, twiddles: &[F]) {
-    let n = a.len();
-    let k1 = k / 2;
-    let k2 = k - k1;
-    let (n1, n2) = (1usize << k1, 1usize << k2);
-    let mut buf = vec![F::zero(); n];
-
-    // Inner FFTs over the row index s1: after the transpose, row s2 of `buf`
-    // holds a[.., s2]; its FFT uses ω_{n1} = ω^{n2}.
-    transpose(a, &mut buf, n1, n2);
-    row_ffts(&mut buf, k1, twiddles, n2);
-
-    // Twiddle: buf[s2][t1] *= ω^{s2·t1}, running powers of twiddles[s2].
-    let rows_per_task = (PAR_CHUNK_MIN / n1).max(1);
-    zkml_par::for_each_chunk_exact(&mut buf, n1 * rows_per_task, |_, start, chunk| {
-        for (s2, row) in (start / n1..).zip(chunk.chunks_exact_mut(n1)) {
-            if s2 > 0 {
-                let w = twiddles[s2];
-                let mut acc = w;
-                for v in row.iter_mut().skip(1) {
-                    *v *= acc;
-                    acc *= w;
-                }
-            }
-        }
-    });
-
-    // Outer FFTs over s2: transpose back to n1 rows of n2 columns; each
-    // row's FFT uses ω_{n2} = ω^{n1}.
-    transpose(&buf, a, n2, n1);
-    row_ffts(a, k2, twiddles, n1);
-
-    // Reorder: X[t2·n1 + t1] = a[t1·n2 + t2].
-    transpose(a, &mut buf, n1, n2);
-    a.copy_from_slice(&buf);
-}
-
 /// Performs an in-place FFT of `a` (length `2^k`) using a precomputed
 /// twiddle table from [`build_twiddles`].
 ///
@@ -249,31 +156,11 @@ pub fn fft_in_place_with<F: FftField>(a: &mut [F], k: u32, twiddles: &[F]) {
         n / 2,
         "twiddle table must cover half the domain"
     );
-    if k >= FOUR_STEP_MIN_K {
-        four_step(a, k, twiddles);
-    } else if n >= PAR_FFT_MIN && zkml_par::current_threads() > 1 {
+    if n >= PAR_FFT_MIN && zkml_par::current_threads() > 1 {
         radix2_parallel(a, k, twiddles);
     } else {
-        radix2_serial(a, k, twiddles, 1);
+        radix2_serial(a, k, twiddles);
     }
-}
-
-/// Performs an in-place FFT of `a` (length `2^k`) using `omega` as the
-/// primitive `2^k`-th root of unity, building the twiddle table for this
-/// call. Domain-level callers should cache the table and use
-/// [`fft_in_place_with`].
-///
-/// # Panics
-///
-/// Panics if `a.len() != 2^k`.
-pub fn fft_in_place<F: FftField>(a: &mut [F], omega: F, k: u32) {
-    let n = a.len();
-    assert_eq!(n, 1 << k, "fft length must equal 2^k");
-    if n == 1 {
-        return;
-    }
-    let twiddles = build_twiddles(omega, n);
-    fft_in_place_with(a, k, &twiddles);
 }
 
 /// Scales every element by `n_inv`, chunked across the pool.
@@ -298,13 +185,6 @@ pub fn ifft_in_place_with<F: FftField>(a: &mut [F], k: u32, inv_twiddles: &[F], 
     scale_all(a, n_inv);
 }
 
-/// Performs an in-place inverse FFT (includes the `1/n` scaling), building
-/// the inverse twiddle table for this call.
-pub fn ifft_in_place<F: FftField>(a: &mut [F], omega_inv: F, n_inv: F, k: u32) {
-    fft_in_place(a, omega_inv, k);
-    scale_all(a, n_inv);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +200,10 @@ mod tests {
         w
     }
 
+    fn fft(a: &mut [Fr], omega: Fr, k: u32) {
+        fft_in_place_with(a, k, &build_twiddles(omega, a.len()));
+    }
+
     #[test]
     fn matches_naive_dft() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -328,7 +212,7 @@ mod tests {
             let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
             let omega = omega_for(k);
             let mut evals = coeffs.clone();
-            fft_in_place(&mut evals, omega, k);
+            fft(&mut evals, omega, k);
             for (i, e) in evals.iter().enumerate() {
                 // Naive evaluation at omega^i.
                 let x = omega.pow(&[i as u64]);
@@ -341,98 +225,43 @@ mod tests {
         }
     }
 
+    /// Includes k=16, the extended-domain size of the largest zoo circuits.
     #[test]
     fn fft_ifft_roundtrip() {
         let mut rng = StdRng::seed_from_u64(2);
-        for k in 0..10u32 {
+        for k in (0..10u32).chain([16]) {
             let n = 1usize << k;
             let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
             let omega = omega_for(k);
-            let omega_inv = omega.invert().unwrap();
+            let itw = build_twiddles(omega.invert().unwrap(), n);
             let n_inv = Fr::from_u64(n as u64).invert().unwrap();
             let mut work = coeffs.clone();
-            fft_in_place(&mut work, omega, k);
-            ifft_in_place(&mut work, omega_inv, n_inv, k);
-            assert_eq!(work, coeffs);
+            fft(&mut work, omega, k);
+            ifft_in_place_with(&mut work, k, &itw, n_inv);
+            assert_eq!(work, coeffs, "k={k}");
         }
-    }
-
-    /// The four-step path must produce exactly the radix-2 result — field
-    /// arithmetic is exact, so any butterfly association yields identical
-    /// values.
-    #[test]
-    fn four_step_matches_radix2() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let k = FOUR_STEP_MIN_K;
-        let n = 1usize << k;
-        let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        let omega = omega_for(k);
-        let twiddles = build_twiddles(omega, n);
-
-        let mut via_four_step = coeffs.clone();
-        four_step(&mut via_four_step, k, &twiddles);
-        let mut via_radix2 = coeffs;
-        radix2_serial(&mut via_radix2, k, &twiddles, 1);
-        assert_eq!(via_four_step, via_radix2);
-    }
-
-    /// Four-step also holds for odd k (n1 != n2) — checked against the
-    /// serial core at a sub-threshold size by calling it directly.
-    #[test]
-    fn four_step_matches_radix2_odd_k() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for k in [7u32, 9] {
-            let n = 1usize << k;
-            let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-            let omega = omega_for(k);
-            let twiddles = build_twiddles(omega, n);
-            let mut a = coeffs.clone();
-            four_step(&mut a, k, &twiddles);
-            let mut b = coeffs;
-            radix2_serial(&mut b, k, &twiddles, 1);
-            assert_eq!(a, b, "k={k}");
-        }
-    }
-
-    /// Round-trip through the four-step threshold size.
-    #[test]
-    fn fft_ifft_roundtrip_four_step() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let k = FOUR_STEP_MIN_K;
-        let n = 1usize << k;
-        let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        let omega = omega_for(k);
-        let omega_inv = omega.invert().unwrap();
-        let n_inv = Fr::from_u64(n as u64).invert().unwrap();
-        let tw = build_twiddles(omega, n);
-        let itw = build_twiddles(omega_inv, n);
-        let mut work = coeffs.clone();
-        fft_in_place_with(&mut work, k, &tw);
-        ifft_in_place_with(&mut work, k, &itw, n_inv);
-        assert_eq!(work, coeffs);
     }
 
     /// Large-enough transforms take the parallel path; the result must be
-    /// bit-identical to the serial pool at every stage shape, including the
-    /// four-step size.
+    /// bit-identical to the serial pool at every stage shape.
     #[test]
     fn parallel_path_identical_to_serial() {
         let mut rng = StdRng::seed_from_u64(3);
-        for k in [12u32, 13, FOUR_STEP_MIN_K] {
+        for k in [12u32, 13, 16] {
             let n = 1usize << k;
             let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
             let omega = omega_for(k);
 
             let serial = zkml_par::with_pool(&zkml_par::Pool::new(1), || {
                 let mut v = coeffs.clone();
-                fft_in_place(&mut v, omega, k);
+                fft(&mut v, omega, k);
                 v
             });
             for threads in [2usize, 4] {
                 let pool = zkml_par::Pool::new(threads);
                 let par = zkml_par::with_pool(&pool, || {
                     let mut v = coeffs.clone();
-                    fft_in_place(&mut v, omega, k);
+                    fft(&mut v, omega, k);
                     v
                 });
                 assert_eq!(serial, par, "k={k} threads={threads}");

@@ -1,15 +1,12 @@
-//! On-disk proof artifact layout shared by the service, the spool protocol,
-//! and the CLI's standalone prove/verify flows.
+//! The `public.bin` codec shared by the gateway (which ships it hex-encoded
+//! in job status) and the CLI's prove/verify flows.
 //!
-//! A proof directory holds `proof.bin`, `vk.bin`, and `public.bin`; the
-//! public-values file carries the backend tag followed by the first
-//! instance column. Proofs of committed-weight circuits additionally get
-//! `commitment.bin` (the serialized `WeightCommitment` the proof verifies
-//! against — a committed proof is unverifiable without one).
+//! A proof directory (written by the CLI) holds `proof.bin`, `vk.bin`, and
+//! `public.bin`; the public-values file carries the backend tag followed by
+//! the first instance column. Proofs of committed-weight circuits
+//! additionally get `commitment.bin` (the serialized `WeightCommitment` the
+//! proof verifies against — a committed proof is unverifiable without one).
 
-use crate::error::ServiceError;
-use crate::service::ProofArtifacts;
-use std::path::Path;
 use zkml_ff::Fr;
 use zkml_pcs::{Backend, ReadError, Reader, Writer};
 
@@ -44,33 +41,6 @@ pub fn decode_public(bytes: &[u8]) -> Result<(Backend, Vec<Fr>), ReadError> {
         return Err(ReadError("trailing bytes in public values"));
     }
     Ok((backend, values))
-}
-
-/// Writes a completed job's artifacts into `dir` (created if missing):
-/// `proof.bin` + `vk.bin` + `public.bin` for monolithic proofs, or
-/// `bundle.bin` + `public.bin` for segmented bundles (whose per-segment
-/// verifying keys live inside the bundle).
-pub fn write_proof_dir(dir: &Path, artifacts: &ProofArtifacts) -> Result<(), ServiceError> {
-    fn io(what: &str) -> impl Fn(std::io::Error) -> ServiceError + '_ {
-        move |e| ServiceError::Io(format!("{what}: {e}"))
-    }
-    std::fs::create_dir_all(dir).map_err(io("create proof dir"))?;
-    if artifacts.bundle.is_some() {
-        std::fs::write(dir.join("bundle.bin"), &artifacts.proof).map_err(io("write bundle.bin"))?;
-    } else {
-        std::fs::write(dir.join("proof.bin"), &artifacts.proof).map_err(io("write proof.bin"))?;
-        std::fs::write(dir.join("vk.bin"), &artifacts.vk_bytes).map_err(io("write vk.bin"))?;
-    }
-    if !artifacts.weight_commitment.is_empty() {
-        std::fs::write(dir.join("commitment.bin"), &artifacts.weight_commitment)
-            .map_err(io("write commitment.bin"))?;
-    }
-    std::fs::write(
-        dir.join("public.bin"),
-        encode_public(artifacts.backend, &artifacts.public),
-    )
-    .map_err(io("write public.bin"))?;
-    Ok(())
 }
 
 #[cfg(test)]

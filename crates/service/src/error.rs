@@ -43,8 +43,6 @@ pub enum ServiceError {
     Cancelled,
     /// The service is shutting down and no longer accepts or answers jobs.
     Shutdown,
-    /// Reading or writing a service artifact (spool file, cache entry).
-    Io(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -71,7 +69,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::WorkerPanicked(msg) => write!(f, "worker panicked: {msg}"),
             ServiceError::Cancelled => write!(f, "job cancelled"),
             ServiceError::Shutdown => write!(f, "service is shutting down"),
-            ServiceError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }

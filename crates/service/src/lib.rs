@@ -12,8 +12,6 @@
 //! * a **job queue and worker pool** ([`service`]) on bounded `crossbeam`
 //!   channels applies backpressure (reject-with-busy when full), enforces
 //!   per-job deadlines, and isolates worker panics from the service;
-//! * a **batched verification path** ([`verify`]) checks queued proofs for
-//!   the same verifying key together;
 //! * a **model-commitment registry** ([`registry`]) holds published weight
 //!   commitments: `CommitModel` jobs pay weight encoding and commitment
 //!   once, later prove jobs reference the digest and reuse the encodings,
@@ -21,8 +19,10 @@
 //! * a **metrics layer** ([`stats`]) tracks jobs, queue depth, cache hit
 //!   rate, and prove-latency percentiles as a serializable snapshot.
 //!
-//! The `zkml` binary (`serve` / `submit` subcommands) fronts this library
-//! with a spool-directory protocol.
+//! Workers verify every proof they produce before the job completes, so
+//! artifacts returned by [`JobHandle::wait`] are verified artifacts. The
+//! `zkml` binary in `zkml-net` (`serve` / `submit` subcommands) fronts this
+//! library over HTTP.
 
 pub mod artifact;
 pub mod cache;
@@ -30,15 +30,13 @@ pub mod error;
 pub mod registry;
 pub mod service;
 pub mod stats;
-pub mod verify;
 
-pub use artifact::{decode_public, encode_public, write_proof_dir};
+pub use artifact::{decode_public, encode_public};
 pub use cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, SRS_SEED};
 pub use error::ServiceError;
 pub use registry::{ModelEntry, ModelRegistry};
 pub use service::{
-    CancelToken, JobHandle, JobKind, JobResult, JobSpec, ProofArtifacts, ProvingService,
-    ServiceConfig,
+    synthetic_inputs, CancelToken, JobHandle, JobKind, JobResult, JobSpec, ProofArtifacts,
+    ProvingService, ServiceConfig,
 };
 pub use stats::{ServiceStats, StatsSnapshot};
-pub use verify::{BatchOutcome, BatchReport, BatchVerifier, PendingProof};

@@ -1,12 +1,11 @@
 //! The proving service: a bounded job queue feeding a pool of worker
 //! threads, with per-job deadlines, panic isolation, and shared access to
-//! the artifact cache and batch verifier.
+//! the artifact cache and model registry.
 
 use crate::cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome};
 use crate::error::ServiceError;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use crate::verify::{BatchReport, BatchVerifier, PendingProof};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +34,8 @@ pub struct ServiceConfig {
     pub max_k: u32,
     /// Deadline applied to jobs that do not set their own.
     pub default_deadline: Option<Duration>,
-    /// Queue each completed proof for batched verification.
+    /// Verify each proof in the worker before the job completes; a rejected
+    /// proof fails the job with [`ServiceError::Verify`].
     pub verify_after_prove: bool,
     /// Spill proving keys here so warm restarts skip keygen.
     pub cache_dir: Option<PathBuf>,
@@ -328,7 +328,6 @@ impl JobHandle {
 struct WorkerCtx {
     cache: ArtifactCache,
     stats: ServiceStats,
-    verifier: BatchVerifier,
     registry: ModelRegistry,
     max_k: u32,
     verify_after_prove: bool,
@@ -372,7 +371,6 @@ impl ProvingService {
         let ctx = Arc::new(WorkerCtx {
             cache,
             stats: ServiceStats::new(),
-            verifier: BatchVerifier::new(),
             registry: ModelRegistry::new(),
             max_k: cfg.max_k,
             verify_after_prove: cfg.verify_after_prove,
@@ -489,23 +487,10 @@ impl ProvingService {
         self.tx.as_ref().map_or(0, Sender::len)
     }
 
-    /// Number of completed proofs queued for batched verification. Callers
-    /// running the service long-term should [`Self::flush_verifications`]
-    /// once this reaches their batch size — the queue holds proofs (and
-    /// their key material) until flushed.
-    pub fn pending_verifications(&self) -> usize {
-        self.ctx.verifier.pending()
-    }
-
-    /// Verifies every queued proof (grouped by verifying key) and records
-    /// the outcomes in the stats.
-    pub fn flush_verifications(&self) -> BatchReport {
-        let report = self.ctx.verifier.flush();
-        self.ctx
-            .stats
-            .record_verified(report.verified as u64, report.failed as u64);
-        report
-    }
+    /// Does nothing: every proof is verified in the worker before its job
+    /// completes. Kept only because the frozen `benchmark/src/prove.rs`
+    /// calls it; the next `benchmark` PR removes that call and this method.
+    pub fn flush_verifications(&self) {}
 
     /// Drains the queue and stops the workers. Equivalent to dropping the
     /// service, but explicit at call sites that care about ordering.
@@ -699,34 +684,32 @@ fn verify_job(
             .map_err(|e| ServiceError::Verify(format!("parse vk: {e}")))?;
         let wc = resolve_commitment(ctx, &vk, model, weight_commitment)?;
         let params = ctx.cache.params(backend, vk.k);
-        let instance = public.to_vec();
-        let outcome = zkml_plonk::verify_proof_committed(
-            &params,
-            &vk,
-            std::slice::from_ref(&instance),
-            proof,
-            &[],
-            wc.as_ref(),
-        )
+        verify_recorded(ctx, &params, &vk, &[public.to_vec()], proof, wc.as_ref())
+    }
+}
+
+/// Verifies one monolithic proof to completion and records the outcome in
+/// the stats; a rejected proof is a [`ServiceError::Verify`].
+fn verify_recorded(
+    ctx: &WorkerCtx,
+    params: &zkml_pcs::Params,
+    vk: &zkml_plonk::VerifyingKey,
+    instance: &[Vec<Fr>],
+    proof: &[u8],
+    wc: Option<&zkml_plonk::WeightCommitment>,
+) -> Result<(), ServiceError> {
+    let outcome = zkml_plonk::verify_proof_committed(params, vk, instance, proof, &[], wc)
         .map_err(|e| e.to_string())
         .and_then(|v| {
-            if v.settle(&params) {
+            if v.settle(params) {
                 Ok(())
             } else {
                 Err("pairing check failed".to_string())
             }
         });
-        match outcome {
-            Ok(()) => {
-                ctx.stats.record_verified(1, 0);
-                Ok(())
-            }
-            Err(e) => {
-                ctx.stats.record_verified(0, 1);
-                Err(ServiceError::Verify(e))
-            }
-        }
-    }
+    ctx.stats
+        .record_verified(outcome.is_ok() as u64, outcome.is_err() as u64);
+    outcome.map_err(ServiceError::Verify)
 }
 
 /// Lowercase hex of a 32-byte digest (for error messages).
@@ -739,8 +722,9 @@ fn hex32(bytes: &[u8; 32]) -> String {
 }
 
 /// Synthetic quantized inputs for a proving job, derived from the request
-/// seed (shared by the monolithic and segmented paths).
-fn synthetic_inputs(graph: &Graph, scale_bits: u32, seed: u64) -> Vec<Tensor<i64>> {
+/// seed (shared by the monolithic and segmented paths, and by the CLI's
+/// standalone `prove` so it proves the statement a served job would).
+pub fn synthetic_inputs(graph: &Graph, scale_bits: u32, seed: u64) -> Vec<Tensor<i64>> {
     let fp = FixedPoint::new(scale_bits);
     let mut rng = StdRng::seed_from_u64(seed);
     graph
@@ -939,7 +923,7 @@ fn prove_job(
     // property regardless.
     let t = Instant::now();
     let mut proof_rng = StdRng::seed_from_u64(seed ^ ctx.proof_entropy ^ 0x9E37_79B9_7F4A_7C15);
-    let (proof, pending_wc, wc_bytes) = match &entry {
+    let (proof, wc, wc_bytes) = match &entry {
         Some(entry) => {
             // The committed-weight plane must be byte-identical to what
             // was published: same circuit layout (column alignment) and
@@ -992,17 +976,16 @@ fn prove_job(
     let prove_ms = t.elapsed().as_millis() as u64;
     ctx.stats.record_prove_latency_ms(prove_ms);
 
+    check_cancelled(job)?;
     if ctx.verify_after_prove {
-        ctx.verifier.enqueue(
-            Arc::clone(&params),
-            Arc::clone(&pk),
-            PendingProof {
-                job_id: job.id,
-                instance: compiled.instance().to_vec(),
-                proof: proof.clone(),
-                weights: pending_wc,
-            },
-        );
+        verify_recorded(
+            ctx,
+            &params,
+            &pk.vk,
+            compiled.instance(),
+            &proof,
+            wc.as_ref(),
+        )?;
     }
 
     Ok(ProofArtifacts {
@@ -1114,9 +1097,7 @@ fn prove_segmented_job(
     let prove_ms = t.elapsed().as_millis() as u64;
     ctx.stats.record_prove_latency_ms(prove_ms);
 
-    // Segmented bundles carry their own chain binding, so they do not go
-    // through the per-proof BatchVerifier (which knows nothing of chains);
-    // the bundle verifier settles all segments with one pairing itself.
+    // The bundle verifier settles all segments with one pairing.
     check_cancelled(job)?;
     if ctx.verify_after_prove {
         match zkml_shard::verify_bundle(&bundle, |b, k| ctx.cache.params(b, k)) {

@@ -162,7 +162,7 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// `hits / (hits + misses)`, 0 when the cache is untouched.
     pub cache_hit_rate: f64,
-    /// Proofs that passed (batched) verification.
+    /// Proofs that passed verification.
     pub proofs_verified: u64,
     /// Proofs that failed verification.
     pub verify_failures: u64,

@@ -84,10 +84,9 @@ fn publish_then_prove_against_digest() {
         );
     }
 
-    let report = service.flush_verifications();
-    assert_eq!(report.verified, 2);
-    assert_eq!(report.failed, 0);
     let snap = service.snapshot();
+    assert_eq!(snap.proofs_verified, 2);
+    assert_eq!(snap.verify_failures, 0);
     assert_eq!(snap.jobs_rejected_commitment, 0);
 }
 
@@ -125,10 +124,9 @@ fn same_architecture_shares_cached_proving_key() {
         "distinct weight sets commit to distinct values"
     );
 
-    let report = service.flush_verifications();
-    assert_eq!(report.verified, 2);
-    assert_eq!(report.failed, 0);
     let snap = service.snapshot();
+    assert_eq!(snap.proofs_verified, 2);
+    assert_eq!(snap.verify_failures, 0);
     assert_eq!(snap.cache_misses, 1, "exactly one keygen for both models");
 }
 
@@ -292,7 +290,7 @@ fn commit_once_prove_twice_zero_keygen_zero_reencode() {
         0,
         "proving against a published digest must not re-encode weights"
     );
-    let report = service.flush_verifications();
-    assert_eq!(report.verified, 2);
-    assert_eq!(report.failed, 0);
+    let snap = service.snapshot();
+    assert_eq!(snap.proofs_verified, 2);
+    assert_eq!(snap.verify_failures, 0);
 }

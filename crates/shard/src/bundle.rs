@@ -211,8 +211,8 @@ impl SegmentedProof {
 /// The transcript-binding context for segment `index` of `nsegs` in the
 /// bundle with the given chain digest.
 ///
-/// Passed as the `binding` of [`zkml_plonk::create_proof_bound`] /
-/// [`zkml_plonk::verify_proof_deferred`], it commits the proof to its exact
+/// Passed as the `binding` of [`zkml_plonk::create_proof_committed`] /
+/// [`zkml_plonk::verify_proof_committed`], it commits the proof to its exact
 /// position in this exact chain: swapping two segments, splicing a segment
 /// from another bundle, or altering any segment's public data all change
 /// the expected binding and make the Fiat–Shamir challenges diverge.

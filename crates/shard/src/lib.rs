@@ -16,12 +16,12 @@
 //!    incoming slice, so the segments provably compute one composed
 //!    function.
 //! 2. **Transcript binding** — every segment proof is created with
-//!    [`zkml_plonk::create_proof_bound`] over the bundle's *chain digest*
+//!    [`zkml_plonk::create_proof_committed`] over the bundle's *chain digest*
 //!    (covering the model hash, backend, every segment's verifying key and
 //!    instance column) plus the segment's position, so a proof cannot be
 //!    replayed at another position or spliced into another bundle.
 //! 3. **Batched settlement** — on KZG, per-segment verification is run with
-//!    [`zkml_plonk::verify_proof_deferred`] and the pending accumulators
+//!    [`zkml_plonk::verify_proof_committed`] and the pending accumulators
 //!    are settled with **one** multi-pairing via [`zkml_pcs::batch_check`]
 //!    (the fixed-seed SRS shares one tau across every `k`). IPA verifies
 //!    per segment.

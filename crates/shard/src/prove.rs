@@ -275,14 +275,11 @@ pub fn prove_compiled(
         let (params, pk, weights) = &material[i];
         let mut rng = StdRng::seed_from_u64(segment_seed(seed, i));
         let binding = segment_binding(&chain, i, nsegs);
-        match weights {
-            Some((_, cw)) => segments[i]
-                .compiled
-                .prove_with_weights(params, pk, &mut rng, &binding, cw),
-            None => segments[i]
-                .compiled
-                .prove_bound(params, pk, &mut rng, &binding),
-        }
+        let empty = CommittedWeights::empty();
+        let cw = weights.as_ref().map_or(&empty, |(_, cw)| cw);
+        segments[i]
+            .compiled
+            .prove_with_weights(params, pk, &mut rng, &binding, cw)
     });
     for (slot, proof) in bundle.segments.iter_mut().zip(proofs) {
         slot.proof = proof?;

@@ -4,7 +4,7 @@
 //! (magic, counts, length prefixes), every segment's verifying key and
 //! instance encoding, and the per-segment proof bytes — all deterministic
 //! under seeded SRS and prover randomness. Pinning the bytes catches any
-//! accidental format drift: old spooled bundles must keep verifying across
+//! accidental format drift: stored bundles must keep verifying across
 //! releases, so an encoding change has to be deliberate (regenerate with
 //! `ZKML_REGEN_GOLDEN=1`).
 
@@ -90,4 +90,28 @@ fn zksb_bundle_bytes_match_golden() {
     let restored = SegmentedProof::from_bytes(&bytes).expect("golden bundle parses");
     let keys = FreshKeySource::default();
     verify_bundle(&restored, |b, k| keys.params(b, k)).expect("restored bundle verifies");
+}
+
+/// A bundle carries its segments' verifying keys, so they are attacker
+/// bytes. The chain digest covers them, hence flipping the low or the high
+/// bit of any byte of either embedded key must end in `Err` — a parse
+/// error or rejected proofs — and never in a panic.
+#[test]
+fn mutated_embedded_verifying_keys_rejected_without_panic() {
+    let bytes = std::fs::read(fixture_path("toy_bundle.zksb")).expect("golden fixture exists");
+    let bundle = SegmentedProof::from_bytes(&bytes).expect("golden bundle parses");
+    let keys = FreshKeySource::default();
+    for seg in 0..bundle.segments.len() {
+        for pos in 0..bundle.segments[seg].vk_bytes.len() {
+            for mask in [0x01u8, 0x80] {
+                let mut bad = bundle.clone();
+                bad.segments[seg].vk_bytes[pos] ^= mask;
+                assert!(
+                    verify_bundle(&bad, |b, k| keys.params(b, k)).is_err(),
+                    "segment {seg}: accepted a verifying key mutated at byte {pos} \
+                     (mask {mask:#04x})"
+                );
+            }
+        }
+    }
 }

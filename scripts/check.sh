@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (workspace, including the zkml CLI)"
 cargo build --workspace --release
 
+echo "==> benchmark/ builds against the tree (its API is frozen between benchmark PRs)"
+# benchmark/ is its own package and compiles against the crates' public
+# items, so deleting one of those must fail here, not in the gate's run.
+CARGO_TARGET_DIR=target/benchmark cargo build --release --offline --quiet \
+  --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q (workspace, default ZKML_THREADS)"
 cargo test --workspace -q
 
@@ -40,6 +46,18 @@ ZKML_THREADS=1 ./target/release/zkml prove MNIST --dir "$SEG_TMP/serial" --segme
 cmp "$SEG_TMP/default/bundle.bin" "$SEG_TMP/serial/bundle.bin"
 ./target/release/zkml verify --dir "$SEG_TMP/default"
 ZKML_THREADS=1 ./target/release/zkml verify --dir "$SEG_TMP/serial"
+
+echo "==> HTTP is the only transport (the removed --spool flag is a usage error)"
+for cmd in "serve --spool x" "submit MNIST --spool x"; do
+  # shellcheck disable=SC2086
+  if USAGE_ERR="$(./target/release/zkml $cmd 2>&1)"; then
+    echo "zkml $cmd should exit 2" >&2; exit 1
+  else
+    rc=$?
+    [ "$rc" -eq 2 ] || { echo "zkml $cmd should exit 2, not $rc" >&2; exit 1; }
+  fi
+  case "$USAGE_ERR" in usage:*) ;; *) echo "zkml $cmd should print usage" >&2; exit 1 ;; esac
+done
 
 echo "==> HTTP serving round-trip (submit, poll, download, verify, 429, drain)"
 NET_TMP="$(mktemp -d)"
