@@ -614,31 +614,34 @@ impl<'a> Engine<'a> {
 
         // Rule (booleanity family): if every factor is `k·u + c` with
         // concrete k, c, the product vanishes exactly on the root set; a
-        // root set inside {0,1} makes u boolean, a singleton pins it.
-        let mut roots: Option<HashSet<Fr>> = Some(HashSet::new());
+        // root set inside {0,1} makes u boolean, a singleton pins it. The
+        // roots `−c/k` are kept as `(c, k)` and compared by cross
+        // multiplication: this runs per bit per row of every bit-decomposed
+        // value, where a field inversion costs more than the rest of the row.
+        let mut roots: Vec<(Fr, Fr)> = Vec::new();
+        let mut concrete = true;
         for f in fs {
-            if f.terms.len() != 1 {
-                roots = None;
-                break;
-            }
-            let (_, coeff) = f.terms[0];
-            let Coeff::Concrete(k) = coeff else {
-                roots = None;
-                break;
-            };
-            let Some(kinv) = k.invert() else {
-                roots = None;
-                break;
-            };
-            if let Some(set) = roots.as_mut() {
-                set.insert((Fr::ZERO - f.c) * kinv);
+            match f.terms.as_slice() {
+                [(_, Coeff::Concrete(k))] if !k.is_zero() => {
+                    if !roots.iter().any(|(c2, k2)| f.c * *k2 == *c2 * *k) {
+                        roots.push((f.c, *k));
+                    }
+                }
+                _ => {
+                    concrete = false;
+                    break;
+                }
             }
         }
-        if let Some(roots) = roots {
+        if concrete {
             if roots.len() == 1 {
                 return self.determine(u);
             }
-            if roots.iter().all(|r| r.is_zero() || *r == Fr::ONE) {
+            // `−c/k` is 0 when `c = 0` and 1 when `c = −k`.
+            if roots
+                .iter()
+                .all(|(c, k)| c.is_zero() || (*c + *k).is_zero())
+            {
                 let idx = u as usize;
                 if idx < self.a_nodes && !self.boolean[idx] {
                     self.boolean[idx] = true;
@@ -659,16 +662,18 @@ impl<'a> Engine<'a> {
 
     // ---- the sweep ------------------------------------------------------
 
-    fn process_lookups(&mut self, row: usize, facts: &mut RowFacts) -> bool {
+    /// `occ` collects the advice classes the row's constraints mention, for
+    /// [`run`](Engine::run)'s settled-row test.
+    fn process_lookups(&mut self, row: usize, facts: &mut RowFacts, occ: &mut Vec<VarId>) -> bool {
         let cs = self.cs;
         let mut progress = false;
         for li in 0..cs.lookups.len() {
             let inputs = &cs.lookups[li].inputs;
             let mut vals = Vec::with_capacity(inputs.len());
             for e in inputs {
-                let mut occ = Vec::new();
-                let v = self.eval(e, row, &mut occ);
-                self.mark_occurrences(&v, &occ);
+                let start = occ.len();
+                let v = self.eval(e, row, occ);
+                self.mark_occurrences(&v, &occ[start..]);
                 vals.push(v);
             }
             if !self.lookup_cache[li].fixed_only {
@@ -731,7 +736,7 @@ impl<'a> Engine<'a> {
         progress
     }
 
-    fn process_gates(&mut self, row: usize, facts: &RowFacts) -> bool {
+    fn process_gates(&mut self, row: usize, facts: &RowFacts, occ: &mut Vec<VarId>) -> bool {
         let cs = self.cs;
         let mut progress = false;
         for (gi, gate) in cs.gates.iter().enumerate() {
@@ -743,27 +748,34 @@ impl<'a> Engine<'a> {
                         continue;
                     }
                 }
-                let mut occ = Vec::new();
-                let val = self.eval(poly, row, &mut occ);
-                self.mark_occurrences(&val, &occ);
+                let start = occ.len();
+                let val = self.eval(poly, row, occ);
+                self.mark_occurrences(&val, &occ[start..]);
                 progress |= self.deduce(&val, facts);
             }
         }
         progress
     }
 
-    /// Runs rounds of the row sweep until a fixpoint.
+    /// Runs rounds of the row sweep until a fixpoint. Classes only ever
+    /// become known and every rule needs an unknown to act on, so a row
+    /// whose constraints mention no unknown class is settled: later rounds
+    /// skip it, and deduce exactly what a full sweep would.
     pub fn run(&mut self) {
+        let mut live: Vec<usize> = (0..self.n).collect();
+        let mut occ = Vec::new();
         loop {
             self.rounds += 1;
             let mut progress = false;
-            for row in 0..self.n {
+            live.retain(|&row| {
                 let mut facts = RowFacts::default();
+                occ.clear();
                 if row < self.usable {
-                    progress |= self.process_lookups(row, &mut facts);
+                    progress |= self.process_lookups(row, &mut facts, &mut occ);
                 }
-                progress |= self.process_gates(row, &facts);
-            }
+                progress |= self.process_gates(row, &facts, &mut occ);
+                occ.iter().any(|v| !self.var_known(*v))
+            });
             if !progress {
                 break;
             }

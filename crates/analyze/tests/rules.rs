@@ -156,6 +156,73 @@ fn recomposition_without_booleanity_is_flagged() {
         .all(|fc| fc.reason == FreeReason::NotDetermined));
 }
 
+/// Root sets are compared as fractions, so scaled factors behave like
+/// unit ones: `2b·(3b − 3)` still has the roots {0, 1}, `(2u − 6)(5u − 15)`
+/// has the single root 3 and pins `u`, `(2u − 4)(5u − 15)` has two roots
+/// outside {0, 1} and leaves `u` free.
+#[test]
+fn root_sets_with_scaled_factors() {
+    let c = Expression::Constant;
+    let gate_on = |polys: Vec<Expression>, advice: usize, inputs: &[CellRef]| {
+        let mut cs = ConstraintSystem::new();
+        let q = cs.fixed_column();
+        for _ in 0..advice {
+            cs.advice_column(0);
+        }
+        cs.create_gate("g", polys.into_iter().map(|p| fx(q) * p).collect());
+        let pre = Preprocessed {
+            committed: Vec::new(),
+            fixed: vec![vec![Fr::ONE; 1]],
+            copies: vec![],
+        };
+        run(&cs, &pre, 4, 1, inputs)
+    };
+
+    // Advice 0 is x, 1..=3 its bits.
+    let mut polys: Vec<Expression> = (1..=3)
+        .map(|b| (adv(b) * f(2)) * (adv(b) * f(3) - c(f(3))))
+        .collect();
+    polys.push(adv(1) + adv(2) * f(2) + adv(3) * f(4) - adv(0));
+    let report = gate_on(polys, 4, &[cell(0, 0)]);
+    assert!(report.is_clean(), "{report}");
+
+    let single = (adv(0) * f(2) - c(f(6))) * (adv(0) * f(5) - c(f(15)));
+    let report = gate_on(vec![single], 1, &[]);
+    assert!(report.is_clean(), "{report}");
+
+    let double = (adv(0) * f(2) - c(f(4))) * (adv(0) * f(5) - c(f(15)));
+    let report = gate_on(vec![double], 1, &[]);
+    assert_eq!(report.free.len(), 1, "{report}");
+}
+
+/// A row that depends on a later row is revisited; rows with nothing left
+/// to deduce are skipped without changing the verdict or the round count.
+/// Row 0 adds an input to row 1's sum, so it resolves one round after row 1.
+#[test]
+fn backward_dependency_takes_another_round() {
+    let mut cs = ConstraintSystem::new();
+    let q = cs.fixed_column();
+    let a0 = cs.advice_column(0);
+    let a1 = cs.advice_column(0);
+    let a2 = cs.advice_column(0);
+    for col in [a0, a1, a2] {
+        cs.enable_equality(Column::Advice(col));
+    }
+    cs.create_gate("add", vec![fx(q) * (adv(a0) + adv(a1) - adv(a2))]);
+    let pre = Preprocessed {
+        committed: Vec::new(),
+        fixed: vec![vec![Fr::ONE; 2]],
+        copies: vec![(cell(a2, 1), cell(a0, 0))],
+    };
+    let inputs = [cell(a1, 0), cell(a0, 1), cell(a1, 1)];
+    let report = run(&cs, &pre, 4, 2, &inputs);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(
+        report.rounds, 3,
+        "row 1, then row 0, then a round of nothing"
+    );
+}
+
 /// Quotient/remainder: `x - d*quot - rem = 0` with `rem` range-checked via
 /// a contiguous lookup table determines both unknowns.
 #[test]

@@ -3,7 +3,7 @@
 //! Runs the scaling kernels at a small size and fails (exit 1) if any
 //! measured ratio regresses past the thresholds stored in
 //! `PERF_THRESHOLDS.json` at the repository root (alongside
-//! `BENCH_PAR.json`). Three ratios are gated:
+//! `BENCH_PAR.json`). Four ratios are gated:
 //!
 //! - `min_msm_kernel_ratio`: serial jacobian-bucket MSM time over serial
 //!   batch-affine MSM time — the single-thread kernel win, meaningful on
@@ -13,6 +13,11 @@
 //!   parallel speedup; on a single-core host they sit near 1.0 and still
 //!   catch catastrophic regressions (oversubscription, pool deadlock,
 //!   lost-parallelism bugs that serialize with extra overhead).
+//! - `max_small_msm_ratio`: serial MSM time over 13-bit signed scalars (a
+//!   third of them zero — the shape of a fixed-point witness column) over
+//!   the time over uniform scalars, at `n = 2^10`. The kernel builds only
+//!   the windows the widest scalar needs, so this sits near 2/29; it binds
+//!   on any core count and is never recorded looser than 0.25.
 //!
 //! Thresholds are hardware-dependent, so the file records the core count
 //! they were measured on. If the current machine's core count differs, the
@@ -23,7 +28,7 @@
 
 use zkml_bench::scaling::{cores, msm_inputs, time_with_pool};
 use zkml_curves::{msm, msm_jacobian};
-use zkml_ff::{Field, Fr};
+use zkml_ff::{Field, Fr, PrimeField};
 use zkml_poly::EvaluationDomain;
 
 /// Grid size for the smoke kernels: large enough that the batch-affine and
@@ -34,6 +39,10 @@ const REPS: usize = 5;
 /// Fraction of a freshly measured ratio kept when recording thresholds,
 /// leaving headroom for run-to-run timing noise.
 const RECORD_MARGIN: f64 = 0.6;
+/// Size of the small-over-uniform MSM comparison: the MNIST circuit's `k`.
+const SMALL_MSM_K: u32 = 10;
+/// The loosest `max_small_msm_ratio` ever recorded.
+const SMALL_MSM_CEILING: f64 = 0.25;
 
 fn thresholds_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../PERF_THRESHOLDS.json")
@@ -55,6 +64,7 @@ struct Measured {
     kernel_ratio: f64,
     par4_msm_ratio: f64,
     par4_fft_ratio: f64,
+    small_msm_ratio: f64,
 }
 
 fn measure() -> Measured {
@@ -66,8 +76,21 @@ fn measure() -> Measured {
     let (msm1_ms, _) = time_with_pool(&serial, REPS, || msm(&bases, &scalars));
     let (msm4_ms, _) = time_with_pool(&quad, REPS, || msm(&bases, &scalars));
 
-    let domain = EvaluationDomain::<Fr>::new(SMOKE_K + 3);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(31);
+    let (bases10, uniform) = msm_inputs(SMALL_MSM_K);
+    let small: Vec<Fr> = (0..bases10.len())
+        .map(|i| match i % 3 {
+            0 => Fr::zero(),
+            _ => Fr::from_i64(rand::Rng::gen_range(
+                &mut rng,
+                -(1i64 << 13) + 1..1i64 << 13,
+            )),
+        })
+        .collect();
+    let (uniform_ms, _) = time_with_pool(&serial, 4 * REPS, || msm(&bases10, &uniform));
+    let (small_ms, _) = time_with_pool(&serial, 4 * REPS, || msm(&bases10, &small));
+
+    let domain = EvaluationDomain::<Fr>::new(SMOKE_K + 3);
     let vals: Vec<Fr> = (0..domain.n).map(|_| Fr::random(&mut rng)).collect();
     let twiddles = domain.twiddles();
     let run_fft = || {
@@ -81,26 +104,31 @@ fn measure() -> Measured {
     println!(
         "perf-smoke k={SMOKE_K}: msm jacobian {jac_ms:.2} ms, batch-affine {msm1_ms:.2} ms \
          (kernel {:.2}x); msm 4-thread {msm4_ms:.2} ms ({:.2}x); \
-         fft 1-thread {fft1_ms:.2} ms, 4-thread {fft4_ms:.2} ms ({:.2}x)",
+         fft 1-thread {fft1_ms:.2} ms, 4-thread {fft4_ms:.2} ms ({:.2}x); \
+         msm 2^{SMALL_MSM_K} uniform {uniform_ms:.2} ms, 13-bit signed {small_ms:.2} ms ({:.3})",
         jac_ms / msm1_ms,
         msm1_ms / msm4_ms,
-        fft1_ms / fft4_ms
+        fft1_ms / fft4_ms,
+        small_ms / uniform_ms
     );
     Measured {
         kernel_ratio: jac_ms / msm1_ms,
         par4_msm_ratio: msm1_ms / msm4_ms,
         par4_fft_ratio: fft1_ms / fft4_ms,
+        small_msm_ratio: small_ms / uniform_ms,
     }
 }
 
 fn record(m: &Measured) {
     let body = format!(
         "{{\n  \"cores\": {},\n  \"k\": {SMOKE_K},\n  \"min_msm_kernel_ratio\": {:.2},\n  \
-         \"min_par4_msm_ratio\": {:.2},\n  \"min_par4_fft_ratio\": {:.2}\n}}\n",
+         \"min_par4_msm_ratio\": {:.2},\n  \"min_par4_fft_ratio\": {:.2},\n  \
+         \"max_small_msm_ratio\": {:.2}\n}}\n",
         cores(),
         m.kernel_ratio * RECORD_MARGIN,
         m.par4_msm_ratio * RECORD_MARGIN,
         m.par4_fft_ratio * RECORD_MARGIN,
+        (m.small_msm_ratio / RECORD_MARGIN).min(SMALL_MSM_CEILING),
     );
     std::fs::write(thresholds_path(), &body).expect("write PERF_THRESHOLDS.json");
     println!("recorded thresholds:\n{body}");
@@ -123,20 +151,27 @@ fn main() {
     };
     let stored_cores = json_number(&body, "cores").unwrap_or(0.0) as usize;
     let mut failed = false;
+    // `min_*` thresholds are floors, `max_*` thresholds are ceilings.
     let mut gate = |name: &str, measured: f64| {
-        let Some(min) = json_number(&body, name) else {
+        let Some(limit) = json_number(&body, name) else {
             eprintln!("perf-smoke: threshold '{name}' missing from PERF_THRESHOLDS.json");
             failed = true;
             return;
         };
-        if measured < min {
-            eprintln!("perf-smoke FAIL: {name}: measured {measured:.2} < threshold {min:.2}");
-            failed = true;
+        let (ok, cmp) = if name.starts_with("max_") {
+            (measured <= limit, "<=")
         } else {
-            println!("perf-smoke ok: {name}: {measured:.2} >= {min:.2}");
+            (measured >= limit, ">=")
+        };
+        if ok {
+            println!("perf-smoke ok: {name}: {measured:.3} {cmp} {limit:.2}");
+        } else {
+            eprintln!("perf-smoke FAIL: {name}: measured {measured:.3} not {cmp} {limit:.2}");
+            failed = true;
         }
     };
     gate("min_msm_kernel_ratio", m.kernel_ratio);
+    gate("max_small_msm_ratio", m.small_msm_ratio);
     if stored_cores == cores() {
         gate("min_par4_msm_ratio", m.par4_msm_ratio);
         gate("min_par4_fft_ratio", m.par4_fft_ratio);

@@ -13,6 +13,16 @@
 //! accumulation after `MAX_SCHED_ROUNDS` rounds, bounding the worst case
 //! at the old kernel's cost.
 //!
+//! The kernel is **width-aware**. Each scalar is first normalised to the
+//! smaller of `s` and `p − s` (a negative one adds the negated base, through
+//! the same sign flag negative digits use), and only the windows the widest
+//! normalised scalar needs are built — a column of 13-bit fixed-point values
+//! costs 2 windows at `c = 9`, not 29. A few much wider outliers among small
+//! scalars (a witness column's random blinding rows) are summed on their own
+//! so they do not force every window back in (`bulk_width`). Uniform
+//! scalars normalise to 253 bits and take exactly the windows they always
+//! did.
+//!
 //! Windows run in parallel on the zkml-par pool. Each window's schedule is a
 //! deterministic function of the inputs alone (point order, fixed batch
 //! boundaries), so the result — and therefore every commitment and proof
@@ -23,6 +33,8 @@
 //! speedup is a tracked regression gate.
 
 use crate::g1::{G1Affine, G1Projective};
+use zkml_ff::arith::sbb;
+use zkml_ff::field::mont::lt;
 use zkml_ff::{batch_invert_with_scratch, Field, Fq, Fr, PrimeField};
 use zkml_par as par;
 
@@ -76,23 +88,71 @@ fn digit(scalar: &[u64; 4], bit: usize, c: usize) -> usize {
     (v as usize) & ((1 << c) - 1)
 }
 
-/// Number of signed `c`-bit windows covering a 254-bit scalar. The final
-/// carry folds into the top window: because no `c` in `4..=16` divides 254,
-/// the top window holds at most `c - 1` significant scalar bits, so its
-/// digit plus the carry never exceeds `2^(c-1)` and no extra window is
-/// needed.
-fn num_windows(c: usize) -> usize {
-    debug_assert_ne!(
-        254 % c,
-        0,
-        "top-window carry fold requires c to not divide 254"
-    );
-    254usize.div_ceil(c)
+/// The smaller of `s` and `p − s` as canonical limbs, and whether it is the
+/// negation. Magnitudes are at most `(p − 1) / 2`, so below `2^253`.
+fn signed_magnitude(s: &Fr) -> ([u64; 4], bool) {
+    let repr = s.to_canonical();
+    // p − s limb by limb; s < p, so the last borrow is zero.
+    let mut neg = [0u64; 4];
+    let mut borrow = 0;
+    for i in 0..4 {
+        (neg[i], borrow) = sbb(Fr::MODULUS[i], repr[i], borrow);
+    }
+    if lt(&neg, &repr) {
+        (neg, true)
+    } else {
+        (repr, false)
+    }
 }
 
-/// Writes the signed-digit decomposition of one scalar into `out` (length
-/// `num_windows(c)`): digits are in `[-(2^(c-1) - 1), 2^(c-1)]` and satisfy
-/// `sum_w out[w] * 2^(w*c) == scalar`. All windows but the last are signed;
+/// Number of significant bits of a 256-bit magnitude.
+fn bit_len(m: &[u64; 4]) -> usize {
+    (0..4)
+        .rev()
+        .find(|&i| m[i] != 0)
+        .map_or(0, |i| 64 * (i + 1) - m[i].leading_zeros() as usize)
+}
+
+/// Largest share of the scalars (one in this many) that may be set aside as
+/// outliers when the rest are much narrower.
+const OUTLIER_SHARE: usize = 32;
+
+/// Picks the bit width the windows cover from the histogram of magnitude
+/// widths: the widest scalar's, unless at most `n / OUTLIER_SHARE` scalars
+/// are wider than all the rest and leaving them out at least halves the
+/// window count — then the width of the rest, and the outliers are summed
+/// separately. Returns the width and the number of outliers.
+///
+/// The halving condition keeps the split out of the way where it cannot pay:
+/// uniform scalars have a third of their mass in the top bit and never split.
+fn bulk_width(hist: &[usize; 254], n: usize, c: usize) -> (usize, usize) {
+    let widest = hist.iter().rposition(|&h| h != 0).unwrap_or(0);
+    let mut bits = widest;
+    let mut wide = 0;
+    while bits > 0 && (wide + hist[bits]) * OUTLIER_SHARE <= n {
+        wide += hist[bits];
+        bits -= 1;
+    }
+    if 2 * num_windows(bits, c) <= num_windows(widest, c) {
+        (bits, wide)
+    } else {
+        (widest, 0)
+    }
+}
+
+/// Number of signed `c`-bit windows covering magnitudes of at most `bits`
+/// bits. The final carry folds into the top window: `bits / c + 1` windows
+/// leave the top one `bits % c <= c - 1` significant bits, so its digit plus
+/// the carry never exceeds `2^(c-1)` and no extra window is needed. At the
+/// normalised maximum of 253 bits this is `ceil(254 / c)` for every `c`.
+fn num_windows(bits: usize, c: usize) -> usize {
+    bits / c + 1
+}
+
+/// Writes the signed-digit decomposition of one magnitude into `out` (length
+/// `num_windows(bits, c)` for a magnitude of at most `bits` bits): digits are
+/// in `[-(2^(c-1) - 1), 2^(c-1)]` and satisfy
+/// `sum_w out[w] * 2^(w*c) == magnitude`. All windows but the last are signed;
 /// the last absorbs the carry unsigned (see [`num_windows`]).
 fn decompose_signed(repr: &[u64; 4], c: usize, out: &mut [i32]) {
     let half = 1i64 << (c - 1);
@@ -418,10 +478,9 @@ fn window_sum(bases: &[G1Affine], digits: &[i32], w: usize, nwin: usize, c: usiz
 /// Accumulates the top (carry-fold) window with plain Jacobian buckets.
 ///
 /// The top window's digits span only `topbits` significant bits plus the
-/// carry, all non-negative, so for large inputs its few buckets collide on
-/// nearly every point and the batch-affine scheduler degrades into deferral
-/// churn; the classic Jacobian walk has no collision concept and is faster
-/// there.
+/// carry, so for large inputs its few buckets collide on nearly every point
+/// and the batch-affine scheduler degrades into deferral churn; the classic
+/// Jacobian walk has no collision concept and is faster there.
 fn window_sum_top(
     bases: &[G1Affine],
     digits: &[i32],
@@ -429,7 +488,8 @@ fn window_sum_top(
     nwin: usize,
     topbits: usize,
 ) -> G1Projective {
-    // Digits lie in [0, 2^topbits], so 2^topbits buckets indexed by d - 1.
+    // Magnitudes lie in [0, 2^topbits], so 2^topbits buckets indexed by
+    // |d| - 1; the sign is the scalar's (a negated scalar negates the base).
     let nbuckets = 1usize << topbits;
     let mut buckets = vec![G1Projective::identity(); nbuckets];
     for (base, d) in bases.iter().zip(digits[w..].iter().step_by(nwin)) {
@@ -437,9 +497,9 @@ fn window_sum_top(
         if d == 0 || base.infinity {
             continue;
         }
-        debug_assert!(d > 0, "top window digit must be non-negative");
-        let b = (d - 1) as usize;
-        buckets[b] = buckets[b].add_affine(base);
+        let b = d.unsigned_abs() as usize - 1;
+        let addend = if d < 0 { base.negate() } else { *base };
+        buckets[b] = buckets[b].add_affine(&addend);
     }
     let mut running = G1Projective::identity();
     let mut acc = G1Projective::identity();
@@ -452,7 +512,8 @@ fn window_sum_top(
 
 /// Dispatches one window to the right accumulator: the carry-fold top window
 /// of a large MSM goes to the Jacobian walk, everything else to the
-/// batch-affine scheduler. The choice depends only on `(n, c, w)`, so it is
+/// batch-affine scheduler. `topbits` is the number of magnitude bits the top
+/// window holds. The choice depends only on `(n, c, w, topbits)`, so it is
 /// deterministic at any thread count.
 fn accumulate_window(
     bases: &[G1Affine],
@@ -460,8 +521,8 @@ fn accumulate_window(
     w: usize,
     nwin: usize,
     c: usize,
+    topbits: usize,
 ) -> G1Projective {
-    let topbits = 254 - (nwin - 1) * c;
     // Route to the Jacobian walk once the expected hits per top bucket
     // (n / 2^topbits) would drown the scheduler in deferral rounds.
     if w == nwin - 1 && bases.len() >= (8usize << topbits) {
@@ -472,7 +533,8 @@ fn accumulate_window(
 }
 
 /// Computes `sum_i scalars[i] * bases[i]` with signed-digit windows and
-/// batch-affine bucket accumulation; windows are processed in parallel.
+/// batch-affine bucket accumulation; windows are processed in parallel, and
+/// only as many as the scalars' signed magnitudes need are built.
 ///
 /// # Panics
 ///
@@ -491,22 +553,57 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
         "msm: scheduler entries pack the index in 31 bits"
     );
     let c = window_bits(n);
-    let nwin = num_windows(c);
 
+    let mut mags = vec![([0u64; 4], false); n];
+    par::par_chunks_mut(&mut mags, 1024, |_, start, chunk| {
+        for (m, s) in chunk.iter_mut().zip(&scalars[start..]) {
+            *m = signed_magnitude(s);
+        }
+    });
+    let mut hist = [0usize; 254];
+    for (m, _) in &mags {
+        hist[bit_len(m)] += 1;
+    }
+    let (bits, wide) = bulk_width(&hist, n, c);
+
+    // The outliers' sum first, so the magnitudes can go before the windows
+    // are accumulated.
+    let outliers = if wide > 0 {
+        let (wide_bases, wide_scalars): (Vec<G1Affine>, Vec<Fr>) = (0..n)
+            .filter(|&i| bit_len(&mags[i].0) > bits)
+            .map(|i| (bases[i], scalars[i]))
+            .unzip();
+        msm(&wide_bases, &wide_scalars)
+    } else {
+        G1Projective::identity()
+    };
+    if bits == 0 {
+        return outliers;
+    }
+
+    let nwin = num_windows(bits, c);
     // Scalar-major signed-digit table: digits[i * nwin + w]. Decomposition
     // parallelizes over disjoint per-scalar rows; window tasks read their
-    // column with a short stride.
+    // column with a short stride. An outlier's row stays zero.
     let mut digits = vec![0i32; n * nwin];
     par::for_each_chunk_exact(&mut digits, 1024 * nwin, |_, start, rows| {
         let first = start / nwin;
-        for (j, row) in rows.chunks_exact_mut(nwin).enumerate() {
-            let repr = scalars[first + j].to_canonical();
-            decompose_signed(&repr, c, row);
+        for (row, (m, neg)) in rows.chunks_exact_mut(nwin).zip(&mags[first..]) {
+            if bit_len(m) > bits {
+                continue;
+            }
+            decompose_signed(m, c, row);
+            if *neg {
+                row.iter_mut().for_each(|d| *d = -*d);
+            }
         }
     });
+    drop(mags);
 
-    let window_sums: Vec<G1Projective> =
-        par::par_map(nwin, |w| accumulate_window(bases, &digits, w, nwin, c));
+    let topbits = bits - (nwin - 1) * c;
+    let window_sums: Vec<G1Projective> = par::par_map(nwin, |w| {
+        accumulate_window(bases, &digits, w, nwin, c, topbits)
+    });
 
     // Combine: acc = sum_w 2^(w*c) * window_sums[w].
     let mut acc = G1Projective::identity();
@@ -516,7 +613,7 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
         }
         acc += *ws;
     }
-    acc
+    acc + outliers
 }
 
 /// Selects the bucket window width for the Jacobian reference kernel (the
@@ -579,12 +676,21 @@ pub fn msm_jacobian(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     acc
 }
 
-/// Naive MSM (reference for tests and tiny inputs).
+/// Naive MSM (reference for tests, and the kernel for tiny inputs and for
+/// the few wide outliers [`msm`] sets aside): bit-serial double-and-add with
+/// the doublings shared by all points, so each extra point costs only its
+/// additions.
 pub fn msm_naive(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len());
+    let reprs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical()).collect();
     let mut acc = G1Projective::identity();
-    for (b, s) in bases.iter().zip(scalars.iter()) {
-        acc += b.to_projective().mul_scalar(s);
+    for bit in (0..Fr::NUM_BITS as usize).rev() {
+        acc = acc.double();
+        for (base, repr) in bases.iter().zip(&reprs) {
+            if (repr[bit / 64] >> (bit % 64)) & 1 == 1 {
+                acc = acc.add_affine(base);
+            }
+        }
     }
     acc
 }
@@ -727,28 +833,44 @@ mod tests {
         }
     }
 
-    /// Signed-digit decomposition round-trip: `sum_w d_w * 2^(w*c)` equals
-    /// the scalar, every digit is in `[-(2^(c-1) - 1), 2^(c-1)]`, and the
-    /// final carry vanishes.
+    /// `(p - 1) / 2`, the largest magnitude sign normalisation produces.
+    fn half_p() -> Fr {
+        -Fr::one() * Fr::from_u64(2).invert().unwrap()
+    }
+
+    /// Signed-digit decomposition round-trip over the window count each
+    /// magnitude's own width asks for: `sum_w d_w * 2^(w*c)` (negated for a
+    /// negated scalar) equals the scalar, every digit is in
+    /// `[-(2^(c-1) - 1), 2^(c-1)]`, and the final carry vanishes.
     #[test]
     fn signed_digit_roundtrip() {
         let mut rng = StdRng::seed_from_u64(48);
         let mut cases: Vec<Fr> = (0..40).map(|_| Fr::random(&mut rng)).collect();
-        cases.extend([Fr::zero(), Fr::one(), -Fr::one(), Fr::from_u64(u64::MAX)]);
+        cases.extend([
+            Fr::zero(),
+            Fr::one(),
+            -Fr::one(),
+            Fr::from_u64(u64::MAX),
+            half_p(),
+            half_p() + Fr::one(),
+        ]);
+        // Magnitudes that fill their top window exactly (all-ones, so every
+        // window carries).
+        cases.extend((1..=64).map(|b| Fr::from_u64(u64::MAX >> (64 - b))));
         for c in [4usize, 8, 11, 13, 16] {
-            let nwin = num_windows(c);
             let half = 1i64 << (c - 1);
             for s in &cases {
-                let repr = s.to_canonical();
-                let mut digits = vec![0i32; nwin];
-                decompose_signed(&repr, c, &mut digits);
+                let (mag, neg) = signed_magnitude(s);
+                assert!(bit_len(&mag) <= 253);
+                let mut digits = vec![0i32; num_windows(bit_len(&mag), c)];
+                decompose_signed(&mag, c, &mut digits);
                 // Reconstruct sum_w d_w * 2^(w*c) in the field.
                 let two_c = Fr::from_u64(1u64 << c);
                 let mut acc = Fr::zero();
                 for &d in digits.iter().rev() {
                     acc = acc * two_c + Fr::from_i64(d as i64);
                 }
-                assert_eq!(acc, *s, "c={c}");
+                assert_eq!(if neg { -acc } else { acc }, *s, "c={c}");
                 for &d in &digits {
                     assert!((d as i64) <= half && (d as i64) > -half, "c={c} d={d}");
                 }
@@ -756,16 +878,141 @@ mod tests {
         }
     }
 
-    /// The parallel bucket path is bit-identical at any thread count.
+    #[test]
+    fn sign_normalisation_picks_the_smaller_magnitude() {
+        assert_eq!(signed_magnitude(&Fr::zero()), ([0; 4], false));
+        assert_eq!(signed_magnitude(&Fr::one()), ([1, 0, 0, 0], false));
+        assert_eq!(signed_magnitude(&-Fr::one()), ([1, 0, 0, 0], true));
+        // (p - 1) / 2 stays; (p + 1) / 2 = -(p - 1) / 2 flips to it.
+        let (m, neg) = signed_magnitude(&half_p());
+        assert!(!neg);
+        assert_eq!(signed_magnitude(&(half_p() + Fr::one())), (m, true));
+        assert_eq!(bit_len(&m), 253);
+        assert_eq!(bit_len(&[0; 4]), 0);
+        assert_eq!(bit_len(&[0, 1, 0, 0]), 65);
+    }
+
+    #[test]
+    fn windows_follow_the_widest_scalar_and_outliers_split_off() {
+        let mut hist = [0usize; 254];
+        hist[13] = 1000;
+        hist[0] = 24;
+        assert_eq!(bulk_width(&hist, 1024, 9), (13, 0));
+        assert_eq!(num_windows(13, 9), 2);
+        // Five blinding rows among 13-bit values are set aside.
+        hist[0] = 19;
+        hist[253] = 3;
+        hist[250] = 2;
+        assert_eq!(bulk_width(&hist, 1024, 9), (13, 5));
+        // Too many wide scalars for the outlier budget: every window is built.
+        hist[253] = 40;
+        assert_eq!(bulk_width(&hist, 1061, 9), (253, 0));
+        // A split that does not halve the window count is not taken.
+        let mut hist = [0usize; 254];
+        hist[200] = 1020;
+        hist[253] = 4;
+        assert_eq!(bulk_width(&hist, 1024, 9), (253, 0));
+        // At the normalised maximum the count is what 254-bit scalars took.
+        for c in 4..=16 {
+            assert_eq!(num_windows(253, c), 254usize.div_ceil(c), "c={c}");
+        }
+    }
+
+    /// Scalars around the sign-normalisation edges, on every base at once
+    /// and mixed: `±1`, `(p−1)/2`, `(p+1)/2`, `p−1`.
+    #[test]
+    fn edge_scalars_match_jacobian() {
+        let mut rng = StdRng::seed_from_u64(49);
+        let (pts, _) = random_points(160, &mut rng);
+        let edges = [
+            Fr::one(),
+            -Fr::one(),
+            half_p(),
+            half_p() + Fr::one(),
+            -Fr::one() - Fr::one(),
+        ];
+        for e in edges {
+            let scalars = vec![e; pts.len()];
+            assert_eq!(msm(&pts, &scalars), msm_jacobian(&pts, &scalars));
+        }
+        let mixed: Vec<Fr> = (0..pts.len()).map(|i| edges[i % edges.len()]).collect();
+        assert_eq!(msm(&pts, &mixed), msm_jacobian(&pts, &mixed));
+    }
+
+    /// Small fixed-point-like scalars (the shape of witness columns) at
+    /// every `window_bits` boundary, for widths around one and two windows:
+    /// non-negative, signed, all negative, sparse, all zero, and with a few
+    /// full-width outliers (blinding rows) — below and above the outlier
+    /// budget.
+    #[test]
+    fn small_scalars_match_jacobian_at_every_width_boundary() {
+        let mut rng = StdRng::seed_from_u64(50);
+        for n in [33usize, 127, 128, 511, 512, 2047, 2048] {
+            let (pts, uniform) = random_points(n, &mut rng);
+            let c = window_bits(n);
+            for bits in [1usize, c - 1, c, c + 1, 2 * c, 2 * c + 1, 13] {
+                let small: Vec<Fr> = (0..n)
+                    .map(|_| Fr::from_u64(rand::RngCore::next_u64(&mut rng) >> (64 - bits)))
+                    .collect();
+                let signed: Vec<Fr> = small
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| if i % 3 == 0 { -*s } else { *s })
+                    .collect();
+                let negative: Vec<Fr> = small.iter().map(|s| -*s).collect();
+                let sparse: Vec<Fr> = signed
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| if i % 25 == 0 { *s } else { Fr::zero() })
+                    .collect();
+                let mut few_wide = signed.clone();
+                few_wide[n - 1] = uniform[n - 1];
+                few_wide[n / 2] = uniform[n / 2];
+                let mut many_wide = signed.clone();
+                for i in (0..n).step_by(8) {
+                    many_wide[i] = uniform[i];
+                }
+                for (name, scalars) in [
+                    ("small", &small),
+                    ("signed", &signed),
+                    ("negative", &negative),
+                    ("sparse", &sparse),
+                    ("few wide", &few_wide),
+                    ("many wide", &many_wide),
+                ] {
+                    assert_eq!(
+                        msm(&pts, scalars),
+                        msm_jacobian(&pts, scalars),
+                        "n={n} bits={bits} {name}"
+                    );
+                }
+            }
+            let zeros = vec![Fr::zero(); n];
+            assert_eq!(msm(&pts, &zeros), G1Projective::identity(), "n={n}");
+            let mut only_wide = zeros;
+            only_wide[1] = uniform[1];
+            assert_eq!(msm(&pts, &only_wide), msm_jacobian(&pts, &only_wide));
+        }
+    }
+
+    /// The parallel bucket path is bit-identical at any thread count, for
+    /// uniform scalars and for small ones with outliers.
     #[test]
     fn msm_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(43);
-        let (pts, scalars) = random_points(300, &mut rng);
-        let serial = zkml_par::with_pool(&zkml_par::Pool::new(1), || msm(&pts, &scalars));
-        let two = zkml_par::with_pool(&zkml_par::Pool::new(2), || msm(&pts, &scalars));
-        let default = msm(&pts, &scalars);
-        assert_eq!(serial, two);
-        assert_eq!(serial, default);
+        let (pts, uniform) = random_points(300, &mut rng);
+        let mut small: Vec<Fr> = (0..300).map(|i| Fr::from_i64(i as i64 % 97 - 48)).collect();
+        small[299] = uniform[299];
+        for scalars in [&uniform, &small] {
+            let serial = zkml_par::with_pool(&zkml_par::Pool::new(1), || msm(&pts, scalars));
+            let two = zkml_par::with_pool(&zkml_par::Pool::new(2), || msm(&pts, scalars));
+            let default = msm(&pts, scalars);
+            assert_eq!(serial.to_affine().to_bytes(), two.to_affine().to_bytes());
+            assert_eq!(
+                serial.to_affine().to_bytes(),
+                default.to_affine().to_bytes()
+            );
+        }
     }
 
     /// Batch-affine vs Jacobian vs naive on a mid-size random input.
@@ -845,15 +1092,19 @@ mod perf {
             eprint!("n=2^{k}:");
             for c in (k as usize).saturating_sub(3)..=(k as usize) + 2 {
                 let c = c.clamp(2, 16);
-                let nwin = num_windows(c);
+                let nwin = num_windows(253, c);
                 let mut digits = vec![0i32; n * nwin];
                 for (i, row) in digits.chunks_exact_mut(nwin).enumerate() {
-                    let repr = scalars[i].to_canonical();
-                    decompose_signed(&repr, c, row);
+                    let (mag, neg) = signed_magnitude(&scalars[i]);
+                    decompose_signed(&mag, c, row);
+                    if neg {
+                        row.iter_mut().for_each(|d| *d = -*d);
+                    }
                 }
+                let topbits = 253 - (nwin - 1) * c;
                 let t = Instant::now();
                 let sums: Vec<G1Projective> = (0..nwin)
-                    .map(|w| accumulate_window(&bases, &digits, w, nwin, c))
+                    .map(|w| accumulate_window(&bases, &digits, w, nwin, c, topbits))
                     .collect();
                 std::hint::black_box(sums);
                 eprint!("  c={c}: {:?}", t.elapsed());

@@ -10,16 +10,22 @@ use crate::serial::{ReadError, Reader, Writer};
 use rand::RngCore;
 use zkml_curves::{msm, pairing_check, G1Affine, G1Projective, G2Affine};
 use zkml_ff::{Field, Fr, PrimeField};
-use zkml_poly::Coeffs;
+use zkml_poly::{Coeffs, EvaluationDomain};
 use zkml_transcript::Transcript;
 
-/// A KZG structured reference string: `[tau^i] G1` and `[tau] G2`.
+/// A KZG structured reference string: `[tau^i] G1` in both bases and
+/// `[tau] G2`.
 #[derive(Clone)]
 pub struct KzgSrs {
     /// log2 of the maximum supported polynomial length.
     pub k: u32,
     /// `[tau^i] G1` for `i < 2^k`.
     pub g1_powers: Vec<G1Affine>,
+    /// `[L_i(tau)] G1` for the Lagrange basis `L_i` of the size-`2^k`
+    /// evaluation domain: commits a polynomial given by its `2^k`
+    /// evaluations to the same point [`KzgSrs::commit`] gives its
+    /// coefficients, with the scalars left as small as the values are.
+    pub g1_lagrange: Vec<G1Affine>,
     /// `[1] G2`.
     pub g2: G2Affine,
     /// `[tau] G2`.
@@ -59,17 +65,23 @@ impl KzgSrs {
     pub fn setup(k: u32, rng: &mut impl RngCore) -> Self {
         let tau = Fr::random(rng);
         let n = 1usize << k;
-        let mut powers = Vec::with_capacity(n);
+        let mut scalars = Vec::with_capacity(2 * n);
         let mut cur = Fr::one();
         for _ in 0..n {
-            powers.push(cur);
+            scalars.push(cur);
             cur *= tau;
         }
-        let g1_powers = batch_mul_fixed_base(&G1Projective::generator(), &powers);
+        // The setup knows tau, so the Lagrange basis is `L_i(tau)` by the
+        // barycentric formula (one batch inversion) through the same
+        // fixed-base tables — no group FFT.
+        scalars.extend(EvaluationDomain::<Fr>::new(k).lagrange_evals(tau));
+        let mut g1_powers = batch_mul_fixed_base(&G1Projective::generator(), &scalars);
+        let g1_lagrange = g1_powers.split_off(n);
         let tau_g2 = G2Affine::generator().mul_scalar(&tau);
         Self {
             k,
             g1_powers,
+            g1_lagrange,
             g2: G2Affine::generator(),
             tau_g2,
         }
@@ -86,6 +98,15 @@ impl KzgSrs {
             "polynomial exceeds SRS size"
         );
         msm(&self.g1_powers[..poly.len()], &poly.values).to_affine()
+    }
+
+    /// Commits to the polynomial taking `values` over the size-`2^k` domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are exactly `2^k` values.
+    pub fn commit_lagrange(&self, values: &[Fr]) -> G1Affine {
+        msm(&self.g1_lagrange, values).to_affine()
     }
 
     /// Opens a batch of `(polynomial, point)` queries.
@@ -425,6 +446,7 @@ mod tests {
         let small = KzgSrs {
             k: 6,
             g1_powers: tau_srs.g1_powers[..64].to_vec(),
+            g1_lagrange: Vec::new(), // only coefficient-form commits below
             g2: tau_srs.g2,
             tau_g2: tau_srs.tau_g2,
         };

@@ -22,7 +22,7 @@ pub use serial::{ReadError, Reader, Writer};
 use rand::RngCore;
 use zkml_curves::G1Affine;
 use zkml_ff::Fr;
-use zkml_poly::Coeffs;
+use zkml_poly::{Coeffs, EvaluationDomain};
 use zkml_transcript::Transcript;
 
 /// The commitment-scheme backend selector.
@@ -44,6 +44,10 @@ impl std::fmt::Display for Backend {
 }
 
 /// Instantiated commitment parameters for one of the two backends.
+// Built once per (backend, k) and shared behind an `Arc`, never moved around
+// by value, so the variants' inline sizes (a few `Vec` headers and G2 points)
+// are not worth a `Box` in every match.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 pub enum Params {
     /// KZG structured reference string.
@@ -82,6 +86,34 @@ impl Params {
         match self {
             Params::Kzg(s) => s.commit(poly),
             Params::Ipa(p) => p.commit(poly),
+        }
+    }
+
+    /// Commits to the polynomial that takes `values` over the evaluation
+    /// domain of their size — the point [`Params::commit`] gives the
+    /// interpolated coefficients.
+    ///
+    /// A KZG SRS of exactly that size commits through its Lagrange basis, so
+    /// the MSM sees the values themselves (small for fixed-point witness
+    /// columns) and not their full-width coefficients. IPA's generators have
+    /// no structure to derive such a basis from, and a larger SRS has it for
+    /// another domain; both interpolate and commit the coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of values is not a power of two.
+    pub fn commit_lagrange(&self, values: &[Fr]) -> G1Affine {
+        match self {
+            Params::Kzg(s) if values.len() == s.g1_lagrange.len() => s.commit_lagrange(values),
+            _ => {
+                assert!(
+                    values.len().is_power_of_two(),
+                    "evaluations must cover a domain"
+                );
+                let mut coeffs = values.to_vec();
+                EvaluationDomain::new(values.len().trailing_zeros()).ifft(&mut coeffs);
+                self.commit(&Coeffs::new(coeffs))
+            }
         }
     }
 
@@ -161,5 +193,71 @@ impl Verification {
             Verification::Complete => None,
             Verification::Deferred(acc) => Some(acc),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use zkml_ff::{Field, PrimeField};
+
+    /// `commit_lagrange(values)` is the point `commit` gives the interpolated
+    /// coefficients, on both backends, whatever the values' widths.
+    #[test]
+    fn commit_lagrange_matches_commit_of_interpolation() {
+        for k in [4u32, 7, 10] {
+            let n = 1usize << k;
+            let mut rng = StdRng::seed_from_u64(60 + u64::from(k));
+            let uniform: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            let small: Vec<Fr> = (0..n)
+                .map(|_| Fr::from_i64(rng.gen_range(-8191i64..8192)))
+                .collect();
+            let sparse: Vec<Fr> = (0..n)
+                .map(|i| if i % 23 == 0 { small[i] } else { Fr::zero() })
+                .collect();
+            let zeros = vec![Fr::zero(); n];
+            // A witness column: small values with a full-width blinding tail.
+            let mut one_wide = small.clone();
+            one_wide[n - 1] = uniform[n - 1];
+            let mut blinded = small.clone();
+            blinded[n - 5..].copy_from_slice(&uniform[n - 5..]);
+
+            let domain = EvaluationDomain::<Fr>::new(k);
+            for backend in [Backend::Kzg, Backend::Ipa] {
+                let params = Params::setup(backend, k, &mut StdRng::seed_from_u64(1234));
+                for (name, values) in [
+                    ("uniform", &uniform),
+                    ("small signed", &small),
+                    ("sparse", &sparse),
+                    ("all zero", &zeros),
+                    ("one wide among small", &one_wide),
+                    ("blinded", &blinded),
+                ] {
+                    let mut coeffs = values.clone();
+                    domain.ifft(&mut coeffs);
+                    assert_eq!(
+                        params.commit_lagrange(values),
+                        params.commit(&Coeffs::new(coeffs)),
+                        "{backend} k={k} {name}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Params larger than the column fall back to interpolation: the
+    /// Lagrange basis is for the SRS's own domain only.
+    #[test]
+    fn commit_lagrange_under_larger_params_interpolates() {
+        let params = Params::setup(Backend::Kzg, 6, &mut StdRng::seed_from_u64(1234));
+        let values: Vec<Fr> = (0..16).map(|i| Fr::from_i64(i - 8)).collect();
+        let mut coeffs = values.clone();
+        EvaluationDomain::<Fr>::new(4).ifft(&mut coeffs);
+        assert_eq!(
+            params.commit_lagrange(&values),
+            params.commit(&Coeffs::new(coeffs))
+        );
     }
 }

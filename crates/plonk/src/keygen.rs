@@ -232,7 +232,8 @@ pub fn commit_weights(
         values.push(v);
     }
     let (polys, ext) = interpolate_columns(&domains, &values);
-    let commitments: Vec<G1Affine> = zkml_par::par_map(polys.len(), |i| params.commit(&polys[i]));
+    let commitments: Vec<G1Affine> =
+        zkml_par::par_map(values.len(), |i| params.commit_lagrange(&values[i]));
     let digest = WeightCommitment::compute_digest(k, &commitments);
     Ok((
         WeightCommitment {
@@ -457,8 +458,9 @@ pub fn keygen(
     let (fixed_out, sigma_out) = zkml_par::join(
         || {
             let (fixed_polys, fixed_ext) = interpolate_columns(&domains, &fixed_values);
-            let fixed_commitments: Vec<G1Affine> =
-                zkml_par::par_map(fixed_polys.len(), |i| params.commit(&fixed_polys[i]));
+            let fixed_commitments: Vec<G1Affine> = zkml_par::par_map(fixed_values.len(), |i| {
+                params.commit_lagrange(&fixed_values[i])
+            });
             (fixed_polys, fixed_ext, fixed_commitments)
         },
         || {
@@ -478,8 +480,9 @@ pub fn keygen(
                     .collect()
             });
             let (sigma_polys, sigma_ext) = interpolate_columns(&domains, &sigma_values);
-            let sigma_commitments: Vec<G1Affine> =
-                zkml_par::par_map(sigma_polys.len(), |i| params.commit(&sigma_polys[i]));
+            let sigma_commitments: Vec<G1Affine> = zkml_par::par_map(sigma_values.len(), |i| {
+                params.commit_lagrange(&sigma_values[i])
+            });
             Ok::<_, PlonkError>((sigma_values, sigma_polys, sigma_ext, sigma_commitments))
         },
     );

@@ -187,10 +187,13 @@ pub fn create_proof_committed(
             let vals = advice_values[c].as_ref().ok_or_else(|| {
                 PlonkError::Synthesis(format!("advice column {c} missing in phase {phase}"))
             })?;
+            // Committed from the values, not the coefficients: phase-0
+            // witness values are small fixed-point integers, and the MSM is
+            // charged for their width.
+            let com = params.commit_lagrange(vals);
             let mut coeffs = vals.clone();
             domain.ifft(&mut coeffs);
             let poly = Coeffs::new(coeffs);
-            let com = params.commit(&poly);
             transcript.absorb(b"advice", &com.to_bytes());
             proof.g1(&com);
             advice_polys[c] = Some(poly);
@@ -295,8 +298,8 @@ pub fn create_proof_committed(
         let mut s_coeffs = s_full.clone();
         domain.ifft(&mut s_coeffs);
         let s_poly = Coeffs::new(s_coeffs);
-        let a_com = params.commit(&a_poly);
-        let s_com = params.commit(&s_poly);
+        let a_com = params.commit_lagrange(&a_full);
+        let s_com = params.commit_lagrange(&s_full);
         transcript.absorb(b"lookup-a", &a_com.to_bytes());
         transcript.absorb(b"lookup-s", &s_com.to_bytes());
         proof.g1(&a_com);
@@ -369,18 +372,15 @@ pub fn create_proof_committed(
             "copy constraints unsatisfied (permutation product != 1)".into(),
         ));
     }
-    for z in &perm_z_values {
-        let mut coeffs = z.clone();
-        domain.ifft(&mut coeffs);
-        let poly = Coeffs::new(coeffs);
-        let com = params.commit(&poly);
+    for mut z in perm_z_values {
+        let com = params.commit_lagrange(&z);
+        domain.ifft(&mut z);
         transcript.absorb(b"perm-z", &com.to_bytes());
         proof.g1(&com);
-        perm_z_polys.push(poly);
+        perm_z_polys.push(Coeffs::new(z));
     }
 
     // --- Lookup grand products ---------------------------------------------
-    let mut lookup_z_values: Vec<Vec<Fr>> = Vec::new();
     let mut lookup_z_polys: Vec<Coeffs<Fr>> = Vec::new();
     for (lk, w) in cs.lookups.iter().zip(&lookups) {
         let mut den: Vec<Fr> = zkml_par::par_map(usable, |i| {
@@ -401,14 +401,11 @@ pub fn create_proof_committed(
         for v in z[usable + 1..].iter_mut() {
             *v = Fr::random(rng);
         }
-        let mut coeffs = z.clone();
-        domain.ifft(&mut coeffs);
-        let poly = Coeffs::new(coeffs);
-        let com = params.commit(&poly);
+        let com = params.commit_lagrange(&z);
+        domain.ifft(&mut z);
         transcript.absorb(b"lookup-z", &com.to_bytes());
         proof.g1(&com);
-        lookup_z_values.push(z);
-        lookup_z_polys.push(poly);
+        lookup_z_polys.push(Coeffs::new(z));
     }
 
     let y: Fr = transcript.challenge(b"y");
@@ -416,11 +413,6 @@ pub fn create_proof_committed(
     // --- Quotient ----------------------------------------------------------
     let ext = &pk.domains;
     let ext_n = ext.ext.n;
-    let to_ext = |values: &[Fr]| -> Vec<Fr> {
-        let mut c = values.to_vec();
-        domain.ifft(&mut c);
-        ext.coset_ext(c)
-    };
     let poly_to_ext = |p: &Coeffs<Fr>| ext.coset_ext(p.values.clone());
 
     let instance_ext: Vec<Vec<Fr>> =
@@ -428,13 +420,13 @@ pub fn create_proof_committed(
     let advice_ext: Vec<Vec<Fr>> =
         zkml_par::par_map(advice_polys.len(), |i| poly_to_ext(&advice_polys[i]));
     let perm_z_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(perm_z_values.len(), |i| to_ext(&perm_z_values[i]));
+        zkml_par::par_map(perm_z_polys.len(), |i| poly_to_ext(&perm_z_polys[i]));
     let lookup_a_ext: Vec<Vec<Fr>> =
         zkml_par::par_map(lookups.len(), |i| poly_to_ext(&lookups[i].a_poly));
     let lookup_s_ext: Vec<Vec<Fr>> =
         zkml_par::par_map(lookups.len(), |i| poly_to_ext(&lookups[i].s_poly));
     let lookup_z_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(lookup_z_values.len(), |i| to_ext(&lookup_z_values[i]));
+        zkml_par::par_map(lookup_z_polys.len(), |i| poly_to_ext(&lookup_z_polys[i]));
 
     // Compressed lookup input/table on the extended coset.
     let eval_expr_ext = |e: &Expression, i: usize| -> Fr {

@@ -12,21 +12,31 @@
 //! layouts from machine- and run-dependent timing measurements, so two runs
 //! can compile the same model to different circuits with the same `k`, and
 //! a key cached for one must never be applied to the other. As a second
-//! line of defense against stale or foreign spill files, cached keys are
-//! validated against the freshly compiled circuit before use. The SRS is a
-//! public artifact this reproduction regenerates from a fixed seed (see
-//! DESIGN.md on the trusted-setup substitution), so it is memoized per
-//! `(backend, k)` rather than persisted.
+//! line of defense against stale or foreign spill files, a key loaded from
+//! disk is validated against the freshly compiled circuit before it enters
+//! the in-memory map. The SRS is a public artifact this reproduction
+//! regenerates from a fixed seed (see DESIGN.md on the trusted-setup
+//! substitution), so it is memoized per `(backend, k)` rather than
+//! persisted.
+//!
+//! Beside the keys sit the two per-process memos that make a warm job cost
+//! only its witness: the **layout** an architecture's sweep picked
+//! ([`PlanKey`] → [`SegmentLayout`]) and the set of circuits the static
+//! analyzer has **cleared** (`(content hash, circuit digest)`). Both are
+//! functions of the model and the layout alone — no request input reaches
+//! them — and neither is persisted: a restarted service sweeps and analyzes
+//! once again before it touches a key, spilled or not.
 
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use zkml::CompiledCircuit;
+use zkml::{CompiledCircuit, NumericConfig, ZkmlError};
 use zkml_pcs::{Backend, Params, Writer};
 use zkml_plonk::{serialize::write_cs, ProvingKey};
+use zkml_shard::{SegmentLayout, SegmentSpec};
 
 /// Seed for the deterministic SRS regeneration (shared with the CLI's
 /// standalone prove/verify flows; see DESIGN.md).
@@ -47,6 +57,24 @@ pub struct ArtifactKey {
     /// constraint system the key was generated for, which `k` alone does
     /// not (the optimizer's choice is timing-dependent).
     pub circuit: [u8; 32],
+}
+
+/// Identity of a memoized layout decision: everything the sweep's outcome
+/// depends on within one process. `HardwareStats::cached()` is constant per
+/// process, so the cost table needs no field here; the request's inputs do
+/// not reach placement at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlanKey {
+    /// `Graph::arch_hash()`: layouts ignore weight values.
+    pub arch_hash: [u8; 32],
+    /// Commitment backend the cost model priced.
+    pub backend: Backend,
+    /// Largest `k` the sweep was allowed.
+    pub max_k: u32,
+    /// Fixed-point configuration the schedule was lowered under.
+    pub numeric: NumericConfig,
+    /// How the model is cut; `None` for a monolithic job.
+    pub segments: Option<SegmentSpec>,
 }
 
 fn hex(bytes: &[u8]) -> String {
@@ -136,6 +164,10 @@ impl CacheOutcome {
 pub struct ArtifactCache {
     keys: RwLock<HashMap<ArtifactKey, Arc<ProvingKey>>>,
     params: RwLock<HashMap<(Backend, u32), Arc<Params>>>,
+    layouts: RwLock<HashMap<PlanKey, Arc<SegmentLayout>>>,
+    /// `(Graph::content_hash(), circuit digest)` of every circuit that
+    /// passed `ensure_determined` in this process.
+    determined: RwLock<HashSet<([u8; 32], [u8; 32])>>,
     disk_dir: Option<PathBuf>,
 }
 
@@ -145,6 +177,8 @@ impl ArtifactCache {
         Self {
             keys: RwLock::new(HashMap::new()),
             params: RwLock::new(HashMap::new()),
+            layouts: RwLock::new(HashMap::new()),
+            determined: RwLock::new(HashSet::new()),
             disk_dir: None,
         }
     }
@@ -154,9 +188,8 @@ impl ArtifactCache {
     pub fn with_disk(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         Ok(Self {
-            keys: RwLock::new(HashMap::new()),
-            params: RwLock::new(HashMap::new()),
             disk_dir: Some(dir.to_path_buf()),
+            ..Self::in_memory()
         })
     }
 
@@ -180,22 +213,52 @@ impl ArtifactCache {
         Arc::clone(map.entry((backend, k)).or_insert(fresh))
     }
 
-    /// Looks up a proving key, falling back to the disk spill; `None` means
-    /// the caller must generate it (and should then call [`Self::insert`]).
-    pub fn get(&self, key: &ArtifactKey) -> Option<(Arc<ProvingKey>, CacheOutcome)> {
-        if let Some(pk) = self.keys.read().get(key) {
-            return Some((Arc::clone(pk), CacheOutcome::MemoryHit));
+    /// The layout memoized under `key`, running `sweep` and storing its
+    /// winner on a miss. Also reports whether it was a hit.
+    ///
+    /// The sweep runs outside the lock; if two workers race on a cold key
+    /// the first stored layout wins and both use it, so every job of one
+    /// process — publish, prove, monolithic or segmented — compiles an
+    /// architecture to the same circuits.
+    pub fn layout_or_sweep<E>(
+        &self,
+        key: PlanKey,
+        sweep: impl FnOnce() -> Result<SegmentLayout, E>,
+    ) -> Result<(Arc<SegmentLayout>, bool), E> {
+        if let Some(layout) = self.layouts.read().get(&key) {
+            return Ok((Arc::clone(layout), true));
         }
+        let fresh = Arc::new(sweep()?);
+        let mut map = self.layouts.write();
+        Ok((Arc::clone(map.entry(key).or_insert(fresh)), false))
+    }
+
+    /// Runs the static determinism check on `compiled` — a compilation of
+    /// the model hashing to `content_hash` — unless this process has already
+    /// cleared that very circuit, and reports whether the analyzer ran.
+    ///
+    /// Everything the analyzer reads (constraint system, fixed columns, copy
+    /// constraints, committed weight values, cell positions and regions) is
+    /// a function of the model's content and the layout, which the key pins;
+    /// no advice value reaches it. Failures are never remembered: an
+    /// underconstrained circuit fails every job that compiles to it.
+    pub fn ensure_determined(
+        &self,
+        content_hash: [u8; 32],
+        compiled: &CompiledCircuit,
+    ) -> Result<bool, ZkmlError> {
+        let key = (content_hash, compiled.circuit_digest());
+        if self.determined.read().contains(&key) {
+            return Ok(false);
+        }
+        compiled.ensure_determined()?;
+        self.determined.write().insert(key);
+        Ok(true)
+    }
+
+    fn spill_path(&self, key: &ArtifactKey) -> Option<PathBuf> {
         let dir = self.disk_dir.as_ref()?;
-        let path = dir.join(format!("{}.pk", key.file_stem()));
-        let bytes = std::fs::read(&path).ok()?;
-        let pk = ProvingKey::from_bytes(&bytes).ok()?;
-        let pk = Arc::new(pk);
-        self.keys
-            .write()
-            .entry(*key)
-            .or_insert_with(|| Arc::clone(&pk));
-        Some((pk, CacheOutcome::DiskHit))
+        Some(dir.join(format!("{}.pk", key.file_stem())))
     }
 
     /// Inserts a freshly generated key, spilling it to disk when configured.
@@ -207,13 +270,12 @@ impl ArtifactCache {
             let mut map = self.keys.write();
             Arc::clone(map.entry(key).or_insert_with(|| Arc::clone(&pk)))
         };
-        if let Some(dir) = &self.disk_dir {
-            let path = dir.join(format!("{}.pk", key.file_stem()));
+        if let Some(path) = self.spill_path(&key) {
             if !path.exists() {
                 // Spill via a temp file + rename so concurrent readers never
                 // observe a half-written key. Spill failure is non-fatal: the
                 // cache simply stays memory-only for this entry.
-                let tmp = dir.join(format!("{}.pk.tmp", key.file_stem()));
+                let tmp = path.with_extension("pk.tmp");
                 if std::fs::write(&tmp, cached.to_bytes()).is_ok() {
                     let _ = std::fs::rename(&tmp, &path);
                 }
@@ -222,30 +284,40 @@ impl ArtifactCache {
         cached
     }
 
-    /// Drops the key from memory and deletes its spill file, so the next
-    /// lookup regenerates it.
-    pub fn invalidate(&self, key: &ArtifactKey) {
-        self.keys.write().remove(key);
-        if let Some(dir) = &self.disk_dir {
-            let _ = std::fs::remove_file(dir.join(format!("{}.pk", key.file_stem())));
-        }
-    }
-
-    /// Looks up the key, generating and caching it on a miss. A cached key
-    /// that fails `valid` (e.g. a spill file whose constraint system does
-    /// not match the compiled circuit) is invalidated and regenerated. The
-    /// returned outcome reports whether keygen was skipped.
+    /// Looks up the key in memory, then in the disk spill, generating and
+    /// caching it on a miss. The returned outcome reports whether keygen was
+    /// skipped.
+    ///
+    /// `valid` runs only on a key loaded from disk, before it enters the
+    /// in-memory map: a spill file can come from another build or a shared
+    /// directory, and one that does not match the compiled circuit is
+    /// deleted and regenerated. A key already in memory was generated or
+    /// validated by this process under this very [`ArtifactKey`], which pins
+    /// the circuit digest, so it is served as is.
     pub fn get_or_generate<E>(
         &self,
         key: ArtifactKey,
         valid: impl Fn(&ProvingKey) -> bool,
         generate: impl FnOnce() -> Result<ProvingKey, E>,
     ) -> Result<(Arc<ProvingKey>, CacheOutcome), E> {
-        if let Some((pk, outcome)) = self.get(&key) {
-            if valid(&pk) {
-                return Ok((pk, outcome));
+        if let Some(pk) = self.keys.read().get(&key) {
+            return Ok((Arc::clone(pk), CacheOutcome::MemoryHit));
+        }
+        if let Some(path) = self.spill_path(&key) {
+            let spilled = std::fs::read(&path)
+                .ok()
+                .and_then(|bytes| ProvingKey::from_bytes(&bytes).ok());
+            match spilled {
+                Some(pk) if valid(&pk) => {
+                    let mut map = self.keys.write();
+                    let pk = map.entry(key).or_insert_with(|| Arc::new(pk));
+                    return Ok((Arc::clone(pk), CacheOutcome::DiskHit));
+                }
+                // Stale, foreign or unreadable: make room for the fresh key.
+                _ => {
+                    let _ = std::fs::remove_file(&path);
+                }
             }
-            self.invalidate(&key);
         }
         let pk = generate()?;
         Ok((self.insert(key, pk), CacheOutcome::Miss))

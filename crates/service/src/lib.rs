@@ -6,9 +6,12 @@
 //!
 //! * an **artifact cache** ([`cache`]) keyed by `(architecture hash,
 //!   backend, circuit digest)` holds SRS and proving/verifying keys behind
-//!   `parking_lot::RwLock`s, validates cached keys against the compiled
-//!   circuit, and spills proving keys to disk (via `zkml_plonk::serialize`)
-//!   so a restarted service starts warm;
+//!   `parking_lot::RwLock`s, spills proving keys to disk (via
+//!   `zkml_plonk::serialize`) so a restarted service starts warm, and
+//!   validates a key read back from disk against the compiled circuit. It
+//!   also memoizes, per process, the layout each architecture's sweep
+//!   picked and the circuits the static analyzer cleared, so a warm job
+//!   does only per-request work: lower, synthesize, prove;
 //! * a **job queue and worker pool** ([`service`]) on bounded `crossbeam`
 //!   channels applies backpressure (reject-with-busy when full), enforces
 //!   per-job deadlines, and isolates worker panics from the service;
@@ -32,7 +35,7 @@ pub mod service;
 pub mod stats;
 
 pub use artifact::{decode_public, encode_public};
-pub use cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, SRS_SEED};
+pub use cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, PlanKey, SRS_SEED};
 pub use error::ServiceError;
 pub use registry::{ModelEntry, ModelRegistry};
 pub use service::{

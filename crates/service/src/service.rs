@@ -2,7 +2,7 @@
 //! threads, with per-job deadlines, panic isolation, and shared access to
 //! the artifact cache and model registry.
 
-use crate::cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome};
+use crate::cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, PlanKey};
 use crate::error::ServiceError;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::stats::{ServiceStats, StatsSnapshot};
@@ -15,11 +15,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use zkml::{optimizer, OptimizerOptions};
+use zkml::{optimizer, OpSchedule, OptimizerOptions, SegmentPlan};
 use zkml_ff::Fr;
 use zkml_model::Graph;
 use zkml_pcs::Backend;
-use zkml_shard::{KeySource, SegmentSpec, SegmentedProof};
+use zkml_shard::{KeySource, SegmentLayout, SegmentSpec, SegmentedProof};
 use zkml_tensor::{FixedPoint, Tensor};
 
 /// Service construction parameters.
@@ -743,10 +743,71 @@ pub fn synthetic_inputs(graph: &Graph, scale_bits: u32, seed: u64) -> Vec<Tensor
         .collect()
 }
 
-/// Compiles `graph` (optimize → synthesize → determinism gate) and fetches
-/// its proving key through the arch-keyed artifact cache. Shared by the
-/// prove and commit-model paths so both agree byte-for-byte on the circuit
-/// a model compiles to.
+/// Lowers `graph` with the job's synthetic inputs and resolves its layout:
+/// the one this process memoized for the architecture, or — first job only —
+/// the winner of a full sweep, which is then memoized. `segments` is `None`
+/// for a monolithic circuit (a layout with no cuts and one plan).
+///
+/// Everything a job does after this is per-request work: one `synthesize`
+/// per plan, which still cross-checks the plan against the circuit it
+/// produced (`PlanMismatch`).
+fn lower_and_lay_out(
+    ctx: &WorkerCtx,
+    graph: &Graph,
+    backend: Backend,
+    seed: u64,
+    segments: Option<SegmentSpec>,
+) -> Result<(OptimizerOptions, OpSchedule, Arc<SegmentLayout>), ServiceError> {
+    let opts = OptimizerOptions::new(backend, ctx.max_k);
+    let inputs = synthetic_inputs(graph, opts.numeric.scale_bits, seed);
+    let sched = zkml::layers::lower_graph(graph, &inputs, opts.numeric);
+    let key = PlanKey {
+        arch_hash: graph.arch_hash(),
+        backend,
+        max_k: ctx.max_k,
+        numeric: opts.numeric,
+        segments,
+    };
+    // An infeasible model (no layout within max_k) fails this job, not the
+    // worker, and leaves nothing in the memo.
+    let (layout, memo_hit) = ctx.cache.layout_or_sweep(key, || {
+        let hw = zkml::cost::HardwareStats::cached();
+        match segments {
+            Some(spec) => zkml_shard::plan_segments(&sched, spec, &opts, hw)
+                .map_err(|e| ServiceError::Compile(e.to_string())),
+            None => optimizer::optimize_schedule(sched.clone(), &opts, hw)
+                .map(|sweep| SegmentLayout {
+                    cut: SegmentPlan { cuts: Vec::new() },
+                    plans: vec![sweep.best_plan],
+                })
+                .map_err(|e| ServiceError::Compile(e.to_string())),
+        }
+    })?;
+    ctx.stats.record_layout(memo_hit);
+    Ok((opts, sched, layout))
+}
+
+/// Determinism gate: never spend keygen or proving time on a circuit the
+/// static analyzer has not cleared in this process. The verdict is a
+/// function of the model's content and the layout (see
+/// [`ArtifactCache::ensure_determined`]), so a warm job skips the analysis;
+/// a failing circuit is analyzed, and fails, on every job.
+fn ensure_determined(
+    ctx: &WorkerCtx,
+    content_hash: [u8; 32],
+    compiled: &zkml::CompiledCircuit,
+) -> Result<(), zkml::ZkmlError> {
+    let analyzed = ctx.cache.ensure_determined(content_hash, compiled);
+    if !matches!(analyzed, Ok(false)) {
+        ctx.stats.record_determinism_check();
+    }
+    analyzed.map(|_| ())
+}
+
+/// Compiles `graph` (lower → memoized layout → synthesize → determinism
+/// gate) and fetches its proving key through the arch-keyed artifact cache.
+/// Shared by the prove and commit-model paths so both agree byte-for-byte on
+/// the circuit a model compiles to.
 fn compile_and_key(
     ctx: &WorkerCtx,
     job: &Job,
@@ -762,40 +823,25 @@ fn compile_and_key(
     ),
     ServiceError,
 > {
-    // Inputs first: the optimizer lowers the graph exactly once, and by
-    // handing it the real inputs that single schedule also carries the
-    // witness values for final synthesis.
-    let opts = OptimizerOptions::new(backend, ctx.max_k);
-    let inputs = synthetic_inputs(graph, opts.numeric.scale_bits, seed);
-
-    // Layout search, then synthesis of the winning plan (no re-lowering).
-    // An infeasible model (no layout within max_k) fails this job, not the
-    // worker.
-    let hw = zkml::cost::HardwareStats::cached();
-    let report = optimizer::optimize(graph, &inputs, &opts, hw)
-        .map_err(|e| ServiceError::Compile(e.to_string()))?;
-    let compiled = report
-        .synthesize_best()
-        .map_err(|e| ServiceError::Compile(e.to_string()))?;
-    // Determinism gate: never spend keygen/proving time on a layout the
-    // static analyzer can show is underconstrained.
-    compiled
-        .ensure_determined()
+    let (_, sched, layout) = lower_and_lay_out(ctx, graph, backend, seed, None)?;
+    let plan = &layout.plans[0];
+    let compiled =
+        zkml::synthesize(&sched, plan).map_err(|e| ServiceError::Compile(e.to_string()))?;
+    ensure_determined(ctx, graph.content_hash(), &compiled)
         .map_err(|e| ServiceError::Underconstrained(e.to_string()))?;
     check_cancelled(job)?;
     check_deadline(job)?;
 
     // Key material, through the artifact cache. The key pins the circuit
-    // digest (layout choice + constraint system), not just k, and a cached
-    // key is still validated against the compiled circuit before use: a
-    // stale spill file must fall back to keygen, never produce a proof
-    // under a mismatched key. The namespace is the *architecture* hash:
-    // weights live in committed columns that keygen never reads, so two
-    // weight sets of one architecture share a single cached key. The
-    // winning plan's digest is byte-identical to the compiled circuit's,
-    // so the key could equally be derived before synthesis via
-    // ArtifactKey::for_plan.
-    let key = ArtifactKey::for_plan(graph.arch_hash(), backend, &report.best_plan);
+    // digest (layout choice + constraint system), not just k, and a key
+    // loaded from the disk spill is still validated against the compiled
+    // circuit before use: a stale spill file must fall back to keygen, never
+    // produce a proof under a mismatched key. The namespace is the
+    // *architecture* hash: weights live in committed columns that keygen
+    // never reads, so two weight sets of one architecture share a single
+    // cached key. The plan's digest is byte-identical to the compiled
+    // circuit's.
+    let key = ArtifactKey::for_plan(graph.arch_hash(), backend, plan);
     debug_assert_eq!(
         key,
         ArtifactKey::for_circuit(graph.arch_hash(), backend, &compiled)
@@ -830,7 +876,9 @@ fn commit_model_job(
 ) -> Result<ProofArtifacts, ServiceError> {
     // Publication uses a fixed input seed: layouts (and hence the circuit
     // and commitment) are input-independent, so any seed compiles the same
-    // circuit — see the determinism notes in the optimizer.
+    // circuit — see the determinism notes in the optimizer. The layout it
+    // sweeps is the one every later prove job of this architecture takes
+    // from the memo.
     let t = Instant::now();
     let (compiled, params, _pk, cache_outcome) = compile_and_key(ctx, job, graph, backend, 0)?;
     if !compiled.has_committed() {
@@ -1059,20 +1107,16 @@ fn prove_segmented_job(
     seed: u64,
     segments: SegmentSpec,
 ) -> Result<ProofArtifacts, ServiceError> {
-    let opts = OptimizerOptions::new(backend, ctx.max_k);
-    let inputs = synthetic_inputs(graph, opts.numeric.scale_bits, seed);
-
-    // One lowering for the whole model; the cutter and every segment's
-    // layout sweep all replay this single schedule.
-    let sched = zkml::layers::lower_graph(graph, &inputs, opts.numeric);
-    let hw = zkml::cost::HardwareStats::cached();
-    let compiled = zkml_shard::compile_segments(&sched, segments, &opts, hw)
+    // One lowering for the whole model; the cutter, the first job's
+    // per-segment sweeps and every segment's synthesis replay this schedule.
+    let (opts, sched, layout) = lower_and_lay_out(ctx, graph, backend, seed, Some(segments))?;
+    let compiled = zkml_shard::synthesize_segments(&sched, &layout)
         .map_err(|e| ServiceError::Compile(e.to_string()))?;
-    // Each segment is an independent circuit; all must pass the static
-    // determinism check before any key material is touched.
+    // Each segment is an independent circuit; all must have passed the
+    // static determinism check before any key material is touched.
+    let model_hash = graph.content_hash();
     for (i, seg) in compiled.iter().enumerate() {
-        seg.compiled
-            .ensure_determined()
+        ensure_determined(ctx, model_hash, &seg.compiled)
             .map_err(|e| ServiceError::Underconstrained(format!("segment {i}: {e}")))?;
     }
     check_cancelled(job)?;
@@ -1084,7 +1128,6 @@ fn prove_segmented_job(
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
     };
-    let model_hash = graph.content_hash();
     let t = Instant::now();
     let bundle = zkml_shard::prove_compiled(
         model_hash,

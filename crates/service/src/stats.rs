@@ -23,6 +23,9 @@ pub struct ServiceStats {
     worker_panics: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
+    layout_sweeps: AtomicU64,
+    plan_hits: AtomicU64,
+    determinism_checks: AtomicU64,
     proofs_verified: AtomicU64,
     verify_failures: AtomicU64,
     queue_depth: AtomicU64,
@@ -66,6 +69,17 @@ impl ServiceStats {
     pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
+    pub(crate) fn record_layout(&self, memo_hit: bool) {
+        let counter = if memo_hit {
+            &self.plan_hits
+        } else {
+            &self.layout_sweeps
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    pub(crate) fn record_determinism_check(&self) {
+        self.determinism_checks.fetch_add(1, Ordering::Relaxed);
+    }
     pub(crate) fn record_verified(&self, ok: u64, failed: u64) {
         self.proofs_verified.fetch_add(ok, Ordering::Relaxed);
         self.verify_failures.fetch_add(failed, Ordering::Relaxed);
@@ -106,6 +120,9 @@ impl ServiceStats {
             } else {
                 0.0
             },
+            layout_sweeps: self.layout_sweeps.load(Ordering::Relaxed),
+            plan_hits: self.plan_hits.load(Ordering::Relaxed),
+            determinism_checks: self.determinism_checks.load(Ordering::Relaxed),
             proofs_verified: self.proofs_verified.load(Ordering::Relaxed),
             verify_failures: self.verify_failures.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -162,6 +179,15 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// `hits / (hits + misses)`, 0 when the cache is untouched.
     pub cache_hit_rate: f64,
+    /// Layout sweeps run: jobs whose (architecture, backend, `max_k`,
+    /// numerics, segment spec) had no memoized layout in this process.
+    pub layout_sweeps: u64,
+    /// Jobs that compiled under a memoized layout (no sweep).
+    pub plan_hits: u64,
+    /// Static-analyzer runs: circuits (one per segment) this process had not
+    /// yet cleared for the job's model, including runs that found the
+    /// circuit underconstrained.
+    pub determinism_checks: u64,
     /// Proofs that passed verification.
     pub proofs_verified: u64,
     /// Proofs that failed verification.
@@ -187,6 +213,7 @@ impl StatsSnapshot {
                 "\"jobs_timed_out\":{},\"jobs_cancelled\":{},",
                 "\"worker_panics\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},",
+                "\"layout_sweeps\":{},\"plan_hits\":{},\"determinism_checks\":{},",
                 "\"proofs_verified\":{},\"verify_failures\":{},\"queue_depth\":{},",
                 "\"prove_p50_ms\":{},\"prove_p95_ms\":{}}}"
             ),
@@ -205,6 +232,9 @@ impl StatsSnapshot {
             self.cache_hits,
             self.cache_misses,
             self.cache_hit_rate,
+            self.layout_sweeps,
+            self.plan_hits,
+            self.determinism_checks,
             self.proofs_verified,
             self.verify_failures,
             self.queue_depth,
@@ -241,6 +271,10 @@ mod tests {
         s.record_cache_miss();
         s.record_cache_hit();
         s.record_cache_hit();
+        s.record_layout(false);
+        s.record_layout(true);
+        s.record_layout(true);
+        s.record_determinism_check();
         s.record_prove_latency_ms(10);
         s.record_prove_latency_ms(30);
         s.set_queue_depth(1);
@@ -250,6 +284,10 @@ mod tests {
         assert_eq!(snap.cache_hits, 2);
         assert_eq!(snap.cache_misses, 1);
         assert!((snap.cache_hit_rate - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(
+            (snap.layout_sweeps, snap.plan_hits, snap.determinism_checks),
+            (1, 2, 1)
+        );
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.prove_p50_ms, 10);
         assert_eq!(snap.prove_p95_ms, 30);
@@ -269,6 +307,9 @@ mod tests {
             "jobs_submitted",
             "jobs_rejected_commitment",
             "cache_hit_rate",
+            "layout_sweeps",
+            "plan_hits",
+            "determinism_checks",
             "prove_p50_ms",
             "prove_p95_ms",
             "queue_depth",

@@ -161,10 +161,10 @@ fn segmented_job_proves_verifies_and_shards_cache() {
 
 /// Two layouts of the same model must never share a cache entry: their
 /// circuit digests (and hence artifact keys and spill files) differ even
-/// when the model hash and backend agree, and a cached key that does not
-/// match the freshly compiled circuit is invalidated and regenerated
-/// rather than used. This is the guard against the optimizer's timing-
-/// dependent layout choice diverging across runs that share a cache dir.
+/// when the model hash and backend agree, and a spilled key that does not
+/// match the freshly compiled circuit is deleted and regenerated rather
+/// than used. This is the guard against the optimizer's timing-dependent
+/// layout choice diverging across runs that share a cache dir.
 #[test]
 fn mismatched_layout_never_reuses_cached_key() {
     let graph = tiny_mlp();
@@ -190,16 +190,19 @@ fn mismatched_layout_never_reuses_cached_key() {
         "layouts must spill to distinct files"
     );
 
-    // Poison the cache: layout A's proving key stored under layout B's
-    // key (what a stale or foreign spill file would look like). The
-    // validation hook must reject it and regenerate.
-    let cache = ArtifactCache::in_memory();
-    let params_a = cache.params(Backend::Kzg, a.k);
-    let pk_a = a.keygen(&params_a).unwrap();
-    assert!(pk_matches_circuit(&pk_a, &a));
-    assert!(!pk_matches_circuit(&pk_a, &b));
-    cache.insert(key_b, pk_a);
-
+    // Poison the spill directory: another cache instance (another build,
+    // another run) leaves layout A's proving key in layout B's file. The
+    // validation hook runs on what comes off the disk, rejects it and
+    // regenerates.
+    let cache_dir = tempdir("stale");
+    {
+        let foreign = ArtifactCache::with_disk(&cache_dir).unwrap();
+        let pk_a = a.keygen(&foreign.params(Backend::Kzg, a.k)).unwrap();
+        assert!(pk_matches_circuit(&pk_a, &a));
+        assert!(!pk_matches_circuit(&pk_a, &b));
+        foreign.insert(key_b, pk_a);
+    }
+    let cache = ArtifactCache::with_disk(&cache_dir).unwrap();
     let params_b = cache.params(Backend::Kzg, b.k);
     let (pk, outcome) = cache
         .get_or_generate(
@@ -215,15 +218,174 @@ fn mismatched_layout_never_reuses_cached_key() {
     );
     assert!(pk_matches_circuit(&pk, &b));
 
-    // The regenerated key is cached and now hits.
+    // The regenerated key is cached and now hits from memory, where the
+    // key's circuit digest is all the validation it needs.
     let (_, outcome) = cache
+        .get_or_generate(
+            key_b,
+            |_| panic!("a key this process generated is not re-validated"),
+            || b.keygen(&params_b),
+        )
+        .unwrap();
+    assert_eq!(outcome, CacheOutcome::MemoryHit);
+
+    // It also replaced the stale spill file: a restart loads the right key.
+    let restarted = ArtifactCache::with_disk(&cache_dir).unwrap();
+    let (pk, outcome) = restarted
         .get_or_generate(
             key_b,
             |pk| pk_matches_circuit(pk, &b),
             || b.keygen(&params_b),
         )
         .unwrap();
-    assert!(outcome.is_hit());
+    assert_eq!(outcome, CacheOutcome::DiskHit);
+    assert!(pk_matches_circuit(&pk, &b));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// The determinism verdict is remembered per (model content, circuit) and
+/// only when it is a pass: an underconstrained circuit is analyzed, and
+/// fails with `Underconstrained`, every time it is compiled.
+#[test]
+fn determinism_verdict_memoizes_passes_only() {
+    use zkml::ZkmlError;
+    let cache = ArtifactCache::in_memory();
+
+    let toy = zkml_testkit::toy_case();
+    let free = zkml_testkit::compile_case(&toy, toy.min_cols).unwrap();
+    for _ in 0..3 {
+        match cache.ensure_determined([7; 32], &free) {
+            Err(ZkmlError::Underconstrained { free_cells, .. }) => assert_eq!(free_cells, 2),
+            other => panic!(
+                "expected Underconstrained, got {:?}",
+                other.map_err(|e| e.to_string())
+            ),
+        }
+    }
+
+    let graph = tiny_mlp();
+    let inputs = vec![Tensor::new(vec![1, 6], vec![0i64; 6])];
+    let cfg = CircuitConfig::default_with(LayoutChoices::optimized());
+    let clean = compile(&graph, &inputs, cfg).unwrap();
+    let hash = graph.content_hash();
+    assert!(cache.ensure_determined(hash, &clean).unwrap(), "analyzed");
+    assert!(
+        !cache.ensure_determined(hash, &clean).unwrap(),
+        "remembered"
+    );
+    // The verdict belongs to the model's content: other weights, or another
+    // layout of the same model, are analyzed on their own.
+    assert!(cache.ensure_determined([8; 32], &clean).unwrap());
+    let other = compile(
+        &graph,
+        &inputs,
+        CircuitConfig::default_with(LayoutChoices::prior_work()),
+    )
+    .unwrap();
+    assert!(cache.ensure_determined(hash, &other).unwrap());
+}
+
+/// What a warm job skips, by the counters an operator reads: jobs of one
+/// architecture sweep once; each model content is analyzed once per circuit;
+/// another architecture sweeps again.
+#[test]
+fn warm_jobs_skip_the_sweep_and_the_analyzer() {
+    let service = ProvingService::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let prove = |graph: &Arc<Graph>, seed| {
+        service
+            .submit(JobSpec::prove(graph.clone(), Backend::Kzg, seed))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .expect("prove jobs produce artifacts")
+    };
+    let counters = || {
+        let s = service.snapshot();
+        (s.layout_sweeps, s.plan_hits, s.determinism_checks)
+    };
+
+    let graph = Arc::new(tiny_mlp());
+    let first = prove(&graph, 1);
+    assert_eq!(counters(), (1, 0, 1));
+    for seed in 2..=4 {
+        let warm = prove(&graph, seed);
+        assert_eq!(warm.cache, CacheOutcome::MemoryHit);
+        assert_eq!(warm.vk_bytes, first.vk_bytes);
+    }
+    assert_eq!(counters(), (1, 3, 1));
+
+    // Same architecture, other weights: the layout and the key are shared,
+    // the verdict is not (the analyzer reads the committed values).
+    let mut retrained = tiny_mlp();
+    let w = retrained
+        .weights
+        .iter_mut()
+        .find_map(|w| w.as_mut())
+        .unwrap();
+    w.data_mut()[0] += 1.0;
+    assert_eq!(retrained.arch_hash(), graph.arch_hash());
+    let other_weights = prove(&Arc::new(retrained), 1);
+    assert_eq!(other_weights.cache, CacheOutcome::MemoryHit);
+    assert_eq!(other_weights.vk_bytes, first.vk_bytes);
+    assert_eq!(counters(), (1, 4, 2));
+
+    // Another architecture is a new sweep, a new verdict and a new key.
+    let mut b = GraphBuilder::new("svc-mlp-wide", 77);
+    let x = b.input(vec![1, 6], "x");
+    let w1 = b.weight(vec![6, 5], "w1");
+    let b1 = b.weight(vec![5], "b1");
+    let y = b.op(Op::FullyConnected { activation: None }, &[x, w1, b1], "fc");
+    let other_arch = prove(&Arc::new(b.finish(vec![y])), 1);
+    assert_eq!(other_arch.cache, CacheOutcome::Miss);
+    assert_eq!(counters(), (2, 4, 3));
+    assert_eq!(service.snapshot().verify_failures, 0);
+}
+
+/// Segmented jobs take their cut and every segment's plan from the memo
+/// from the second job on — for a fixed count and for `auto` — and their
+/// bundles still verify out-of-band.
+#[test]
+fn segmented_jobs_hit_the_layout_memo() {
+    use zkml_shard::{verify_bundle, FreshKeySource, KeySource, SegmentSpec};
+    let graph = Arc::new(tiny_mlp());
+    let keys = FreshKeySource::default();
+    for spec in [SegmentSpec::Fixed(3), SegmentSpec::Auto] {
+        let service = ProvingService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let mut segments = 0;
+        for seed in 1..=3 {
+            let job = service
+                .submit(JobSpec::prove_segmented(
+                    graph.clone(),
+                    Backend::Kzg,
+                    seed,
+                    spec,
+                ))
+                .unwrap()
+                .wait()
+                .unwrap()
+                .expect("segmented jobs produce artifacts");
+            segments = u64::from(job.segments);
+            let bundle = job.bundle.as_ref().expect("artifacts carry the bundle");
+            let report = verify_bundle(bundle, |b, k| keys.params(b, k)).unwrap();
+            assert_eq!(report.segments as u64, segments, "{spec:?}");
+            assert_eq!(job.cache.is_hit(), seed > 1, "{spec:?} seed {seed}");
+        }
+        let snap = service.snapshot();
+        assert_eq!(
+            (snap.layout_sweeps, snap.plan_hits, snap.determinism_checks),
+            (1, 2, segments),
+            "{spec:?}: one sweep, one analysis per segment"
+        );
+        assert_eq!(snap.verify_failures, 0);
+    }
 }
 
 /// A service restarted with the same cache directory loads the spilled

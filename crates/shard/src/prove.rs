@@ -1,9 +1,12 @@
 //! Segment compilation and parallel bound proving.
 //!
-//! [`compile_segments`] cuts one lowered [`OpSchedule`] into segments and
-//! runs each through the unchanged optimize → place → synthesize pipeline;
-//! [`prove_compiled`] then derives the bundle's chain digest from the
-//! segment metadata and proves every segment concurrently on the
+//! [`plan_segments`] decides where one lowered [`OpSchedule`] is cut and
+//! sweeps each segment for its layout — a decision that depends on the
+//! architecture alone, so callers serving many requests keep the resulting
+//! [`SegmentLayout`]; [`synthesize_segments`] cuts a schedule under a layout
+//! and synthesizes every segment's witness. [`compile_segments`] is the two
+//! in a row. [`prove_compiled`] then derives the bundle's chain digest from
+//! the segment metadata and proves every segment concurrently on the
 //! `zkml-par` pool, each proof transcript-bound to its position in the
 //! chain. [`prove_segmented`] is the one-call composition.
 
@@ -14,8 +17,8 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use zkml::{
-    cut_schedule, optimize_schedule, CompiledCircuit, HardwareStats, LayoutPlan, OpSchedule,
-    OptimizerOptions, SegmentPlan, ZkmlError,
+    cut_schedule, optimize_schedule, synthesize, CompiledCircuit, HardwareStats, LayoutPlan,
+    OpSchedule, OptimizerOptions, SegmentPlan, ZkmlError,
 };
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{CommittedWeights, ProvingKey, WeightCommitment};
@@ -27,7 +30,7 @@ use zkml_plonk::{CommittedWeights, ProvingKey, WeightCommitment};
 pub const DEFAULT_SRS_SEED: u64 = 0x5151;
 
 /// How many segments to cut a model into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SegmentSpec {
     /// Cut into (at most) this many balanced segments. `Fixed(1)` proves
     /// monolithically through the segmented path.
@@ -125,65 +128,71 @@ pub struct CompiledSegment {
     pub boundary_in_len: usize,
 }
 
-fn compile_plan(
+/// The layout decision for a model: where its schedule is cut and the plan
+/// each segment's sweep picked. A function of the architecture, the
+/// optimizer options and the cost table only — the request's inputs (and the
+/// weight values) reach neither the cut nor placement — so one layout serves
+/// every job of a model. A monolithic circuit is the layout with no cuts
+/// and one plan.
+#[derive(Clone, Debug)]
+pub struct SegmentLayout {
+    /// The resolved cut ([`SegmentSpec::Auto`] already doubled out).
+    pub cut: SegmentPlan,
+    /// One plan per segment, in chain order.
+    pub plans: Vec<LayoutPlan>,
+}
+
+/// Sweeps every segment of `sched` under `cut` for its cheapest plan.
+fn sweep_cut(
     sched: &OpSchedule,
-    plan: &SegmentPlan,
+    cut: SegmentPlan,
     opts: &OptimizerOptions,
     hw: &HardwareStats,
-) -> Result<Vec<CompiledSegment>, ShardError> {
-    let segs = cut_schedule(sched, plan)?;
-    let mut out = Vec::with_capacity(segs.len());
+) -> Result<SegmentLayout, ShardError> {
     // Segments run serially here: each layout sweep is already parallel
     // over candidates internally (and deterministic at any thread count).
-    for seg in segs {
-        let boundary_in_len = seg.boundary_in_len();
-        let report = optimize_schedule(seg.schedule, opts, hw)?;
-        let compiled = report.synthesize_best()?;
-        out.push(CompiledSegment {
-            plan: report.best_plan.clone(),
-            compiled,
-            boundary_in_len,
-        });
-    }
-    Ok(out)
+    let plans = cut_schedule(sched, &cut)?
+        .into_iter()
+        .map(|seg| Ok(optimize_schedule(seg.schedule, opts, hw)?.best_plan))
+        .collect::<Result<_, ShardError>>()?;
+    Ok(SegmentLayout { cut, plans })
 }
 
 /// Maximum segment count [`SegmentSpec::Auto`] will try before giving up.
 const AUTO_MAX_SEGMENTS: usize = 64;
 
-/// Cuts a lowered schedule per `spec` and compiles every segment through
-/// the optimize → place → synthesize pipeline.
+/// Resolves `spec` to a cut of `sched` and sweeps every segment's layout.
 ///
 /// With [`SegmentSpec::Auto`], the segment count doubles from 1 until
 /// every segment's sweep finds a layout within `opts.max_k` — so a model
-/// too large to prove monolithically at `max_k` compiles as the smallest
+/// too large to prove monolithically at `max_k` is planned as the smallest
 /// power-of-two number of segments that fits.
-pub fn compile_segments(
+pub fn plan_segments(
     sched: &OpSchedule,
     spec: SegmentSpec,
     opts: &OptimizerOptions,
     hw: &HardwareStats,
-) -> Result<Vec<CompiledSegment>, ShardError> {
+) -> Result<SegmentLayout, ShardError> {
     match spec {
         SegmentSpec::Fixed(n) => {
             if n == 0 {
                 return Err(ShardError::Malformed("segment count must be >= 1".into()));
             }
-            compile_plan(sched, &SegmentPlan::balanced(sched, n), opts, hw)
+            sweep_cut(sched, SegmentPlan::balanced(sched, n), opts, hw)
         }
         SegmentSpec::Auto => {
             let mut n = 1usize;
             let mut last_segments = 0usize;
             loop {
-                let plan = SegmentPlan::balanced(sched, n);
-                let produced = plan.num_segments();
+                let cut = SegmentPlan::balanced(sched, n);
+                let produced = cut.num_segments();
                 if produced == last_segments {
                     // The schedule cannot be cut any finer; surface the
                     // infeasibility instead of looping.
-                    return compile_plan(sched, &plan, opts, hw);
+                    return sweep_cut(sched, cut, opts, hw);
                 }
                 last_segments = produced;
-                match compile_plan(sched, &plan, opts, hw) {
+                match sweep_cut(sched, cut, opts, hw) {
                     Err(ShardError::Compile(ZkmlError::NoFeasibleLayout { .. }))
                         if n < AUTO_MAX_SEGMENTS =>
                     {
@@ -194,6 +203,46 @@ pub fn compile_segments(
             }
         }
     }
+}
+
+/// Cuts `sched` under `layout` and synthesizes each segment's witness under
+/// its plan. Synthesis cross-checks every plan against the circuit it
+/// produced, so a layout kept from another schedule of the same model
+/// either reproduces exactly or fails with [`ZkmlError::PlanMismatch`].
+pub fn synthesize_segments(
+    sched: &OpSchedule,
+    layout: &SegmentLayout,
+) -> Result<Vec<CompiledSegment>, ShardError> {
+    let segs = cut_schedule(sched, &layout.cut)?;
+    if segs.len() != layout.plans.len() {
+        return Err(ShardError::Compile(ZkmlError::PlanMismatch(format!(
+            "layout has {} plans but the cut produced {} segments",
+            layout.plans.len(),
+            segs.len()
+        ))));
+    }
+    segs.iter()
+        .zip(&layout.plans)
+        .map(|(seg, plan)| {
+            Ok(CompiledSegment {
+                plan: plan.clone(),
+                compiled: synthesize(&seg.schedule, plan)?,
+                boundary_in_len: seg.boundary_in_len(),
+            })
+        })
+        .collect()
+}
+
+/// Cuts a lowered schedule per `spec` and compiles every segment through
+/// the optimize → place → synthesize pipeline: [`plan_segments`] followed
+/// by [`synthesize_segments`].
+pub fn compile_segments(
+    sched: &OpSchedule,
+    spec: SegmentSpec,
+    opts: &OptimizerOptions,
+    hw: &HardwareStats,
+) -> Result<Vec<CompiledSegment>, ShardError> {
+    synthesize_segments(sched, &plan_segments(sched, spec, opts, hw)?)
 }
 
 /// Deterministic per-segment proof seed: a fixed-point mix of the caller's
