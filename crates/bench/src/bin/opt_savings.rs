@@ -18,9 +18,9 @@ use std::time::Instant;
 use zkml::{optimizer, LayoutChoices, OptimizerOptions};
 use zkml_par::{with_pool, Pool};
 use zkml_pcs::{Backend, Params};
+use zkml_shard::DEFAULT_SRS_SEED as SRS_SEED;
 
 const MAX_K: u32 = 15;
-const SRS_SEED: u64 = 0x5151;
 
 struct ModelResult {
     name: String,

@@ -17,22 +17,22 @@
 //! lanes (see `zkml-net`). Rejections for backpressure map to HTTP 429 on
 //! the wire and exit code 3 in the client.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use zkml::{optimizer, OptimizerOptions};
-use zkml_ff::PrimeField;
+use zkml_ff::{Fr, PrimeField};
 use zkml_model::Graph;
 use zkml_net::{
-    decode_hex, encode_hex, http_request, AdmissionConfig, Gateway, GatewayConfig, Json, JsonObj,
-    TenantPolicy,
+    decode_hex, encode_hex, http_request, AdmissionConfig, Gateway, GatewayConfig, JobDesc, Json,
+    JsonObj, TenantPolicy,
 };
-use zkml_pcs::{Backend, Params};
-use zkml_plonk::{verify_proof_committed, VerifyingKey, WeightCommitment};
-use zkml_service::{decode_public, encode_public, synthetic_inputs, ServiceConfig, SRS_SEED};
-use zkml_shard::{FreshKeySource, KeySource, SegmentSpec, SegmentedProof};
+use zkml_pcs::Backend;
+use zkml_plonk::{VerifyingKey, WeightCommitment};
+use zkml_service::{
+    decode_public, encode_public, ArtifactCache, Pipeline, ServiceConfig, ServiceError, Stage,
+};
+use zkml_shard::{SegmentSpec, SegmentedProof};
 
 /// A CLI failure: a usage error (exit 2), a runtime error (exit 1), a
 /// retryable backpressure rejection — rate limit, quota, queue full —
@@ -50,6 +50,15 @@ enum CliError {
 impl From<String> for CliError {
     fn from(s: String) -> Self {
         CliError::Msg(s)
+    }
+}
+
+impl From<ServiceError> for CliError {
+    fn from(e: ServiceError) -> Self {
+        match e {
+            ServiceError::CommitmentMismatch(msg) => CliError::Commitment(msg),
+            other => CliError::Msg(other.to_string()),
+        }
     }
 }
 
@@ -133,7 +142,7 @@ fn usage() -> &'static str {
      zkml serve --http <addr> [--workers N] [--queue N] [--cache-dir <dir>]\n             \
      [--journal <file>] [--port-file <file>] [--handlers N] [--lane-cap N]\n             \
      [--rate R] [--burst B] [--quota Q] [--tenant-limit NAME:RATE:BURST:QUOTA]...\n             \
-     [--deadline-s S] [--no-verify]\n  \
+     [--deadline-s S]\n  \
      zkml submit <model> --http <addr> [--tenant T] [--priority interactive|batch]\n             \
      [--backend kzg|ipa] [--seed N] [--segments N|auto] [--model <digest>]\n             \
      [--wait] [--timeout-s S] [--dir <out-dir>]\n  \
@@ -263,17 +272,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let seed: u64 = parsed_flag(args, "--seed", 1)?;
             let max_k: u32 = parsed_flag(args, "--max-k", 15)?;
             let model = parse_model_digest(args)?;
-            match parse_segments(args)? {
-                Some(spec) => {
-                    if model.is_some() {
-                        return Err(CliError::Msg(
-                            "--model is not supported for segmented proves".to_string(),
-                        ));
-                    }
-                    prove_segmented_flow(&g, backend, seed, max_k, spec, Path::new(&dir))
-                }
-                None => prove_flow(&g, backend, seed, max_k, Path::new(&dir), model),
+            let segments = parse_segments(args)?;
+            if model.is_some() && segments.is_some() {
+                return Err(CliError::Msg(
+                    "--model is not supported for segmented proves".to_string(),
+                ));
             }
+            prove_flow(&g, backend, seed, max_k, segments, model, Path::new(&dir))
         }
         Some("verify") => {
             let dir = flag_value(args, "--dir").ok_or(CliError::Usage)?;
@@ -288,207 +293,149 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Standalone commit-model: compile once, commit the weight columns, and
-/// write the serialized commitment as `<digest>.wc` into `--dir`. The
-/// printed digest is what `prove --model` / `verify --model` match against.
-fn commit_model_flow(g: &Graph, backend: Backend, max_k: u32, dir: &Path) -> Result<(), CliError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
-    let hw = zkml::cost::HardwareStats::cached();
-    let opts = OptimizerOptions::new(backend, max_k);
-    // Circuit layouts depend only on the architecture, not on input values,
-    // so the commitment is valid for proofs over any input seed.
-    let inputs = synthetic_inputs(g, opts.numeric.scale_bits, 0);
-    let report = optimizer::optimize(g, &inputs, &opts, hw)
-        .map_err(|e| CliError::Msg(format!("optimize {}: {e}", g.name)))?;
-    let compiled = report
-        .synthesize_best()
-        .map_err(|e| CliError::Msg(format!("compile {}: {e}", g.name)))?;
-    if !compiled.has_committed() {
-        return Err(CliError::Msg(format!(
-            "model {} has no weight columns to commit",
-            g.name
-        )));
-    }
-    let mut srs_rng = StdRng::seed_from_u64(SRS_SEED);
-    let params = Params::setup(backend, compiled.k, &mut srs_rng);
-    let t = Instant::now();
-    let (wc, _) = compiled
-        .commit_weights(&params)
-        .map_err(|e| CliError::Msg(format!("commit weights: {e}")))?;
-    let digest = encode_hex(&wc.digest);
-    let file = dir.join(format!("{digest}.wc"));
-    std::fs::write(&file, wc.to_bytes())
-        .map_err(|e| CliError::Msg(format!("write {}: {e}", file.display())))?;
-    println!(
-        "committed {} weight column(s) of {} in {:?} (k={})",
-        wc.commitments.len(),
-        g.name,
-        t.elapsed(),
-        compiled.k
-    );
-    println!("model digest: {digest}");
-    println!("wrote {}", file.display());
+/// The pipeline a served job runs (`zkml_service::pipeline`), standing
+/// alone: an in-memory cache, an empty registry, and no cancellation or
+/// deadline between stages.
+fn standalone(max_k: u32) -> Pipeline {
+    Pipeline::new(ArtifactCache::in_memory(), max_k)
+}
+
+fn unchecked(_: Stage) -> Result<(), ServiceError> {
     Ok(())
 }
 
+/// What the pipeline checked on the way, by its own counters (the ones
+/// `/v1/stats` serves for a server's jobs).
+fn print_checks(pipe: &Pipeline) {
+    let s = pipe.stats.snapshot();
+    println!(
+        "analyzer cleared {} circuit(s), verifier accepted {} proof(s)",
+        s.determinism_checks, s.proofs_verified
+    );
+}
+
+fn write_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), CliError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
+    std::fs::write(dir.join(name), bytes)
+        .map_err(|e| CliError::Msg(format!("write {}: {e}", dir.join(name).display())))
+}
+
+/// Writes a proof directory `zkml verify --dir` accepts: `bundle.bin` for a
+/// segmented proof (it carries its own verifying keys and commitments),
+/// otherwise `proof.bin` + `vk.bin` and, for a committed-weight proof,
+/// the `commitment.bin` it is unverifiable without; `public.bin` either way.
+fn write_proof_dir(
+    dir: &Path,
+    bundled: bool,
+    proof: &[u8],
+    vk: &[u8],
+    commitment: &[u8],
+    public: &[u8],
+) -> Result<(), CliError> {
+    if bundled {
+        write_file(dir, "bundle.bin", proof)?;
+    } else {
+        write_file(dir, "proof.bin", proof)?;
+        write_file(dir, "vk.bin", vk)?;
+        if !commitment.is_empty() {
+            write_file(dir, "commitment.bin", commitment)?;
+        }
+    }
+    write_file(dir, "public.bin", public)?;
+    println!("wrote proof artifacts to {}", dir.display());
+    Ok(())
+}
+
+/// Writes a published commitment as `<digest>.wc` and prints the digest that
+/// `prove --model` / `verify --model` match against.
+fn write_commitment(dir: &Path, digest: &str, commitment: &[u8]) -> Result<(), CliError> {
+    println!("model digest: {digest}");
+    let name = format!("{digest}.wc");
+    write_file(dir, &name, commitment)?;
+    println!("wrote {}", dir.join(name).display());
+    Ok(())
+}
+
+/// Standalone commit-model: one publication through the pipeline (compile,
+/// determinism gate, keys, commit the weight columns).
+fn commit_model_flow(g: &Graph, backend: Backend, max_k: u32, dir: &Path) -> Result<(), CliError> {
+    let pipe = standalone(max_k);
+    // Circuit layouts depend only on the architecture, not on input values,
+    // so the commitment is valid for proofs over any input seed.
+    let compiled = pipe.compile(g, backend, 0, None, &unchecked)?;
+    let published = pipe.publish(&compiled, &unchecked)?;
+    println!(
+        "committed the weight columns of {} in {} ms (k={})",
+        g.name, published.prove_ms, published.k
+    );
+    print_checks(&pipe);
+    let digest = published.model_digest.map(|d| encode_hex(&d));
+    write_commitment(
+        dir,
+        &digest.unwrap_or_default(),
+        &published.weight_commitment,
+    )
+}
+
+/// Standalone prove: the job a server would run, stage for stage — nothing
+/// is written that the analyzer has not cleared and the verifier accepted.
+/// Fully deterministic: the SRS comes from the fixed seed and the proof
+/// randomness only from `--seed`, so repeated runs (at any thread count)
+/// emit identical proofs and bundles. `--model` publishes the weights to
+/// this process's own registry first and requires the digest to come out as
+/// given; the prove then runs the rules of any digest-referencing job.
 fn prove_flow(
     g: &Graph,
     backend: Backend,
     seed: u64,
     max_k: u32,
-    dir: &Path,
+    segments: Option<SegmentSpec>,
     model: Option<[u8; 32]>,
+    dir: &Path,
 ) -> Result<(), CliError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
-    let hw = zkml::cost::HardwareStats::cached();
-    let opts = OptimizerOptions::new(backend, max_k);
-    let inputs = synthetic_inputs(g, opts.numeric.scale_bits, seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let report = optimizer::optimize(g, &inputs, &opts, hw)
-        .map_err(|e| CliError::Msg(format!("optimize {}: {e}", g.name)))?;
-    println!(
-        "optimizer chose 2^{} x {} cols in {:?}",
-        report.best_k, report.best.num_cols, report.elapsed
-    );
-
+    let pipe = standalone(max_k);
     let t = Instant::now();
-    let compiled = report
-        .synthesize_best()
-        .map_err(|e| CliError::Msg(format!("compile {}: {e}", g.name)))?;
-    println!(
-        "compiled in {:?} (rows {})",
-        t.elapsed(),
-        compiled.stats.rows
-    );
-    if model.is_some() && !compiled.has_committed() {
-        return Err(CliError::Commitment(format!(
-            "--model given but {} has no committed weight columns",
-            g.name
-        )));
-    }
-    let mut srs_rng = StdRng::seed_from_u64(SRS_SEED);
-    let params = Params::setup(backend, compiled.k, &mut srs_rng);
-    let pk = compiled
-        .keygen(&params)
-        .map_err(|e| CliError::Msg(format!("keygen: {e}")))?;
-    let t = Instant::now();
-    // Committed-weight circuits: commit once, check the digest against a
-    // published one when `--model` names it, and prove under the committed
-    // encodings. The commitment rides along as `commitment.bin` — a
-    // committed proof is unverifiable without it.
-    let mut commitment: Option<WeightCommitment> = None;
-    let proof = if compiled.has_committed() {
-        let (wc, weights) = compiled
-            .commit_weights(&params)
-            .map_err(|e| CliError::Msg(format!("commit weights: {e}")))?;
-        if let Some(expected) = model {
-            if wc.digest != expected {
-                return Err(CliError::Commitment(format!(
-                    "weights of {} hash to {}, not the published {}",
-                    g.name,
-                    encode_hex(&wc.digest),
-                    encode_hex(&expected)
-                )));
-            }
-            println!(
-                "weights match published model digest {}",
+    let compiled = pipe.compile(g, backend, seed, segments, &unchecked)?;
+    println!("compiled and checked {} in {:?}", g.name, t.elapsed());
+    if let Some(expected) = model {
+        let published = pipe.publish(&compiled, &unchecked)?.model_digest;
+        if published != Some(expected) {
+            return Err(CliError::Commitment(format!(
+                "weights of {} hash to {}, not the published {}",
+                g.name,
+                encode_hex(&published.unwrap_or_default()),
                 encode_hex(&expected)
-            );
+            )));
         }
-        let proof = compiled
-            .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
-            .map_err(|e| CliError::Msg(format!("prove: {e}")))?;
-        commitment = Some(wc);
-        proof
-    } else {
-        compiled
-            .prove(&params, &pk, &mut rng)
-            .map_err(|e| CliError::Msg(format!("prove: {e}")))?
-    };
-    println!("proved in {:?} ({} bytes)", t.elapsed(), proof.len());
-
-    let write = |name: &str, bytes: &[u8]| -> Result<(), CliError> {
-        std::fs::write(dir.join(name), bytes)
-            .map_err(|e| CliError::Msg(format!("write {name}: {e}")))
-    };
-    write("proof.bin", &proof)?;
-    write("vk.bin", &pk.vk.to_bytes())?;
-    if let Some(wc) = &commitment {
-        write("commitment.bin", &wc.to_bytes())?;
+        println!(
+            "weights match published model digest {}",
+            encode_hex(&expected)
+        );
     }
-    let public = compiled
-        .instance()
-        .first()
-        .map(Vec::as_slice)
-        .unwrap_or(&[]);
-    write("public.bin", &encode_public(backend, public))?;
+    let a = pipe.prove(&compiled, model, seed, &unchecked)?;
     println!(
-        "wrote proof.bin, vk.bin{}, public.bin to {}",
-        if commitment.is_some() {
-            ", commitment.bin"
-        } else {
-            ""
-        },
-        dir.display()
+        "proved {} segment(s) at k={} in {} ms ({} bytes)",
+        a.segments,
+        a.k,
+        a.prove_ms,
+        a.proof.len()
     );
-    Ok(())
+    print_checks(&pipe);
+    write_proof_dir(
+        dir,
+        a.bundle.is_some(),
+        &a.proof,
+        &a.vk_bytes,
+        &a.weight_commitment,
+        &encode_public(backend, &a.public),
+    )
 }
 
-/// Standalone segmented proving: cut at tensor boundaries, prove every
-/// segment concurrently, write one `bundle.bin`. Fully deterministic — the
-/// SRS comes from the fixed seed and the proof randomness only from
-/// `--seed` — so repeated runs (at any thread count) emit identical
-/// bundles.
-fn prove_segmented_flow(
-    g: &Graph,
-    backend: Backend,
-    seed: u64,
-    max_k: u32,
-    spec: SegmentSpec,
-    dir: &Path,
-) -> Result<(), CliError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
-    let hw = zkml::cost::HardwareStats::cached();
-    let opts = OptimizerOptions::new(backend, max_k);
-    let inputs = synthetic_inputs(g, opts.numeric.scale_bits, seed);
-
-    let t = Instant::now();
-    let sched = zkml::layers::lower_graph(g, &inputs, opts.numeric);
-    let segments = zkml_shard::compile_segments(&sched, spec, &opts, hw)
-        .map_err(|e| CliError::Msg(format!("segment {}: {e}", g.name)))?;
-    let ks: Vec<u32> = segments.iter().map(|s| s.compiled.k).collect();
-    println!(
-        "cut into {} segment(s) with k = {ks:?} in {:?}",
-        segments.len(),
-        t.elapsed()
-    );
-
-    let keys = FreshKeySource::default();
-    let t = Instant::now();
-    let bundle = zkml_shard::prove_compiled(g.content_hash(), &segments, &keys, &opts, seed)
-        .map_err(|e| CliError::Msg(format!("prove: {e}")))?;
-    let bytes = bundle.to_bytes();
-    println!(
-        "proved {} segment(s) in {:?} ({} byte bundle)",
-        bundle.segments.len(),
-        t.elapsed(),
-        bytes.len()
-    );
-
-    let write = |name: &str, bytes: &[u8]| -> Result<(), CliError> {
-        std::fs::write(dir.join(name), bytes)
-            .map_err(|e| CliError::Msg(format!("write {name}: {e}")))
-    };
-    write("bundle.bin", &bytes)?;
-    write(
-        "public.bin",
-        &encode_public(backend, bundle.public_outputs()),
-    )?;
-    println!("wrote bundle.bin, public.bin to {}", dir.display());
-    Ok(())
+/// The first few public outputs as fixed-point values.
+fn print_outputs(public: &[Fr]) {
+    let preview: Vec<i128> = public.iter().take(8).map(|v| v.to_signed_i128()).collect();
+    println!("public outputs (quantized): {preview:?}");
 }
 
 fn verify_flow(dir: &Path, model: Option<[u8; 32]>) -> Result<(), CliError> {
@@ -549,27 +496,12 @@ fn verify_flow(dir: &Path, model: Option<[u8; 32]>) -> Result<(), CliError> {
         }
     }
     // The SRS is a public artifact; this reproduction regenerates it from
-    // the fixed test seed (see DESIGN.md on the trusted-setup substitution).
-    let mut srs_rng = StdRng::seed_from_u64(SRS_SEED);
-    let params = Params::setup(backend, vk.k, &mut srs_rng);
+    // the fixed seed (see DESIGN.md on the trusted-setup substitution).
+    let pipe = standalone(0);
+    let params = pipe.cache.params(backend, vk.k);
     let t = Instant::now();
-    let outcome = verify_proof_committed(
-        &params,
-        &vk,
-        std::slice::from_ref(&instance),
-        &proof,
-        &[],
-        commitment.as_ref(),
-    )
-    .map_err(|e| e.to_string())
-    .and_then(|v| {
-        if v.settle(&params) {
-            Ok(())
-        } else {
-            Err("pairing check failed".to_string())
-        }
-    });
-    match outcome {
+    let public = std::slice::from_ref(&instance);
+    match pipe.verify_proof(&params, &vk, public, &proof, commitment.as_ref()) {
         Ok(()) => {
             println!(
                 "proof VERIFIED in {:?} ({} public values, {} byte proof)",
@@ -577,16 +509,11 @@ fn verify_flow(dir: &Path, model: Option<[u8; 32]>) -> Result<(), CliError> {
                 instance.len(),
                 proof.len()
             );
-            // Show the first few outputs as fixed-point values.
-            let preview: Vec<i128> = instance
-                .iter()
-                .take(8)
-                .map(|v| v.to_signed_i128())
-                .collect();
-            println!("public outputs (quantized): {preview:?}");
+            print_outputs(&instance);
             Ok(())
         }
-        Err(e) => Err(CliError::Msg(format!("proof REJECTED: {e}"))),
+        Err(ServiceError::Verify(e)) => Err(CliError::Msg(format!("proof REJECTED: {e}"))),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -595,9 +522,9 @@ fn verify_flow(dir: &Path, model: Option<[u8; 32]>) -> Result<(), CliError> {
 fn verify_bundle_flow(bytes: &[u8]) -> Result<(), CliError> {
     let bundle = SegmentedProof::from_bytes(bytes)
         .map_err(|e| CliError::Msg(format!("parse bundle.bin: {e}")))?;
-    let keys = FreshKeySource::default();
     let t = Instant::now();
-    match zkml_shard::verify_bundle(&bundle, |b, k| keys.params(b, k)) {
+    // Verification compiles nothing, so the pipeline's `max_k` is moot.
+    match standalone(0).verify_bundle(&bundle) {
         Ok(report) => {
             println!(
                 "bundle VERIFIED in {:?} ({} segments, {} KZG openings settled in one pairing, {} bytes)",
@@ -606,16 +533,11 @@ fn verify_bundle_flow(bytes: &[u8]) -> Result<(), CliError> {
                 report.kzg_batched,
                 bytes.len()
             );
-            let preview: Vec<i128> = bundle
-                .public_outputs()
-                .iter()
-                .take(8)
-                .map(|v| v.to_signed_i128())
-                .collect();
-            println!("public outputs (quantized): {preview:?}");
+            print_outputs(bundle.public_outputs());
             Ok(())
         }
-        Err(e) => Err(CliError::Msg(format!("bundle REJECTED: {e}"))),
+        Err(ServiceError::Verify(e)) => Err(CliError::Msg(format!("bundle REJECTED: {e}"))),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -683,7 +605,6 @@ fn serve_http_flow(args: &[String]) -> Result<(), CliError> {
         queue_capacity: parsed_flag(args, "--queue", 16usize)?,
         default_deadline: (deadline_s > 0).then(|| Duration::from_secs(deadline_s)),
         cache_dir: flag_value(args, "--cache-dir").map(PathBuf::from),
-        verify_after_prove: !has_flag(args, "--no-verify"),
         ..ServiceConfig::default()
     };
     let default_policy = TenantPolicy {
@@ -727,7 +648,8 @@ fn serve_http_flow(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Maps an HTTP error response to a CLI error; 429s become `Backoff`.
+/// Maps an HTTP error response to a CLI error; 429s become `Backoff`, 422s
+/// (a model commitment that does not match) `Commitment`.
 fn http_error(resp: &zkml_net::HttpResponse, what: &str) -> CliError {
     let detail = Json::parse(&resp.body)
         .ok()
@@ -739,6 +661,8 @@ fn http_error(resp: &zkml_net::HttpResponse, what: &str) -> CliError {
             .map(|v| format!(" (retry after {v}s)"))
             .unwrap_or_default();
         CliError::Backoff(format!("{what}: {detail}{retry}"))
+    } else if resp.status == 422 {
+        CliError::Commitment(detail)
     } else {
         CliError::Msg(format!("{what}: HTTP {}: {detail}", resp.status))
     }
@@ -754,31 +678,27 @@ fn write_proof_dir_from_status(dir: &Path, status: &Json) -> Result<(), CliError
             .ok_or_else(|| CliError::Msg(format!("job status missing {name}")))?;
         decode_hex(h).map_err(|e| CliError::Msg(format!("{name}: {e}")))
     };
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
-    let write = |name: &str, bytes: &[u8]| -> Result<(), CliError> {
-        std::fs::write(dir.join(name), bytes)
-            .map_err(|e| CliError::Msg(format!("write {name}: {e}")))
-    };
     let bundled = status
         .get("bundle")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    if bundled {
-        // Segmented bundles carry their own per-segment verifying keys.
-        write("bundle.bin", &hex_field("proof_hex")?)?;
+    let (vk, commitment) = if bundled {
+        (Vec::new(), Vec::new())
     } else {
-        write("proof.bin", &hex_field("proof_hex")?)?;
-        write("vk.bin", &hex_field("vk_hex")?)?;
-    }
-    // Committed-weight proofs travel with their weight commitment; without
-    // it the downloaded directory would be unverifiable.
-    if status.get("commitment_hex").is_some() {
-        write("commitment.bin", &hex_field("commitment_hex")?)?;
-    }
-    write("public.bin", &hex_field("public_hex")?)?;
-    println!("wrote proof artifacts to {}", dir.display());
-    Ok(())
+        let commitment = match status.get("commitment_hex") {
+            Some(_) => hex_field("commitment_hex")?,
+            None => Vec::new(),
+        };
+        (hex_field("vk_hex")?, commitment)
+    };
+    write_proof_dir(
+        dir,
+        bundled,
+        &hex_field("proof_hex")?,
+        &vk,
+        &commitment,
+        &hex_field("public_hex")?,
+    )
 }
 
 /// `commit-model --http`: publishes the model's weight commitment on the
@@ -801,13 +721,6 @@ fn commit_model_http_flow(args: &[String]) -> Result<(), CliError> {
         )
         .finish();
     let resp = http_request(&addr, "POST", "/v1/models", Some(&body)).map_err(CliError::Msg)?;
-    if resp.status == 422 {
-        let detail = Json::parse(&resp.body)
-            .ok()
-            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
-            .unwrap_or_else(|| resp.body.clone());
-        return Err(CliError::Commitment(detail));
-    }
     if resp.status != 200 {
         return Err(http_error(&resp, "commit-model"));
     }
@@ -823,22 +736,16 @@ fn commit_model_http_flow(args: &[String]) -> Result<(), CliError> {
         doc.get("k").and_then(Json::as_u64).unwrap_or(0),
         doc.get("cache").and_then(Json::as_str).unwrap_or("?"),
     );
-    println!("model digest: {digest}");
-    if let Some(dir) = flag_value(args, "--dir") {
-        let dir = PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| CliError::Msg(format!("create {}: {e}", dir.display())))?;
-        let hex = doc
-            .get("commitment_hex")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CliError::Msg("response missing commitment_hex".to_string()))?;
-        let bytes = decode_hex(hex).map_err(|e| CliError::Msg(format!("commitment_hex: {e}")))?;
-        let file = dir.join(format!("{digest}.wc"));
-        std::fs::write(&file, bytes)
-            .map_err(|e| CliError::Msg(format!("write {}: {e}", file.display())))?;
-        println!("wrote {}", file.display());
-    }
-    Ok(())
+    let Some(dir) = flag_value(args, "--dir") else {
+        println!("model digest: {digest}");
+        return Ok(());
+    };
+    let hex = doc
+        .get("commitment_hex")
+        .and_then(Json::as_str)
+        .ok_or_else(|| CliError::Msg("response missing commitment_hex".to_string()))?;
+    let bytes = decode_hex(hex).map_err(|e| CliError::Msg(format!("commitment_hex: {e}")))?;
+    write_commitment(Path::new(&dir), &digest, &bytes)
 }
 
 fn fetch_status(addr: &str, id: u64) -> Result<Json, CliError> {
@@ -911,36 +818,21 @@ fn submit_http_flow(args: &[String]) -> Result<(), CliError> {
     if let Some(priority) = flag_value(args, "--priority") {
         body = body.str("priority", &priority);
     }
-    let sleep_ms: u64 = parsed_flag(args, "--sleep-ms", 0)?;
-    if model.as_str() == "sleep" {
+    let desc = if model.as_str() == "sleep" {
         // A no-op job, useful for exercising admission without proving.
-        body = body.str("kind", "sleep").u64("sleep_ms", sleep_ms);
+        JobDesc::Sleep {
+            ms: parsed_flag(args, "--sleep-ms", 0)?,
+        }
     } else {
-        body = body
-            .str("model", model)
-            .str(
-                "backend",
-                match parse_backend(args) {
-                    Backend::Kzg => "kzg",
-                    Backend::Ipa => "ipa",
-                },
-            )
-            .u64("seed", seed);
-        match parse_segments(args)? {
-            Some(SegmentSpec::Auto) => {
-                body = body.str("kind", "prove_segmented").str("segments", "auto")
-            }
-            Some(SegmentSpec::Fixed(n)) => {
-                body = body
-                    .str("kind", "prove_segmented")
-                    .u64("segments", n as u64)
-            }
-            None => body = body.str("kind", "prove"),
+        JobDesc::Prove {
+            model: model.clone(),
+            backend: parse_backend(args),
+            seed,
+            segments: parse_segments(args)?,
+            model_digest: parse_model_digest(args)?,
         }
-        if let Some(digest) = parse_model_digest(args)? {
-            body = body.str("model_digest", &encode_hex(&digest));
-        }
-    }
+    };
+    let body = desc.write_json(body);
     let resp =
         http_request(&addr, "POST", "/v1/jobs", Some(&body.finish())).map_err(CliError::Msg)?;
     if resp.status != 202 {

@@ -13,7 +13,10 @@
 
 use crate::admission::{Admission, AdmissionConfig, Priority, ReleaseOutcome};
 use crate::http::{read_request, write_json_response, ParseError, Request};
-use crate::journal::{replay, JobDesc, Journal, Record, ReplayState};
+use crate::journal::{
+    digest_field, model_and_backend, replay, tenant_and_priority, JobDesc, Journal, Record,
+    ReplayState,
+};
 use crate::json::{decode_hex, encode_hex, Json, JsonObj};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -23,14 +26,11 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use zkml_ff::Fr;
-use zkml_model::Graph;
 use zkml_pcs::Backend;
 use zkml_service::{
     decode_public, encode_public, CancelToken, JobHandle, JobKind, JobSpec, ProofArtifacts,
     ProvingService, ServiceConfig, ServiceError,
 };
-use zkml_shard::SegmentSpec;
 
 /// Gateway construction parameters.
 #[derive(Clone)]
@@ -89,27 +89,16 @@ impl JobState {
     }
 }
 
-/// Payload of a standalone verify job (not journaled; too large).
-#[derive(Clone)]
-struct VerifyPayload {
-    backend: Backend,
-    vk: Vec<u8>,
-    public: Vec<Fr>,
-    proof: Vec<u8>,
-    /// Digest of a published model commitment the proof must verify against.
-    model: Option<[u8; 32]>,
-    /// Prover-carried serialized weight commitment (may be empty).
-    commitment: Vec<u8>,
-}
-
 struct JobEntry {
     tenant: String,
     priority: Priority,
     desc: JobDesc,
     state: JobState,
     cancel: CancelToken,
-    graph: Option<Arc<Graph>>,
-    verify_payload: Option<VerifyPayload>,
+    /// What the dispatcher hands the service: the description with its model
+    /// resolved, or a verify job's payload (not journaled; too large). `None`
+    /// once nothing is left to dispatch — a job replayed as terminal.
+    work: Option<JobKind>,
     artifacts: Option<ProofArtifacts>,
     error: Option<String>,
     /// True when the job reached `Completed` in this process, so its
@@ -131,6 +120,46 @@ impl Lanes {
             Priority::Batch => &mut self.batch,
         }
     }
+}
+
+impl JobEntry {
+    fn queued(tenant: String, priority: Priority, desc: JobDesc, work: Option<JobKind>) -> Self {
+        Self {
+            tenant,
+            priority,
+            desc,
+            state: JobState::Queued,
+            cancel: CancelToken::new(),
+            work,
+            artifacts: None,
+            error: None,
+            result_available: false,
+        }
+    }
+}
+
+/// The service job a description runs, its model resolved by zoo name. A
+/// `verify` description has none: its payload is not part of it.
+fn resolve(desc: &JobDesc) -> Result<Option<JobKind>, String> {
+    Ok(match desc {
+        JobDesc::Prove {
+            model,
+            backend,
+            seed,
+            segments,
+            model_digest,
+        } => Some(JobKind::Prove {
+            graph: Arc::new(
+                zkml_model::zoo::by_name(model).ok_or(format!("unknown model '{model}'"))?,
+            ),
+            backend: *backend,
+            seed: *seed,
+            model: *model_digest,
+            segments: *segments,
+        }),
+        JobDesc::Sleep { ms } => Some(JobKind::Sleep(Duration::from_millis(*ms))),
+        JobDesc::Verify => None,
+    })
 }
 
 struct Inner {
@@ -299,17 +328,11 @@ fn replay_into(inner: &Arc<Inner>, records: &[crate::journal::Record]) {
     let mut registry = inner.registry.lock().unwrap();
     let mut lanes = inner.lanes.lock().unwrap();
     for job in jobs {
-        let mut entry = JobEntry {
-            tenant: job.tenant.clone(),
-            priority: job.priority,
-            desc: job.desc.clone(),
-            state: JobState::Queued,
-            cancel: CancelToken::new(),
-            graph: None,
-            verify_payload: None,
-            artifacts: None,
-            error: None,
-            result_available: false,
+        let mut entry = JobEntry::queued(job.tenant.clone(), job.priority, job.desc.clone(), None);
+        let fail = |entry: &mut JobEntry, error: String| {
+            entry.state = JobState::Failed;
+            entry.error = Some(error.clone());
+            inner.journal_note(&Record::Failed { job: job.id, error });
         };
         match job.state {
             ReplayState::Completed { .. } => entry.state = JobState::Completed,
@@ -318,42 +341,27 @@ fn replay_into(inner: &Arc<Inner>, records: &[crate::journal::Record]) {
                 entry.error = Some(err);
             }
             ReplayState::Cancelled => entry.state = JobState::Cancelled,
-            ReplayState::InFlight => {
-                // The crash interrupted this job mid-run. Re-fail it
-                // deterministically rather than re-running: its submitter
-                // may already be acting on the uncertainty, and a re-run
-                // could complete a job the client has given up on.
-                let error = "interrupted by server restart while running".to_string();
-                entry.state = JobState::Failed;
-                entry.error = Some(error.clone());
-                inner.journal_note(&Record::Failed { job: job.id, error });
-            }
-            ReplayState::Queued => match &job.desc {
-                JobDesc::Verify => {
-                    // Verify payloads are not journaled, so a queued verify
-                    // job cannot be reconstructed.
-                    let error = "verify job payload not durable across restart".to_string();
-                    entry.state = JobState::Failed;
-                    entry.error = Some(error.clone());
-                    inner.journal_note(&Record::Failed { job: job.id, error });
-                }
-                JobDesc::Prove { model, .. } => match zkml_model::zoo::by_name(model) {
-                    Some(graph) => {
-                        entry.graph = Some(Arc::new(graph));
-                        inner.admission.restore(&job.tenant);
-                        lanes.lane_mut(job.priority).push_back(job.id);
-                    }
-                    None => {
-                        let error = format!("unknown model '{model}' at replay");
-                        entry.state = JobState::Failed;
-                        entry.error = Some(error.clone());
-                        inner.journal_note(&Record::Failed { job: job.id, error });
-                    }
-                },
-                JobDesc::Sleep { .. } => {
+            // The crash interrupted this job mid-run. Re-fail it
+            // deterministically rather than re-running: its submitter may
+            // already be acting on the uncertainty, and a re-run could
+            // complete a job the client has given up on.
+            ReplayState::InFlight => fail(
+                &mut entry,
+                "interrupted by server restart while running".to_string(),
+            ),
+            ReplayState::Queued => match resolve(&job.desc) {
+                Ok(Some(work)) => {
+                    entry.work = Some(work);
                     inner.admission.restore(&job.tenant);
                     lanes.lane_mut(job.priority).push_back(job.id);
                 }
+                // Verify payloads are not journaled, so a queued verify job
+                // cannot be reconstructed.
+                Ok(None) => fail(
+                    &mut entry,
+                    "verify job payload not durable across restart".to_string(),
+                ),
+                Err(e) => fail(&mut entry, format!("{e} at replay")),
             },
         }
         registry.insert(job.id, entry);
@@ -474,184 +482,88 @@ fn stats_json(inner: &Arc<Inner>) -> String {
         .finish()
 }
 
-/// A validated submission: tenant, priority, durable description, and the
-/// non-durable payloads (resolved graph, verify bytes).
-type Submission = (
-    String,
-    Priority,
-    JobDesc,
-    Option<Arc<Graph>>,
-    Option<VerifyPayload>,
-);
-
-/// Parses an optional 32-byte hex digest field.
-fn parse_digest_field(v: &Json, name: &str) -> Result<Option<[u8; 32]>, String> {
-    match v.get(name) {
-        None => Ok(None),
-        Some(d) => {
-            let h = d.as_str().ok_or(format!("{name} must be a hex string"))?;
-            let bytes = decode_hex(h).map_err(|e| format!("{name}: {e}"))?;
-            let digest: [u8; 32] = bytes
-                .try_into()
-                .map_err(|_| format!("{name} must be 32 bytes"))?;
-            Ok(Some(digest))
-        }
-    }
+/// Parses a request body as JSON.
+fn parse_body(body: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
+    Json::parse(text).map_err(|e| format!("bad json: {e}"))
 }
 
-/// Parses and validates a submission body into a job description.
-fn parse_submission(body: &[u8]) -> Result<Submission, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
-    let v = Json::parse(text).map_err(|e| format!("bad json: {e}"))?;
+/// Parses and validates a submission body into a queued job.
+fn parse_submission(body: &[u8]) -> Result<JobEntry, String> {
+    let v = parse_body(body)?;
+    let (tenant, priority) = tenant_and_priority(&v)?;
+    let desc = JobDesc::from_json(&v)?;
+    let work = match resolve(&desc)? {
+        Some(work) => work,
+        None => verify_payload(&v)?,
+    };
+    Ok(JobEntry::queued(tenant, priority, desc, Some(work)))
+}
 
-    let tenant = match v.get("tenant") {
-        None => "anonymous".to_string(),
-        Some(t) => {
-            let t = t.as_str().ok_or("tenant must be a string")?;
-            if t.is_empty() || t.len() > 64 || !t.chars().all(|c| c.is_ascii_graphic()) {
-                return Err("tenant must be 1..=64 printable ascii chars".into());
-            }
-            t.to_string()
+/// Reads a verify job's payload: a monolithic `proof_hex` / `vk_hex` /
+/// `public_hex` triple, optionally with the `model_digest` it must verify
+/// against and the `commitment_hex` it was proved under, or a `bundle_hex`,
+/// which carries its own commitments and takes neither.
+fn verify_payload(v: &Json) -> Result<JobKind, String> {
+    let hex_field = |name: &str| -> Result<Vec<u8>, String> {
+        match v.get(name).and_then(Json::as_str) {
+            Some(h) => decode_hex(h).map_err(|e| format!("{name}: {e}")),
+            None => Err(format!("verify jobs need \"{name}\"")),
         }
     };
-    let priority = match v.get("priority") {
-        None => Priority::Interactive,
-        Some(p) => p
-            .as_str()
-            .and_then(Priority::parse)
-            .ok_or("priority must be \"interactive\" or \"batch\"")?,
+    let model = digest_field(v, "model_digest")?;
+    let weight_commitment = match v.get("commitment_hex") {
+        Some(_) => hex_field("commitment_hex")?,
+        None => Vec::new(),
     };
-    let kind = match v.get("kind") {
-        None => {
-            // Infer: a segments field means a segmented prove.
-            if v.get("segments").is_some() {
-                "prove_segmented"
-            } else {
-                "prove"
-            }
+    if v.get("bundle_hex").is_some() {
+        if model.is_some() || !weight_commitment.is_empty() {
+            return Err(
+                "a bundle carries its own weight commitments; model_digest and \
+                 commitment_hex are not supported with bundle_hex"
+                    .into(),
+            );
         }
-        Some(k) => k.as_str().ok_or("kind must be a string")?,
-    };
-
-    match kind {
-        "prove" | "prove_segmented" => {
-            let model = v
-                .get("model")
-                .and_then(Json::as_str)
-                .ok_or("prove jobs need a \"model\"")?
-                .to_string();
-            let graph = zkml_model::zoo::by_name(&model)
-                .ok_or_else(|| format!("unknown model '{model}'"))?;
-            let backend = match v.get("backend").and_then(Json::as_str) {
-                None | Some("kzg") => Backend::Kzg,
-                Some("ipa") => Backend::Ipa,
-                Some(other) => return Err(format!("unknown backend '{other}'")),
-            };
-            let seed = match v.get("seed") {
-                None => 1,
-                Some(s) => s.as_u64().ok_or("seed must be a non-negative integer")?,
-            };
-            let segments = if kind == "prove_segmented" {
-                Some(match v.get("segments") {
-                    None => SegmentSpec::Auto,
-                    Some(Json::Str(s)) if s == "auto" => SegmentSpec::Auto,
-                    Some(n) => match n.as_u64() {
-                        Some(n) if n >= 1 => SegmentSpec::Fixed(n as usize),
-                        _ => return Err("segments must be \"auto\" or a count >= 1".into()),
-                    },
-                })
-            } else {
-                None
-            };
-            let model_digest = parse_digest_field(&v, "model_digest")?;
-            if model_digest.is_some() && segments.is_some() {
-                return Err("model_digest is not supported for segmented proves".into());
-            }
-            Ok((
-                tenant,
-                priority,
-                JobDesc::Prove {
-                    model,
-                    backend,
-                    seed,
-                    segments,
-                    model_digest,
-                },
-                Some(Arc::new(graph)),
-                None,
-            ))
-        }
-        "sleep" => {
-            let ms = match v.get("sleep_ms") {
-                None => 0,
-                Some(s) => s
-                    .as_u64()
-                    .ok_or("sleep_ms must be a non-negative integer")?,
-            };
-            if ms > 60_000 {
-                return Err("sleep_ms capped at 60000".into());
-            }
-            Ok((tenant, priority, JobDesc::Sleep { ms }, None, None))
-        }
-        "verify" => {
-            let hex_field = |name: &str| -> Result<Vec<u8>, String> {
-                match v.get(name).and_then(Json::as_str) {
-                    Some(h) => decode_hex(h).map_err(|e| format!("{name}: {e}")),
-                    None => Err(format!("verify jobs need \"{name}\"")),
-                }
-            };
-            let model = parse_digest_field(&v, "model_digest")?;
-            let commitment = match v.get("commitment_hex").and_then(Json::as_str) {
-                Some(h) => decode_hex(h).map_err(|e| format!("commitment_hex: {e}"))?,
-                None => Vec::new(),
-            };
-            let payload = if v.get("bundle_hex").is_some() {
-                let bundle = hex_field("bundle_hex")?;
-                VerifyPayload {
-                    backend: Backend::Kzg, // the bundle carries its own
-                    vk: Vec::new(),
-                    public: Vec::new(),
-                    proof: bundle,
-                    model,
-                    commitment,
-                }
-            } else {
-                let proof = hex_field("proof_hex")?;
-                let vk = hex_field("vk_hex")?;
-                if vk.is_empty() {
-                    return Err("vk_hex must not be empty".into());
-                }
-                let public_bytes = hex_field("public_hex")?;
-                let (backend, public) =
-                    decode_public(&public_bytes).map_err(|e| format!("public_hex: {e}"))?;
-                VerifyPayload {
-                    backend,
-                    vk,
-                    public,
-                    proof,
-                    model,
-                    commitment,
-                }
-            };
-            Ok((tenant, priority, JobDesc::Verify, None, Some(payload)))
-        }
-        other => Err(format!("unknown job kind '{other}'")),
+        return Ok(JobKind::Verify {
+            backend: Backend::Kzg, // the bundle carries its own
+            vk: Vec::new(),
+            public: Vec::new(),
+            proof: hex_field("bundle_hex")?,
+            model,
+            weight_commitment,
+        });
     }
+    let proof = hex_field("proof_hex")?;
+    let vk = hex_field("vk_hex")?;
+    if vk.is_empty() {
+        return Err("vk_hex must not be empty".into());
+    }
+    let (backend, public) =
+        decode_public(&hex_field("public_hex")?).map_err(|e| format!("public_hex: {e}"))?;
+    Ok(JobKind::Verify {
+        backend,
+        vk,
+        public,
+        proof,
+        model,
+        weight_commitment,
+    })
 }
 
 fn submit_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
     if inner.shutdown.load(Ordering::SeqCst) {
         return (503, vec![], err_body("server is draining"));
     }
-    let (tenant, priority, desc, graph, verify_payload) = match parse_submission(body) {
-        Ok(parts) => parts,
+    let entry = match parse_submission(body) {
+        Ok(entry) => entry,
         Err(msg) => return (400, vec![], err_body(&msg)),
     };
+    let (tenant, priority) = (&entry.tenant, entry.priority);
 
     // Admission and enqueue under the lane lock, so the lane bound and the
     // tenant's slot accounting cannot race.
     let mut lanes = inner.lanes.lock().unwrap();
-    if let Err(e) = inner.admission.admit(&tenant) {
+    if let Err(e) = inner.admission.admit(tenant) {
         let secs = e.retry_after().as_secs_f64();
         let body = JsonObj::new()
             .str("error", &e.to_string())
@@ -665,7 +577,7 @@ fn submit_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
     }
     let lane = lanes.lane_mut(priority);
     if lane.len() >= inner.lane_capacity {
-        inner.admission.refund_lane_full(&tenant);
+        inner.admission.refund_lane_full(tenant);
         let body = JsonObj::new()
             .str(
                 "error",
@@ -682,23 +594,11 @@ fn submit_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
         job: id,
         tenant: tenant.clone(),
         priority,
-        desc: desc.clone(),
+        desc: entry.desc.clone(),
     }) {
-        inner.admission.refund_lane_full(&tenant);
+        inner.admission.refund_lane_full(tenant);
         return (500, vec![], err_body(&format!("journal write failed: {e}")));
     }
-    let entry = JobEntry {
-        tenant,
-        priority,
-        desc,
-        state: JobState::Queued,
-        cancel: CancelToken::new(),
-        graph,
-        verify_payload,
-        artifacts: None,
-        error: None,
-        result_available: false,
-    };
     inner.registry.lock().unwrap().insert(id, entry);
     lane.push_back(id);
     let body = JsonObj::new()
@@ -716,24 +616,12 @@ fn commit_model_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
     if inner.shutdown.load(Ordering::SeqCst) {
         return (503, vec![], err_body("server is draining"));
     }
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, vec![], err_body("body is not utf-8")),
+    let (model, backend) = match parse_body(body).and_then(|v| model_and_backend(&v)) {
+        Ok(parsed) => parsed,
+        Err(msg) => return (400, vec![], err_body(&msg)),
     };
-    let v = match Json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return (400, vec![], err_body(&format!("bad json: {e}"))),
-    };
-    let Some(model) = v.get("model").and_then(Json::as_str) else {
-        return (400, vec![], err_body("commit-model needs a \"model\""));
-    };
-    let Some(graph) = zkml_model::zoo::by_name(model) else {
+    let Some(graph) = zkml_model::zoo::by_name(&model) else {
         return (400, vec![], err_body(&format!("unknown model '{model}'")));
-    };
-    let backend = match v.get("backend").and_then(Json::as_str) {
-        None | Some("kzg") => Backend::Kzg,
-        Some("ipa") => Backend::Ipa,
-        Some(other) => return (400, vec![], err_body(&format!("unknown backend '{other}'"))),
     };
     let handle = match inner
         .service
@@ -753,7 +641,7 @@ fn commit_model_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
         Ok(Some(a)) => {
             let digest = a.model_digest.map(|d| encode_hex(&d)).unwrap_or_default();
             let body = JsonObj::new()
-                .str("model", model)
+                .str("model", &model)
                 .str("digest", &digest)
                 .str("commitment_hex", &encode_hex(&a.weight_commitment))
                 .u64("k", u64::from(a.k))
@@ -900,16 +788,10 @@ fn pop_weighted(inner: &Inner, cursor: &mut usize) -> Option<u64> {
     id
 }
 
-/// What the dispatcher needs to hand a job to the service.
-struct DispatchInfo {
-    tenant: String,
-    spec: JobSpec,
-}
-
 /// What to do with a job popped from a lane.
 enum Dispatch {
-    /// Hand it to the service.
-    Ready(Box<DispatchInfo>),
+    /// Hand it to the service on behalf of this tenant.
+    Ready(String, Box<JobSpec>),
     /// Already handled elsewhere (e.g. cancelled and finalized); drop it.
     Skip,
     /// Finalize it with this outcome instead of running it.
@@ -928,60 +810,14 @@ fn build_dispatch(inner: &Inner, id: u64) -> Dispatch {
     if entry.cancel.is_cancelled() {
         return Dispatch::Abort(tenant, Box::new(Outcome::Cancelled));
     }
-    let kind = match &entry.desc {
-        JobDesc::Prove {
-            backend,
-            seed,
-            segments,
-            model_digest,
-            ..
-        } => {
-            let graph = match &entry.graph {
-                Some(g) => Arc::clone(g),
-                None => {
-                    return Dispatch::Abort(
-                        tenant,
-                        Box::new(Outcome::Failed(
-                            "job lost its resolved model graph".to_string(),
-                        )),
-                    )
-                }
-            };
-            match segments {
-                Some(spec) => JobKind::ProveSegmented {
-                    graph,
-                    backend: *backend,
-                    seed: *seed,
-                    segments: *spec,
-                },
-                None => JobKind::Prove {
-                    graph,
-                    backend: *backend,
-                    seed: *seed,
-                    model: *model_digest,
-                },
-            }
-        }
-        JobDesc::Sleep { ms } => JobKind::Sleep(Duration::from_millis(*ms)),
-        JobDesc::Verify => match &entry.verify_payload {
-            Some(p) => JobKind::Verify {
-                backend: p.backend,
-                vk: p.vk.clone(),
-                public: p.public.clone(),
-                proof: p.proof.clone(),
-                model: p.model,
-                weight_commitment: p.commitment.clone(),
-            },
-            None => {
-                return Dispatch::Abort(
-                    tenant,
-                    Box::new(Outcome::Failed("verify job payload missing".to_string())),
-                )
-            }
-        },
+    let Some(kind) = entry.work.clone() else {
+        return Dispatch::Abort(
+            tenant,
+            Box::new(Outcome::Failed("job lost what it dispatches".to_string())),
+        );
     };
     let spec = JobSpec::new(kind).with_cancel(entry.cancel.clone());
-    Dispatch::Ready(Box::new(DispatchInfo { tenant, spec }))
+    Dispatch::Ready(tenant, Box::new(spec))
 }
 
 /// Applies a terminal outcome: registry state, journal record, tenant slot.
@@ -1035,15 +871,15 @@ fn dispatcher_loop(inner: Arc<Inner>) {
         // 1. Feed the service from the lanes (weighted round-robin) until
         //    it pushes back.
         while let Some(id) = pop_weighted(&inner, &mut cursor) {
-            let info = match build_dispatch(&inner, id) {
-                Dispatch::Ready(info) => info,
+            let (tenant, spec) = match build_dispatch(&inner, id) {
+                Dispatch::Ready(tenant, spec) => (tenant, *spec),
                 Dispatch::Skip => continue,
                 Dispatch::Abort(tenant, outcome) => {
                     finish(&inner, id, &tenant, *outcome);
                     continue;
                 }
             };
-            match inner.service.submit(info.spec) {
+            match inner.service.submit(spec) {
                 Ok(handle) => {
                     // `started` is journaled only once the service actually
                     // holds the job. A crash in the gap between accept and
@@ -1053,7 +889,7 @@ fn dispatcher_loop(inner: Arc<Inner>) {
                     if let Some(entry) = inner.registry.lock().unwrap().get_mut(&id) {
                         entry.state = JobState::Running;
                     }
-                    inflight.push((id, info.tenant, handle));
+                    inflight.push((id, tenant, handle));
                 }
                 Err(ServiceError::Busy { .. }) => {
                     // Backpressure from the bounded queue: put the job back
@@ -1069,7 +905,7 @@ fn dispatcher_loop(inner: Arc<Inner>) {
                     break;
                 }
                 Err(e) => {
-                    finish(&inner, id, &info.tenant, Outcome::Failed(e.to_string()));
+                    finish(&inner, id, &tenant, Outcome::Failed(e.to_string()));
                 }
             }
         }

@@ -64,6 +64,147 @@ impl JobDesc {
             JobDesc::Verify => "verify",
         }
     }
+
+    /// Reads a job description from its JSON form — the body of
+    /// `POST /v1/jobs` or a `submitted` journal line, which share one
+    /// vocabulary and one set of rules. Absent fields take the HTTP defaults:
+    /// `kind` is inferred from the presence of `segments`, `backend` is
+    /// `kzg`, `seed` is 1, `sleep_ms` is 0 and a `prove_segmented` without
+    /// `segments` cuts `auto`. The model name is not resolved here.
+    pub fn from_json(v: &Json) -> Result<JobDesc, String> {
+        let kind = match v.get("kind") {
+            None if v.get("segments").is_some() => "prove_segmented",
+            None => "prove",
+            Some(k) => k.as_str().ok_or("kind must be a string")?,
+        };
+        match kind {
+            "prove" | "prove_segmented" => {
+                let (model, backend) = model_and_backend(v)?;
+                let seed = match v.get("seed") {
+                    None => 1,
+                    Some(s) => s.as_u64().ok_or("seed must be a non-negative integer")?,
+                };
+                let segments = match v.get("segments") {
+                    _ if kind == "prove" => None,
+                    None => Some(SegmentSpec::Auto),
+                    Some(Json::Str(s)) if s == "auto" => Some(SegmentSpec::Auto),
+                    Some(n) => match n.as_u64() {
+                        Some(n) if n >= 1 => Some(SegmentSpec::Fixed(n as usize)),
+                        _ => return Err("segments must be \"auto\" or a count >= 1".into()),
+                    },
+                };
+                let model_digest = digest_field(v, "model_digest")?;
+                if model_digest.is_some() && segments.is_some() {
+                    return Err("model_digest is not supported for segmented proves".into());
+                }
+                Ok(JobDesc::Prove {
+                    model,
+                    backend,
+                    seed,
+                    segments,
+                    model_digest,
+                })
+            }
+            "sleep" => {
+                let ms = match v.get("sleep_ms") {
+                    None => 0,
+                    Some(s) => s
+                        .as_u64()
+                        .ok_or("sleep_ms must be a non-negative integer")?,
+                };
+                if ms > 60_000 {
+                    return Err("sleep_ms capped at 60000".into());
+                }
+                Ok(JobDesc::Sleep { ms })
+            }
+            "verify" => Ok(JobDesc::Verify),
+            other => Err(format!("unknown job kind '{other}'")),
+        }
+    }
+
+    /// Appends the fields [`JobDesc::from_json`] reads, fully spelled.
+    pub fn write_json(&self, obj: JsonObj) -> JsonObj {
+        let obj = obj.str("kind", self.kind());
+        match self {
+            JobDesc::Prove {
+                model,
+                backend,
+                seed,
+                segments,
+                model_digest,
+            } => {
+                let obj = obj
+                    .str("model", model)
+                    .str("backend", backend_str(*backend))
+                    .u64("seed", *seed);
+                let obj = match segments {
+                    Some(SegmentSpec::Auto) => obj.str("segments", "auto"),
+                    Some(SegmentSpec::Fixed(n)) => obj.u64("segments", *n as u64),
+                    None => obj,
+                };
+                match model_digest {
+                    Some(digest) => obj.str("model_digest", &encode_hex(digest)),
+                    None => obj,
+                }
+            }
+            JobDesc::Sleep { ms } => obj.u64("sleep_ms", *ms),
+            JobDesc::Verify => obj,
+        }
+    }
+}
+
+/// Reads the `model` name and `backend` (default `kzg`) of a request.
+pub(crate) fn model_and_backend(v: &Json) -> Result<(String, Backend), String> {
+    let model = v
+        .get("model")
+        .and_then(Json::as_str)
+        .ok_or("a \"model\" is required")?
+        .to_string();
+    let backend = match v.get("backend").and_then(Json::as_str) {
+        None | Some("kzg") => Backend::Kzg,
+        Some("ipa") => Backend::Ipa,
+        Some(other) => return Err(format!("unknown backend '{other}'")),
+    };
+    Ok((model, backend))
+}
+
+/// Reads an optional 32-byte hex digest field.
+pub(crate) fn digest_field(v: &Json, name: &str) -> Result<Option<[u8; 32]>, String> {
+    match v.get(name) {
+        None => Ok(None),
+        Some(d) => {
+            let h = d.as_str().ok_or(format!("{name} must be a hex string"))?;
+            let bytes = decode_hex(h).map_err(|e| format!("{name}: {e}"))?;
+            let digest: [u8; 32] = bytes
+                .try_into()
+                .map_err(|_| format!("{name} must be 32 bytes"))?;
+            Ok(Some(digest))
+        }
+    }
+}
+
+/// Reads who submitted a job and into which lane: `tenant` (default
+/// `anonymous`, 1..=64 printable ASCII characters) and `priority` (default
+/// `interactive`).
+pub(crate) fn tenant_and_priority(v: &Json) -> Result<(String, Priority), String> {
+    let tenant = match v.get("tenant") {
+        None => "anonymous".to_string(),
+        Some(t) => {
+            let t = t.as_str().ok_or("tenant must be a string")?;
+            if t.is_empty() || t.len() > 64 || !t.chars().all(|c| c.is_ascii_graphic()) {
+                return Err("tenant must be 1..=64 printable ascii chars".into());
+            }
+            t.to_string()
+        }
+    };
+    let priority = match v.get("priority") {
+        None => Priority::Interactive,
+        Some(p) => p
+            .as_str()
+            .and_then(Priority::parse)
+            .ok_or("priority must be \"interactive\" or \"batch\"")?,
+    };
+    Ok((tenant, priority))
 }
 
 /// One journal record.
@@ -126,39 +267,15 @@ impl Record {
                 tenant,
                 priority,
                 desc,
-            } => {
-                let mut obj = JsonObj::new()
-                    .str("rec", "submitted")
-                    .u64("job", *job)
-                    .str("tenant", tenant)
-                    .str("priority", priority.as_str())
-                    .str("kind", desc.kind());
-                match desc {
-                    JobDesc::Prove {
-                        model,
-                        backend,
-                        seed,
-                        segments,
-                        model_digest,
-                    } => {
-                        obj = obj
-                            .str("model", model)
-                            .str("backend", backend_str(*backend))
-                            .u64("seed", *seed);
-                        match segments {
-                            Some(SegmentSpec::Auto) => obj = obj.str("segments", "auto"),
-                            Some(SegmentSpec::Fixed(n)) => obj = obj.u64("segments", *n as u64),
-                            None => {}
-                        }
-                        if let Some(digest) = model_digest {
-                            obj = obj.str("model_digest", &encode_hex(digest));
-                        }
-                    }
-                    JobDesc::Sleep { ms } => obj = obj.u64("sleep_ms", *ms),
-                    JobDesc::Verify => {}
-                }
-                obj.finish()
-            }
+            } => desc
+                .write_json(
+                    JsonObj::new()
+                        .str("rec", "submitted")
+                        .u64("job", *job)
+                        .str("tenant", tenant)
+                        .str("priority", priority.as_str()),
+                )
+                .finish(),
             Record::Started { job } => JsonObj::new()
                 .str("rec", "started")
                 .u64("job", *job)
@@ -200,73 +317,12 @@ impl Record {
             .ok_or("record missing rec tag")?;
         match rec {
             "submitted" => {
-                let tenant = v
-                    .get("tenant")
-                    .and_then(Json::as_str)
-                    .ok_or("submitted missing tenant")?
-                    .to_string();
-                let priority = v
-                    .get("priority")
-                    .and_then(Json::as_str)
-                    .and_then(Priority::parse)
-                    .ok_or("submitted missing priority")?;
-                let kind = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("submitted missing kind")?;
-                let desc = match kind {
-                    "prove" | "prove_segmented" => {
-                        let model = v
-                            .get("model")
-                            .and_then(Json::as_str)
-                            .ok_or("prove missing model")?
-                            .to_string();
-                        let backend = match v.get("backend").and_then(Json::as_str) {
-                            Some("kzg") => Backend::Kzg,
-                            Some("ipa") => Backend::Ipa,
-                            _ => return Err("prove missing backend".into()),
-                        };
-                        let seed = v
-                            .get("seed")
-                            .and_then(Json::as_u64)
-                            .ok_or("prove missing seed")?;
-                        let segments = match v.get("segments") {
-                            None => None,
-                            Some(Json::Str(s)) if s == "auto" => Some(SegmentSpec::Auto),
-                            Some(n) => Some(SegmentSpec::Fixed(
-                                n.as_u64().ok_or("bad segments")? as usize
-                            )),
-                        };
-                        let model_digest = match v.get("model_digest").and_then(Json::as_str) {
-                            None => None,
-                            Some(h) => Some(
-                                decode_hex(h)?
-                                    .try_into()
-                                    .map_err(|_| "model_digest must be 32 bytes")?,
-                            ),
-                        };
-                        JobDesc::Prove {
-                            model,
-                            backend,
-                            seed,
-                            segments,
-                            model_digest,
-                        }
-                    }
-                    "sleep" => JobDesc::Sleep {
-                        ms: v
-                            .get("sleep_ms")
-                            .and_then(Json::as_u64)
-                            .ok_or("sleep missing sleep_ms")?,
-                    },
-                    "verify" => JobDesc::Verify,
-                    other => return Err(format!("unknown job kind '{other}'")),
-                };
+                let (tenant, priority) = tenant_and_priority(&v)?;
                 Ok(Record::Submitted {
                     job,
                     tenant,
                     priority,
-                    desc,
+                    desc: JobDesc::from_json(&v)?,
                 })
             }
             "started" => Ok(Record::Started { job }),

@@ -89,6 +89,16 @@ fn healthz_stats_and_error_paths() {
         post_job(&addr, "{\"kind\":\"sleep\",\"tenant\":\"\"}").status,
         400
     );
+    // A bundle carries its own commitments: a verify job that names a digest
+    // or a commitment to check it against is refused, not run without them.
+    let digest = "5a".repeat(32);
+    for extra in [
+        format!("\"model_digest\":\"{digest}\""),
+        "\"commitment_hex\":\"0102\"".to_string(),
+    ] {
+        let body = format!("{{\"kind\":\"verify\",\"bundle_hex\":\"00\",{extra}}}");
+        assert_eq!(post_job(&addr, &body).status, 400, "{body}");
+    }
 
     gw.shutdown();
 }

@@ -169,6 +169,7 @@ impl Params {
 /// The outcome of [`Params::verify_deferred`]: either the opening is fully
 /// verified, or its final pairing check is pending as a [`KzgAccumulator`].
 #[derive(Clone, Debug)]
+#[must_use = "a deferred verification accepts nothing until it is settled"]
 pub enum Verification {
     /// The opening verified completely (IPA path).
     Complete,
@@ -178,6 +179,7 @@ pub enum Verification {
 
 impl Verification {
     /// Settles this verification against the params it came from.
+    #[must_use = "`false` is a rejected proof"]
     pub fn settle(&self, params: &Params) -> bool {
         match (self, params) {
             (Verification::Complete, _) => true,

@@ -36,11 +36,7 @@ use std::sync::Arc;
 use zkml::{CompiledCircuit, NumericConfig, ZkmlError};
 use zkml_pcs::{Backend, Params, Writer};
 use zkml_plonk::{serialize::write_cs, ProvingKey};
-use zkml_shard::{SegmentLayout, SegmentSpec};
-
-/// Seed for the deterministic SRS regeneration (shared with the CLI's
-/// standalone prove/verify flows; see DESIGN.md).
-pub const SRS_SEED: u64 = 0x5151;
+use zkml_shard::{SegmentLayout, SegmentSpec, DEFAULT_SRS_SEED};
 
 /// Identity of a cached proving key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +73,8 @@ pub struct PlanKey {
     pub segments: Option<SegmentSpec>,
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Lowercase hex (spill file names, error messages).
+pub(crate) fn hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         out.push_str(&format!("{b:02x}"));
@@ -207,7 +204,7 @@ impl ArtifactCache {
         if let Some(p) = self.params.read().get(&(backend, k)) {
             return Arc::clone(p);
         }
-        let mut rng = StdRng::seed_from_u64(SRS_SEED);
+        let mut rng = StdRng::seed_from_u64(DEFAULT_SRS_SEED);
         let fresh = Arc::new(Params::setup(backend, k, &mut rng));
         let mut map = self.params.write();
         Arc::clone(map.entry((backend, k)).or_insert(fresh))

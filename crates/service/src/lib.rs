@@ -12,6 +12,10 @@
 //!   also memoizes, per process, the layout each architecture's sweep
 //!   picked and the circuits the static analyzer cleared, so a warm job
 //!   does only per-request work: lower, synthesize, prove;
+//! * the **pipeline** ([`pipeline`]) is the stage order of a proving job —
+//!   lower, memoized layout, synthesize, determinism gate, keys, weights,
+//!   prove, verify — written once for publications, monolithic and
+//!   segmented proves; the workers run it, and so does the standalone CLI;
 //! * a **job queue and worker pool** ([`service`]) on bounded `crossbeam`
 //!   channels applies backpressure (reject-with-busy when full), enforces
 //!   per-job deadlines, and isolates worker panics from the service;
@@ -30,16 +34,17 @@
 pub mod artifact;
 pub mod cache;
 pub mod error;
+pub mod pipeline;
 pub mod registry;
 pub mod service;
 pub mod stats;
 
 pub use artifact::{decode_public, encode_public};
-pub use cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, PlanKey, SRS_SEED};
+pub use cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, PlanKey};
 pub use error::ServiceError;
+pub use pipeline::{synthetic_inputs, Check, Compiled, Pipeline, ProofArtifacts, Stage};
 pub use registry::{ModelEntry, ModelRegistry};
 pub use service::{
-    synthetic_inputs, CancelToken, JobHandle, JobKind, JobResult, JobSpec, ProofArtifacts,
-    ProvingService, ServiceConfig,
+    CancelToken, JobHandle, JobKind, JobResult, JobSpec, ProvingService, ServiceConfig,
 };
 pub use stats::{ServiceStats, StatsSnapshot};

@@ -9,7 +9,7 @@ use zkml_model::{Activation, Graph, GraphBuilder, Op};
 use zkml_pcs::Backend;
 use zkml_service::{
     pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, CancelToken, JobKind, JobSpec,
-    ProvingService, ServiceConfig, ServiceError,
+    Pipeline, ProvingService, ServiceConfig, ServiceError, Stage,
 };
 use zkml_tensor::Tensor;
 
@@ -626,7 +626,6 @@ fn handle_cancel_stops_queued_job() {
 fn verify_job_accepts_good_and_rejects_bad_proofs() {
     let service = ProvingService::start(ServiceConfig {
         workers: 1,
-        verify_after_prove: false,
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -666,6 +665,229 @@ fn verify_job_accepts_good_and_rejects_bad_proofs() {
         .unwrap();
     assert!(bad.wait().is_err());
     let snap = service.snapshot();
-    assert_eq!(snap.proofs_verified, 1);
+    assert_eq!(
+        snap.proofs_verified, 2,
+        "the worker's own check of the prove job, then the good verify job"
+    );
     assert_eq!(snap.verify_failures, 1);
+}
+
+/// A verify job for a bundle that also names a model digest or carries a
+/// weight commitment is refused: the bundle verifier reads neither, and a
+/// `completed` would claim a check that never ran.
+#[test]
+fn bundle_verify_job_refuses_a_digest_it_cannot_check() {
+    use zkml_shard::SegmentSpec;
+    let service = ProvingService::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let bundle = service
+        .submit(JobSpec::prove_segmented(
+            Arc::new(tiny_mlp()),
+            Backend::Kzg,
+            1,
+            SegmentSpec::Fixed(2),
+        ))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .unwrap()
+        .proof;
+    let verify = |model, weight_commitment| {
+        service
+            .submit(JobSpec::new(JobKind::Verify {
+                backend: Backend::Kzg,
+                vk: Vec::new(),
+                public: Vec::new(),
+                proof: bundle.clone(),
+                model,
+                weight_commitment,
+            }))
+            .unwrap()
+            .wait()
+    };
+    assert!(verify(None, Vec::new()).is_ok());
+    for (model, carried) in [(Some([0xAB; 32]), Vec::new()), (None, vec![1, 2, 3])] {
+        match verify(model, carried) {
+            Err(ServiceError::Verify(msg)) => assert!(msg.contains("bundle"), "{msg}"),
+            other => panic!("expected the combination to be refused, got {other:?}"),
+        }
+    }
+}
+
+/// Monolithic is the layout with no cuts: cutting a schedule nowhere and
+/// synthesizing it under the monolithic sweep's plan reproduces the
+/// monolithic circuit, and sweeping the uncut schedule picks that very plan.
+#[test]
+fn no_cut_layout_reproduces_the_monolithic_circuit() {
+    use zkml::{cost::HardwareStats, optimize_schedule, synthesize, OptimizerOptions, SegmentPlan};
+    use zkml_shard::{plan_segments, synthesize_segments, SegmentLayout, SegmentSpec};
+    let hw = HardwareStats::fixture();
+    for name in ["MNIST", "DLRM"] {
+        let graph = zkml_model::zoo::by_name(name).unwrap();
+        let opts = OptimizerOptions::new(Backend::Kzg, 15);
+        let inputs = zkml_service::synthetic_inputs(&graph, opts.numeric.scale_bits, 7);
+        let sched = zkml::layers::lower_graph(&graph, &inputs, opts.numeric);
+        let best = optimize_schedule(sched.clone(), &opts, &hw)
+            .unwrap()
+            .best_plan;
+        let mono = synthesize(&sched, &best).unwrap();
+
+        let layout = SegmentLayout {
+            cut: SegmentPlan { cuts: vec![] },
+            plans: vec![best.clone()],
+        };
+        let segs = synthesize_segments(&sched, &layout).unwrap();
+        assert_eq!(segs.len(), 1, "{name}");
+        assert_eq!(segs[0].boundary_in_len, 0, "{name}");
+        assert_eq!(
+            segs[0].compiled.circuit_digest(),
+            mono.circuit_digest(),
+            "{name}"
+        );
+        assert_eq!(segs[0].compiled.instance(), mono.instance(), "{name}");
+
+        let swept = plan_segments(&sched, SegmentSpec::Fixed(1), &opts, &hw).unwrap();
+        assert!(swept.cut.cuts.is_empty(), "{name}");
+        assert_eq!(swept.plans[0].digest(), best.digest(), "{name}");
+    }
+}
+
+/// One compile serves 1..N circuits: a `Fixed(1)` segmented job compiles to
+/// the monolithic circuit, so after a monolithic job of the same model it
+/// finds the proving key cached, and its single segment carries the
+/// monolithic verifying key. The artifacts keep their shapes: a bare proof
+/// for `segments: None`, a bundle for `Fixed(1)`.
+#[test]
+fn one_segment_job_shares_the_monolithic_key() {
+    use zkml_shard::SegmentSpec;
+    let service = ProvingService::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let graph = Arc::new(tiny_mlp());
+    let mono = service
+        .submit(JobSpec::prove(graph.clone(), Backend::Kzg, 1))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .unwrap();
+    assert_eq!(mono.cache, CacheOutcome::Miss);
+    assert!(mono.bundle.is_none());
+    assert_eq!(mono.segments, 1);
+
+    let one = service
+        .submit(JobSpec::prove_segmented(
+            graph,
+            Backend::Kzg,
+            1,
+            SegmentSpec::Fixed(1),
+        ))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .unwrap();
+    assert_eq!(one.cache, CacheOutcome::MemoryHit);
+    assert!(one.vk_bytes.is_empty());
+    let bundle = one.bundle.as_ref().expect("Fixed(1) is still a bundle");
+    assert_eq!(bundle.segments.len(), 1);
+    assert_eq!(bundle.segments[0].vk_bytes, mono.vk_bytes);
+    assert_eq!(bundle.segments[0].boundary_in_len, 0);
+    assert_eq!(one.public, mono.public);
+
+    // `PlanKey.segments` tells the two requests apart, so each swept once;
+    // the circuit, and with it the verdict and the key, is shared.
+    let snap = service.snapshot();
+    assert_eq!(
+        (snap.layout_sweeps, snap.plan_hits, snap.determinism_checks),
+        (2, 0, 1)
+    );
+    assert_eq!((snap.cache_misses, snap.cache_hits), (1, 1));
+    assert_eq!(snap.proofs_verified, 2);
+}
+
+/// The pipeline standing alone, as the CLI's `prove` and `commit-model` run
+/// it (in-memory cache, empty registry, nothing checked between stages): the
+/// analyzer clears every circuit before a key is made, every proof is
+/// verified before it is returned, and `--model` is the registry's rule.
+#[test]
+fn standalone_pipeline_gates_and_verifies() {
+    use zkml_shard::SegmentSpec;
+    let graph = tiny_mlp();
+    let go_on = |_: Stage| Ok(());
+    let counters = |pipe: &Pipeline| {
+        let s = pipe.stats.snapshot();
+        (s.determinism_checks, s.cache_misses, s.proofs_verified)
+    };
+
+    let pipe = Pipeline::new(ArtifactCache::in_memory(), 15);
+    let compiled = pipe.compile(&graph, Backend::Kzg, 7, None, &go_on).unwrap();
+    assert_eq!(counters(&pipe), (1, 0, 0), "gated before any key exists");
+    let digest = pipe
+        .publish(&compiled, &go_on)
+        .unwrap()
+        .model_digest
+        .unwrap();
+    let proved = pipe.prove(&compiled, Some(digest), 7, &go_on).unwrap();
+    assert_eq!(counters(&pipe), (1, 1, 1));
+    assert_eq!(
+        proved.cache,
+        CacheOutcome::MemoryHit,
+        "publication keyed it"
+    );
+    // Proof randomness is the caller's argument: same seed, same bytes.
+    let again = pipe.prove(&compiled, None, 7, &go_on).unwrap();
+    assert_eq!(again.proof, proved.proof);
+    assert_ne!(
+        pipe.prove(&compiled, None, 8, &go_on).unwrap().proof,
+        proved.proof
+    );
+
+    // Other weights under the published digest: the registry's values rule.
+    let mut retrained = tiny_mlp();
+    let w = retrained.weights.iter_mut().flatten().next().unwrap();
+    w.data_mut()[0] += 1.0;
+    let other = pipe
+        .compile(&retrained, Backend::Kzg, 7, None, &go_on)
+        .unwrap();
+    assert!(matches!(
+        pipe.prove(&other, Some(digest), 7, &go_on),
+        Err(ServiceError::CommitmentMismatch(_))
+    ));
+
+    let pipe = Pipeline::new(ArtifactCache::in_memory(), 15);
+    let cut = pipe
+        .compile(&graph, Backend::Kzg, 7, Some(SegmentSpec::Fixed(2)), &go_on)
+        .unwrap();
+    assert_eq!(counters(&pipe), (2, 0, 0));
+    assert!(pipe.publish(&cut, &go_on).is_err());
+    assert!(pipe.prove(&cut, Some(digest), 7, &go_on).is_err());
+    let bundle = pipe.prove(&cut, None, 7, &go_on).unwrap();
+    assert_eq!(counters(&pipe), (2, 2, 2));
+    assert_eq!(bundle.segments, 2);
+
+    // The caller's check stops a job at the stage it names.
+    let stop_at = |at: Stage| {
+        move |stage: Stage| {
+            if stage == at {
+                Err(ServiceError::Cancelled)
+            } else {
+                Ok(())
+            }
+        }
+    };
+    assert_eq!(
+        pipe.compile(&graph, Backend::Kzg, 7, None, &stop_at(Stage::Compiled))
+            .err(),
+        Some(ServiceError::Cancelled)
+    );
+    for at in [Stage::Keyed, Stage::Proved] {
+        let verified = counters(&pipe).2;
+        let stopped = pipe.prove(&compiled, None, 7, &stop_at(at));
+        assert_eq!(stopped.err(), Some(ServiceError::Cancelled), "{at:?}");
+        assert_eq!(counters(&pipe).2, verified, "stopped before verifying");
+    }
 }

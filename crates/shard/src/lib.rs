@@ -32,8 +32,8 @@ pub mod verify;
 
 pub use bundle::{segment_binding, SegmentProof, SegmentedProof};
 pub use prove::{
-    compile_segments, plan_segments, prove_compiled, prove_segmented, synthesize_segments,
-    CompiledSegment, FreshKeySource, KeySource, SegmentLayout, SegmentSpec, DEFAULT_SRS_SEED,
+    compile_segments, plan_segments, prove_compiled, synthesize_segments, CompiledSegment,
+    FreshKeySource, KeySource, SegmentLayout, SegmentSpec, DEFAULT_SRS_SEED,
 };
 pub use verify::{verify_bundle, BundleReport};
 

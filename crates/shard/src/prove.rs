@@ -8,7 +8,7 @@
 //! in a row. [`prove_compiled`] then derives the bundle's chain digest from
 //! the segment metadata and proves every segment concurrently on the
 //! `zkml-par` pool, each proof transcript-bound to its position in the
-//! chain. [`prove_segmented`] is the one-call composition.
+//! chain.
 
 use crate::bundle::{segment_binding, SegmentProof, SegmentedProof};
 use crate::ShardError;
@@ -23,10 +23,10 @@ use zkml::{
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{CommittedWeights, ProvingKey, WeightCommitment};
 
-/// Seed for regenerating the deterministic SRS when no external params
-/// source is supplied. Matches `zkml_service::SRS_SEED` (this crate sits
-/// below the service and cannot import it), so standalone bundles verify
-/// against service-generated params and vice versa.
+/// Seed for regenerating the deterministic SRS (see DESIGN.md on the
+/// trusted-setup substitution). Every params source in the workspace — this
+/// crate's [`FreshKeySource`], the service's artifact cache — uses it, so a
+/// proof made by one process verifies in any other.
 pub const DEFAULT_SRS_SEED: u64 = 0x5151;
 
 /// How many segments to cut a model into.
@@ -65,29 +65,12 @@ pub trait KeySource: Sync {
     ) -> Result<Arc<ProvingKey>, ZkmlError>;
 }
 
-/// A [`KeySource`] with no cache behind it: params are regenerated from a
-/// fixed seed (memoized per `(backend, k)` within this source) and keygen
-/// runs per segment.
+/// A [`KeySource`] with no cache behind it: params are regenerated from
+/// [`DEFAULT_SRS_SEED`] (memoized per `(backend, k)` within this source) and
+/// keygen runs per segment.
+#[derive(Default)]
 pub struct FreshKeySource {
-    /// Seed for [`Params::setup`]'s deterministic rng.
-    pub srs_seed: u64,
     memo: Mutex<HashMap<(Backend, u32), Arc<Params>>>,
-}
-
-impl FreshKeySource {
-    /// A source regenerating params from `srs_seed`.
-    pub fn new(srs_seed: u64) -> Self {
-        Self {
-            srs_seed,
-            memo: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl Default for FreshKeySource {
-    fn default() -> Self {
-        Self::new(DEFAULT_SRS_SEED)
-    }
 }
 
 impl KeySource for FreshKeySource {
@@ -95,7 +78,7 @@ impl KeySource for FreshKeySource {
         if let Some(p) = self.memo.lock().unwrap().get(&(backend, k)) {
             return Arc::clone(p);
         }
-        let mut rng = StdRng::seed_from_u64(self.srs_seed);
+        let mut rng = StdRng::seed_from_u64(DEFAULT_SRS_SEED);
         let fresh = Arc::new(Params::setup(backend, k, &mut rng));
         Arc::clone(
             self.memo
@@ -334,18 +317,4 @@ pub fn prove_compiled(
         slot.proof = proof?;
     }
     Ok(bundle)
-}
-
-/// One-call segmented proving: cut, compile, and prove a lowered schedule.
-pub fn prove_segmented(
-    sched: &OpSchedule,
-    spec: SegmentSpec,
-    model_hash: [u8; 32],
-    keys: &dyn KeySource,
-    opts: &OptimizerOptions,
-    hw: &HardwareStats,
-    seed: u64,
-) -> Result<SegmentedProof, ShardError> {
-    let segments = compile_segments(sched, spec, opts, hw)?;
-    prove_compiled(model_hash, &segments, keys, opts, seed)
 }

@@ -17,31 +17,19 @@ echo "==> cargo test -q (workspace, default ZKML_THREADS)"
 cargo test --workspace -q
 
 echo "==> cargo test -q (workspace, ZKML_THREADS=1)"
+# The two workspace runs include the soundness and negative-path suites, the
+# optimizer parity test, the analyzer's rule tests and its enrollment sweep
+# (zoo clean, toy fixture flagged, every optimizer layout clean); none of
+# them is #[ignore]d.
 ZKML_THREADS=1 cargo test --workspace -q
 
-echo "==> soundness suite (mock checker conformance + adversarial mutations)"
-cargo test -p zkml-testkit --test soundness -q
-cargo test -p zkml-plonk --test negative_path -q
-
-echo "==> optimizer parity (parallel sweep == serial exhaustive sweep)"
-cargo test -p zkml --test optimizer_parity -q
-
-echo "==> static analyzer (rule unit tests, default + ZKML_THREADS=1)"
-cargo test -p zkml-analyze -q
-ZKML_THREADS=1 cargo test -p zkml-analyze -q
-
-echo "==> analyzer enrollment (zoo clean, toy fixture flagged, every optimizer layout clean)"
-# The enrollment suite sweeps all 15 zoo gadgets, asserts the committed
-# underconstrained fixture is flagged with exactly its two free cells, and
-# analyzes every candidate layout the optimizer evaluated for the example
-# models — an expected-failure fixture plus an exhaustive clean sweep.
-cargo test -p zkml-testkit --test analyze -q
-cargo test -p zkml-testkit --test affected -q
-
 echo "==> segmented prove/verify round-trip (bundles identical across thread counts)"
+# The standalone CLI runs the served job's pipeline: every circuit passes the
+# determinism gate and every proof is verified before anything is written.
 SEG_TMP="$(mktemp -d)"
 trap 'rm -rf "$SEG_TMP"' EXIT
-./target/release/zkml prove MNIST --dir "$SEG_TMP/default" --segments 3 --seed 7
+./target/release/zkml prove MNIST --dir "$SEG_TMP/default" --segments 3 --seed 7 | tee "$SEG_TMP/prove.out"
+grep -q "analyzer cleared 3 circuit(s), verifier accepted 3 proof(s)" "$SEG_TMP/prove.out"
 ZKML_THREADS=1 ./target/release/zkml prove MNIST --dir "$SEG_TMP/serial" --segments 3 --seed 7
 cmp "$SEG_TMP/default/bundle.bin" "$SEG_TMP/serial/bundle.bin"
 ./target/release/zkml verify --dir "$SEG_TMP/default"
@@ -100,9 +88,11 @@ echo "==> commit-and-prove (publish once, prove twice, zero re-keygen/re-encode)
 CP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SEG_TMP" "$NET_TMP" "$CP_TMP"; [ -n "${SERVER_PID:-}" ] && kill "$SERVER_PID" 2>/dev/null || true' EXIT
 # Standalone CLI quickstart: publish, prove under the digest, verify against it.
-./target/release/zkml commit-model MNIST --dir "$CP_TMP/registry"
+./target/release/zkml commit-model MNIST --dir "$CP_TMP/registry" | tee "$CP_TMP/commit.out"
+grep -q "analyzer cleared 1 circuit(s)" "$CP_TMP/commit.out"
 DIGEST="$(basename "$CP_TMP/registry"/*.wc .wc)"
-./target/release/zkml prove MNIST --dir "$CP_TMP/proof" --seed 7 --model "$DIGEST"
+./target/release/zkml prove MNIST --dir "$CP_TMP/proof" --seed 7 --model "$DIGEST" | tee "$CP_TMP/prove.out"
+grep -q "analyzer cleared 1 circuit(s), verifier accepted 1 proof(s)" "$CP_TMP/prove.out"
 ./target/release/zkml verify --dir "$CP_TMP/proof" --model "$DIGEST"
 # A foreign digest must fail with the distinct commitment-mismatch exit code 4.
 BAD_DIGEST="$(printf '0%.0s' $(seq 1 64))"
