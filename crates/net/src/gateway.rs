@@ -1,12 +1,12 @@
-//! The HTTP gateway: a std-only threaded HTTP/1.1 server (accept loop +
-//! fixed handler pool, no async runtime) layered over the proving service.
+//! The HTTP gateway: a std-only threaded HTTP/1.1 server (an accept thread
+//! feeding a fixed handler pool, no async runtime) over the proving service.
 //!
 //! Request path: `POST /v1/jobs` → admission (token bucket, quota, lane
-//! bound) → journal `submitted` → priority lane. A single dispatcher
-//! thread drains the lanes by weighted round-robin into the service's
-//! bounded queue (journaling `started`), polls in-flight handles, and
-//! appends exactly one terminal record per job (the service verifies each
-//! proof in the worker, so a job that completes is a verified one).
+//! bound) → journal `submitted` → priority lane, the only place a job
+//! waits. A single dispatcher thread blocks on one event channel: while a
+//! worker is free it hands the service the next job by weighted round-robin
+//! (journaling `started`), and it appends exactly one terminal record per
+//! result a worker reports (a job that completes is a verified one).
 //! `GET /v1/jobs/{id}` serves status and (hex-encoded) artifacts,
 //! `DELETE /v1/jobs/{id}` cancels cooperatively, `GET /v1/stats` merges the
 //! service snapshot with per-tenant admission counters.
@@ -28,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zkml_pcs::Backend;
 use zkml_service::{
-    decode_public, encode_public, CancelToken, JobHandle, JobKind, JobSpec, ProofArtifacts,
+    decode_public, encode_public, CancelToken, JobKind, JobResult, JobSpec, ProofArtifacts,
     ProvingService, ServiceConfig, ServiceError,
 };
 
@@ -97,7 +97,7 @@ struct JobEntry {
     cancel: CancelToken,
     /// What the dispatcher hands the service: the description with its model
     /// resolved, or a verify job's payload (not journaled; too large). `None`
-    /// once nothing is left to dispatch — a job replayed as terminal.
+    /// once the service has it, and for a job replayed as terminal.
     work: Option<JobKind>,
     artifacts: Option<ProofArtifacts>,
     error: Option<String>,
@@ -162,8 +162,17 @@ fn resolve(desc: &JobDesc) -> Result<Option<JobKind>, String> {
     })
 }
 
+/// What the dispatcher waits for.
+enum Event {
+    /// A lane gained a job, a publication left the service, or shutdown began.
+    Wake,
+    /// A worker finished the job handed over under this gateway id.
+    Done(u64, Box<JobResult>),
+}
+
 struct Inner {
     service: ProvingService,
+    events: Sender<Event>,
     admission: Admission,
     lanes: Mutex<Lanes>,
     registry: Mutex<HashMap<u64, JobEntry>>,
@@ -193,13 +202,6 @@ impl Inner {
     }
 }
 
-/// How a job left the system, from the dispatcher's point of view.
-enum Outcome {
-    Completed(Option<Box<ProofArtifacts>>),
-    Failed(String),
-    Cancelled,
-}
-
 /// The running HTTP gateway. Dropping it performs a graceful shutdown:
 /// stop accepting, drain both lanes and all in-flight jobs, fsync the
 /// journal.
@@ -224,8 +226,10 @@ impl Gateway {
         };
         let service = ProvingService::start(cfg.service)?;
         let admission = Admission::new(&cfg.admission);
+        let (events, event_rx) = std::sync::mpsc::channel();
         let inner = Arc::new(Inner {
             service,
+            events,
             admission,
             lanes: Mutex::new(Lanes::default()),
             registry: Mutex::new(HashMap::new()),
@@ -266,7 +270,7 @@ impl Gateway {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("zkml-dispatch".to_string())
-                .spawn(move || dispatcher_loop(inner))
+                .spawn(move || dispatcher_loop(&inner, &event_rx))
                 .expect("spawn dispatcher")
         };
         Ok(Gateway {
@@ -289,12 +293,12 @@ impl Gateway {
     }
 
     /// Graceful shutdown: stop accepting, drain lanes and in-flight jobs,
-    /// fsync the journal. Blocks until done.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
+    /// fsync the journal. Blocks until done; it is what dropping does.
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_in_place(&mut self) {
+impl Drop for Gateway {
+    fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join(); // exiting drops the conn sender
@@ -302,18 +306,13 @@ impl Gateway {
         for t in self.handler_threads.drain(..) {
             let _ = t.join();
         }
+        let _ = self.inner.events.send(Event::Wake);
         if let Some(t) = self.dispatch_thread.take() {
             let _ = t.join();
         }
         if let Some(j) = &self.inner.journal {
             let _ = j.sync();
         }
-    }
-}
-
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        self.shutdown_in_place();
     }
 }
 
@@ -369,10 +368,7 @@ fn replay_into(inner: &Arc<Inner>, records: &[crate::journal::Record]) {
 }
 
 fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, inner: Arc<Inner>) {
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
+    while !inner.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
@@ -382,9 +378,7 @@ fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, inner: Arc<Inn
                     break;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // `WouldBlock` or a transient accept error: look again in 5 ms.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -551,18 +545,18 @@ fn verify_payload(v: &Json) -> Result<JobKind, String> {
 }
 
 fn submit_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
-    if inner.shutdown.load(Ordering::SeqCst) {
-        return (503, vec![], err_body("server is draining"));
-    }
     let entry = match parse_submission(body) {
         Ok(entry) => entry,
         Err(msg) => return (400, vec![], err_body(&msg)),
     };
     let (tenant, priority) = (&entry.tenant, entry.priority);
 
-    // Admission and enqueue under the lane lock, so the lane bound and the
-    // tenant's slot accounting cannot race.
+    // Admission, enqueue and the drain check under the lane lock: the bound
+    // and the slot accounting cannot race, and no job enters a drained lane.
     let mut lanes = inner.lanes.lock().unwrap();
+    if inner.shutdown.load(Ordering::SeqCst) {
+        return (503, vec![], err_body("server is draining"));
+    }
     if let Err(e) = inner.admission.admit(tenant) {
         let secs = e.retry_after().as_secs_f64();
         let body = JsonObj::new()
@@ -601,6 +595,8 @@ fn submit_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
     }
     inner.registry.lock().unwrap().insert(id, entry);
     lane.push_back(id);
+    drop(lanes);
+    let _ = inner.events.send(Event::Wake);
     let body = JsonObj::new()
         .u64("job_id", id)
         .str("status", "queued")
@@ -637,7 +633,10 @@ fn commit_model_route(inner: &Arc<Inner>, body: &[u8]) -> RouteResult {
         }
         Err(e) => return (500, vec![], err_body(&e.to_string())),
     };
-    match handle.wait() {
+    let published = handle.wait();
+    // A job the service refused (`Busy`) because of this publication can go now.
+    let _ = inner.events.send(Event::Wake);
+    match published {
         Ok(Some(a)) => {
             let digest = a.model_digest.map(|d| encode_hex(&d)).unwrap_or_default();
             let body = JsonObj::new()
@@ -788,155 +787,109 @@ fn pop_weighted(inner: &Inner, cursor: &mut usize) -> Option<u64> {
     id
 }
 
-/// What to do with a job popped from a lane.
-enum Dispatch {
-    /// Hand it to the service on behalf of this tenant.
-    Ready(String, Box<JobSpec>),
-    /// Already handled elsewhere (e.g. cancelled and finalized); drop it.
-    Skip,
-    /// Finalize it with this outcome instead of running it.
-    Abort(String, Box<Outcome>),
-}
-
-fn build_dispatch(inner: &Inner, id: u64) -> Dispatch {
-    let registry = inner.registry.lock().unwrap();
-    let Some(entry) = registry.get(&id) else {
-        return Dispatch::Skip; // cancelled and removed concurrently
+/// Applies a job's result: first its one terminal journal record, outside the
+/// registry lock (no request waits on the fsync), then state and tenant slot.
+fn finish(inner: &Inner, id: u64, result: JobResult) {
+    let (state, record, outcome) = match &result {
+        Ok(artifacts) => {
+            let a = artifacts.as_ref();
+            let record = Record::Completed {
+                job: id,
+                k: a.map_or(0, |a| a.k),
+                segments: a.map_or(0, |a| a.segments),
+                prove_ms: a.map_or(0, |a| a.prove_ms),
+            };
+            (JobState::Completed, record, ReleaseOutcome::Completed)
+        }
+        Err(ServiceError::Cancelled) => {
+            let record = Record::Cancelled { job: id };
+            (JobState::Cancelled, record, ReleaseOutcome::Cancelled)
+        }
+        Err(e) => {
+            let error = e.to_string();
+            let record = Record::Failed { job: id, error };
+            (JobState::Failed, record, ReleaseOutcome::Failed)
+        }
     };
-    if entry.state != JobState::Queued {
-        return Dispatch::Skip;
-    }
-    let tenant = entry.tenant.clone();
-    if entry.cancel.is_cancelled() {
-        return Dispatch::Abort(tenant, Box::new(Outcome::Cancelled));
-    }
-    let Some(kind) = entry.work.clone() else {
-        return Dispatch::Abort(
-            tenant,
-            Box::new(Outcome::Failed("job lost what it dispatches".to_string())),
-        );
-    };
-    let spec = JobSpec::new(kind).with_cancel(entry.cancel.clone());
-    Dispatch::Ready(tenant, Box::new(spec))
-}
-
-/// Applies a terminal outcome: registry state, journal record, tenant slot.
-fn finish(inner: &Inner, id: u64, tenant: &str, outcome: Outcome) {
+    inner.journal_note(&record);
     let mut registry = inner.registry.lock().unwrap();
     let Some(entry) = registry.get_mut(&id) else {
         return;
     };
-    if entry.state.terminal() {
-        return; // exactly-once: ignore late duplicates
+    entry.state = state;
+    entry.result_available = result.is_ok();
+    if let Record::Failed { error, .. } = record {
+        entry.error = Some(error);
     }
-    match outcome {
-        Outcome::Completed(artifacts) => {
-            entry.state = JobState::Completed;
-            entry.result_available = true;
-            entry.artifacts = artifacts.map(|a| *a);
-            let (k, segments, prove_ms) = entry
-                .artifacts
-                .as_ref()
-                .map(|a| (a.k, a.segments, a.prove_ms))
-                .unwrap_or((0, 0, 0));
-            inner.journal_note(&Record::Completed {
-                job: id,
-                k,
-                segments,
-                prove_ms,
-            });
-            inner.admission.release(tenant, ReleaseOutcome::Completed);
-        }
-        Outcome::Failed(error) => {
-            entry.state = JobState::Failed;
-            entry.error = Some(error.clone());
-            inner.journal_note(&Record::Failed { job: id, error });
-            inner.admission.release(tenant, ReleaseOutcome::Failed);
-        }
-        Outcome::Cancelled => {
-            entry.state = JobState::Cancelled;
-            inner.journal_note(&Record::Cancelled { job: id });
-            inner.admission.release(tenant, ReleaseOutcome::Cancelled);
-        }
-    }
+    entry.artifacts = result.ok().flatten();
+    inner.admission.release(&entry.tenant, outcome);
 }
 
-fn dispatcher_loop(inner: Arc<Inner>) {
-    // (gateway id, tenant, handle)
-    let mut inflight: Vec<(u64, String, JobHandle)> = Vec::new();
+/// The one writer of a job's `started` and terminal records. Feeds the
+/// service while a worker is free, so a job waits in its lane (prioritised,
+/// cancellable) and not in the service's queue, then blocks on the events.
+fn dispatcher_loop(inner: &Arc<Inner>, events: &Receiver<Event>) {
+    let workers = inner.service.worker_count();
+    // Jobs handed to the service whose `Done` has not arrived.
+    let mut handed_over = 0usize;
     let mut cursor = 0usize;
     loop {
-        let draining = inner.shutdown.load(Ordering::SeqCst);
-
-        // 1. Feed the service from the lanes (weighted round-robin) until
-        //    it pushes back.
-        while let Some(id) = pop_weighted(&inner, &mut cursor) {
-            let (tenant, spec) = match build_dispatch(&inner, id) {
-                Dispatch::Ready(tenant, spec) => (tenant, *spec),
-                Dispatch::Skip => continue,
-                Dispatch::Abort(tenant, outcome) => {
-                    finish(&inner, id, &tenant, *outcome);
-                    continue;
-                }
+        while handed_over < workers {
+            let Some(id) = pop_weighted(inner, &mut cursor) else {
+                break;
             };
-            match inner.service.submit(spec) {
-                Ok(handle) => {
-                    // `started` is journaled only once the service actually
-                    // holds the job. A crash in the gap between accept and
-                    // append replays the job as queued and re-runs it; once
-                    // the record lands, a crash deterministically fails it.
+            let queued = inner.registry.lock().unwrap().get(&id).and_then(|entry| {
+                Some((entry.priority, entry.cancel.clone(), entry.work.clone()?))
+            });
+            let Some((priority, cancel, kind)) = queued else {
+                continue;
+            };
+            if cancel.is_cancelled() {
+                finish(inner, id, Err(ServiceError::Cancelled));
+                continue;
+            }
+            let events = inner.events.clone();
+            let done = move |result| drop(events.send(Event::Done(id, Box::new(result))));
+            match inner
+                .service
+                .submit_with(JobSpec::new(kind).with_cancel(cancel), done)
+            {
+                Ok(_) => {
+                    // `started` is journaled once the service holds the job:
+                    // a crash before the append replays it as queued and
+                    // re-runs it, a crash after it deterministically fails it.
                     inner.journal_note(&Record::Started { job: id });
                     if let Some(entry) = inner.registry.lock().unwrap().get_mut(&id) {
                         entry.state = JobState::Running;
+                        entry.work = None;
                     }
-                    inflight.push((id, tenant, handle));
+                    handed_over += 1;
                 }
                 Err(ServiceError::Busy { .. }) => {
-                    // Backpressure from the bounded queue: put the job back
-                    // at the front of its lane and stop feeding this round.
-                    // The cursor rewinds so the weighted pattern counts
-                    // dispatches, not attempts.
+                    // A publication (or a queue smaller than the worker
+                    // count) took the room: back to the front of its lane
+                    // until the next event, payload in place; the cursor
+                    // counts dispatches, not attempts.
                     cursor -= 1;
                     let mut lanes = inner.lanes.lock().unwrap();
-                    let registry = inner.registry.lock().unwrap();
-                    if let Some(entry) = registry.get(&id) {
-                        lanes.lane_mut(entry.priority).push_front(id);
-                    }
+                    lanes.lane_mut(priority).push_front(id);
                     break;
                 }
-                Err(e) => {
-                    finish(&inner, id, &tenant, Outcome::Failed(e.to_string()));
-                }
+                Err(e) => finish(inner, id, Err(e)),
             }
         }
-
-        // 2. Poll in-flight jobs without blocking long.
-        let mut still = Vec::new();
-        for (id, tenant, handle) in inflight {
-            match handle.wait_timeout(Duration::from_millis(1)) {
-                None => still.push((id, tenant, handle)),
-                Some(Ok(Some(artifacts))) => finish(
-                    &inner,
-                    id,
-                    &tenant,
-                    Outcome::Completed(Some(Box::new(artifacts))),
-                ),
-                Some(Ok(None)) => finish(&inner, id, &tenant, Outcome::Completed(None)),
-                Some(Err(ServiceError::Cancelled)) => {
-                    finish(&inner, id, &tenant, Outcome::Cancelled)
-                }
-                Some(Err(e)) => finish(&inner, id, &tenant, Outcome::Failed(e.to_string())),
-            }
-        }
-        inflight = still;
-
-        // 3. Drain-and-exit on shutdown.
-        if draining && inflight.is_empty() {
+        if handed_over == 0 && inner.shutdown.load(Ordering::SeqCst) {
             let lanes = inner.lanes.lock().unwrap();
             if lanes.interactive.is_empty() && lanes.batch.is_empty() {
-                break;
+                break; // drained
             }
         }
-        std::thread::sleep(Duration::from_millis(2));
+        if let Ok(Event::Done(id, result)) = events.recv() {
+            handed_over -= 1;
+            finish(inner, id, *result);
+        }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -2,17 +2,19 @@
 //! lets a restarted (or crashed) server reconstruct every job's fate.
 //!
 //! Write-ahead discipline: `submitted` is appended (and fsynced) before the
-//! client's 202 is sent, `started` before the job enters the proving
-//! service, and exactly one terminal record (`completed` / `failed` /
-//! `cancelled`) after. Replay is therefore simple: a job whose last record
-//! is `submitted` was queued but never picked up → re-run it; a job whose
-//! last record is `started` was in flight when the process died → fail it
-//! deterministically (the submitter can retry); terminal jobs stay
-//! terminal. Proof bytes are deliberately not journaled — a replayed job
-//! regenerates them from its (model, backend, seed) description.
+//! client's 202 is sent, `started` when the proving service has taken the
+//! job (offered to it only while a worker is free), and exactly one terminal
+//! record (`completed` / `failed` / `cancelled`) after. Replay is therefore
+//! simple: a job whose last record is `submitted` was queued but never
+//! picked up → re-run it; a job whose last record is `started` was in flight
+//! when the process died → fail it deterministically (the submitter can
+//! retry); terminal jobs stay terminal. Proof bytes are deliberately not
+//! journaled — a replayed job regenerates them from its (model, backend,
+//! seed) description.
 
 use crate::admission::Priority;
 use crate::json::{decode_hex, encode_hex, escape, Json, JsonObj};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -463,6 +465,8 @@ pub enum ReplayState {
 /// head) are ignored rather than fatal.
 pub fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
     let mut jobs: Vec<ReplayJob> = Vec::new();
+    // Job id → position in `jobs` (which keeps submission order).
+    let mut index: HashMap<u64, usize> = HashMap::new();
     let mut next_id = 1;
     for rec in records {
         match rec {
@@ -473,6 +477,7 @@ pub fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
                 desc,
             } => {
                 next_id = next_id.max(job + 1);
+                index.entry(*job).or_insert(jobs.len());
                 jobs.push(ReplayJob {
                     id: *job,
                     tenant: tenant.clone(),
@@ -482,7 +487,7 @@ pub fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
                 });
             }
             Record::Started { job } => {
-                if let Some(j) = jobs.iter_mut().find(|j| j.id == *job) {
+                if let Some(j) = index.get(job).map(|i| &mut jobs[*i]) {
                     if j.state == ReplayState::Queued {
                         j.state = ReplayState::InFlight;
                     }
@@ -494,7 +499,7 @@ pub fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
                 segments,
                 prove_ms,
             } => {
-                if let Some(j) = jobs.iter_mut().find(|j| j.id == *job) {
+                if let Some(j) = index.get(job).map(|i| &mut jobs[*i]) {
                     j.state = ReplayState::Completed {
                         k: *k,
                         segments: *segments,
@@ -503,12 +508,12 @@ pub fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
                 }
             }
             Record::Failed { job, error } => {
-                if let Some(j) = jobs.iter_mut().find(|j| j.id == *job) {
+                if let Some(j) = index.get(job).map(|i| &mut jobs[*i]) {
                     j.state = ReplayState::Failed(error.clone());
                 }
             }
             Record::Cancelled { job } => {
-                if let Some(j) = jobs.iter_mut().find(|j| j.id == *job) {
+                if let Some(j) = index.get(job).map(|i| &mut jobs[*i]) {
                     j.state = ReplayState::Cancelled;
                 }
             }
@@ -595,6 +600,40 @@ mod tests {
         );
         assert_eq!(jobs[1].state, ReplayState::Queued, "never started");
         assert_eq!(jobs[2].state, ReplayState::InFlight, "started, no terminal");
+    }
+
+    /// Replay looks a record's job up by id, not by scanning the jobs before
+    /// it: a long journal replays in time linear in its length.
+    #[test]
+    fn replay_of_a_long_journal_is_linear() {
+        const JOBS: u64 = 100_000;
+        let records: Vec<Record> = (1..=JOBS)
+            .flat_map(|job| {
+                [
+                    Record::Submitted {
+                        job,
+                        tenant: "t".into(),
+                        priority: Priority::Batch,
+                        desc: JobDesc::Sleep { ms: 0 },
+                    },
+                    Record::Started { job },
+                    Record::Completed {
+                        job,
+                        k: 0,
+                        segments: 0,
+                        prove_ms: 0,
+                    },
+                ]
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        let (jobs, next_id) = replay(&records);
+        assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
+        assert_eq!(next_id, JOBS + 1);
+        assert_eq!(jobs.len() as u64, JOBS);
+        assert!(jobs
+            .iter()
+            .all(|j| matches!(j.state, ReplayState::Completed { .. })));
     }
 
     #[test]

@@ -36,15 +36,27 @@ fn read_records(path: &PathBuf) -> Vec<Record> {
         .collect()
 }
 
-fn terminal_count(records: &[Record], id: u64) -> usize {
-    records
+/// The journal's shape per job: `started` at most once, then exactly one
+/// terminal record.
+fn assert_lifecycle(records: &[Record], id: u64) {
+    let of_job: Vec<&str> = records
         .iter()
-        .filter(|r| {
-            matches!(r,
-                Record::Completed { job, .. } | Record::Failed { job, .. } | Record::Cancelled { job }
-                if *job == id)
+        .filter_map(|r| match r {
+            Record::Started { job } if *job == id => Some("started"),
+            Record::Completed { job, .. }
+            | Record::Failed { job, .. }
+            | Record::Cancelled { job }
+                if *job == id =>
+            {
+                Some("terminal")
+            }
+            _ => None,
         })
-        .count()
+        .collect();
+    assert!(
+        of_job == ["terminal"] || of_job == ["started", "terminal"],
+        "job {id}: {of_job:?}"
+    );
 }
 
 /// Simulated crash: a hand-written journal capturing a server that died with
@@ -120,7 +132,7 @@ fn replay_recovers_every_job_exactly_once() {
 
     let records = read_records(&journal);
     for id in 1..=5 {
-        assert_eq!(terminal_count(&records, id), 1, "job {id}");
+        assert_lifecycle(&records, id);
     }
 
     // A second restart on the recovered journal changes nothing: every job
@@ -139,17 +151,17 @@ fn replay_recovers_every_job_exactly_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Live crash-equivalent: drop a gateway WITHOUT draining is not possible
-/// through the public API (drop drains), so simulate the kill by copying the
-/// journal mid-run and restarting from the copy.
+/// A waiting job waits in its lane under the default queue: it reads
+/// `queued`, has no `started` record, cancels synchronously, and a restart
+/// re-runs it. The kill is simulated by copying the journal mid-run and
+/// restarting from the copy (dropping a gateway drains it).
 #[test]
-fn snapshot_of_running_journal_recovers() {
+fn waiting_jobs_stay_queued_and_survive_a_restart() {
     let dir = tempdir("live");
     let journal = dir.join("journal.jsonl");
     let gw = Gateway::start(GatewayConfig {
         service: ServiceConfig {
             workers: 1,
-            queue_capacity: 1,
             ..ServiceConfig::default()
         },
         journal: Some(journal.clone()),
@@ -157,21 +169,38 @@ fn snapshot_of_running_journal_recovers() {
     })
     .unwrap();
     let addr = gw.local_addr().to_string();
-    for _ in 0..3 {
-        let r = http_request(
-            &addr,
-            "POST",
-            "/v1/jobs",
-            Some("{\"kind\":\"sleep\",\"sleep_ms\":400}"),
-        )
-        .unwrap();
+    // A long job for the one worker, two short ones behind it.
+    for ms in [800, 5, 5] {
+        let body = format!("{{\"kind\":\"sleep\",\"sleep_ms\":{ms}}}");
+        let r = http_request(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
         assert_eq!(r.status, 202);
     }
-    std::thread::sleep(Duration::from_millis(100));
-    // "kill -9": snapshot the journal while jobs are running and queued.
+    // The one worker takes job 1; jobs 2 and 3 wait in their lane.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while state_of(&addr, 1) != "running" {
+        assert!(Instant::now() < deadline, "job 1 never started");
+        std::thread::yield_now();
+    }
+    assert_eq!(state_of(&addr, 2), "queued");
+    assert_eq!(state_of(&addr, 3), "queued");
+    let r = http_request(&addr, "DELETE", "/v1/jobs/3", None).unwrap();
+    assert_eq!(r.status, 200, "a waiting job cancels synchronously");
+    // "kill -9": snapshot the journal while job 1 runs and job 2 waits.
     let snapshot = dir.join("snapshot.jsonl");
     std::fs::copy(&journal, &snapshot).unwrap();
+    let started = |records: &[Record]| {
+        records
+            .iter()
+            .filter(|r| matches!(r, Record::Started { .. }))
+            .count()
+    };
+    assert_eq!(started(&read_records(&snapshot)), 1, "only job 1 started");
     gw.shutdown();
+    let records = read_records(&journal);
+    assert_eq!(started(&records), 2, "job 3 never started");
+    for id in 1..=3 {
+        assert_lifecycle(&records, id);
+    }
 
     let gw = Gateway::start(GatewayConfig {
         journal: Some(snapshot.clone()),
@@ -179,24 +208,23 @@ fn snapshot_of_running_journal_recovers() {
     })
     .unwrap();
     let addr = gw.local_addr().to_string();
-    // Every job from the snapshot reaches a terminal state: started ones
-    // fail, queued ones re-run.
+    // The started job fails, the waiting one re-runs, the cancelled one stays.
+    assert_eq!(state_of(&addr, 1), "failed");
+    assert!(status_of(&addr, 1)
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("interrupted by server restart"));
+    assert_eq!(state_of(&addr, 3), "cancelled");
     let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let states: Vec<String> = (1..=3).map(|id| state_of(&addr, id)).collect();
-        if states
-            .iter()
-            .all(|s| s == "completed" || s == "failed" || s == "cancelled")
-        {
-            break;
-        }
-        assert!(Instant::now() < deadline, "stuck: {states:?}");
+    while state_of(&addr, 2) != "completed" {
+        assert!(Instant::now() < deadline, "job 2 never re-ran");
         std::thread::sleep(Duration::from_millis(10));
     }
     gw.shutdown();
     let records = read_records(&snapshot);
     for id in 1..=3 {
-        assert_eq!(terminal_count(&records, id), 1, "job {id}");
+        assert_lifecycle(&records, id);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! The proving service: a bounded job queue feeding a pool of worker
 //! threads, with per-job deadlines, cooperative cancellation and panic
-//! isolation. What a proving job does, stage by stage, is
-//! [`crate::pipeline`]; the workers run it.
+//! isolation. The workers run [`crate::pipeline`], what a proving job does
+//! stage by stage, and hand each result to its submitter's completion.
 
 use crate::cache::ArtifactCache;
 use crate::error::ServiceError;
@@ -234,7 +234,8 @@ struct Job {
     id: u64,
     spec: JobSpec,
     submitted: Instant,
-    reply: Sender<JobResult>,
+    /// What is done with the result; the worker that ran the job calls it.
+    done: Box<dyn FnOnce(JobResult) + Send>,
 }
 
 /// A submitted job's receipt; await the result through it.
@@ -350,29 +351,39 @@ impl ProvingService {
 
     /// Submits a job. Never blocks: a full queue rejects immediately with
     /// [`ServiceError::Busy`] so callers can apply backpressure upstream.
-    pub fn submit(&self, mut spec: JobSpec) -> Result<JobHandle, ServiceError> {
+    pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, ServiceError> {
+        let (reply, rx) = channel::unbounded();
+        let cancel = spec.cancel.clone();
+        let id = self.submit_with(spec, move |result| {
+            // The submitter may have dropped its handle; that is not an error.
+            let _ = reply.send(result);
+        })?;
+        Ok(JobHandle { id, rx, cancel })
+    }
+
+    /// [`Self::submit`] with the submitter's own completion: the worker that
+    /// ran the job calls `done` with the result. Returns the job's id.
+    pub fn submit_with(
+        &self,
+        mut spec: JobSpec,
+        done: impl FnOnce(JobResult) + Send + 'static,
+    ) -> Result<u64, ServiceError> {
         if spec.deadline.is_none() {
             spec.deadline = self.default_deadline;
         }
         let tx = self.tx.as_ref().ok_or(ServiceError::Shutdown)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let cancel = spec.cancel.clone();
         let job = Job {
             id,
             spec,
             submitted: Instant::now(),
-            reply: reply_tx,
+            done: Box::new(done),
         };
         match tx.try_send(job) {
             Ok(()) => {
                 self.pipe.stats.record_submitted();
                 self.pipe.stats.set_queue_depth(tx.len());
-                Ok(JobHandle {
-                    id,
-                    rx: reply_rx,
-                    cancel,
-                })
+                Ok(id)
             }
             Err(TrySendError::Full(_)) => {
                 self.pipe.stats.record_rejected_busy();
@@ -454,7 +465,6 @@ impl Drop for ProvingService {
 fn worker_loop(rx: Receiver<Job>, pipe: Arc<Pipeline>, proof_entropy: u64) {
     while let Ok(job) = rx.recv() {
         pipe.stats.set_queue_depth(rx.len());
-        let reply = job.reply.clone();
         // Panic isolation: a panicking job poisons nothing — the worker
         // reports it as a job failure and moves on to the next job.
         let result = match catch_unwind(AssertUnwindSafe(|| run_job(&pipe, proof_entropy, &job))) {
@@ -473,8 +483,7 @@ fn worker_loop(rx: Receiver<Job>, pipe: Arc<Pipeline>, proof_entropy: u64) {
             Err(ServiceError::Cancelled) => pipe.stats.record_cancelled(),
             Err(_) => pipe.stats.record_failed(),
         }
-        // The submitter may have dropped its handle; that is not an error.
-        let _ = reply.send(result);
+        (job.done)(result);
     }
 }
 

@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release (workspace, including the zkml CLI)"
 cargo build --workspace --release
+# One poll is left in the gateway, the accept loop's (two lines: the
+# nonblocking listener and its 5 ms sleep); a second cannot come back unnoticed.
+[ "$(grep -cE 'thread::sleep|set_nonblocking|wait_timeout' crates/net/src/gateway.rs)" = 2 ]
 
 echo "==> benchmark/ builds against the tree (its API is frozen between benchmark PRs)"
 # benchmark/ is its own package and compiles against the crates' public
