@@ -1,7 +1,8 @@
 //! Measures what the committed-weight column class buys: keygen time and
 //! proving-key size are weight-independent (two MNIST weight sets produce
 //! byte-identical keys), weight encoding is a one-time publication cost,
-//! and proving against a published commitment skips it entirely.
+//! and proving against a published commitment skips it entirely. Also
+//! times checking that proof against the published commitment.
 //!
 //! Emits a JSON document merged into `BENCH_OPT.json` as the
 //! `commit_and_prove` section.
@@ -54,7 +55,7 @@ fn main() {
 
     // Publication: the one-time weight encoding + commitment cost.
     let t = Instant::now();
-    let (_wc, weights) = a.commit_weights(&params).expect("commit weights");
+    let (wc, weights) = a.commit_weights(&params).expect("commit weights");
     let commit_s = t.elapsed().as_secs_f64();
 
     // Proving with the published encodings vs recommitting inline.
@@ -67,6 +68,26 @@ fn main() {
     let _ = a.prove(&params, &pk_a, &mut rng).expect("prove inline");
     let prove_inline_s = t.elapsed().as_secs_f64();
 
+    // Verification against the published commitment: median of 7.
+    let mut verify_s: Vec<f64> = (0..7)
+        .map(|_| {
+            let t = Instant::now();
+            let v = zkml_plonk::verify_proof_committed(
+                &params,
+                &pk_a.vk,
+                a.instance(),
+                &proof,
+                &[],
+                Some(&wc),
+            )
+            .expect("verify published");
+            assert!(v.settle(&params), "pairing check failed");
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    verify_s.sort_by(f64::total_cmp);
+    let verify_published_s = verify_s[verify_s.len() / 2];
+
     println!("{{");
     println!("\"bench\": \"commit_and_prove\",");
     println!("\"model\": \"MNIST\",");
@@ -78,6 +99,7 @@ fn main() {
     println!("\"commit_weights_once_s\": {commit_s:.6},");
     println!("\"prove_published_commitment_s\": {prove_published_s:.6},");
     println!("\"prove_inline_recommit_s\": {prove_inline_s:.6},");
+    println!("\"verify_published_s\": {verify_published_s:.6},");
     println!("\"proof_bytes\": {}", proof.len());
     println!("}}");
     assert!(

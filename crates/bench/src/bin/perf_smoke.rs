@@ -3,7 +3,7 @@
 //! Runs the scaling kernels at a small size and fails (exit 1) if any
 //! measured ratio regresses past the thresholds stored in
 //! `PERF_THRESHOLDS.json` at the repository root (alongside
-//! `BENCH_PAR.json`). Four ratios are gated:
+//! `BENCH_PAR.json`). Five ratios are gated:
 //!
 //! - `min_msm_kernel_ratio`: serial jacobian-bucket MSM time over serial
 //!   batch-affine MSM time — the single-thread kernel win, meaningful on
@@ -18,6 +18,15 @@
 //!   the time over uniform scalars, at `n = 2^10`. The kernel builds only
 //!   the windows the widest scalar needs, so this sits near 2/29; it binds
 //!   on any core count and is never recorded looser than 0.25.
+//! - `max_verify_msm_ratio`: serial time to verify and settle the
+//!   `mul_chain` proof at `k = 10` over the serial uniform MSM at `n = 2^10`.
+//!   A KZG check is one MSM over the proof's distinct commitments and one
+//!   two-pair Miller loop over prepared G2 lines with the x-chain final
+//!   exponentiation, about a fifth of that MSM (0.18–0.20 on a 2-vCPU
+//!   host); the verifier that paid one double-and-add per opening query, an
+//!   inversion per Miller step and a bit-by-bit hard part read 0.66–0.81
+//!   there and fails it. It binds on any core count and is never recorded
+//!   looser than 0.33, half the old verifier's ratio.
 //!
 //! Thresholds are hardware-dependent, so the file records the core count
 //! they were measured on. If the current machine's core count differs, the
@@ -26,9 +35,11 @@
 //! --bin perf_smoke`, which rewrites the file with freshly measured ratios
 //! minus a noise margin.
 
-use zkml_bench::scaling::{cores, msm_inputs, time_with_pool};
+use zkml_bench::scaling::{cores, msm_inputs, mul_chain, time_with_pool};
 use zkml_curves::{msm, msm_jacobian};
 use zkml_ff::{Field, Fr, PrimeField};
+use zkml_pcs::{Backend, Params};
+use zkml_plonk::{create_proof_with_rng, keygen, verify_proof};
 use zkml_poly::EvaluationDomain;
 
 /// Grid size for the smoke kernels: large enough that the batch-affine and
@@ -43,6 +54,9 @@ const RECORD_MARGIN: f64 = 0.6;
 const SMALL_MSM_K: u32 = 10;
 /// The loosest `max_small_msm_ratio` ever recorded.
 const SMALL_MSM_CEILING: f64 = 0.25;
+/// The loosest `max_verify_msm_ratio` ever recorded: half the ratio of the
+/// per-query double-and-add verifier.
+const VERIFY_MSM_CEILING: f64 = 0.33;
 
 fn thresholds_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../PERF_THRESHOLDS.json")
@@ -65,6 +79,7 @@ struct Measured {
     par4_msm_ratio: f64,
     par4_fft_ratio: f64,
     small_msm_ratio: f64,
+    verify_msm_ratio: f64,
 }
 
 fn measure() -> Measured {
@@ -90,6 +105,16 @@ fn measure() -> Measured {
     let (uniform_ms, _) = time_with_pool(&serial, 4 * REPS, || msm(&bases10, &uniform));
     let (small_ms, _) = time_with_pool(&serial, 4 * REPS, || msm(&bases10, &small));
 
+    // Keygen and proving run on the default pool; only verification is timed.
+    let mut proof_rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+    let chain = mul_chain(SMALL_MSM_K);
+    let params = Params::setup(Backend::Kzg, SMALL_MSM_K, &mut proof_rng);
+    let pk = keygen(&params, &chain.cs, &chain.pre, SMALL_MSM_K).expect("keygen");
+    let proof = create_proof_with_rng(&params, &pk, &chain.witness, &mut proof_rng).expect("prove");
+    let (verify_ms, _) = time_with_pool(&serial, 4 * REPS, || {
+        verify_proof(&params, &pk.vk, &chain.instance, &proof).expect("verify")
+    });
+
     let domain = EvaluationDomain::<Fr>::new(SMOKE_K + 3);
     let vals: Vec<Fr> = (0..domain.n).map(|_| Fr::random(&mut rng)).collect();
     let twiddles = domain.twiddles();
@@ -105,17 +130,20 @@ fn measure() -> Measured {
         "perf-smoke k={SMOKE_K}: msm jacobian {jac_ms:.2} ms, batch-affine {msm1_ms:.2} ms \
          (kernel {:.2}x); msm 4-thread {msm4_ms:.2} ms ({:.2}x); \
          fft 1-thread {fft1_ms:.2} ms, 4-thread {fft4_ms:.2} ms ({:.2}x); \
-         msm 2^{SMALL_MSM_K} uniform {uniform_ms:.2} ms, 13-bit signed {small_ms:.2} ms ({:.3})",
+         msm 2^{SMALL_MSM_K} uniform {uniform_ms:.2} ms, 13-bit signed {small_ms:.2} ms ({:.3}); \
+         verify k={SMALL_MSM_K} {verify_ms:.2} ms ({:.3})",
         jac_ms / msm1_ms,
         msm1_ms / msm4_ms,
         fft1_ms / fft4_ms,
-        small_ms / uniform_ms
+        small_ms / uniform_ms,
+        verify_ms / uniform_ms
     );
     Measured {
         kernel_ratio: jac_ms / msm1_ms,
         par4_msm_ratio: msm1_ms / msm4_ms,
         par4_fft_ratio: fft1_ms / fft4_ms,
         small_msm_ratio: small_ms / uniform_ms,
+        verify_msm_ratio: verify_ms / uniform_ms,
     }
 }
 
@@ -123,12 +151,13 @@ fn record(m: &Measured) {
     let body = format!(
         "{{\n  \"cores\": {},\n  \"k\": {SMOKE_K},\n  \"min_msm_kernel_ratio\": {:.2},\n  \
          \"min_par4_msm_ratio\": {:.2},\n  \"min_par4_fft_ratio\": {:.2},\n  \
-         \"max_small_msm_ratio\": {:.2}\n}}\n",
+         \"max_small_msm_ratio\": {:.2},\n  \"max_verify_msm_ratio\": {:.2}\n}}\n",
         cores(),
         m.kernel_ratio * RECORD_MARGIN,
         m.par4_msm_ratio * RECORD_MARGIN,
         m.par4_fft_ratio * RECORD_MARGIN,
         (m.small_msm_ratio / RECORD_MARGIN).min(SMALL_MSM_CEILING),
+        (m.verify_msm_ratio / RECORD_MARGIN).min(VERIFY_MSM_CEILING),
     );
     std::fs::write(thresholds_path(), &body).expect("write PERF_THRESHOLDS.json");
     println!("recorded thresholds:\n{body}");
@@ -172,6 +201,7 @@ fn main() {
     };
     gate("min_msm_kernel_ratio", m.kernel_ratio);
     gate("max_small_msm_ratio", m.small_msm_ratio);
+    gate("max_verify_msm_ratio", m.verify_msm_ratio);
     if stored_cores == cores() {
         gate("min_par4_msm_ratio", m.par4_msm_ratio);
         gate("min_par4_fft_ratio", m.par4_fft_ratio);

@@ -72,6 +72,17 @@ impl Fq6 {
         Self::new(self.c0 * s, self.c1 * s, self.c2 * s)
     }
 
+    /// Multiplies by the sparse element `b0 + b1·v` (five `Fq2`
+    /// multiplications instead of six).
+    pub(crate) fn mul_by_01(&self, b0: Fq2, b1: Fq2) -> Self {
+        let a_a = self.c0 * b0;
+        let b_b = self.c1 * b1;
+        let c0 = ((self.c1 + self.c2) * b1 - b_b).mul_by_xi() + a_a;
+        let c1 = (self.c0 + self.c1) * (b0 + b1) - a_a - b_b;
+        let c2 = (self.c0 + self.c2) * b0 - a_a + b_b;
+        Self::new(c0, c1, c2)
+    }
+
     /// Computes the multiplicative inverse if nonzero.
     pub fn invert(&self) -> Option<Self> {
         // Standard formula via the "adjoint" coefficients.
@@ -170,6 +181,19 @@ mod tests {
         let v = Fq6::new(Fq2::zero(), Fq2::one(), Fq2::zero());
         let a = rand_fq6(&mut rng);
         assert_eq!(a.mul_by_v(), a * v);
+    }
+
+    #[test]
+    fn mul_by_01_matches_dense() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..10 {
+            let a = rand_fq6(&mut rng);
+            let b = rand_fq6(&mut rng);
+            assert_eq!(
+                a.mul_by_01(b.c0, b.c1),
+                a * Fq6::new(b.c0, b.c1, Fq2::zero())
+            );
+        }
     }
 
     #[test]

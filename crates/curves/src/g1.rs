@@ -4,7 +4,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 use zkml_ff::{batch_invert, Field, Fq, Fr, PrimeField};
 
 /// A point on G1 in affine coordinates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct G1Affine {
     /// x-coordinate.
     pub x: Fq,

@@ -3,10 +3,11 @@
 //! KZG and IPA commitment schemes of the ZKML reproduction.
 //!
 //! Everything is implemented from the curve parameters alone: tower
-//! constants (Frobenius coefficients, the twist coefficient, the final-
-//! exponentiation hard part) are derived at first use from the two modulus
-//! literals in `zkml-ff` and validated by structural tests (bilinearity,
-//! subgroup orders, `psi = [q]`).
+//! constants (Frobenius coefficients, the twist coefficient) are derived at
+//! first use from the two modulus literals in `zkml-ff`, the final
+//! exponentiation's addition chain in the BN parameter `x` is checked
+//! against the exponent derived from them, and all of it is validated by
+//! structural tests (bilinearity, subgroup orders, `psi = [q]`).
 
 pub mod fq12;
 pub mod fq2;
@@ -22,4 +23,7 @@ pub use fq6::Fq6;
 pub use g1::{G1Affine, G1Projective};
 pub use g2::G2Affine;
 pub use msm::{msm, msm_jacobian, msm_naive};
-pub use pairing::{miller_loop, multi_pairing, pairing, pairing_check};
+pub use pairing::{
+    final_exponentiation, miller_loop, multi_miller_loop, multi_pairing, pairing, pairing_check,
+    G2Prepared,
+};

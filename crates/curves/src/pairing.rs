@@ -1,20 +1,30 @@
 //! The optimal ate pairing on BN254.
 //!
-//! The Miller loop uses affine line functions; the final exponentiation
-//! splits into the cheap "easy part" and a hard part computed by plain
-//! exponentiation with the big-integer exponent `(q^4 - q^2 + 1)/r`. This is
-//! slower than a hand-tuned addition chain but transcription-proof: the
-//! exponent is *derived* from the modulus literals and its divisibility by
-//! `r` is asserted at startup.
+//! The lines of a Miller loop depend only on the G2 point, so
+//! [`G2Prepared`] runs the loop's point arithmetic once — affine formulas,
+//! one `Fq2` inversion per step — and keeps each line as `(λ, λ·x_T − y_T)`.
+//! [`multi_miller_loop`] then walks the `6x + 2` loop once for any number of
+//! pairs: the accumulator is squared once per step for all of them and each
+//! pair's line is multiplied in as a sparse element (three nonzero `Fq2`
+//! slots). A KZG SRS prepares its two fixed G2 points at setup, so checking
+//! a proof pays no inversion inside the loop; [`pairing`] and friends
+//! prepare their G2 argument on the fly and run the same loop.
+//!
+//! The final exponentiation splits into the easy part `(q^6 − 1)(q^2 + 1)`
+//! and the hard part `(q^4 − q^2 + 1)/r`, which is computed exactly as
+//! `λ0 + λ1·q + λ2·q^2 + λ3·q^3` with `λ3 = 1`, `λ2 = 6x^2 + 1`,
+//! `λ1 = −36x^3 − 18x^2 − 12x + 1`, `λ0 = −36x^3 − 30x^2 − 18x − 2`
+//! (Scott et al. 2009): three exponentiations by `x` with cyclotomic
+//! squarings, Frobenius maps and a fixed chain of multiplications. The
+//! tests check the chain against plain exponentiation by the exponent
+//! derived from the modulus literals, so [`pairing`] returns the element
+//! the textbook definition gives, not only the same check verdicts.
 
 use crate::fq12::Fq12;
 use crate::fq2::Fq2;
-use crate::fq6::Fq6;
 use crate::g1::G1Affine;
 use crate::g2::G2Affine;
-use std::sync::OnceLock;
-use zkml_ff::bigint::BigUint;
-use zkml_ff::{Fq, Fr, PrimeField};
+use zkml_ff::{Fq, PrimeField};
 
 /// BN parameter `x` for BN254.
 pub const BN_X: u64 = 4965661367192848881;
@@ -22,82 +32,186 @@ pub const BN_X: u64 = 4965661367192848881;
 /// Optimal ate loop count `6x + 2` (65 bits).
 pub const ATE_LOOP_COUNT: u128 = 6 * (BN_X as u128) + 2;
 
-/// Evaluates the line through `t` (tangent if `other == t`) at the G1 point
-/// `p`, returning the line value in `Fq12` and the next point `t'`.
-///
-/// For the D-type twist the line is
-/// `l(P) = y_P - (lambda x_P) w + (lambda x_T - y_T) w^3`.
-fn line_eval(t: &G2Affine, lambda: Fq2, p: &G1Affine) -> Fq12 {
-    let c0 = Fq6::new(Fq2::from_base(p.y), Fq2::zero(), Fq2::zero());
-    let c1 = Fq6::new(-(lambda.scale(p.x)), lambda * t.x - t.y, Fq2::zero());
-    Fq12::new(c0, c1)
+/// Bits of [`ATE_LOOP_COUNT`]; the loop runs over all but the top one.
+const ATE_BITS: u32 = 128 - ATE_LOOP_COUNT.leading_zeros();
+
+/// A G2 point with the line coefficients of its Miller loop precomputed.
+#[derive(Clone, Debug)]
+pub struct G2Prepared {
+    /// `(λ, λ·x_T − y_T)` for every line in loop order — one per doubling,
+    /// one per set bit below the top, two for the Frobenius additions —
+    /// and none for the identity.
+    lines: Vec<(Fq2, Fq2)>,
 }
 
-fn double_step(t: &G2Affine, p: &G1Affine) -> (G2Affine, Fq12) {
-    let three = Fq2::from_base(Fq::from_u64(3));
-    let lambda = three * t.x.square() * t.y.double().invert().expect("tangent at 2-torsion");
-    let line = line_eval(t, lambda, p);
-    let x3 = lambda.square() - t.x.double();
-    let y3 = lambda * (t.x - x3) - t.y;
-    (
+impl G2Prepared {
+    /// Runs the Miller loop's point arithmetic on `q` and keeps its lines.
+    pub fn new(q: &G2Affine) -> Self {
+        let mut prepared = Self { lines: Vec::new() };
+        if q.is_identity() {
+            return prepared;
+        }
+        prepared.lines.reserve(2 * ATE_BITS as usize);
+        let three = Fq2::from_base(Fq::from_u64(3));
+        let mut t = *q;
+        for i in (0..ATE_BITS - 1).rev() {
+            let tangent =
+                three * t.x.square() * t.y.double().invert().expect("tangent at 2-torsion");
+            t = prepared.line(&t, tangent, t.x);
+            if (ATE_LOOP_COUNT >> i) & 1 == 1 {
+                t = prepared.chord(&t, q);
+            }
+        }
+        // The two additions with the Frobenius images of Q.
+        t = prepared.chord(&t, &q.psi());
+        prepared.chord(&t, &q.psi().psi().negate());
+        prepared
+    }
+
+    /// Records the line of slope `lambda` through `t` and returns the
+    /// reflection of its third intersection with the curve: `t + r` for the
+    /// chord through `r` (`other_x = r.x`), `2t` for the tangent
+    /// (`other_x = t.x`).
+    fn line(&mut self, t: &G2Affine, lambda: Fq2, other_x: Fq2) -> G2Affine {
+        self.lines.push((lambda, lambda * t.x - t.y));
+        let x = lambda.square() - t.x - other_x;
         G2Affine {
-            x: x3,
-            y: y3,
+            x,
+            y: lambda * (t.x - x) - t.y,
             infinity: false,
-        },
-        line,
-    )
+        }
+    }
+
+    /// [`G2Prepared::line`] along the chord through `t` and `r`.
+    fn chord(&mut self, t: &G2Affine, r: &G2Affine) -> G2Affine {
+        let lambda = (t.y - r.y) * (t.x - r.x).invert().expect("chord with equal x");
+        self.line(t, lambda, r.x)
+    }
 }
 
-fn add_step(t: &G2Affine, q: &G2Affine, p: &G1Affine) -> (G2Affine, Fq12) {
-    let lambda = (t.y - q.y) * (t.x - q.x).invert().expect("add step with equal x");
-    let line = line_eval(t, lambda, p);
-    let x3 = lambda.square() - t.x - q.x;
-    let y3 = lambda * (t.x - x3) - t.y;
-    (
-        G2Affine {
-            x: x3,
-            y: y3,
-            infinity: false,
-        },
-        line,
-    )
+/// Computes `prod_i f_{6x+2, Q_i}(P_i)`, the optimal ate Miller loop with
+/// its two Frobenius additions, for all pairs at once. A pair with the
+/// identity on either side contributes one.
+pub fn multi_miller_loop(terms: &[(G1Affine, &G2Prepared)]) -> Fq12 {
+    // For the D-type twist the line through T with slope λ, at P, is
+    // `y_P − (λ x_P)·w + (λ x_T − y_T)·v·w`.
+    let terms: Vec<&(G1Affine, &G2Prepared)> = terms
+        .iter()
+        .filter(|(p, q)| !p.is_identity() && !q.lines.is_empty())
+        .collect();
+    let mul_lines = |f: Fq12, line: usize| {
+        terms.iter().fold(f, |f, (p, q)| {
+            let (lambda, c) = q.lines[line];
+            f.mul_by_line(p.y, lambda.scale(-p.x), c)
+        })
+    };
+    let mut f = Fq12::one();
+    let mut line = 0;
+    for i in (0..ATE_BITS - 1).rev() {
+        f = mul_lines(f.square(), line);
+        line += 1;
+        if (ATE_LOOP_COUNT >> i) & 1 == 1 {
+            f = mul_lines(f, line);
+            line += 1;
+        }
+    }
+    mul_lines(mul_lines(f, line), line + 1)
 }
 
 /// Computes the Miller loop `f_{6x+2, Q}(P)` with the two extra Frobenius
 /// line evaluations of the optimal ate pairing.
 pub fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fq12 {
-    if p.is_identity() || q.is_identity() {
-        return Fq12::one();
-    }
-    let mut f = Fq12::one();
-    let mut t = *q;
-    let bits = 128 - ATE_LOOP_COUNT.leading_zeros();
-    for i in (0..bits - 1).rev() {
-        f = f.square();
-        let (t2, line) = double_step(&t, p);
-        f = f * line;
-        t = t2;
-        if (ATE_LOOP_COUNT >> i) & 1 == 1 {
-            let (t2, line) = add_step(&t, q, p);
-            f = f * line;
-            t = t2;
-        }
-    }
-    // Final two additions with the Frobenius images of Q.
-    let q1 = q.psi();
-    let q2 = q.psi().psi().negate();
-    let (t2, line) = add_step(&t, &q1, p);
-    f = f * line;
-    t = t2;
-    let (_, line) = add_step(&t, &q2, p);
-    f * line
+    multi_miller_loop(&[(*p, &G2Prepared::new(q))])
 }
 
-/// The hard-part exponent `(q^4 - q^2 + 1)/r`, derived at first use.
-fn hard_exponent() -> &'static Vec<u64> {
-    static EXP: OnceLock<Vec<u64>> = OnceLock::new();
-    EXP.get_or_init(|| {
+/// `g^x` for `g` in the cyclotomic subgroup: square-and-multiply over the
+/// bits of [`BN_X`] with cyclotomic squarings.
+fn exp_by_x(g: &Fq12) -> Fq12 {
+    let mut acc = *g;
+    for i in (0..64 - BN_X.leading_zeros() - 1).rev() {
+        acc = acc.cyclotomic_square();
+        if (BN_X >> i) & 1 == 1 {
+            acc = acc * *g;
+        }
+    }
+    acc
+}
+
+/// The hard part `g^((q^4 - q^2 + 1)/r)` for `g` in the cyclotomic subgroup,
+/// as `g^(λ0 + λ1 q + λ2 q^2 + λ3 q^3)` by the vectorial addition chain of
+/// Scott et al.: with `y0 = g^(q + q^2 + q^3)`, `y1 = g^-1`,
+/// `y2 = g^(x^2 q^2)`, `y3 = g^(-x q)`, `y4 = g^(-x - x^2 q)`,
+/// `y5 = g^(-x^2)`, `y6 = g^(-x^3 - x^3 q)`, the result is
+/// `y0 · y1^2 · y2^6 · y3^12 · y4^18 · y5^30 · y6^36`. Conjugation is the
+/// inverse in the subgroup.
+fn hard_part(g: &Fq12) -> Fq12 {
+    let gx = exp_by_x(g);
+    let gx2 = exp_by_x(&gx);
+    let gx3 = exp_by_x(&gx2);
+    let gq = g.frobenius();
+    let gq2 = gq.frobenius();
+    let y0 = gq * gq2 * gq2.frobenius();
+    let y1 = g.conjugate();
+    let y2 = gx2.frobenius().frobenius();
+    let y3 = gx.frobenius().conjugate();
+    let y4 = (gx * gx2.frobenius()).conjugate();
+    let y5 = gx2.conjugate();
+    let y6 = (gx3 * gx3.frobenius()).conjugate();
+
+    let mut t0 = y6.cyclotomic_square() * y4 * y5;
+    let mut t1 = y3 * y5 * t0;
+    t0 = t0 * y2;
+    t1 = (t1.cyclotomic_square() * t0).cyclotomic_square();
+    t0 = t1 * y1;
+    t1 = t1 * y0;
+    t0.cyclotomic_square() * t1
+}
+
+/// The final exponentiation `f^((q^12 - 1)/r)`.
+pub fn final_exponentiation(f: &Fq12) -> Fq12 {
+    // Easy part: f^((q^6 - 1)(q^2 + 1)), which lands in the cyclotomic
+    // subgroup the hard part works in.
+    let f_inv = f.invert().expect("Miller value nonzero");
+    let g = f.conjugate() * f_inv; // f^(q^6 - 1)
+    let g = g.frobenius().frobenius() * g; // ^(q^2 + 1)
+    hard_part(&g)
+}
+
+/// The optimal ate pairing `e(P, Q)`.
+pub fn pairing(p: &G1Affine, q: &G2Affine) -> Fq12 {
+    final_exponentiation(&miller_loop(p, q))
+}
+
+/// Computes `prod_i e(P_i, Q_i)` with one shared Miller loop and a single
+/// final exponentiation.
+pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Fq12 {
+    let prepared: Vec<G2Prepared> = pairs.iter().map(|(_, q)| G2Prepared::new(q)).collect();
+    let terms: Vec<(G1Affine, &G2Prepared)> = pairs
+        .iter()
+        .zip(&prepared)
+        .map(|((p, _), q)| (*p, q))
+        .collect();
+    final_exponentiation(&multi_miller_loop(&terms))
+}
+
+/// Returns true if `prod_i e(P_i, Q_i) == 1` — the standard pairing check.
+pub fn pairing_check(pairs: &[(G1Affine, G2Affine)]) -> bool {
+    multi_pairing(pairs) == Fq12::one()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fq6::Fq6;
+    use crate::g1::G1Projective;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use zkml_ff::bigint::BigUint;
+    use zkml_ff::{Field, Fr};
+
+    /// The hard-part exponent `(q^4 - q^2 + 1)/r`, derived from the modulus
+    /// literals: the oracle the addition chain is checked against.
+    fn hard_exponent() -> Vec<u64> {
         let q = BigUint::from_limbs(&Fq::MODULUS);
         let r = BigUint::from_limbs(&Fr::MODULUS);
         let q2 = q.mul(&q);
@@ -109,45 +223,109 @@ fn hard_exponent() -> &'static Vec<u64> {
             "(q^4 - q^2 + 1) must be divisible by r for a BN curve"
         );
         h.limbs().to_vec()
-    })
-}
-
-/// The final exponentiation `f^((q^12 - 1)/r)`.
-pub fn final_exponentiation(f: &Fq12) -> Fq12 {
-    // Easy part: f^((q^6 - 1)(q^2 + 1)).
-    let f_inv = f.invert().expect("Miller value nonzero");
-    let mut g = f.conjugate() * f_inv; // f^(q^6 - 1)
-    g = g.frobenius().frobenius() * g; // ^(q^2 + 1)
-                                       // Hard part: g^((q^4 - q^2 + 1)/r).
-    g.pow(hard_exponent())
-}
-
-/// The optimal ate pairing `e(P, Q)`.
-pub fn pairing(p: &G1Affine, q: &G2Affine) -> Fq12 {
-    final_exponentiation(&miller_loop(p, q))
-}
-
-/// Computes `prod_i e(P_i, Q_i)` with a single shared final exponentiation.
-pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Fq12 {
-    let mut f = Fq12::one();
-    for (p, q) in pairs {
-        f = f * miller_loop(p, q);
     }
-    final_exponentiation(&f)
-}
 
-/// Returns true if `prod_i e(P_i, Q_i) == 1` — the standard pairing check.
-pub fn pairing_check(pairs: &[(G1Affine, G2Affine)]) -> bool {
-    multi_pairing(pairs) == Fq12::one()
-}
+    fn rand_fq12(rng: &mut StdRng) -> Fq12 {
+        let mut f2 = || Fq2::new(Fq::random(&mut *rng), Fq::random(&mut *rng));
+        Fq12::new(Fq6::new(f2(), f2(), f2()), Fq6::new(f2(), f2(), f2()))
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::g1::G1Projective;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use zkml_ff::Field;
+    /// `f^((q^6 - 1)(q^2 + 1))`, the value the hard part receives.
+    fn easy_part(f: &Fq12) -> Fq12 {
+        let g = f.conjugate() * f.invert().unwrap();
+        g.frobenius().frobenius() * g
+    }
+
+    /// A short digest of an `Fq12` in canonical coefficient order.
+    fn fq12_digest(f: &Fq12) -> String {
+        let mut bytes = Vec::new();
+        for c6 in [f.c0, f.c1] {
+            for c2 in [c6.c0, c6.c1, c6.c2] {
+                bytes.extend_from_slice(&c2.c0.to_bytes());
+                bytes.extend_from_slice(&c2.c1.to_bytes());
+            }
+        }
+        zkml_transcript::Blake2b::digest(&bytes)[..16]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    #[test]
+    fn hard_part_chain_is_the_derived_exponent() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let exp = hard_exponent();
+        for _ in 0..4 {
+            let g = easy_part(&rand_fq12(&mut rng));
+            assert_eq!(hard_part(&g), g.pow(&exp));
+        }
+    }
+
+    #[test]
+    fn exp_by_x_is_pow_x() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let g = easy_part(&rand_fq12(&mut rng));
+        assert_eq!(exp_by_x(&g), g.pow(&[BN_X]));
+    }
+
+    /// The pairing of the generators and of a seeded pair, and the Miller
+    /// value of that pair, as the affine per-call loop with dense line
+    /// products and the plain hard-part exponentiation computed them.
+    #[test]
+    fn pairing_values_are_unchanged() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let a = Fr::random(&mut rng);
+        let b = Fr::random(&mut rng);
+        let p = G1Projective::generator().mul_scalar(&a).to_affine();
+        let q = G2Affine::generator().mul_scalar(&b);
+        let gens = pairing(&G1Affine::generator(), &G2Affine::generator());
+        assert_eq!(fq12_digest(&gens), "0b5081693ff3b3d0d02c9aedc8017dc1");
+        assert_eq!(
+            fq12_digest(&pairing(&p, &q)),
+            "2f2fc13f71b6b665aee8ae01d96dd8d2"
+        );
+        assert_eq!(
+            fq12_digest(&miller_loop(&p, &q)),
+            "68a5321e4a6ec916d563813b5d9753d2"
+        );
+    }
+
+    /// One shared loop over prepared points, then one final exponentiation,
+    /// is the product of the single pairings — identities included.
+    #[test]
+    fn multi_miller_loop_is_the_product_of_pairings() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let mut g1 = || {
+            G1Projective::generator()
+                .mul_scalar(&Fr::random(&mut rng))
+                .to_affine()
+        };
+        let ps = [g1(), g1(), G1Affine::identity(), g1()];
+        let mut rng = StdRng::seed_from_u64(37);
+        let qs = [
+            G2Affine::generator().mul_scalar(&Fr::random(&mut rng)),
+            G2Affine::identity(),
+            G2Affine::generator(),
+            G2Affine::generator().mul_scalar(&Fr::random(&mut rng)),
+        ];
+        let prepared: Vec<G2Prepared> = qs.iter().map(G2Prepared::new).collect();
+        for n in 1..=4 {
+            let terms: Vec<(G1Affine, &G2Prepared)> =
+                ps[..n].iter().copied().zip(&prepared[..n]).collect();
+            let expected = ps[..n]
+                .iter()
+                .zip(&qs[..n])
+                .fold(Fq12::one(), |acc, (p, q)| acc * pairing(p, q));
+            assert_eq!(final_exponentiation(&multi_miller_loop(&terms)), expected);
+            let pairs: Vec<(G1Affine, G2Affine)> = ps[..n]
+                .iter()
+                .copied()
+                .zip(qs[..n].iter().copied())
+                .collect();
+            assert_eq!(multi_pairing(&pairs), expected);
+        }
+        assert_eq!(multi_miller_loop(&[]), Fq12::one());
+    }
 
     #[test]
     fn pairing_nondegenerate() {
@@ -231,17 +409,28 @@ mod perf {
     #[test]
     #[ignore = "performance probe, run explicitly"]
     fn probe_timings() {
-        let _ = pairing(&G1Affine::generator(), &G2Affine::generator());
-        let t = Instant::now();
-        for _ in 0..5 {
-            let _ = pairing(&G1Affine::generator(), &G2Affine::generator());
-        }
-        eprintln!("pairing: {:?}", t.elapsed() / 5);
-        let t = Instant::now();
-        let mut x = zkml_ff::Fr::from_u64(3);
-        for _ in 0..1_000_000 {
-            x = zkml_ff::Field::square(&x);
-        }
-        eprintln!("1M Fr squarings: {:?} ({:?})", t.elapsed(), x);
+        let (p, q) = (G1Affine::generator(), G2Affine::generator());
+        let _ = pairing(&p, &q);
+        let time = |name: &str, f: &dyn Fn()| {
+            let t = Instant::now();
+            for _ in 0..20 {
+                f();
+            }
+            eprintln!("{name}: {:?}", t.elapsed() / 20);
+        };
+        let prepared = G2Prepared::new(&q);
+        let f = multi_miller_loop(&[(p, &prepared)]);
+        time("G2Prepared::new", &|| {
+            std::hint::black_box(G2Prepared::new(&q));
+        });
+        time("multi_miller_loop, 2 prepared pairs", &|| {
+            std::hint::black_box(multi_miller_loop(&[(p, &prepared), (p, &prepared)]));
+        });
+        time("final_exponentiation", &|| {
+            std::hint::black_box(final_exponentiation(&f));
+        });
+        time("pairing", &|| {
+            std::hint::black_box(pairing(&p, &q));
+        });
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Commitments are Pedersen vector commitments over a hashed-to-curve basis;
 //! openings are the logarithmic Bulletproofs folding argument. Verification
-//! performs an `O(n)` multi-scalar multiplication to reconstruct the folded
-//! basis point — this is the source of the higher verification times the
-//! paper reports for the IPA backend (Table 7) relative to KZG's two
+//! checks each point's argument as one `O(n)` multi-scalar multiplication
+//! that must vanish — the combined commitment, the round terms and the
+//! folded basis point in one sum, as halo2 does. That MSM is the source of
+//! the higher verification times the paper reports for the IPA backend
+//! (Table 7) relative to KZG's one MSM over the proof's commitments and two
 //! pairings.
 
 use crate::kzg::group_points;
@@ -135,15 +137,18 @@ impl IpaParams {
         let groups = group_points(queries.iter().map(|(_, z, _)| *z));
         let mut r = Reader::new(proof);
         for (z, idxs) in &groups {
-            let mut commitment = G1Projective::identity();
+            let mut bases =
+                Vec::with_capacity(idxs.len() + 2 * self.k as usize + 1 + self.basis.len());
+            let mut scalars = Vec::with_capacity(bases.capacity());
             let mut v = Fr::zero();
             let mut coeff = Fr::one();
             for &i in idxs {
-                commitment += queries[i].0.to_projective().mul_scalar(&coeff);
+                bases.push(queries[i].0);
+                scalars.push(coeff);
                 v += coeff * queries[i].2;
                 coeff *= gamma;
             }
-            self.verify_single(transcript, commitment, *z, v, &mut r)?;
+            self.verify_single(transcript, bases, scalars, *z, v, &mut r)?;
         }
         if !r.is_exhausted() {
             return Err(ReadError("trailing bytes in IPA proof"));
@@ -151,18 +156,21 @@ impl IpaParams {
         Ok(())
     }
 
+    /// Checks one point's argument for the commitment `sum scalars_i
+    /// bases_i` as a single MSM that must vanish:
+    /// `C + xi·v·U + sum_j (x_j L_j + x_j^-1 R_j) - a·G_final - xi·a·b·U`,
+    /// with `G_final = sum_i s_i G_i` expanded into the same MSM.
     fn verify_single(
         &self,
         transcript: &mut Transcript,
-        commitment: G1Projective,
+        mut bases: Vec<G1Affine>,
+        mut scalars: Vec<Fr>,
         z: Fr,
         v: Fr,
         r: &mut Reader<'_>,
     ) -> Result<(), ReadError> {
         transcript.absorb_scalar(b"ipa-v", &v);
         let xi: Fr = transcript.challenge(b"ipa-xi");
-        let u = self.u.to_projective().mul_scalar(&xi);
-        let mut p = commitment + u.mul_scalar(&v);
 
         let rounds = self.k as usize;
         let mut challenges = Vec::with_capacity(rounds);
@@ -173,8 +181,9 @@ impl IpaParams {
             transcript.absorb(b"ipa-r", &rr.to_bytes());
             let x: Fr = transcript.challenge(b"ipa-x");
             let x_inv = x.invert().expect("challenge nonzero");
-            p += l.to_projective().mul_scalar(&x) + rr.to_projective().mul_scalar(&x_inv);
-            challenges.push((x, x_inv));
+            bases.extend([l, rr]);
+            scalars.extend([x, x_inv]);
+            challenges.push(x_inv);
         }
         let a_final = r.scalar()?;
         transcript.absorb_scalar(b"ipa-a", &a_final);
@@ -183,22 +192,24 @@ impl IpaParams {
         // the top bit of i (the first fold splits lo/hi halves). Building by
         // doubling therefore consumes challenges from the LAST round first.
         let mut s = vec![Fr::one()];
-        for (_, x_inv) in challenges.iter().rev() {
+        for x_inv in challenges.iter().rev() {
             let mut next = Vec::with_capacity(s.len() * 2);
             next.extend_from_slice(&s);
             next.extend(s.iter().map(|si| *si * *x_inv));
             s = next;
         }
-        let g_final = msm(&self.basis, &s);
         // b_final = prod_j (1 + x_j^{-1} z^{2^(k-j)}) by the same folding.
         let mut b_final = Fr::one();
         let mut z_pow = z; // z^(2^0), consumed from the last round backwards
-        for (_, x_inv) in challenges.iter().rev() {
+        for x_inv in challenges.iter().rev() {
             b_final *= Fr::one() + *x_inv * z_pow;
             z_pow = z_pow.square();
         }
-        let expect = g_final.mul_scalar(&a_final) + u.mul_scalar(&(a_final * b_final));
-        if p == expect {
+        bases.extend_from_slice(&self.basis);
+        scalars.extend(s.iter().map(|si| -(a_final * *si)));
+        bases.push(self.u);
+        scalars.push(xi * (v - a_final * b_final));
+        if msm(&bases, &scalars).is_identity() {
             Ok(())
         } else {
             Err(ReadError("IPA final check failed"))
@@ -211,6 +222,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use zkml_ff::PrimeField;
 
     fn params(k: u32) -> IpaParams {
         IpaParams::setup(k)
@@ -311,6 +323,69 @@ mod tests {
         let mut vq2 = vq.clone();
         vq2[0].2 += Fr::one();
         assert!(params.verify(&mut tv2, &vq2, &proof).is_err());
+    }
+
+    /// The one-MSM check rejects a change to any claimed eval, any
+    /// commitment, any round point `L`/`R` and any `a_final`.
+    #[test]
+    fn every_tampered_claim_or_proof_element_is_rejected() {
+        for k in [4u32, 7] {
+            let params = params(k);
+            let n = 1usize << k;
+            let mut rng = StdRng::seed_from_u64(64 + u64::from(k));
+            let polys: Vec<Coeffs<Fr>> = (0..3)
+                .map(|_| {
+                    pad(
+                        Coeffs::new((0..n - 3).map(|_| Fr::random(&mut rng)).collect()),
+                        n,
+                    )
+                })
+                .collect();
+            let z1 = Fr::random(&mut rng);
+            let z2 = Fr::random(&mut rng);
+            let queries = [(0, z1), (1, z1), (2, z2), (0, z2)];
+            let vq: Vec<(G1Affine, Fr, Fr)> = queries
+                .iter()
+                .map(|(i, z)| (params.commit(&polys[*i]), *z, polys[*i].evaluate(*z)))
+                .collect();
+            let claims = |vq: &[(G1Affine, Fr, Fr)]| {
+                let mut t = Transcript::new(b"test");
+                for (_, _, e) in vq {
+                    t.absorb_scalar(b"eval", e);
+                }
+                t
+            };
+            let pq: Vec<(&Coeffs<Fr>, Fr)> =
+                queries.iter().map(|(i, z)| (&polys[*i], *z)).collect();
+            let proof = params.open(&mut claims(&vq), &pq);
+            assert!(params.verify(&mut claims(&vq), &vq, &proof).is_ok());
+
+            let moved = |p: &G1Affine| (p.to_projective() + G1Projective::generator()).to_affine();
+            for i in 0..vq.len() {
+                let mut bad = vq.clone();
+                bad[i].2 += Fr::one();
+                assert!(params.verify(&mut claims(&bad), &bad, &proof).is_err());
+                let mut bad = vq.clone();
+                bad[i].0 = moved(&bad[i].0);
+                assert!(params.verify(&mut claims(&bad), &bad, &proof).is_err());
+            }
+            // Per point: k (L, R) pairs, then a_final.
+            let per_point = (2 * k as usize + 1) * 32;
+            for at in (0..proof.len()).step_by(32) {
+                let mut bad = proof.clone();
+                let bytes: [u8; 32] = proof[at..at + 32].try_into().unwrap();
+                let flipped = if at % per_point == per_point - 32 {
+                    (Reader::new(&bytes).scalar().unwrap() + Fr::one()).to_bytes()
+                } else {
+                    moved(&G1Affine::from_bytes(&bytes).unwrap()).to_bytes()
+                };
+                bad[at..at + 32].copy_from_slice(&flipped);
+                assert!(
+                    params.verify(&mut claims(&vq), &vq, &bad).is_err(),
+                    "k={k} byte {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,22 @@
 //! (supporting up to `2^28` rows); a locally generated SRS is the identical
 //! mathematical object, minus the distributed-ceremony trust story, which is
 //! out of scope for a systems reproduction (see DESIGN.md).
+//!
+//! Checking an opening costs one MSM and one two-pair multi-pairing:
+//! [`KzgSrs::prepare`] folds every query of a proof into the two G1 points
+//! of a [`KzgAccumulator`] — one `msm` over the distinct commitments, the
+//! per-point witnesses and the generator — and the pairing runs over the
+//! Miller-loop lines of `[1]G2` and `[tau]G2`, which [`KzgSrs::setup`]
+//! computes once. [`batch_check`] folds many accumulators with one more
+//! `msm` per side before the same pairing.
 
 use crate::serial::{ReadError, Reader, Writer};
 use rand::RngCore;
-use zkml_curves::{msm, pairing_check, G1Affine, G1Projective, G2Affine};
+use std::collections::HashMap;
+use zkml_curves::{
+    final_exponentiation, msm, multi_miller_loop, Fq12, G1Affine, G1Projective, G2Affine,
+    G2Prepared,
+};
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_poly::{Coeffs, EvaluationDomain};
 use zkml_transcript::Transcript;
@@ -30,6 +42,10 @@ pub struct KzgSrs {
     pub g2: G2Affine,
     /// `[tau] G2`.
     pub tau_g2: G2Affine,
+    /// Miller-loop lines of `g2` and `tau_g2`, computed by
+    /// [`KzgSrs::setup`]; every pairing check runs over these.
+    g2_lines: G2Prepared,
+    tau_g2_lines: G2Prepared,
 }
 
 /// Computes `[s_i] base` for many scalars using 8-bit fixed-base windows.
@@ -77,13 +93,16 @@ impl KzgSrs {
         scalars.extend(EvaluationDomain::<Fr>::new(k).lagrange_evals(tau));
         let mut g1_powers = batch_mul_fixed_base(&G1Projective::generator(), &scalars);
         let g1_lagrange = g1_powers.split_off(n);
-        let tau_g2 = G2Affine::generator().mul_scalar(&tau);
+        let g2 = G2Affine::generator();
+        let tau_g2 = g2.mul_scalar(&tau);
         Self {
             k,
             g1_powers,
             g1_lagrange,
-            g2: G2Affine::generator(),
+            g2,
             tau_g2,
+            g2_lines: G2Prepared::new(&g2),
+            tau_g2_lines: G2Prepared::new(&tau_g2),
         }
     }
 
@@ -182,26 +201,42 @@ impl KzgSrs {
         }
         let u: Fr = transcript.challenge(b"kzg-u");
 
-        // Accumulate e(sum u^j W_j, [tau]_2) == e(sum u^j (F_j + z_j W_j - v_j G), [1]_2).
-        let mut lhs = G1Projective::identity();
-        let mut rhs = G1Projective::identity();
+        // e(sum u^j W_j, [tau]_2) == e(sum u^j (F_j + z_j W_j - v_j G), [1]_2)
+        // with F_j = sum_i gamma^i C_i and v_j = sum_i gamma^i v_i over group
+        // j. The right side is one MSM in which a commitment opened at several
+        // points is one base carrying its summed coefficient u^j gamma^i.
+        let mut bases = Vec::with_capacity(queries.len() + groups.len() + 1);
+        let mut scalars = Vec::with_capacity(bases.capacity());
+        let mut slot: HashMap<G1Affine, usize> = HashMap::with_capacity(queries.len());
+        let mut u_powers = Vec::with_capacity(groups.len());
+        let mut v = Fr::zero();
         let mut uj = Fr::one();
         for ((z, idxs), wit) in groups.iter().zip(&witnesses) {
-            let mut f = G1Projective::identity();
-            let mut v = Fr::zero();
-            let mut coeff = Fr::one();
+            let mut coeff = uj;
             for &i in idxs {
-                f += queries[i].0.to_projective().mul_scalar(&coeff);
-                v += coeff * queries[i].2;
+                let (c, _, eval) = &queries[i];
+                v += coeff * *eval;
+                if !c.is_identity() {
+                    let at = *slot.entry(*c).or_insert_with(|| {
+                        bases.push(*c);
+                        scalars.push(Fr::zero());
+                        bases.len() - 1
+                    });
+                    scalars[at] += coeff;
+                }
                 coeff *= gamma;
             }
-            let wp = wit.to_projective();
-            lhs += wp.mul_scalar(&uj);
-            rhs +=
-                (f + wp.mul_scalar(z) - G1Projective::generator().mul_scalar(&v)).mul_scalar(&uj);
+            bases.push(*wit);
+            scalars.push(uj * *z);
+            u_powers.push(uj);
             uj *= u;
         }
-        Ok(KzgAccumulator { lhs, rhs })
+        bases.push(G1Affine::generator());
+        scalars.push(-v);
+        Ok(KzgAccumulator {
+            lhs: msm(&witnesses, &u_powers),
+            rhs: msm(&bases, &scalars),
+        })
     }
 }
 
@@ -219,12 +254,13 @@ pub struct KzgAccumulator {
 }
 
 impl KzgAccumulator {
-    /// Settles this accumulator alone with one pairing check.
+    /// Settles this accumulator alone with one pairing check: one two-pair
+    /// Miller loop over the SRS's prepared lines and one final
+    /// exponentiation.
     pub fn check(&self, srs: &KzgSrs) -> bool {
-        pairing_check(&[
-            (self.lhs.to_affine(), srs.tau_g2),
-            (self.rhs.negate().to_affine(), srs.g2),
-        ])
+        let points = G1Projective::batch_to_affine(&[self.lhs, self.rhs.negate()]);
+        let f = multi_miller_loop(&[(points[0], &srs.tau_g2_lines), (points[1], &srs.g2_lines)]);
+        final_exponentiation(&f) == Fq12::one()
     }
 }
 
@@ -240,27 +276,27 @@ impl KzgAccumulator {
 /// every `k` shares one tau — callers should still guard with
 /// [`KzgSrs::tau_g2`] equality when mixing params).
 pub fn batch_check(srs: &KzgSrs, accs: &[KzgAccumulator]) -> bool {
-    if accs.is_empty() {
-        return true;
-    }
+    accs.is_empty() || fold(accs).check(srs)
+}
+
+/// Folds accumulators with the powers of a challenge derived from all of
+/// them: one MSM per side.
+fn fold(accs: &[KzgAccumulator]) -> KzgAccumulator {
+    let lhs = G1Projective::batch_to_affine(&accs.iter().map(|a| a.lhs).collect::<Vec<_>>());
+    let rhs = G1Projective::batch_to_affine(&accs.iter().map(|a| a.rhs).collect::<Vec<_>>());
     let mut transcript = Transcript::new(b"zkml-kzg-batch");
-    for acc in accs {
-        transcript.absorb(b"acc-lhs", &acc.lhs.to_affine().to_bytes());
-        transcript.absorb(b"acc-rhs", &acc.rhs.to_affine().to_bytes());
+    for (l, r) in lhs.iter().zip(&rhs) {
+        transcript.absorb(b"acc-lhs", &l.to_bytes());
+        transcript.absorb(b"acc-rhs", &r.to_bytes());
     }
     let r: Fr = transcript.challenge(b"kzg-batch-r");
-    let mut lhs = G1Projective::identity();
-    let mut rhs = G1Projective::identity();
-    let mut rj = Fr::one();
-    for acc in accs {
-        lhs += acc.lhs.mul_scalar(&rj);
-        rhs += acc.rhs.mul_scalar(&rj);
-        rj *= r;
+    let powers: Vec<Fr> = std::iter::successors(Some(Fr::one()), |rj| Some(*rj * r))
+        .take(accs.len())
+        .collect();
+    KzgAccumulator {
+        lhs: msm(&lhs, &powers),
+        rhs: msm(&rhs, &powers),
     }
-    pairing_check(&[
-        (lhs.to_affine(), srs.tau_g2),
-        (rhs.negate().to_affine(), srs.g2),
-    ])
 }
 
 /// Groups query indices by point, preserving first-occurrence order.
@@ -447,8 +483,7 @@ mod tests {
             k: 6,
             g1_powers: tau_srs.g1_powers[..64].to_vec(),
             g1_lagrange: Vec::new(), // only coefficient-form commits below
-            g2: tau_srs.g2,
-            tau_g2: tau_srs.tau_g2,
+            ..tau_srs.clone()
         };
         let mut rng = StdRng::seed_from_u64(58);
         let mut accs = Vec::new();
@@ -465,6 +500,153 @@ mod tests {
             accs.push(s.prepare(&mut tv, &[(c, z, v)], &proof).unwrap());
         }
         assert!(batch_check(&tau_srs, &accs));
+    }
+
+    /// The accumulator as one double-and-add per query and four per point
+    /// computed it, on the same transcript schedule.
+    fn reference_accumulator(
+        transcript: &mut Transcript,
+        queries: &[(G1Affine, Fr, Fr)],
+        proof: &[u8],
+    ) -> KzgAccumulator {
+        let gamma: Fr = transcript.challenge(b"kzg-gamma");
+        let groups = group_points(queries.iter().map(|(_, z, _)| *z));
+        let mut r = Reader::new(proof);
+        let witnesses: Vec<G1Affine> = groups
+            .iter()
+            .map(|_| {
+                let wit = r.g1().unwrap();
+                transcript.absorb(b"kzg-w", &wit.to_bytes());
+                wit
+            })
+            .collect();
+        let u: Fr = transcript.challenge(b"kzg-u");
+        let mut lhs = G1Projective::identity();
+        let mut rhs = G1Projective::identity();
+        let mut uj = Fr::one();
+        for ((z, idxs), wit) in groups.iter().zip(&witnesses) {
+            let mut f = G1Projective::identity();
+            let mut v = Fr::zero();
+            let mut coeff = Fr::one();
+            for &i in idxs {
+                f += queries[i].0.to_projective().mul_scalar(&coeff);
+                v += coeff * queries[i].2;
+                coeff *= gamma;
+            }
+            let wp = wit.to_projective();
+            lhs += wp.mul_scalar(&uj);
+            rhs +=
+                (f + wp.mul_scalar(z) - G1Projective::generator().mul_scalar(&v)).mul_scalar(&uj);
+            uj *= u;
+        }
+        KzgAccumulator { lhs, rhs }
+    }
+
+    /// A verifier transcript that has absorbed the claimed evaluations.
+    fn claims(queries: &[(G1Affine, Fr, Fr)]) -> Transcript {
+        let mut t = Transcript::new(b"test");
+        for (_, _, e) in queries {
+            t.absorb_scalar(b"eval", e);
+        }
+        t
+    }
+
+    /// `prepare`'s single MSM gives the per-query loop's two points, and
+    /// the opening still rejects every tampered eval, commitment or witness.
+    #[test]
+    fn prepare_is_the_per_query_accumulation() {
+        use rand::Rng;
+        let s = srs(6);
+        let mut rng = StdRng::seed_from_u64(59);
+        let mut polys: Vec<Coeffs<Fr>> = (0..6)
+            .map(|_| Coeffs::new((0..40).map(|_| Fr::random(&mut rng)).collect()))
+            .collect();
+        polys.push(Coeffs::zero(40)); // commits to the identity
+        let commits: Vec<G1Affine> = polys.iter().map(|p| s.commit(p)).collect();
+        assert!(commits[6].is_identity());
+        let pts: Vec<Fr> = (0..6).map(|_| Fr::random(&mut rng)).collect();
+        let mut cases: Vec<Vec<(usize, Fr)>> = vec![
+            // One group, the identity among its commitments.
+            vec![(0, pts[0]), (6, pts[0]), (3, pts[0])],
+            // Six groups, one commitment at every point.
+            (0..6).flat_map(|j| [(1, pts[j]), (j, pts[j])]).collect(),
+        ];
+        for _ in 0..3 {
+            cases.push(
+                (0..12)
+                    .map(|_| (rng.gen_range(0..7), pts[rng.gen_range(0..6)]))
+                    .collect(),
+            );
+        }
+        let moved = |p: &G1Affine| (p.to_projective() + G1Projective::generator()).to_affine();
+        for case in &cases {
+            let vq: Vec<(G1Affine, Fr, Fr)> = case
+                .iter()
+                .map(|(i, z)| (commits[*i], *z, polys[*i].evaluate(*z)))
+                .collect();
+            let pq: Vec<(&Coeffs<Fr>, Fr)> = case.iter().map(|(i, z)| (&polys[*i], *z)).collect();
+            let proof = s.open(&mut claims(&vq), &pq);
+
+            let acc = s.prepare(&mut claims(&vq), &vq, &proof).unwrap();
+            let reference = reference_accumulator(&mut claims(&vq), &vq, &proof);
+            assert_eq!(acc.lhs, reference.lhs);
+            assert_eq!(acc.rhs, reference.rhs);
+            assert!(acc.check(&s));
+
+            for i in 0..vq.len() {
+                let mut bad = vq.clone();
+                bad[i].2 += Fr::one();
+                assert!(s.verify(&mut claims(&bad), &bad, &proof).is_err());
+                let mut bad = vq.clone();
+                bad[i].0 = moved(&bad[i].0);
+                assert!(s.verify(&mut claims(&bad), &bad, &proof).is_err());
+            }
+            for at in (0..proof.len()).step_by(32) {
+                let mut bad = proof.clone();
+                let wit = G1Affine::from_bytes(&proof[at..at + 32].try_into().unwrap()).unwrap();
+                bad[at..at + 32].copy_from_slice(&moved(&wit).to_bytes());
+                assert!(s.verify(&mut claims(&vq), &vq, &bad).is_err());
+            }
+        }
+    }
+
+    /// `batch_check`'s folding MSMs agree with folding by double-and-add.
+    #[test]
+    fn batch_check_fold_matches_scalar_multiplications() {
+        let s = srs(6);
+        let mut rng = StdRng::seed_from_u64(60);
+        let accs: Vec<KzgAccumulator> = (0..5)
+            .map(|_| {
+                let p = Coeffs::new((0..33).map(|_| Fr::random(&mut rng)).collect());
+                let z = Fr::random(&mut rng);
+                let vq = [(s.commit(&p), z, p.evaluate(z))];
+                let proof = s.open(&mut claims(&vq), &[(&p, z)]);
+                s.prepare(&mut claims(&vq), &vq, &proof).unwrap()
+            })
+            .collect();
+        let mut t = Transcript::new(b"zkml-kzg-batch");
+        for acc in &accs {
+            t.absorb(b"acc-lhs", &acc.lhs.to_affine().to_bytes());
+            t.absorb(b"acc-rhs", &acc.rhs.to_affine().to_bytes());
+        }
+        let r: Fr = t.challenge(b"kzg-batch-r");
+        let (mut lhs, mut rhs, mut rj) = (
+            G1Projective::identity(),
+            G1Projective::identity(),
+            Fr::one(),
+        );
+        for acc in &accs {
+            lhs += acc.lhs.mul_scalar(&rj);
+            rhs += acc.rhs.mul_scalar(&rj);
+            rj *= r;
+        }
+        let folded = fold(&accs);
+        assert_eq!(folded.lhs, lhs);
+        assert_eq!(folded.rhs, rhs);
+        assert!(batch_check(&s, &accs));
+        let mut bad = accs.clone();
+        bad[3].rhs += G1Projective::generator();
+        assert!(!batch_check(&s, &bad));
     }
 
     #[test]

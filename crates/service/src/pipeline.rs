@@ -498,8 +498,9 @@ impl Pipeline {
         }
     }
 
-    /// Verifies one monolithic proof to completion and records the outcome in
-    /// the stats; a rejected proof is a [`ServiceError::Verify`].
+    /// Verifies one monolithic proof to completion and records the outcome
+    /// and its latency in the stats; a rejected proof is a
+    /// [`ServiceError::Verify`].
     pub fn verify_proof(
         &self,
         params: &Params,
@@ -508,6 +509,7 @@ impl Pipeline {
         proof: &[u8],
         wc: Option<&WeightCommitment>,
     ) -> Result<(), ServiceError> {
+        let t = Instant::now();
         let outcome = zkml_plonk::verify_proof_committed(params, vk, instance, proof, &[], wc)
             .map_err(|e| e.to_string())
             .and_then(|v| {
@@ -518,17 +520,22 @@ impl Pipeline {
                 }
             });
         self.stats
+            .record_verify_latency_ms(t.elapsed().as_millis() as u64);
+        self.stats
             .record_verified(outcome.is_ok() as u64, outcome.is_err() as u64);
         outcome.map_err(ServiceError::Verify)
     }
 
     /// Verifies a bundle — all segments settled with one pairing — and
-    /// records every segment proof in the stats.
+    /// records every segment proof and the bundle's latency in the stats.
     pub fn verify_bundle(
         &self,
         bundle: &SegmentedProof,
     ) -> Result<zkml_shard::BundleReport, ServiceError> {
+        let t = Instant::now();
         let outcome = zkml_shard::verify_bundle(bundle, |b, k| self.cache.params(b, k));
+        self.stats
+            .record_verify_latency_ms(t.elapsed().as_millis() as u64);
         match &outcome {
             Ok(report) => self.stats.record_verified(report.segments as u64, 0),
             Err(_) => self.stats.record_verified(0, bundle.segments.len() as u64),

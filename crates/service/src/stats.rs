@@ -7,10 +7,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Live counters shared between the service, its workers, and observers.
 ///
 /// Counters are monotonically increasing except `queue_depth`, which is a
-/// gauge the service refreshes on submission and completion. Prove
-/// latencies are kept in full (one `u64` of milliseconds per completed
-/// proof) so percentiles are exact rather than estimated; a proving service
-/// completes jobs at a rate where this stays small.
+/// gauge the service refreshes on submission and completion. Prove and
+/// verify latencies are kept in full (one `u64` of milliseconds per proof
+/// or bundle) so percentiles are exact rather than estimated; a proving
+/// service completes jobs at a rate where this stays small.
 #[derive(Default)]
 pub struct ServiceStats {
     jobs_submitted: AtomicU64,
@@ -30,6 +30,7 @@ pub struct ServiceStats {
     verify_failures: AtomicU64,
     queue_depth: AtomicU64,
     prove_latencies_ms: Mutex<Vec<u64>>,
+    verify_latencies_ms: Mutex<Vec<u64>>,
 }
 
 impl ServiceStats {
@@ -90,6 +91,9 @@ impl ServiceStats {
     pub(crate) fn record_prove_latency_ms(&self, ms: u64) {
         self.prove_latencies_ms.lock().push(ms);
     }
+    pub(crate) fn record_verify_latency_ms(&self, ms: u64) {
+        self.verify_latencies_ms.lock().push(ms);
+    }
 
     /// Captures a consistent-enough snapshot of every metric. Individual
     /// counters are read independently (Relaxed), which is the usual
@@ -99,6 +103,7 @@ impl ServiceStats {
         let hits = self.cache_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
         let lat = self.prove_latencies_ms.lock().clone();
+        let verify_lat = self.verify_latencies_ms.lock().clone();
         let par = zkml_par::global().metrics();
         StatsSnapshot {
             threads: par.threads as u64,
@@ -128,6 +133,8 @@ impl ServiceStats {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             prove_p50_ms: percentile(&lat, 50),
             prove_p95_ms: percentile(&lat, 95),
+            verify_p50_ms: percentile(&verify_lat, 50),
+            verify_p95_ms: percentile(&verify_lat, 95),
         }
     }
 }
@@ -198,6 +205,12 @@ pub struct StatsSnapshot {
     pub prove_p50_ms: u64,
     /// 95th-percentile prove latency in milliseconds.
     pub prove_p95_ms: u64,
+    /// Median verification latency in milliseconds: one proof, or one
+    /// bundle with its batched pairing, whether verified after proving or
+    /// as a verify job.
+    pub verify_p50_ms: u64,
+    /// 95th-percentile verification latency in milliseconds.
+    pub verify_p95_ms: u64,
 }
 
 impl StatsSnapshot {
@@ -215,7 +228,8 @@ impl StatsSnapshot {
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},",
                 "\"layout_sweeps\":{},\"plan_hits\":{},\"determinism_checks\":{},",
                 "\"proofs_verified\":{},\"verify_failures\":{},\"queue_depth\":{},",
-                "\"prove_p50_ms\":{},\"prove_p95_ms\":{}}}"
+                "\"prove_p50_ms\":{},\"prove_p95_ms\":{},",
+                "\"verify_p50_ms\":{},\"verify_p95_ms\":{}}}"
             ),
             self.threads,
             self.par_tasks_executed,
@@ -240,6 +254,8 @@ impl StatsSnapshot {
             self.queue_depth,
             self.prove_p50_ms,
             self.prove_p95_ms,
+            self.verify_p50_ms,
+            self.verify_p95_ms,
         )
     }
 }
@@ -277,6 +293,9 @@ mod tests {
         s.record_determinism_check();
         s.record_prove_latency_ms(10);
         s.record_prove_latency_ms(30);
+        for ms in [4, 9, 2] {
+            s.record_verify_latency_ms(ms);
+        }
         s.set_queue_depth(1);
         let snap = s.snapshot();
         assert_eq!(snap.jobs_submitted, 2);
@@ -291,6 +310,7 @@ mod tests {
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.prove_p50_ms, 10);
         assert_eq!(snap.prove_p95_ms, 30);
+        assert_eq!((snap.verify_p50_ms, snap.verify_p95_ms), (4, 9));
     }
 
     #[test]
@@ -312,6 +332,8 @@ mod tests {
             "determinism_checks",
             "prove_p50_ms",
             "prove_p95_ms",
+            "verify_p50_ms",
+            "verify_p95_ms",
             "queue_depth",
         ] {
             assert!(json.contains(&format!("\"{key}\":")), "missing {key}");

@@ -87,6 +87,7 @@ fn second_job_hits_artifact_cache_and_verifies() {
     assert!(snap.cache_hit_rate > 0.0);
     assert_eq!(snap.proofs_verified, 2);
     assert!(snap.prove_p50_ms <= snap.prove_p95_ms);
+    assert!(snap.verify_p50_ms <= snap.verify_p95_ms);
 }
 
 /// Segmented jobs flow through the service end to end: the artifact is a
