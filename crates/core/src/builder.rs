@@ -112,11 +112,6 @@ pub struct LayoutStats {
     pub num_copies: usize,
     /// Committed (weight) columns.
     pub num_committed: usize,
-    /// Column-count-independent row floor: constants, lookup tables, the
-    /// range table, and exposed instance rows. No candidate at any column
-    /// count can use fewer rows than this, which lets the optimizer prove
-    /// a `k` plateau is permanent before pruning the rest of a sweep.
-    pub rows_floor: usize,
 }
 
 /// The circuit builder.
@@ -150,6 +145,8 @@ pub struct CircuitBuilder {
     pub challenge: Option<usize>,
     max_table_len: usize,
     copy_count: usize,
+    /// Capacity a value column gets when first written (see `reserve`).
+    col_capacity: usize,
     freivalds_jobs: Vec<crate::freivalds::FreivaldsJob>,
     /// Every advice/instance cell written during real synthesis, in write
     /// order — the mutation surface for the adversarial soundness harness.
@@ -172,8 +169,10 @@ impl CircuitBuilder {
 
     /// Creates a placement builder (the paper's circuit simulator, §7.3):
     /// gadget calls create the full constraint-system structure and
-    /// advance every row/copy cursor, but skip value writes and
-    /// value-dependent range checks. This is stage 2's engine — the
+    /// advance every row/copy cursor, but skip value writes, table
+    /// contents and value-dependent range checks, and the values they
+    /// return are not the witness (lookups, divisions and Freivalds
+    /// products come back as zeros). This is stage 2's engine — the
     /// optimizer sweeps candidate layouts with placer builders only.
     pub fn placer(cfg: CircuitConfig) -> Self {
         Self::with_mode(cfg, true)
@@ -219,6 +218,7 @@ impl CircuitBuilder {
             challenge: None,
             max_table_len: 0,
             copy_count: 0,
+            col_capacity: 0,
             freivalds_jobs: Vec::new(),
             assigned: Vec::new(),
             inputs: Vec::new(),
@@ -243,7 +243,7 @@ impl CircuitBuilder {
 
     // --- low-level cell plumbing -----------------------------------------
 
-    fn set_advice(&mut self, cs_col: usize, row: usize, v: Fr) {
+    fn set_advice(&mut self, cs_col: usize, row: usize, v: i64) {
         if self.count_only {
             return;
         }
@@ -255,13 +255,16 @@ impl CircuitBuilder {
             self.advice_vals.resize(cs_col + 1, Vec::new());
         }
         let col = &mut self.advice_vals[cs_col];
+        if col.capacity() == 0 {
+            col.reserve_exact(self.col_capacity);
+        }
         if col.len() <= row {
             col.resize(row + 1, Fr::ZERO);
         }
-        col[row] = v;
+        col[row] = Fr::from_i64(v);
     }
 
-    fn set_fixed(&mut self, cs_col: usize, row: usize, v: Fr) {
+    fn set_fixed(&mut self, cs_col: usize, row: usize, v: i64) {
         if self.count_only {
             return;
         }
@@ -269,10 +272,13 @@ impl CircuitBuilder {
             self.fixed_vals.resize(cs_col + 1, Vec::new());
         }
         let col = &mut self.fixed_vals[cs_col];
+        if col.capacity() == 0 {
+            col.reserve_exact(self.col_capacity);
+        }
         if col.len() <= row {
             col.resize(row + 1, Fr::ZERO);
         }
-        col[row] = v;
+        col[row] = Fr::from_i64(v);
     }
 
     fn copy(&mut self, a: CellRef, b: CellRef) {
@@ -290,7 +296,7 @@ impl CircuitBuilder {
             column: Column::Advice(self.grid[col_j]),
             row,
         };
-        self.set_advice(self.grid[col_j], row, Fr::from_i64(src.v));
+        self.set_advice(self.grid[col_j], row, src.v);
         self.copy(src.cell, cell);
         cell
     }
@@ -301,7 +307,7 @@ impl CircuitBuilder {
             column: Column::Advice(self.grid[col_j]),
             row,
         };
-        self.set_advice(self.grid[col_j], row, Fr::from_i64(v));
+        self.set_advice(self.grid[col_j], row, v);
         AValue { cell, v }
     }
 
@@ -331,8 +337,10 @@ impl CircuitBuilder {
         let r = self.row;
         self.row += 1;
         let sel = self.selector(gadget);
-        self.set_fixed(sel, r, Fr::ONE);
-        self.note_region(&format!("{gadget:?}"), r);
+        self.set_fixed(sel, r, 1);
+        if !self.count_only {
+            self.note_region(&format!("{gadget:?}"), r);
+        }
         r
     }
 
@@ -359,7 +367,7 @@ impl CircuitBuilder {
         let row = self.const_row;
         self.const_row += 1;
         self.const_rows.insert(v, row);
-        self.set_fixed(self.const_col, row, Fr::from_i64(v));
+        self.set_fixed(self.const_col, row, v);
         AValue {
             cell: CellRef {
                 column: Column::Fixed(self.const_col),
@@ -378,7 +386,9 @@ impl CircuitBuilder {
             let row = self.alloc_free_row();
             for (j, &v) in chunk.iter().enumerate() {
                 let a = self.fresh(j, row, v);
-                self.inputs.push(a.cell);
+                if !self.count_only {
+                    self.inputs.push(a.cell);
+                }
                 out.push(a);
             }
         }
@@ -401,7 +411,7 @@ impl CircuitBuilder {
             .collect();
     }
 
-    fn set_committed(&mut self, cs_col: usize, row: usize, v: Fr) {
+    fn set_committed(&mut self, cs_col: usize, row: usize, v: i64) {
         if self.count_only {
             return;
         }
@@ -412,7 +422,7 @@ impl CircuitBuilder {
         if col.len() <= row {
             col.resize(row + 1, Fr::ZERO);
         }
-        col[row] = v;
+        col[row] = Fr::from_i64(v);
     }
 
     /// Loads model weights into home cells of the *committed* column plane.
@@ -434,7 +444,7 @@ impl CircuitBuilder {
                     column: Column::Committed(self.committed[j]),
                     row,
                 };
-                self.set_committed(self.committed[j], row, Fr::from_i64(v));
+                self.set_committed(self.committed[j], row, v);
                 out.push(AValue { cell, v });
             }
         }
@@ -508,7 +518,7 @@ impl CircuitBuilder {
     pub(crate) fn write_range_table(&mut self) {
         if let Some(col) = self.range_table {
             for i in 0..self.range_size() {
-                self.set_fixed(col, i, Fr::from_u64(i as u64));
+                self.set_fixed(col, i, i as i64);
             }
         }
     }
@@ -520,19 +530,22 @@ impl CircuitBuilder {
         }
         let in_col = self.cs.fixed_column();
         let out_col = self.cs.fixed_column();
-        let entries = nonlin_entries(f, &self.cfg.numeric);
-        let mut default = (0i64, 0i64);
-        for (i, (x, y)) in entries.iter().enumerate() {
-            if *x == 0 {
-                default = (*x, *y);
+        // The table spans the whole domain (see `nonlin_entries`); a placer
+        // needs only its length.
+        let len = 1usize << self.cfg.numeric.table_bits();
+        if !self.count_only {
+            let entries = nonlin_entries(f, &self.cfg.numeric);
+            debug_assert_eq!(entries.len(), len, "nonlinearity table length");
+            for (i, (x, y)) in entries.into_iter().enumerate() {
+                self.set_fixed(in_col, i, x);
+                self.set_fixed(out_col, i, y);
             }
-            self.set_fixed(in_col, i, Fr::from_i64(*x));
-            self.set_fixed(out_col, i, Fr::from_i64(*y));
         }
-        self.max_table_len = self.max_table_len.max(entries.len());
+        let default = (0, crate::tables::table_eval(f, 0, self.scale()));
+        self.max_table_len = self.max_table_len.max(len);
         self.table_infos.push(TableCols {
             cols: vec![in_col, out_col],
-            len: entries.len(),
+            len,
             defaults: vec![default.0, default.1],
         });
         self.tables.insert(f, self.table_infos.len() - 1);
@@ -1001,7 +1014,12 @@ impl CircuitBuilder {
                     )));
                 }
                 self.place(2 * s, row, x);
-                let y = crate::tables::table_eval(f, x.v, scale);
+                // A placer's operands carry no values (see `run_schedule`).
+                let y = if self.count_only {
+                    0
+                } else {
+                    crate::tables::table_eval(f, x.v, scale)
+                };
                 out.push(self.fresh(2 * s + 1, row, y));
             }
             // Unused slots must hold the default table entry (0, f(0)) —
@@ -1136,8 +1154,13 @@ impl CircuitBuilder {
             for (s, nv) in chunk.iter().enumerate() {
                 self.place(4 * s, row, nv);
                 self.place(4 * s + 1, row, &den);
-                let c = zkml_model::qops::var_div_scaled(nv.v, den.v, sf);
-                let r = 2 * sf * nv.v + den.v - 2 * den.v * c;
+                // A placer's operands carry no values (see `run_schedule`).
+                let (c, r) = if self.count_only {
+                    (0, 0)
+                } else {
+                    let c = zkml_model::qops::var_div_scaled(nv.v, den.v, sf);
+                    (c, 2 * sf * nv.v + den.v - 2 * den.v * c)
+                };
                 debug_assert!((0..2 * den.v).contains(&r) || self.count_only);
                 out.push(self.fresh(4 * s + 2, row, c));
                 self.fresh(4 * s + 3, row, r);
@@ -1153,22 +1176,6 @@ impl CircuitBuilder {
     }
 
     // --- finalization ----------------------------------------------------
-
-    /// Rows consumed by column-count-independent structure: constants,
-    /// nonlinearity tables, the range table, and exposed instance values.
-    /// These do not shrink as the sweep adds columns, so they bound the
-    /// smallest `k` any candidate of this schedule can reach.
-    pub fn rows_floor(&self) -> usize {
-        let range_rows = if self.range_table.is_some() {
-            self.range_size()
-        } else {
-            0
-        };
-        self.const_row
-            .max(self.max_table_len)
-            .max(range_rows)
-            .max(self.instance_vals.len())
-    }
 
     /// Total rows required (grid, phase-1 plane, constants, tables).
     pub fn rows_used(&self) -> usize {
@@ -1209,12 +1216,23 @@ impl CircuitBuilder {
             num_constraints: self.cs.gates.iter().map(|g| g.polys.len()).sum(),
             num_copies: self.copy_count,
             num_committed: self.cs.num_committed,
-            rows_floor: self.rows_floor(),
         }
     }
 
     // --- accessors for compiler/freivalds modules --------------------------
 
+    /// Sizes the value columns and the copy list for a circuit whose plan
+    /// is known, so synthesis grows none of them: a column or list grown
+    /// by doubling leaves every smaller copy behind as a hole in the heap,
+    /// and the analyzer, run next, allocates on top of those.
+    pub(crate) fn reserve(&mut self, k: u32, stats: &LayoutStats) {
+        self.col_capacity = (1usize << k) - BLINDING_FACTORS - 1;
+        self.copies.reserve_exact(stats.num_copies);
+    }
+    /// Whether this is a placer builder (no witness is assigned).
+    pub(crate) fn is_placer(&self) -> bool {
+        self.count_only
+    }
     pub(crate) fn grid_cols(&self) -> &[usize] {
         &self.grid
     }
@@ -1230,7 +1248,7 @@ impl CircuitBuilder {
     pub(crate) fn selector_pub(&mut self, g: Gadget) -> usize {
         self.selector(g)
     }
-    pub(crate) fn set_fixed_pub(&mut self, col: usize, row: usize, v: Fr) {
+    pub(crate) fn set_fixed_pub(&mut self, col: usize, row: usize, v: i64) {
         self.set_fixed(col, row, v);
     }
     #[allow(clippy::type_complexity)]

@@ -217,7 +217,7 @@ pub fn place(sched: &OpSchedule, cfg: CircuitConfig) -> Result<LayoutPlan, ZkmlE
 /// resulting structure is checked against the plan and any drift is a
 /// [`ZkmlError::PlanMismatch`].
 pub fn synthesize(sched: &OpSchedule, plan: &LayoutPlan) -> Result<CompiledCircuit, ZkmlError> {
-    let c = synthesize_schedule(sched, plan.cfg)?;
+    let c = synthesize_schedule(sched, plan.cfg, Some(plan))?;
     if c.k != plan.k {
         return Err(ZkmlError::PlanMismatch(format!(
             "planned k = {} but synthesis needed k = {}",
@@ -247,16 +247,21 @@ pub fn compile(
     cfg: CircuitConfig,
 ) -> Result<CompiledCircuit, ZkmlError> {
     let sched = crate::layers::lower_graph(graph, inputs, cfg.numeric);
-    synthesize_schedule(&sched, cfg)
+    synthesize_schedule(&sched, cfg, None)
 }
 
-/// Single-pass synthesis of a schedule (no plan cross-check).
+/// Single-pass synthesis of a schedule (no plan cross-check). A `plan`
+/// only sizes the builder's columns up front.
 fn synthesize_schedule(
     sched: &OpSchedule,
     cfg: CircuitConfig,
+    plan: Option<&LayoutPlan>,
 ) -> Result<CompiledCircuit, ZkmlError> {
     check_numeric(sched, &cfg)?;
     let mut bld = CircuitBuilder::new(cfg);
+    if let Some(plan) = plan {
+        bld.reserve(plan.k, &plan.stats);
+    }
     let outs = run_schedule(&mut bld, sched)?;
     finalize(bld, outs)
 }
@@ -325,16 +330,23 @@ fn finalize(
     for (cols, len, defaults) in &pads {
         for (col, default) in cols.iter().zip(defaults) {
             for row in *len..usable {
-                bld.set_fixed_pub(*col, row, zkml_ff::PrimeField::from_i64(*default));
+                bld.set_fixed_pub(*col, row, *default);
             }
         }
     }
 
     let p1_rows = bld.p1_rows_used();
-    let assigned = bld.take_assigned();
+    // The cell lists below live as long as the circuit and were grown by
+    // doubling; dropping their spare capacity keeps up to half of each
+    // out of the process's peak (`ensure_determined` runs on top of them).
+    let mut assigned = bld.take_assigned();
+    assigned.shrink_to_fit();
     let inputs = bld.take_inputs();
     let mut regions = bld.take_regions();
-    let jobs = bld.take_freivalds_jobs();
+    let mut jobs = bld.take_freivalds_jobs();
+    for job in &mut jobs {
+        job.cells.shrink_to_fit();
+    }
     let grid: Vec<usize> = bld.grid_cols().to_vec();
     let p1_cols: Vec<usize> = bld.p1_cols().to_vec();
     if let (Some(first), Some(last)) = (p1_cols.first(), p1_cols.last()) {

@@ -337,7 +337,6 @@ mod tests {
             num_constraints: 30,
             num_copies: 5000,
             num_committed: 0,
-            rows_floor: 100,
         }
     }
 

@@ -72,6 +72,10 @@ fn y_spec(dot: DotId, idx: usize) -> Vs {
 /// Lays out a Freivalds-checked matmul. `a_cells` is `s x k` row-major,
 /// `b_cells` is `k x t`; returns the raw product cells (`s x t`, at double
 /// scale — callers rescale).
+///
+/// A placer builder gets the same rows, selectors and copies but no
+/// witness: the product cells hold zeros and no [`FreivaldsJob`] is
+/// recorded.
 pub fn freivalds_matmul(
     bld: &mut CircuitBuilder,
     a_cells: &[AValue],
@@ -89,27 +93,30 @@ pub fn freivalds_matmul(
     bld.ensure_phase1();
 
     // Witness the raw product in phase-0 home cells.
+    let placing = bld.is_placer();
     let mut c_vals = vec![0i64; s * t];
-    for i in 0..s {
-        for j in 0..t {
-            let mut acc = 0i64;
-            for l in 0..k {
-                acc = acc
-                    .checked_add(a_cells[i * k + l].v * b_cells[l * t + j].v)
-                    .expect("freivalds product overflow");
+    if !placing {
+        for i in 0..s {
+            for j in 0..t {
+                let mut acc = 0i64;
+                for l in 0..k {
+                    acc = acc
+                        .checked_add(a_cells[i * k + l].v * b_cells[l * t + j].v)
+                        .expect("freivalds product overflow");
+                }
+                c_vals[i * t + j] = acc;
             }
-            c_vals[i * t + j] = acc;
         }
     }
     let c_cells = bld.load_values(&c_vals);
 
-    let mut job = FreivaldsJob {
+    let mut job = (!placing).then(|| FreivaldsJob {
         a: a_cells.iter().map(|x| x.v).collect(),
         b: b_cells.iter().map(|x| x.v).collect(),
         c: c_vals,
         dims: (s, k, t),
         cells: Vec::new(),
-    };
+    });
     let p1_cols: Vec<usize> = bld.p1_cols().to_vec();
 
     // --- Challenge powers (r_e = χ^e for e = 1..) ------------------------
@@ -120,16 +127,12 @@ pub fn freivalds_matmul(
     let one = bld.constant(1);
     let p1_start = *bld.p1_row_cursor();
     for i in 0..rp {
-        let row = {
-            let r = *bld.p1_row_cursor();
-            *bld.p1_row_cursor() += 1;
-            let sel = bld.selector_pub(Gadget::ChalPow);
-            bld.set_fixed_pub(sel, r, Fr::ONE);
-            r
-        };
+        let row = p1_row(bld, Gadget::ChalPow);
         let base = (i * per_row) as u64;
-        for (j, col) in p1_cols.iter().enumerate() {
-            job.cells.push((*col, row, Vs::Power(base + j as u64)));
+        if let Some(job) = job.as_mut() {
+            for (j, col) in p1_cols.iter().enumerate() {
+                job.cells.push((*col, row, Vs::Power(base + j as u64)));
+            }
         }
         let carry_cell = CellRef {
             column: Column::Advice(p1_cols[0]),
@@ -157,102 +160,114 @@ pub fn freivalds_matmul(
     };
 
     // --- Bias-chained phase-1 dot products ---------------------------------
+    let zero = bld.constant(0).cell;
+
+    // u_i = B_i . r  (length-t dots).
+    let mut u_cells = Vec::with_capacity(k);
+    for i in 0..k {
+        u_cells.push(p1_dot(
+            bld,
+            job.as_mut(),
+            &p1_cols,
+            zero,
+            DotId::U(i),
+            t,
+            |j| (b_cells[i * t + j], power_cellref(j as u64 + 1)),
+        ));
+    }
+    // v_i = C_i . r and v'_i = A_i . u must agree.
+    for i in 0..s {
+        let v = p1_dot(bld, job.as_mut(), &p1_cols, zero, DotId::V(i), t, |j| {
+            (c_cells[i * t + j], power_cellref(j as u64 + 1))
+        });
+        let vp = p1_dot(bld, job.as_mut(), &p1_cols, zero, DotId::Vp(i), k, |j| {
+            (a_cells[i * k + j], u_cells[j])
+        });
+        bld.copy_pub(v, vp);
+    }
+
+    if let Some(job) = job {
+        bld.push_freivalds_job(job);
+    }
+    Ok(c_cells)
+}
+
+/// Allocates the next phase-1 row with `gadget`'s selector on.
+fn p1_row(bld: &mut CircuitBuilder, gadget: Gadget) -> usize {
+    let r = *bld.p1_row_cursor();
+    *bld.p1_row_cursor() += 1;
+    let sel = bld.selector_pub(gadget);
+    bld.set_fixed_pub(sel, r, 1);
+    r
+}
+
+/// Lays out one bias-chained phase-1 dot product over `len` terms, where
+/// `term(j)` names the x operand and the y cell of term `j`; copies both
+/// into their row and returns the cell holding the full sum. With a `job`,
+/// every cell's value spec is recorded for [`fill_jobs`].
+fn p1_dot(
+    bld: &mut CircuitBuilder,
+    mut job: Option<&mut FreivaldsJob>,
+    p1_cols: &[usize],
+    zero: CellRef,
+    dot: DotId,
+    len: usize,
+    term: impl Fn(usize) -> (AValue, CellRef),
+) -> CellRef {
+    assert!(len > 0, "a phase-1 dot needs at least one term");
+    let n = p1_cols.len();
     let m = (n - 2) / 2;
-    let zero = bld.constant(0);
-    let p1_dot = |bld: &mut CircuitBuilder,
-                  job: &mut FreivaldsJob,
-                  dot: DotId,
-                  xs: &[(CellRef, i64)],
-                  ys: &[CellRef]|
-     -> CellRef {
-        let len = xs.len();
-        debug_assert_eq!(len, ys.len());
-        let mut prev_z: Option<CellRef> = None;
-        let mut consumed = 0usize;
-        for chunk_start in (0..len).step_by(m) {
-            let chunk_len = m.min(len - chunk_start);
-            let row = {
-                let r = *bld.p1_row_cursor();
-                *bld.p1_row_cursor() += 1;
-                let sel = bld.selector_pub(Gadget::DotBias(true));
-                bld.set_fixed_pub(sel, r, Fr::ONE);
-                r
-            };
-            for j in 0..chunk_len {
-                let (src, lit) = xs[chunk_start + j];
-                let xcell = CellRef {
-                    column: Column::Advice(p1_cols[j]),
-                    row,
-                };
-                job.cells.push((p1_cols[j], row, Vs::Lit(lit)));
-                bld.copy_pub(src, xcell);
-                let ycell = CellRef {
-                    column: Column::Advice(p1_cols[m + j]),
-                    row,
-                };
-                job.cells
-                    .push((p1_cols[m + j], row, y_spec(dot, chunk_start + j)));
-                bld.copy_pub(ys[chunk_start + j], ycell);
-            }
-            let bias_cell = CellRef {
-                column: Column::Advice(p1_cols[n - 2]),
+    let mut prev_z = zero;
+    for chunk_start in (0..len).step_by(m) {
+        let chunk_len = m.min(len - chunk_start);
+        let row = p1_row(bld, Gadget::DotBias(true));
+        for j in 0..chunk_len {
+            let (src, y) = term(chunk_start + j);
+            let xcell = CellRef {
+                column: Column::Advice(p1_cols[j]),
                 row,
             };
+            bld.copy_pub(src.cell, xcell);
+            let ycell = CellRef {
+                column: Column::Advice(p1_cols[m + j]),
+                row,
+            };
+            bld.copy_pub(y, ycell);
+            if let Some(job) = job.as_deref_mut() {
+                job.cells.push((p1_cols[j], row, Vs::Lit(src.v)));
+                job.cells
+                    .push((p1_cols[m + j], row, y_spec(dot, chunk_start + j)));
+            }
+        }
+        let bias_cell = CellRef {
+            column: Column::Advice(p1_cols[n - 2]),
+            row,
+        };
+        bld.copy_pub(prev_z, bias_cell);
+        if let Some(job) = job.as_deref_mut() {
             job.cells.push((
                 p1_cols[n - 2],
                 row,
                 Vs::Partial {
                     dot,
-                    upto: consumed,
+                    upto: chunk_start,
                 },
             ));
-            match prev_z {
-                None => bld.copy_pub(zero.cell, bias_cell),
-                Some(z) => bld.copy_pub(z, bias_cell),
-            }
-            consumed += chunk_len;
-            let zcell = CellRef {
-                column: Column::Advice(p1_cols[n - 1]),
-                row,
-            };
             job.cells.push((
                 p1_cols[n - 1],
                 row,
                 Vs::Partial {
                     dot,
-                    upto: consumed,
+                    upto: chunk_start + chunk_len,
                 },
             ));
-            prev_z = Some(zcell);
         }
-        prev_z.expect("at least one chunk")
-    };
-
-    // u_i = B_i . r  (length-t dots).
-    let mut u_cells = Vec::with_capacity(k);
-    for i in 0..k {
-        let xs: Vec<(CellRef, i64)> = (0..t)
-            .map(|j| (b_cells[i * t + j].cell, b_cells[i * t + j].v))
-            .collect();
-        let ys: Vec<CellRef> = (1..=t as u64).map(power_cellref).collect();
-        u_cells.push(p1_dot(bld, &mut job, DotId::U(i), &xs, &ys));
+        prev_z = CellRef {
+            column: Column::Advice(p1_cols[n - 1]),
+            row,
+        };
     }
-    // v_i = C_i . r and v'_i = A_i . u must agree.
-    for i in 0..s {
-        let xs: Vec<(CellRef, i64)> = (0..t)
-            .map(|j| (c_cells[i * t + j].cell, c_cells[i * t + j].v))
-            .collect();
-        let ys: Vec<CellRef> = (1..=t as u64).map(power_cellref).collect();
-        let v = p1_dot(bld, &mut job, DotId::V(i), &xs, &ys);
-        let xs: Vec<(CellRef, i64)> = (0..k)
-            .map(|j| (a_cells[i * k + j].cell, a_cells[i * k + j].v))
-            .collect();
-        let vp = p1_dot(bld, &mut job, DotId::Vp(i), &xs, &u_cells);
-        bld.copy_pub(v, vp);
-    }
-
-    bld.push_freivalds_job(job);
-    Ok(c_cells)
+    prev_z
 }
 
 /// Computes all phase-1 column values for the recorded jobs.

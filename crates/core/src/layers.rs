@@ -524,12 +524,14 @@ pub(crate) fn matmul_raw_entry(
             }
         }
         MatmulImpl::Direct => {
+            // `w` transposed once, so each output's column is a slice.
+            let wt: Vec<AValue> = (0..t)
+                .flat_map(|j| (0..k).map(move |i| w[i * t + j]))
+                .collect();
             let mut out = Vec::with_capacity(rows * t);
-            for r in 0..rows {
-                let xr: Vec<AValue> = (0..k).map(|i| x[r * k + i]).collect();
-                for j in 0..t {
-                    let wc: Vec<AValue> = (0..k).map(|i| w[i * t + j]).collect();
-                    out.push(bld.dot(&xr, &wc, bias2.map(|b| b[j]))?);
+            for xr in x.chunks_exact(k) {
+                for (j, wc) in wt.chunks_exact(k).enumerate() {
+                    out.push(bld.dot(xr, wc, bias2.map(|b| b[j]))?);
                 }
             }
             Ok(out)

@@ -9,9 +9,11 @@
 //!   bit-decomposition ReLU, and Freivalds-checked matrix multiplication
 //!   using multi-phase challenges ([`freivalds`]).
 //! * **Optimizer** ([`optimizer`]): generates logical layouts (gadget
-//!   choices), places each candidate row-exactly at each column count, and
-//!   picks the cheapest layout under a hardware-calibrated cost model
-//!   ([`cost`]) following Eq. (1)–(2) of the paper.
+//!   choices), searches each one's column range for the left edges of its
+//!   `k` plateaus — the only column counts that can win — placing just
+//!   the points that search needs row-exactly, and picks the cheapest
+//!   layout under a hardware-calibrated cost model ([`cost`]) following
+//!   Eq. (1)–(2) of the paper.
 //!
 //! Compilation is a three-stage pipeline:
 //!

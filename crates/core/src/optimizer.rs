@@ -1,21 +1,48 @@
 //! The circuit-layout optimizer (Algorithm 1 of the paper).
 //!
 //! Runs the three-stage pipeline: the model is lowered to an
-//! [`OpSchedule`] **once**, then every (logical layout, column count)
-//! candidate is placed row-exactly with [`place`] — in parallel over the
-//! logical layouts via [`zkml_par::par_map`] — costed with the
-//! hardware-calibrated model, and the cheapest [`LayoutPlan`] is kept.
+//! [`OpSchedule`] **once**, then each logical layout's column range is
+//! searched with row-exact [`place`]ments — in parallel over the logical
+//! layouts via [`zkml_par::par_map`] — every placed layout is costed with
+//! the hardware-calibrated model, and the cheapest [`LayoutPlan`] is kept.
 //! The winner is never re-lowered: [`OptimizerReport::synthesize_best`]
 //! replays the already-built schedule under the winning plan.
+//!
+//! # The plateau-edge search
+//!
+//! For one logical layout, write `k(c)` for the grid height placement
+//! needs at `c` columns, with `k(c) = ∞` when the layout cannot be
+//! expressed at `c` columns. The search relies on two invariants:
+//!
+//! 1. `k` never rises as columns are added: `k(c + 1) <= k(c)`.
+//! 2. At a fixed `k`, the score (proving time or proof size, KZG or IPA)
+//!    never falls as columns are added: every extra column adds FFTs,
+//!    MSMs and proof elements and removes none.
+//!
+//! The column range therefore splits into plateaus of equal `k`, and
+//! within a plateau the cheapest point is its left edge. Since ties go to
+//! the earliest column, the exhaustive sweep's winner is always a plateau
+//! edge, so placing only the points needed to find the edges picks the
+//! same plan, `k` and cost. `sweep_candidate` places the widest column
+//! count first (if that is over `max_k`, by invariant 1 nothing narrower
+//! fits and the layout is dropped), then the narrowest, and then bisects
+//! between placed points, skipping every interval whose two ends share a
+//! `k` (or are both over `max_k`). This finds the first column count
+//! within `max_k` and every plateau edge after it, and places each
+//! (layout, column) point at most once. `crates/core/tests/optimizer_props.rs`
+//! checks both invariants; were one to fail for some model, the search
+//! could miss the cheapest layout, but any plan it returns is still one it
+//! placed within `max_k`. `OptimizerOptions::prune = false` places every
+//! point (the Table 12 ablation).
 //!
 //! # Determinism
 //!
 //! The sweep is bit-identical at any `ZKML_THREADS`. Each logical layout
-//! is swept independently with *layout-local* pruning state (so no
-//! candidate's pruning depends on another candidate's results), results
-//! are collected in candidate order, and the winner is reduced with a
-//! strict less-than in that order — the earliest candidate wins ties,
-//! exactly as a serial left-to-right sweep would.
+//! is searched independently (no candidate's search depends on another
+//! candidate's results), ties within a layout go to the fewest columns,
+//! results are collected in candidate order, and the winner is reduced
+//! with a strict less-than in that order — the earliest candidate wins
+//! ties, exactly as a serial left-to-right sweep would.
 
 use crate::compiler::{place, synthesize, CompiledCircuit, LayoutPlan, ZkmlError};
 use crate::config::{CircuitConfig, LayoutChoices, NumericConfig, Objective};
@@ -38,7 +65,9 @@ pub struct OptimizerOptions {
     pub max_k: u32,
     /// Inclusive column-count sweep range (`N_min..=N_max`).
     pub n_cols_range: (usize, usize),
-    /// Enable the pruning heuristics (Table 12 ablation toggles this).
+    /// Search each layout's column range for its `k`-plateau edges
+    /// instead of placing every column count (the Table 12 ablation turns
+    /// this off; the winner is the same either way).
     pub prune: bool,
     /// Logical layouts to consider; `None` = the full candidate set.
     pub candidates: Option<Vec<LayoutChoices>>,
@@ -86,13 +115,18 @@ pub struct OptimizerReport {
     /// The schedule the sweep (and final synthesis) replayed; built by
     /// exactly one `lower_graph` execution.
     pub schedule: OpSchedule,
-    /// Number of physical layouts simulated.
+    /// Number of (layout, column) points placed, including those the
+    /// layout could not express.
     pub evaluated: usize,
-    /// Number of (layout, column) points skipped by pruning.
+    /// Number of (layout, column) points never placed; `evaluated +
+    /// pruned` is the number of candidates times the column range.
     pub pruned: usize,
     /// Wall-clock optimizer runtime.
     pub elapsed: Duration,
-    /// Every evaluated layout (for cost-model accuracy studies, §9.5).
+    /// Every placed layout within `max_k`, in candidate order and, within
+    /// a candidate, by column count (for cost-model accuracy studies,
+    /// §9.5). With `prune` on this holds each plateau edge plus the points
+    /// the search placed to find them; with it off, every feasible point.
     pub all: Vec<EvaluatedLayout>,
 }
 
@@ -106,7 +140,8 @@ impl OptimizerReport {
     }
 
     /// Runs the static underconstrained-circuit analyzer over **every**
-    /// layout the sweep evaluated — not just the winner — by re-placing
+    /// layout in [`all`](OptimizerReport::all) — not just the winner; set
+    /// `prune = false` to cover the whole column range — by re-placing
     /// each evaluated configuration (placement is deterministic, so this
     /// reproduces the exact candidate plan), synthesizing it, and
     /// analyzing the result. Layouts are processed in parallel on the
@@ -144,15 +179,8 @@ fn score(objective: Objective, c: &CostEstimate) -> f64 {
     }
 }
 
-/// Smallest `k` able to hold `rows` usable rows (mirrors the builder's
-/// `min_k`).
-fn min_k_for_rows(rows: usize) -> u32 {
-    ((rows + zkml_plonk::BLINDING_FACTORS + 1).next_power_of_two())
-        .trailing_zeros()
-        .max(3)
-}
-
 /// Per-candidate sweep result; merged in candidate order by [`optimize`].
+#[derive(Default)]
 struct CandidateSweep {
     all: Vec<EvaluatedLayout>,
     best: Option<(EvaluatedLayout, LayoutPlan)>,
@@ -160,83 +188,105 @@ struct CandidateSweep {
     pruned: usize,
 }
 
-/// Sweeps one logical layout across the column range with layout-local
-/// pruning, so the outcome is independent of every other candidate (the
-/// parallel-determinism invariant).
+/// One logical layout's search: what it places under, and what it found.
+struct LayoutSearch<'a> {
+    sched: &'a OpSchedule,
+    choices: LayoutChoices,
+    opts: &'a OptimizerOptions,
+    hw: &'a HardwareStats,
+    out: CandidateSweep,
+}
+
+impl LayoutSearch<'_> {
+    /// Places one column count, costs it if it fits within `max_k`, and
+    /// keeps it if it beats the best so far (ties go to fewer columns, so
+    /// the result does not depend on the order points are placed in).
+    /// Returns the placed `k`, or `None` if the layout cannot express the
+    /// model at this width or needs more than `max_k`.
+    fn probe(&mut self, num_cols: usize) -> Option<u32> {
+        let cfg = CircuitConfig {
+            choices: self.choices,
+            num_cols,
+            numeric: self.opts.numeric,
+        };
+        self.out.evaluated += 1;
+        let plan = place(self.sched, cfg)
+            .ok()
+            .filter(|p| p.k <= self.opts.max_k)?;
+        let k = plan.k;
+        let cost = estimate(&plan.stats, k, self.opts.backend, self.hw);
+        let entry = EvaluatedLayout { cfg, k, cost };
+        self.out.all.push(entry.clone());
+        let objective = self.opts.objective;
+        let s = score(objective, &cost);
+        let better = self.out.best.as_ref().is_none_or(|(b, _)| {
+            let bs = score(objective, &b.cost);
+            s < bs || (s == bs && num_cols < b.cfg.num_cols)
+        });
+        if better {
+            self.out.best = Some((entry, plan));
+        }
+        Some(k)
+    }
+
+    /// Places the points strictly between two placed column counts `a < b`
+    /// that can hold a plateau edge: none when both ends read the same (by
+    /// invariant 1 the interval is then one plateau, or all infeasible),
+    /// otherwise the midpoint and then each half.
+    fn bisect(&mut self, (a, ka): (usize, Option<u32>), (b, kb): (usize, Option<u32>)) {
+        if ka == kb || b - a < 2 {
+            return;
+        }
+        let mid = a + (b - a) / 2;
+        let km = self.probe(mid);
+        self.bisect((a, ka), (mid, km));
+        self.bisect((mid, km), (b, kb));
+    }
+}
+
+/// Sweeps one logical layout across the column range, independently of
+/// every other candidate (the parallel-determinism invariant).
+///
+/// With `opts.prune` this is the plateau-edge search of the module docs.
+/// A point is either infeasible (unexpressible or over `max_k`) or has a
+/// `k`; by invariant 1 the feasible points are a suffix of the range with
+/// `k` non-increasing along it. So a layout whose widest point is
+/// infeasible is dropped after one placement; otherwise the narrowest
+/// point is placed too, and `bisect` places points between known ones
+/// only while the two ends differ. That finds the first feasible point and
+/// every plateau edge after it. By invariant 2 every point left out costs
+/// at least as much as the plateau edge to its left, so the winner equals
+/// the exhaustive sweep's.
 fn sweep_candidate(
     sched: &OpSchedule,
     choices: LayoutChoices,
     opts: &OptimizerOptions,
     hw: &HardwareStats,
 ) -> CandidateSweep {
-    let mut out = CandidateSweep {
-        all: Vec::new(),
-        best: None,
-        evaluated: 0,
-        pruned: 0,
+    let (lo, hi) = opts.n_cols_range;
+    let mut search = LayoutSearch {
+        sched,
+        choices,
+        opts,
+        hw,
+        out: CandidateSweep::default(),
     };
-    let mut best_score = f64::INFINITY;
-    let mut prev_k: Option<u32> = None;
-    let mut worse_streak = 0usize;
-    let mut ncols = opts.n_cols_range.0;
-    while ncols <= opts.n_cols_range.1 {
-        let cfg = CircuitConfig {
-            choices,
-            num_cols: ncols,
-            numeric: opts.numeric,
-        };
-        let plan = match place(sched, cfg) {
-            Ok(p) => p,
-            Err(_) => {
-                // Configuration cannot express the model (e.g. too few
-                // columns for bit decomposition).
-                ncols += 1;
-                continue;
-            }
-        };
-        out.evaluated += 1;
-        if plan.k > opts.max_k {
-            // Needs more rows than the params support; more columns can
-            // only help, so keep sweeping.
-            prev_k = Some(plan.k);
-            ncols += 1;
-            continue;
-        }
-        let plan_k = plan.k;
-        let rows_floor = plan.stats.rows_floor;
-        let cost = estimate(&plan.stats, plan_k, opts.backend, hw);
-        let entry = EvaluatedLayout {
-            cfg,
-            k: plan_k,
-            cost,
-        };
-        out.all.push(entry.clone());
-        let s = score(opts.objective, &cost);
-        if s < best_score {
-            best_score = s;
-            out.best = Some((entry, plan));
-            worse_streak = 0;
-        } else {
-            worse_streak += 1;
-        }
-        // Pruning: at a fixed k, adding columns strictly increases
-        // FFT/MSM counts, so after a couple of non-improving candidates
-        // the only way a later column count can win is by dropping k.
-        // The column-independent row floor (constants, tables, instance)
-        // bounds the smallest k any candidate can reach; once the floor
-        // pins k at the current plateau, the rest of the sweep is
-        // provably worse and can be skipped without changing the winner.
-        if opts.prune {
-            if let Some(pk) = prev_k {
-                if plan_k >= pk && worse_streak >= 2 && min_k_for_rows(rows_floor) >= plan_k {
-                    out.pruned += opts.n_cols_range.1 - ncols;
-                    break;
-                }
-            }
-        }
-        prev_k = Some(plan_k);
-        ncols += 1;
+    if hi < lo {
+        return search.out;
     }
+    if !opts.prune {
+        for c in lo..=hi {
+            search.probe(c);
+        }
+    } else if let k_hi @ Some(_) = search.probe(hi) {
+        if lo < hi {
+            let k_lo = search.probe(lo);
+            search.bisect((lo, k_lo), (hi, k_hi));
+        }
+    }
+    let mut out = search.out;
+    out.all.sort_by_key(|e| e.cfg.num_cols);
+    out.pruned = hi + 1 - lo - out.evaluated;
     out
 }
 

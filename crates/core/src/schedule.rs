@@ -362,97 +362,130 @@ pub(crate) fn run_schedule(
     bld: &mut CircuitBuilder,
     sched: &OpSchedule,
 ) -> Result<Vec<Tensor<AValue>>, BuildError> {
-    let mut vals: Vec<AValue> = Vec::with_capacity(sched.num_vals);
+    let mut vals = Values::new(bld.is_placer(), sched.num_vals);
+    // Operand buffers, reused from op to op.
+    let (mut xb, mut yb, mut bb, mut pb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for op in &sched.ops {
         match op {
             SchedOp::Load { values } => vals.extend(bld.load_values(values)),
             SchedOp::LoadWeights { values } => vals.extend(bld.load_weights(values)),
-            SchedOp::Const { v } => {
-                let c = bld.constant(*v);
-                vals.push(c);
-            }
+            SchedOp::Const { v } => vals.extend([bld.constant(*v)]),
             SchedOp::Dot { xs, ys, init } => {
-                let x = gather(&vals, xs);
-                let y = gather(&vals, ys);
-                let r = bld.dot(&x, &y, init.map(|i| vals[i as usize]))?;
-                vals.push(r);
+                let x = vals.gather(&mut xb, xs);
+                let y = vals.gather(&mut yb, ys);
+                let r = bld.dot(x, y, init.map(|i| vals.get(i)))?;
+                vals.extend([r]);
             }
             SchedOp::Sum { xs } => {
-                let x = gather(&vals, xs);
-                let r = bld.sum(&x)?;
-                vals.push(r);
+                let r = bld.sum(vals.gather(&mut xb, xs))?;
+                vals.extend([r]);
             }
             SchedOp::Arith { kind, pairs } => {
-                let p = gather_pairs(&vals, pairs);
-                vals.extend(bld.arith_pack(*kind, &p)?);
+                let p = vals.gather_pairs(&mut pb, pairs);
+                vals.extend(bld.arith_pack(*kind, p)?);
             }
             SchedOp::Square { xs } => {
-                let x = gather(&vals, xs);
-                vals.extend(bld.square_pack(&x)?);
+                vals.extend(bld.square_pack(vals.gather(&mut xb, xs))?);
             }
             SchedOp::Rescale { xs } => {
-                let x = gather(&vals, xs);
-                vals.extend(bld.rescale(&x)?);
+                vals.extend(bld.rescale(vals.gather(&mut xb, xs))?);
             }
             SchedOp::Nonlin { f, xs } => {
-                let x = gather(&vals, xs);
-                vals.extend(bld.nonlin(*f, &x)?);
+                vals.extend(bld.nonlin(*f, vals.gather(&mut xb, xs))?);
             }
             SchedOp::Relu { xs } => {
-                let x = gather(&vals, xs);
-                vals.extend(bld.relu(&x)?);
+                vals.extend(bld.relu(vals.gather(&mut xb, xs))?);
             }
             SchedOp::MaxPairs { pairs } => {
-                let p = gather_pairs(&vals, pairs);
-                vals.extend(bld.max_pairs(&p)?);
+                vals.extend(bld.max_pairs(vals.gather_pairs(&mut pb, pairs))?);
             }
             SchedOp::VarDiv {
                 nums,
                 den,
                 den_bound,
             } => {
-                let n = gather(&vals, nums);
-                let d = vals[*den as usize];
-                vals.extend(bld.var_div(&n, d, *den_bound)?);
+                let d = vals.get(*den);
+                vals.extend(bld.var_div(vals.gather(&mut xb, nums), d, *den_bound)?);
             }
             SchedOp::MatMul { x, w, dims, bias2 } => {
-                let xv = gather(&vals, x);
-                let wv = gather(&vals, w);
-                let bv = bias2.as_ref().map(|b| gather(&vals, b));
-                vals.extend(crate::layers::matmul_raw_entry(
-                    bld,
-                    &xv,
-                    &wv,
-                    dims.0,
-                    dims.1,
-                    dims.2,
-                    bv.as_deref(),
-                )?);
+                let xv = vals.gather(&mut xb, x);
+                let wv = vals.gather(&mut yb, w);
+                let bv = bias2.as_ref().map(|b| vals.gather(&mut bb, b));
+                let out = crate::layers::matmul_raw_entry(bld, xv, wv, dims.0, dims.1, dims.2, bv)?;
+                vals.extend(out);
             }
         }
     }
-    debug_assert_eq!(vals.len(), sched.num_vals, "schedule value count drift");
+    debug_assert!(
+        vals.placing || vals.vals.len() == sched.num_vals,
+        "schedule value count drift"
+    );
     Ok(sched
         .outputs
         .iter()
         .map(|(shape, out_ids)| {
             Tensor::new(
                 shape.clone(),
-                out_ids.iter().map(|i| vals[*i as usize]).collect(),
+                out_ids.iter().map(|i| vals.get(*i)).collect(),
             )
         })
         .collect())
 }
 
-fn gather(vals: &[AValue], xs: &[u32]) -> Vec<AValue> {
-    xs.iter().map(|i| vals[*i as usize]).collect()
+/// The replay's value ids resolved to cells. A placer reads neither the
+/// cell nor the value of an operand, only how many operands a gadget
+/// gets, so in placement mode nothing is recorded and every id resolves
+/// to a blank cell.
+struct Values {
+    placing: bool,
+    vals: Vec<AValue>,
 }
 
-fn gather_pairs(vals: &[AValue], pairs: &[(u32, u32)]) -> Vec<(AValue, AValue)> {
-    pairs
-        .iter()
-        .map(|(a, b)| (vals[*a as usize], vals[*b as usize]))
-        .collect()
+const BLANK: AValue = AValue {
+    cell: zkml_plonk::CellRef {
+        column: zkml_plonk::Column::Advice(0),
+        row: 0,
+    },
+    v: 0,
+};
+
+impl Values {
+    fn new(placing: bool, num_vals: usize) -> Self {
+        let vals = Vec::with_capacity(if placing { 0 } else { num_vals });
+        Self { placing, vals }
+    }
+
+    fn get(&self, id: u32) -> AValue {
+        if self.placing {
+            BLANK
+        } else {
+            self.vals[id as usize]
+        }
+    }
+
+    fn extend(&mut self, out: impl IntoIterator<Item = AValue>) {
+        if !self.placing {
+            self.vals.extend(out);
+        }
+    }
+
+    /// Fills `buf` with the values `ids` names and returns it.
+    fn gather<'a>(&self, buf: &'a mut Vec<AValue>, ids: &[u32]) -> &'a [AValue] {
+        buf.clear();
+        buf.extend(ids.iter().map(|i| self.get(*i)));
+        buf
+    }
+
+    /// [`Values::gather`] for operand pairs.
+    fn gather_pairs<'a>(
+        &self,
+        buf: &'a mut Vec<(AValue, AValue)>,
+        pairs: &[(u32, u32)],
+    ) -> &'a [(AValue, AValue)] {
+        buf.clear();
+        buf.extend(pairs.iter().map(|(a, b)| (self.get(*a), self.get(*b))));
+        buf
+    }
 }
 
 #[cfg(test)]

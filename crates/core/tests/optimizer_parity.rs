@@ -1,14 +1,19 @@
 //! Determinism and single-lowering guarantees of the plan-driven optimizer:
-//! the parallel layout sweep picks bit-identical winners at any thread
-//! count, `lower_graph` runs exactly once per `optimize()`, and the winning
-//! plan synthesizes into a circuit that satisfies the constraint checker
+//! the parallel plateau-edge search picks the exhaustive sweep's winner,
+//! bit-identical at any thread count, for either objective and backend;
+//! `lower_graph` runs exactly once per `optimize()`; and the winning plan
+//! synthesizes into a circuit that satisfies the constraint checker
 //! and a real KZG prove/verify round-trip.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 use zkml::cost::HardwareStats;
-use zkml::{optimizer, schedules_built, OptimizerOptions};
+use zkml::layers::lower_graph;
+use zkml::{
+    cut_schedule, optimize_schedule, optimizer, schedules_built, LayoutChoices, Objective,
+    OpSchedule, OptimizerOptions, SegmentPlan,
+};
 use zkml_par::{with_pool, Pool};
 use zkml_pcs::{Backend, Params};
 
@@ -63,42 +68,87 @@ fn lower_graph_runs_exactly_once_per_optimize() {
     }
 }
 
+/// The three small zoo models plus the three segments of MNIST cut by
+/// `SegmentPlan::balanced(_, 3)`, as (label, schedule).
+fn small_schedules() -> Vec<(String, OpSchedule)> {
+    let mut out = Vec::new();
+    for g in small_zoo() {
+        let inputs = optimizer::zero_inputs(&g);
+        let sched = lower_graph(&g, &inputs, opts().numeric);
+        if g.name == "MNIST" {
+            let plan = SegmentPlan::balanced(&sched, 3);
+            let segments = cut_schedule(&sched, &plan).expect("cut MNIST");
+            for (i, seg) in segments.into_iter().enumerate() {
+                out.push((format!("MNIST segment {i}"), seg.schedule));
+            }
+        }
+        out.push((g.name.clone(), sched));
+    }
+    out
+}
+
 #[test]
 fn parallel_sweep_matches_serial_exhaustive_sweep() {
     let _guard = lock();
     let hw = HardwareStats::fixture();
-    for g in small_zoo() {
-        let inputs = optimizer::zero_inputs(&g);
-        // Ground truth: serial, exhaustive (no pruning) sweep.
-        let mut exhaustive = opts();
-        exhaustive.prune = false;
-        let serial = with_pool(&Pool::new(1), || {
-            optimizer::optimize(&g, &inputs, &exhaustive, &hw)
-        })
-        .expect("serial exhaustive optimize");
-        // The pruned sweep at 1, 2 and the default thread count must pick
-        // the same winner — same config, same k, same plan bytes.
-        for threads in [Some(1usize), Some(2), None] {
-            let run = || optimizer::optimize(&g, &inputs, &opts(), &hw);
-            let report = match threads {
-                Some(n) => with_pool(&Pool::new(n), run),
-                None => run(),
+    let points = LayoutChoices::candidates().len() * {
+        let (lo, hi) = opts().n_cols_range;
+        hi + 1 - lo
+    };
+    for (name, sched) in small_schedules() {
+        for (objective, backend) in [
+            (Objective::ProvingTime, Backend::Kzg),
+            (Objective::ProofSize, Backend::Kzg),
+            (Objective::ProvingTime, Backend::Ipa),
+        ] {
+            let mut searched = OptimizerOptions::new(backend, 15);
+            searched.objective = objective;
+            let label = format!("{name} ({objective:?}, {backend:?})");
+            // Ground truth: serial, exhaustive (no pruning) sweep.
+            let mut exhaustive = searched.clone();
+            exhaustive.prune = false;
+            let serial = with_pool(&Pool::new(1), || {
+                optimize_schedule(sched.clone(), &exhaustive, &hw)
+            })
+            .expect("serial exhaustive optimize");
+            assert_eq!((serial.evaluated, serial.pruned), (points, 0), "{label}");
+            // The plateau-edge search at 1, 2 and the default thread count
+            // must pick the same winner — same config, same k, same cost,
+            // same plan bytes — and count every point exactly once.
+            for threads in [Some(1usize), Some(2), None] {
+                let run = || optimize_schedule(sched.clone(), &searched, &hw);
+                let report = match threads {
+                    Some(n) => with_pool(&Pool::new(n), run),
+                    None => run(),
+                }
+                .expect("optimize");
+                let at = threads.map_or("default".into(), |n| n.to_string());
+                assert_eq!(
+                    report.best, serial.best,
+                    "{label} @ {at} threads: winner config diverged"
+                );
+                assert_eq!(report.best_k, serial.best_k, "{label} @ {at}");
+                assert_eq!(
+                    report.best_cost.proving_s.to_bits(),
+                    serial.best_cost.proving_s.to_bits(),
+                    "{label} @ {at}"
+                );
+                assert_eq!(
+                    report.best_plan.digest(),
+                    serial.best_plan.digest(),
+                    "{label} @ {at} threads: winning plan bytes diverged"
+                );
+                assert_eq!(report.evaluated + report.pruned, points, "{label} @ {at}");
+                if name == "MNIST" && objective == Objective::ProvingTime && backend == Backend::Kzg
+                {
+                    // The search's work, pinned: a change to it shows here.
+                    assert_eq!(
+                        (report.evaluated, report.pruned),
+                        (163, 629),
+                        "{label} @ {at}"
+                    );
+                }
             }
-            .expect("optimize");
-            let label = threads.map_or("default".into(), |n| n.to_string());
-            assert_eq!(
-                report.best, serial.best,
-                "{} @ {label} threads: winner config diverged",
-                g.name
-            );
-            assert_eq!(report.best_k, serial.best_k, "{} @ {label}", g.name);
-            assert_eq!(
-                report.best_plan.digest(),
-                serial.best_plan.digest(),
-                "{} @ {label} threads: winning plan bytes diverged",
-                g.name
-            );
-            assert!(report.evaluated <= serial.evaluated);
         }
     }
 }

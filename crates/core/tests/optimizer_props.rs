@@ -75,22 +75,62 @@ proptest! {
     #[test]
     fn more_columns_never_increase_rows(
         widths in prop::collection::vec(3usize..10, 2..4),
+        softmax in any::<bool>(),
     ) {
-        // Monotonicity the column sweep relies on: row count is
-        // non-increasing in the number of columns (same logical layout).
-        let g = random_mlp(&widths, false);
+        // The two invariants the optimizer's plateau-edge search relies
+        // on, for every candidate layout at every width of the default
+        // column range: once a layout is expressible it stays expressible
+        // with more columns, `k` never rises, and at a fixed `k` no score
+        // (proving time or proof size, KZG or IPA) falls. Underneath
+        // them, the row count never rises with more columns either.
+        let g = random_mlp(&widths, softmax);
         let inputs = optimizer::zero_inputs(&g);
         let sched = zkml::layers::lower_graph(&g, &inputs, zkml::NumericConfig::default_nano());
-        let mut prev = usize::MAX;
-        for ncols in [8usize, 12, 16, 24, 32] {
-            let mut cfg = CircuitConfig::default_with(LayoutChoices::optimized());
-            cfg.num_cols = ncols;
-            let plan = place(&sched, cfg).unwrap();
-            prop_assert!(
-                plan.stats.rows <= prev,
-                "rows grew from {prev} to {} at {ncols} columns", plan.stats.rows
-            );
-            prev = plan.stats.rows;
+        let hw = zkml::cost::HardwareStats::fixture();
+        let (lo, hi) = OptimizerOptions::new(Backend::Kzg, 15).n_cols_range;
+        for choices in LayoutChoices::candidates() {
+            let mut prev: Option<(u32, usize, Vec<f64>)> = None;
+            for ncols in lo..=hi {
+                let mut cfg = CircuitConfig::default_with(choices);
+                cfg.num_cols = ncols;
+                let plan = match place(&sched, cfg) {
+                    Ok(plan) => plan,
+                    Err(e) => {
+                        prop_assert!(
+                            prev.is_none(),
+                            "{choices:?}: expressible at fewer columns than {ncols}: {e}"
+                        );
+                        continue;
+                    }
+                };
+                let scores: Vec<f64> = [Backend::Kzg, Backend::Ipa]
+                    .into_iter()
+                    .flat_map(|backend| {
+                        let c = zkml::cost::estimate(&plan.stats, plan.k, backend, &hw);
+                        [c.proving_s, c.proof_bytes as f64]
+                    })
+                    .collect();
+                if let Some((k, rows, prev_scores)) = &prev {
+                    prop_assert!(
+                        plan.stats.rows <= *rows,
+                        "{choices:?}: rows grew from {rows} to {} at {ncols} columns",
+                        plan.stats.rows
+                    );
+                    prop_assert!(
+                        plan.k <= *k,
+                        "{choices:?}: k grew from {k} to {} at {ncols} columns", plan.k
+                    );
+                    if plan.k == *k {
+                        for (now, before) in scores.iter().zip(prev_scores) {
+                            prop_assert!(
+                                now >= before,
+                                "{choices:?}: a score fell from {before} to {now} at {ncols} columns"
+                            );
+                        }
+                    }
+                }
+                prev = Some((plan.k, plan.stats.rows, scores));
+            }
         }
     }
 }

@@ -114,7 +114,10 @@ fn optimizer_layouts_analyze_clean_for_example_models() {
         let mut opts = OptimizerOptions::new(Backend::Kzg, 14);
         // Keep the sweep representative but bounded: the full candidate
         // set at a narrower column range still crosses every gadget mix.
+        // Exhaustive, so every layout in the range is analyzed, not only
+        // the plateau edges the search would place.
         opts.n_cols_range = (8, 20);
+        opts.prune = false;
         let report = zkml::optimize(&g, &inputs, &opts, &hw).expect("optimizer finds a layout");
         let analyses = report
             .analyze_all_layouts()
