@@ -23,7 +23,7 @@ use zkml_bench::scaling::{cores, msm_inputs, mul_chain, time_with_pool, write_be
 use zkml_curves::{msm, msm_jacobian};
 use zkml_ff::{Field, Fr};
 use zkml_pcs::{Backend, Params};
-use zkml_plonk::{create_proof_with_rng, keygen, ProvingKey};
+use zkml_plonk::{create_proof_committed, keygen, CommittedWeights, ProvingKey};
 use zkml_poly::EvaluationDomain;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -156,7 +156,15 @@ fn bench_prove(rows: &mut Vec<String>) {
             let pool = zkml_par::Pool::new(t);
             let (ms, proof) = time_with_pool(&pool, reps, || {
                 let mut rng = StdRng::seed_from_u64(424242);
-                create_proof_with_rng(&params, &pk, &c.witness, &mut rng).expect("prove")
+                create_proof_committed(
+                    &params,
+                    &pk,
+                    &c.witness,
+                    &mut rng,
+                    &[],
+                    &CommittedWeights::empty(),
+                )
+                .expect("prove")
             });
             match &expected {
                 None => expected = Some(proof),

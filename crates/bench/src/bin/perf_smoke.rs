@@ -39,7 +39,7 @@ use zkml_bench::scaling::{cores, msm_inputs, mul_chain, time_with_pool};
 use zkml_curves::{msm, msm_jacobian};
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
-use zkml_plonk::{create_proof_with_rng, keygen, verify_proof};
+use zkml_plonk::{create_proof_committed, keygen, verify_proof, CommittedWeights};
 use zkml_poly::EvaluationDomain;
 
 /// Grid size for the smoke kernels: large enough that the batch-affine and
@@ -110,9 +110,17 @@ fn measure() -> Measured {
     let chain = mul_chain(SMALL_MSM_K);
     let params = Params::setup(Backend::Kzg, SMALL_MSM_K, &mut proof_rng);
     let pk = keygen(&params, &chain.cs, &chain.pre, SMALL_MSM_K).expect("keygen");
-    let proof = create_proof_with_rng(&params, &pk, &chain.witness, &mut proof_rng).expect("prove");
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &chain.witness,
+        &mut proof_rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .expect("prove");
     let (verify_ms, _) = time_with_pool(&serial, 4 * REPS, || {
-        verify_proof(&params, &pk.vk, &chain.instance, &proof).expect("verify")
+        verify_proof(&params, &pk.vk, &chain.instance, &proof, &[], None).expect("verify")
     });
 
     let domain = EvaluationDomain::<Fr>::new(SMOKE_K + 3);

@@ -180,7 +180,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkml_pcs::{Backend, Params};
-    use zkml_plonk::{create_proof_with_rng, keygen, verify_proof};
+    use zkml_plonk::{create_proof_committed, keygen, verify_proof, CommittedWeights};
 
     /// The synthetic scaling circuit proves and verifies at a small k.
     #[test]
@@ -190,7 +190,15 @@ mod tests {
         let params = Params::setup(Backend::Kzg, k, &mut rng);
         let c = mul_chain(k);
         let pk = keygen(&params, &c.cs, &c.pre, k).expect("keygen");
-        let proof = create_proof_with_rng(&params, &pk, &c.witness, &mut rng).expect("prove");
-        verify_proof(&params, &pk.vk, &c.instance, &proof).expect("verify");
+        let proof = create_proof_committed(
+            &params,
+            &pk,
+            &c.witness,
+            &mut rng,
+            &[],
+            &CommittedWeights::empty(),
+        )
+        .expect("prove");
+        verify_proof(&params, &pk.vk, &c.instance, &proof, &[], None).expect("verify");
     }
 }

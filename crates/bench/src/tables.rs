@@ -473,8 +473,8 @@ pub fn case_study() -> String {
 pub fn table13() -> String {
     use zkml_ff::{Fr, PrimeField};
     use zkml_plonk::{
-        create_proof_with_rng, keygen, verify_proof, ConstraintSystem, Expression, Preprocessed,
-        Rotation, WitnessSource,
+        create_proof_committed, keygen, verify_proof, CommittedWeights, ConstraintSystem,
+        Expression, Preprocessed, Rotation, WitnessSource,
     };
 
     struct W {
@@ -639,9 +639,11 @@ pub fn table13() -> String {
         let pk = keygen(&params, &cs, &pre, k).expect("keygen");
         let mut rng = StdRng::seed_from_u64(5);
         let t = Instant::now();
-        let proof = create_proof_with_rng(&params, &pk, &w, &mut rng).expect("prove");
+        let proof =
+            create_proof_committed(&params, &pk, &w, &mut rng, &[], &CommittedWeights::empty())
+                .expect("prove");
         let elapsed = t.elapsed();
-        verify_proof(&params, &pk.vk, &[], &proof).expect("verify");
+        verify_proof(&params, &pk.vk, &[], &proof, &[], None).expect("verify");
         out += &row(&[
             if multi {
                 "Multi-row (adder/max/dot)".into()

@@ -7,12 +7,14 @@
 //! configuration, with no witness attached. Plans are what the optimizer
 //! sweeps and compares.
 //!
-//! Stage 3 — **synthesis** ([`synthesize`], [`compile`]) — replays the
-//! same schedule through a real builder to assign the witness. When a
-//! plan is supplied, synthesis cross-checks that it reproduced exactly
-//! the structure the plan promised (same `k`, statistics, and constraint
-//! system), so a stale or mismatched plan surfaces as
-//! [`ZkmlError::PlanMismatch`] instead of an unsound circuit.
+//! Stage 3 — **synthesis** ([`synthesize`]) — replays the same schedule
+//! through a real builder to assign the witness and cross-checks that it
+//! reproduced exactly the structure the plan promised (same `k`,
+//! statistics, and constraint system), so a stale or mismatched plan
+//! surfaces as [`ZkmlError::PlanMismatch`] instead of an unsound circuit.
+//! Every circuit is built this way: [`compile`] is lower → place →
+//! synthesize under one configuration, and [`compile_with`] runs a gadget
+//! closure through the same two stages.
 
 use crate::builder::{AValue, BuildError, CircuitBuilder, LayoutStats};
 use crate::config::CircuitConfig;
@@ -24,9 +26,9 @@ use zkml_ff::Fr;
 use zkml_model::Graph;
 use zkml_pcs::Params;
 use zkml_plonk::{
-    commit_weights, create_proof_committed, create_proof_with_rng, keygen, verify_proof,
-    verify_proof_committed, CommittedWeights, ConstraintSystem, PlonkError, Preprocessed,
-    ProvingKey, VerifyingKey, WeightCommitment, WitnessSource, BLINDING_FACTORS,
+    commit_weights, create_proof_committed, keygen, verify_proof, CommittedWeights,
+    ConstraintSystem, PlonkError, Preprocessed, ProvingKey, VerifyingKey, WeightCommitment,
+    WitnessSource, BLINDING_FACTORS,
 };
 use zkml_tensor::Tensor;
 
@@ -201,14 +203,7 @@ fn check_numeric(sched: &OpSchedule, cfg: &CircuitConfig) -> Result<(), ZkmlErro
 /// (GeneratePhysicalLayout, §7.3).
 pub fn place(sched: &OpSchedule, cfg: CircuitConfig) -> Result<LayoutPlan, ZkmlError> {
     check_numeric(sched, &cfg)?;
-    let mut bld = CircuitBuilder::placer(cfg);
-    let outs = run_schedule(&mut bld, sched)?;
-    let flat: Vec<AValue> = outs.iter().flat_map(|t| t.data().iter().copied()).collect();
-    bld.expose(&flat);
-    let k = bld.min_k();
-    let stats = bld.stats();
-    let (cs, ..) = bld.take_parts();
-    Ok(LayoutPlan { cfg, k, stats, cs })
+    place_run(cfg, |b| run_schedule(b, sched))
 }
 
 /// Stage 3: synthesizes the witness for a schedule under a chosen plan.
@@ -217,7 +212,69 @@ pub fn place(sched: &OpSchedule, cfg: CircuitConfig) -> Result<LayoutPlan, ZkmlE
 /// resulting structure is checked against the plan and any drift is a
 /// [`ZkmlError::PlanMismatch`].
 pub fn synthesize(sched: &OpSchedule, plan: &LayoutPlan) -> Result<CompiledCircuit, ZkmlError> {
-    let c = synthesize_schedule(sched, plan.cfg, Some(plan))?;
+    check_numeric(sched, &plan.cfg)?;
+    synthesize_run(plan, |b| run_schedule(b, sched))
+}
+
+/// Compiles a graph (with quantized inputs) straight through under `cfg`:
+/// lower, [`place`], [`synthesize`] — the optimizer's path minus the sweep,
+/// so the circuit passes the same plan cross-check.
+pub fn compile(
+    graph: &Graph,
+    inputs: &[Tensor<i64>],
+    cfg: CircuitConfig,
+) -> Result<CompiledCircuit, ZkmlError> {
+    let sched = crate::layers::lower_graph(graph, inputs, cfg.numeric);
+    synthesize(&sched, &place(&sched, cfg)?)
+}
+
+/// Compiles a hand-written synthesis closure instead of a model graph.
+///
+/// The closure builds any circuit it likes against the gadget API and
+/// returns the values to expose as public outputs. This is how the testkit
+/// drives individual gadgets through the mock checker without constructing
+/// a model around each one. The closure runs through the same placement
+/// and the same plan cross-check as a model's schedule, so every gadget
+/// case in the suite exercises the placement/synthesis consistency
+/// invariant the optimizer relies on. Value-dependent range checks are
+/// placer-skipped, so a closure that fails only on witness values errors in
+/// the synthesis pass instead — same error either way.
+pub fn compile_with<F>(cfg: CircuitConfig, synthesize: F) -> Result<CompiledCircuit, ZkmlError>
+where
+    F: Fn(&mut CircuitBuilder) -> Result<Vec<AValue>, BuildError>,
+{
+    let run = |b: &mut CircuitBuilder| {
+        let vals = synthesize(b)?;
+        Ok(vec![Tensor::new(vec![vals.len()], vals)])
+    };
+    synthesize_run(&place_run(cfg, run)?, run)
+}
+
+/// Placement of whatever `run` builds: its outputs are exposed and the
+/// placer's structure captured as a plan.
+fn place_run(
+    cfg: CircuitConfig,
+    run: impl Fn(&mut CircuitBuilder) -> Result<Vec<Tensor<AValue>>, BuildError>,
+) -> Result<LayoutPlan, ZkmlError> {
+    let mut bld = CircuitBuilder::placer(cfg);
+    let outs = run(&mut bld)?;
+    let flat: Vec<AValue> = outs.iter().flat_map(|t| t.data().iter().copied()).collect();
+    bld.expose(&flat);
+    let k = bld.min_k();
+    let stats = bld.stats();
+    let (cs, ..) = bld.take_parts();
+    Ok(LayoutPlan { cfg, k, stats, cs })
+}
+
+/// Synthesis of whatever `run` builds under `plan`, checked against it.
+fn synthesize_run(
+    plan: &LayoutPlan,
+    run: impl Fn(&mut CircuitBuilder) -> Result<Vec<Tensor<AValue>>, BuildError>,
+) -> Result<CompiledCircuit, ZkmlError> {
+    let mut bld = CircuitBuilder::new(plan.cfg);
+    bld.reserve(plan.k, &plan.stats);
+    let outs = run(&mut bld)?;
+    let c = finalize(bld, outs)?;
     if c.k != plan.k {
         return Err(ZkmlError::PlanMismatch(format!(
             "planned k = {} but synthesis needed k = {}",
@@ -233,76 +290,6 @@ pub fn synthesize(sched: &OpSchedule, plan: &LayoutPlan) -> Result<CompiledCircu
     if c.cs != plan.cs {
         return Err(ZkmlError::PlanMismatch(
             "synthesized constraint system differs from plan".into(),
-        ));
-    }
-    Ok(c)
-}
-
-/// Compiles a graph (with quantized inputs) straight through: lower once,
-/// synthesize under `cfg`. Convenience path for callers that don't sweep
-/// layouts; the optimizer uses [`place`] + [`synthesize`] instead.
-pub fn compile(
-    graph: &Graph,
-    inputs: &[Tensor<i64>],
-    cfg: CircuitConfig,
-) -> Result<CompiledCircuit, ZkmlError> {
-    let sched = crate::layers::lower_graph(graph, inputs, cfg.numeric);
-    synthesize_schedule(&sched, cfg, None)
-}
-
-/// Single-pass synthesis of a schedule (no plan cross-check). A `plan`
-/// only sizes the builder's columns up front.
-fn synthesize_schedule(
-    sched: &OpSchedule,
-    cfg: CircuitConfig,
-    plan: Option<&LayoutPlan>,
-) -> Result<CompiledCircuit, ZkmlError> {
-    check_numeric(sched, &cfg)?;
-    let mut bld = CircuitBuilder::new(cfg);
-    if let Some(plan) = plan {
-        bld.reserve(plan.k, &plan.stats);
-    }
-    let outs = run_schedule(&mut bld, sched)?;
-    finalize(bld, outs)
-}
-
-/// Compiles a hand-written synthesis closure instead of a model graph.
-///
-/// The closure builds any circuit it likes against the gadget API and
-/// returns the values to expose as public outputs. This is how the testkit
-/// drives individual gadgets through the mock checker without constructing
-/// a model around each one. The closure runs twice — once through a placer
-/// builder and once for real — which exercises the same
-/// placement/synthesis consistency invariant the optimizer relies on, for
-/// every gadget case in the suite.
-pub fn compile_with<F>(cfg: CircuitConfig, synthesize: F) -> Result<CompiledCircuit, ZkmlError>
-where
-    F: Fn(&mut CircuitBuilder) -> Result<Vec<AValue>, BuildError>,
-{
-    // Placement pass. Value-dependent range checks are placer-skipped, so
-    // a closure that fails only on witness values errors in the second
-    // pass instead — same error either way.
-    let mut p = CircuitBuilder::placer(cfg);
-    let vals = synthesize(&mut p)?;
-    p.expose(&vals);
-    let plan = LayoutPlan {
-        cfg,
-        k: p.min_k(),
-        stats: p.stats(),
-        cs: {
-            let (cs, ..) = p.take_parts();
-            cs
-        },
-    };
-
-    // Synthesis pass.
-    let mut bld = CircuitBuilder::new(cfg);
-    let vals = synthesize(&mut bld)?;
-    let outs = vec![Tensor::new(vec![vals.len()], vals)];
-    let c = finalize(bld, outs)?;
-    if c.k != plan.k || c.stats != plan.stats || c.cs != plan.cs {
-        return Err(ZkmlError::PlanMismatch(
-            "placer and synthesis disagree on closure circuit".into(),
         ));
     }
     Ok(c)
@@ -474,12 +461,12 @@ impl CompiledCircuit {
         pk: &ProvingKey,
         rng: &mut impl RngCore,
     ) -> Result<Vec<u8>, ZkmlError> {
-        if self.has_committed() {
-            let (_, weights) = self.commit_weights(params)?;
-            return self.prove_with_weights(params, pk, rng, &[], &weights);
-        }
-        let witness = ZkmlWitness { c: self };
-        Ok(create_proof_with_rng(params, pk, &witness, rng)?)
+        let weights = if self.has_committed() {
+            self.commit_weights(params)?.1
+        } else {
+            CommittedWeights::empty()
+        };
+        self.prove_with_weights(params, pk, rng, &[], &weights)
     }
 
     /// Produces a proof bound to a context string, reusing pre-encoded
@@ -511,11 +498,19 @@ impl CompiledCircuit {
         vk: &VerifyingKey,
         proof: &[u8],
     ) -> Result<(), ZkmlError> {
-        if self.has_committed() {
-            let (wc, _) = self.commit_weights(params)?;
-            return self.verify_with_commitment(params, vk, proof, &[], &wc);
-        }
-        Ok(verify_proof(params, vk, &self.instance, proof)?)
+        let wc = if self.has_committed() {
+            Some(self.commit_weights(params)?.0)
+        } else {
+            None
+        };
+        Ok(verify_proof(
+            params,
+            vk,
+            &self.instance,
+            proof,
+            &[],
+            wc.as_ref(),
+        )?)
     }
 
     /// Verifies a proof against a published [`WeightCommitment`]: the
@@ -528,14 +523,14 @@ impl CompiledCircuit {
         binding: &[u8],
         wc: &WeightCommitment,
     ) -> Result<(), ZkmlError> {
-        let v = verify_proof_committed(params, vk, &self.instance, proof, binding, Some(wc))?;
-        if v.settle(params) {
-            Ok(())
-        } else {
-            Err(ZkmlError::Plonk(PlonkError::Verify(
-                "pairing check failed".into(),
-            )))
-        }
+        Ok(verify_proof(
+            params,
+            vk,
+            &self.instance,
+            proof,
+            binding,
+            Some(wc),
+        )?)
     }
 
     /// The public-input columns (model outputs as field elements).
@@ -582,11 +577,6 @@ impl CompiledCircuit {
                 detail: report.to_string(),
             })
         }
-    }
-
-    /// The declared input home cells (written by `load_values`).
-    pub fn input_cells(&self) -> &[zkml_plonk::CellRef] {
-        &self.inputs
     }
 
     /// Labelled layout regions (gadget rows, input rows, the Freivalds

@@ -1,8 +1,6 @@
 //! Compilation configuration: logical layout choices (gadget selection) and
 //! physical layout parameters (column count), per §7 of the paper.
 
-use zkml_pcs::Backend;
-
 /// How ReLU is implemented in-circuit (§3, "Representing computations").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReluImpl {
@@ -173,15 +171,6 @@ pub enum Objective {
     ProvingTime,
     /// Minimize proof size.
     ProofSize,
-}
-
-/// The proving target: backend plus SRS ceiling.
-#[derive(Clone, Copy, Debug)]
-pub struct Target {
-    /// Commitment backend.
-    pub backend: Backend,
-    /// Maximum supported `k` (the SRS / params size).
-    pub max_k: u32,
 }
 
 #[cfg(test)]

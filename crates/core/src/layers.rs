@@ -539,10 +539,5 @@ pub(crate) fn matmul_raw_entry(
     }
 }
 
-/// Sanity helper used by tests: dequantized value of a cell tensor.
-pub fn values_of(t: &Tensor<AValue>) -> Tensor<i64> {
-    t.map(|a| a.v)
-}
-
 #[allow(unused_imports)]
 use qops as _qops_used_in_docs;

@@ -47,7 +47,7 @@ pub use compiler::{
 };
 pub use config::{
     ArithImpl, CircuitConfig, DotImpl, LayoutChoices, MatmulImpl, NumericConfig, Objective,
-    ReluImpl, Target,
+    ReluImpl,
 };
 pub use cost::{CostEstimate, HardwareStats};
 pub use optimizer::{optimize, optimize_schedule, OptimizerOptions, OptimizerReport};

@@ -130,18 +130,6 @@ impl SegmentSchedule {
     pub fn boundary_in_len(&self) -> usize {
         self.boundary_in_ids.len()
     }
-
-    /// Number of public values after the boundary-in prefix: boundary-out
-    /// values for intermediate segments, the flattened model outputs for
-    /// the last.
-    pub fn public_tail_len(&self) -> usize {
-        self.schedule
-            .outputs
-            .iter()
-            .skip(1)
-            .map(|(_, ids)| ids.len())
-            .sum()
-    }
 }
 
 /// Evaluates every value of a schedule with the same integer semantics the

@@ -148,7 +148,7 @@ fn wrong_output_claim_rejected() {
     let mut bad_instance = compiled.instance()[0].clone();
     bad_instance[0] += Fr::one();
     assert!(
-        zkml_plonk::verify_proof(&params, &pk.vk, &[bad_instance], &proof).is_err(),
+        zkml_plonk::verify_proof(&params, &pk.vk, &[bad_instance], &proof, &[], None).is_err(),
         "forged output accepted"
     );
 }

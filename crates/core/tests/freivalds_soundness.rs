@@ -50,7 +50,7 @@ fn forged_output_on_freivalds_model_rejected() {
         let mut forged = compiled.instance()[0].clone();
         forged[i] += Fr::ONE;
         assert!(
-            verify_proof(&params, &pk.vk, &[forged], &proof).is_err(),
+            verify_proof(&params, &pk.vk, &[forged], &proof, &[], None).is_err(),
             "forged output {i} accepted"
         );
     }

@@ -7,8 +7,8 @@
 //! pairs: the accumulator is squared once per step for all of them and each
 //! pair's line is multiplied in as a sparse element (three nonzero `Fq2`
 //! slots). A KZG SRS prepares its two fixed G2 points at setup, so checking
-//! a proof pays no inversion inside the loop; [`pairing`] and friends
-//! prepare their G2 argument on the fly and run the same loop.
+//! a proof pays no inversion inside the loop; [`pairing`] prepares its G2
+//! argument on the fly and runs the same loop.
 //!
 //! The final exponentiation splits into the easy part `(q^6 − 1)(q^2 + 1)`
 //! and the hard part `(q^4 − q^2 + 1)/r`, which is computed exactly as
@@ -118,12 +118,6 @@ pub fn multi_miller_loop(terms: &[(G1Affine, &G2Prepared)]) -> Fq12 {
     mul_lines(mul_lines(f, line), line + 1)
 }
 
-/// Computes the Miller loop `f_{6x+2, Q}(P)` with the two extra Frobenius
-/// line evaluations of the optimal ate pairing.
-pub fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fq12 {
-    multi_miller_loop(&[(*p, &G2Prepared::new(q))])
-}
-
 /// `g^x` for `g` in the cyclotomic subgroup: square-and-multiply over the
 /// bits of [`BN_X`] with cyclotomic squarings.
 fn exp_by_x(g: &Fq12) -> Fq12 {
@@ -177,26 +171,10 @@ pub fn final_exponentiation(f: &Fq12) -> Fq12 {
     hard_part(&g)
 }
 
-/// The optimal ate pairing `e(P, Q)`.
+/// The optimal ate pairing `e(P, Q)`: the product path ([`multi_miller_loop`]
+/// then [`final_exponentiation`]) over one pair.
 pub fn pairing(p: &G1Affine, q: &G2Affine) -> Fq12 {
-    final_exponentiation(&miller_loop(p, q))
-}
-
-/// Computes `prod_i e(P_i, Q_i)` with one shared Miller loop and a single
-/// final exponentiation.
-pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Fq12 {
-    let prepared: Vec<G2Prepared> = pairs.iter().map(|(_, q)| G2Prepared::new(q)).collect();
-    let terms: Vec<(G1Affine, &G2Prepared)> = pairs
-        .iter()
-        .zip(&prepared)
-        .map(|((p, _), q)| (*p, q))
-        .collect();
-    final_exponentiation(&multi_miller_loop(&terms))
-}
-
-/// Returns true if `prod_i e(P_i, Q_i) == 1` — the standard pairing check.
-pub fn pairing_check(pairs: &[(G1Affine, G2Affine)]) -> bool {
-    multi_pairing(pairs) == Fq12::one()
+    final_exponentiation(&multi_miller_loop(&[(*p, &G2Prepared::new(q))]))
 }
 
 #[cfg(test)]
@@ -285,7 +263,7 @@ mod tests {
             "2f2fc13f71b6b665aee8ae01d96dd8d2"
         );
         assert_eq!(
-            fq12_digest(&miller_loop(&p, &q)),
+            fq12_digest(&multi_miller_loop(&[(p, &G2Prepared::new(&q))])),
             "68a5321e4a6ec916d563813b5d9753d2"
         );
     }
@@ -317,12 +295,6 @@ mod tests {
                 .zip(&qs[..n])
                 .fold(Fq12::one(), |acc, (p, q)| acc * pairing(p, q));
             assert_eq!(final_exponentiation(&multi_miller_loop(&terms)), expected);
-            let pairs: Vec<(G1Affine, G2Affine)> = ps[..n]
-                .iter()
-                .copied()
-                .zip(qs[..n].iter().copied())
-                .collect();
-            assert_eq!(multi_pairing(&pairs), expected);
         }
         assert_eq!(multi_miller_loop(&[]), Fq12::one());
     }
@@ -372,20 +344,20 @@ mod tests {
     }
 
     #[test]
-    fn pairing_check_detects_equality() {
+    fn two_pair_check_detects_equality() {
         // e(aG, G2) * e(-G, a G2) == 1.
         let mut rng = StdRng::seed_from_u64(33);
         let a = Fr::random(&mut rng);
         let p1 = G1Projective::generator().mul_scalar(&a).to_affine();
         let neg_g = G1Projective::generator().negate().to_affine();
-        let q2 = G2Affine::generator().mul_scalar(&a);
-        assert!(pairing_check(&[(p1, G2Affine::generator()), (neg_g, q2)]));
+        let g2 = G2Prepared::new(&G2Affine::generator());
+        let check = |q: &G2Affine| {
+            let f = multi_miller_loop(&[(p1, &g2), (neg_g, &G2Prepared::new(q))]);
+            final_exponentiation(&f) == Fq12::one()
+        };
+        assert!(check(&G2Affine::generator().mul_scalar(&a)));
         // And a wrong statement fails.
-        let wrong = G2Affine::generator().mul_scalar(&(a + Fr::ONE));
-        assert!(!pairing_check(&[
-            (p1, G2Affine::generator()),
-            (neg_g, wrong)
-        ]));
+        assert!(!check(&G2Affine::generator().mul_scalar(&(a + Fr::ONE))));
     }
 
     #[test]

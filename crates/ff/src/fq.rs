@@ -39,11 +39,6 @@ impl Fq {
             None
         }
     }
-
-    /// Returns true if this element is a quadratic residue (or zero).
-    pub fn is_square(&self) -> bool {
-        self.is_zero() || self.sqrt().is_some()
-    }
 }
 
 #[cfg(test)]

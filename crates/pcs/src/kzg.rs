@@ -156,26 +156,12 @@ impl KzgSrs {
         w.finish()
     }
 
-    /// Verifies a batched opening produced by [`KzgSrs::open`].
+    /// Verifies a batched opening produced by [`KzgSrs::open`] up to, not
+    /// including, the final pairing check, returning the pairing inputs as a
+    /// [`KzgAccumulator`]; [`KzgAccumulator::check`] settles it.
     ///
     /// `queries` supplies `(commitment, point, claimed_eval)` in the same
     /// order the prover used.
-    pub fn verify(
-        &self,
-        transcript: &mut Transcript,
-        queries: &[(G1Affine, Fr, Fr)],
-        proof: &[u8],
-    ) -> Result<(), ReadError> {
-        let acc = self.prepare(transcript, queries, proof)?;
-        if acc.check(self) {
-            Ok(())
-        } else {
-            Err(ReadError("KZG pairing check failed"))
-        }
-    }
-
-    /// Runs everything in [`KzgSrs::verify`] *except* the final pairing
-    /// check, returning the pairing inputs as a [`KzgAccumulator`].
     ///
     /// Accumulators from proofs over SRS instances sharing the same toxic
     /// scalar (same `tau_g2`) can be folded with [`batch_check`] so one
@@ -323,6 +309,17 @@ mod tests {
         KzgSrs::setup(k, &mut rng)
     }
 
+    /// The opening check proofs run: `prepare`, then the pairing.
+    fn opens(
+        s: &KzgSrs,
+        transcript: &mut Transcript,
+        queries: &[(G1Affine, Fr, Fr)],
+        proof: &[u8],
+    ) -> bool {
+        s.prepare(transcript, queries, proof)
+            .is_ok_and(|acc| acc.check(s))
+    }
+
     #[test]
     fn fixed_base_matches_naive() {
         let mut rng = StdRng::seed_from_u64(50);
@@ -360,7 +357,7 @@ mod tests {
 
         let mut tv = Transcript::new(b"test");
         tv.absorb_scalar(b"eval", &v);
-        assert!(s.verify(&mut tv, &[(c, z, v)], &proof).is_ok());
+        assert!(opens(&s, &mut tv, &[(c, z, v)], &proof));
     }
 
     #[test]
@@ -379,7 +376,7 @@ mod tests {
         let mut tv = Transcript::new(b"test");
         tv.absorb_scalar(b"eval", &v);
         let bad = v + Fr::one();
-        assert!(s.verify(&mut tv, &[(c, z, bad)], &proof).is_err());
+        assert!(!opens(&s, &mut tv, &[(c, z, bad)], &proof));
     }
 
     #[test]
@@ -415,7 +412,7 @@ mod tests {
             .zip(&evals)
             .map(|((i, z), e)| (commits[*i], *z, *e))
             .collect();
-        assert!(s.verify(&mut tv, &vq, &proof).is_ok());
+        assert!(opens(&s, &mut tv, &vq, &proof));
 
         // Tampering with any single eval must break it.
         let mut tv2 = Transcript::new(b"test");
@@ -424,7 +421,7 @@ mod tests {
         }
         let mut vq2 = vq.clone();
         vq2[3].2 += Fr::one();
-        assert!(s.verify(&mut tv2, &vq2, &proof).is_err());
+        assert!(!opens(&s, &mut tv2, &vq2, &proof));
     }
 
     #[test]
@@ -596,16 +593,16 @@ mod tests {
             for i in 0..vq.len() {
                 let mut bad = vq.clone();
                 bad[i].2 += Fr::one();
-                assert!(s.verify(&mut claims(&bad), &bad, &proof).is_err());
+                assert!(!opens(&s, &mut claims(&bad), &bad, &proof));
                 let mut bad = vq.clone();
                 bad[i].0 = moved(&bad[i].0);
-                assert!(s.verify(&mut claims(&bad), &bad, &proof).is_err());
+                assert!(!opens(&s, &mut claims(&bad), &bad, &proof));
             }
             for at in (0..proof.len()).step_by(32) {
                 let mut bad = proof.clone();
                 let wit = G1Affine::from_bytes(&proof[at..at + 32].try_into().unwrap()).unwrap();
                 bad[at..at + 32].copy_from_slice(&moved(&wit).to_bytes());
-                assert!(s.verify(&mut claims(&vq), &vq, &bad).is_err());
+                assert!(!opens(&s, &mut claims(&vq), &vq, &bad));
             }
         }
     }

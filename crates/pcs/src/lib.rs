@@ -128,21 +128,9 @@ impl Params {
         }
     }
 
-    /// Verifies a batched opening against `(commitment, point, eval)` claims.
-    pub fn verify(
-        &self,
-        transcript: &mut Transcript,
-        queries: &[(G1Affine, Fr, Fr)],
-        proof: &[u8],
-    ) -> Result<(), ReadError> {
-        match self {
-            Params::Kzg(s) => s.verify(transcript, queries, proof),
-            Params::Ipa(p) => p.verify(transcript, queries, proof),
-        }
-    }
-
-    /// Like [`Params::verify`], but defers the expensive final check when
-    /// the backend supports it.
+    /// Verifies a batched opening against `(commitment, point, eval)`
+    /// claims — the one opening check — deferring the expensive final step
+    /// when the backend supports it.
     ///
     /// KZG runs everything up to (not including) the pairing check and
     /// returns [`Verification::Deferred`]; the caller settles one proof with

@@ -1,7 +1,7 @@
 //! Key generation: preprocessing fixed columns, the permutation, and the
 //! Lagrange selector polynomials.
 
-use crate::circuit::{CellRef, ConstraintSystem, Preprocessed, BLINDING_FACTORS};
+use crate::circuit::{CellRef, ConstraintSystem, Preprocessed};
 use crate::expression::Column;
 use crate::PlonkError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -528,11 +528,6 @@ pub fn keygen(
         l_last_ext,
         l_active_ext,
     })
-}
-
-/// Returns `BLINDING_FACTORS` (re-exported for sizing logic elsewhere).
-pub fn blinding_factors() -> usize {
-    BLINDING_FACTORS
 }
 
 #[cfg(test)]

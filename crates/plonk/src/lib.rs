@@ -35,7 +35,7 @@ pub use keygen::{
     ProvingKey, VerifyingKey, WeightCommitment,
 };
 pub use mock::{GridWitness, MockProver, VerifyFailure};
-pub use prover::{create_proof_committed, create_proof_with_rng};
+pub use prover::create_proof_committed;
 pub use verifier::{verify_proof, verify_proof_committed};
 
 /// Errors produced by key generation, proving, or verification.

@@ -61,19 +61,8 @@ fn eval_on_row(
     e.evaluate_on_grid(i, n, instance, advice, fixed, challenges)
 }
 
-/// Creates a proof with caller-supplied randomness, for a circuit with no
-/// committed columns and no binding.
-pub fn create_proof_with_rng(
-    params: &Params,
-    pk: &ProvingKey,
-    witness: &dyn WitnessSource,
-    rng: &mut impl RngCore,
-) -> Result<Vec<u8>, PlonkError> {
-    create_proof_committed(params, pk, witness, rng, &[], &CommittedWeights::empty())
-}
-
-/// Creates a proof, optionally bound to a context string and to committed
-/// (weight) columns.
+/// Creates a proof — the one prover — optionally bound to a context string
+/// and to committed (weight) columns.
 ///
 /// `binding` is absorbed into the Fiat–Shamir transcript right after the
 /// verifying-key and weight digests, so the proof only verifies against the

@@ -7,8 +7,8 @@ use rand::SeedableRng;
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Preprocessed, Rotation, WitnessSource,
+    create_proof_committed, keygen, verify_proof, CellRef, Column, CommittedWeights,
+    ConstraintSystem, Expression, Preprocessed, Rotation, WitnessSource,
 };
 
 fn params(backend: Backend, k: u32) -> Params {
@@ -126,8 +126,16 @@ fn mul_chain_proves_and_verifies_kzg() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &instance, &proof).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
+    verify_proof(&params, &pk.vk, &instance, &proof, &[], None).unwrap();
 }
 
 #[test]
@@ -136,8 +144,16 @@ fn mul_chain_proves_and_verifies_ipa() {
     let params = params(Backend::Ipa, 5);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &instance, &proof).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
+    verify_proof(&params, &pk.vk, &instance, &proof, &[], None).unwrap();
 }
 
 #[test]
@@ -146,9 +162,17 @@ fn wrong_public_input_rejected() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
     let bad = vec![vec![instance[0][0] + Fr::one()]];
-    assert!(verify_proof(&params, &pk.vk, &bad, &proof).is_err());
+    assert!(verify_proof(&params, &pk.vk, &bad, &proof, &[], None).is_err());
 }
 
 #[test]
@@ -157,14 +181,22 @@ fn tampered_proof_rejected() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
     // Flip one byte in each third of the proof; all must fail (either parse
     // or verification error).
     for pos in [10, proof.len() / 2, proof.len() - 10] {
         let mut bad = proof.clone();
         bad[pos] ^= 0x01;
         assert!(
-            verify_proof(&params, &pk.vk, &instance, &bad).is_err(),
+            verify_proof(&params, &pk.vk, &instance, &bad, &[], None).is_err(),
             "tampering at {pos} was accepted"
         );
     }
@@ -179,7 +211,15 @@ fn invalid_witness_fails_to_prove() {
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     // The prover detects the unsatisfied permutation.
-    assert!(create_proof_with_rng(&params, &pk, &witness, &mut rng).is_err());
+    assert!(create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty()
+    )
+    .is_err());
 }
 
 /// Circuit 2: lookup-based range check plus a ReLU-style (x, f(x)) table.
@@ -241,8 +281,16 @@ fn lookup_circuit_proves_and_verifies_both_backends() {
         let params = params(backend, 7);
         let pk = keygen(&params, &cs, &pre, 5).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-        verify_proof(&params, &pk.vk, &[], &proof).unwrap_or_else(|e| {
+        let proof = create_proof_committed(
+            &params,
+            &pk,
+            &witness,
+            &mut rng,
+            &[],
+            &CommittedWeights::empty(),
+        )
+        .unwrap();
+        verify_proof(&params, &pk.vk, &[], &proof, &[], None).unwrap_or_else(|e| {
             panic!("lookup circuit failed on {backend}: {e}");
         });
     }
@@ -256,7 +304,15 @@ fn lookup_rejects_out_of_table_witness() {
     let params = params(Backend::Kzg, 7);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(8);
-    assert!(create_proof_with_rng(&params, &pk, &witness, &mut rng).is_err());
+    assert!(create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty()
+    )
+    .is_err());
 }
 
 /// Circuit 3: multi-phase challenge. Phase-1 column must equal `challenge *
@@ -295,8 +351,16 @@ fn challenge_phase_circuit() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(9);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &[], &proof).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
+    verify_proof(&params, &pk.vk, &[], &proof, &[], None).unwrap();
 
     // A phase-1 column that ignores the challenge must fail.
     let av3: Vec<Fr> = (0..rows).map(|i| Fr::from_u64(i as u64 + 1)).collect();
@@ -306,11 +370,18 @@ fn challenge_phase_circuit() {
         advice1: Box::new(move |_| vec![(1usize, av3.clone())]),
     };
     let mut rng = StdRng::seed_from_u64(9);
-    let result = create_proof_with_rng(&params, &pk, &bad, &mut rng);
+    let result = create_proof_committed(
+        &params,
+        &pk,
+        &bad,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    );
     // The prover does not self-check gates, so it emits a proof; the
     // verifier must reject it.
     if let Ok(p) = result {
-        assert!(verify_proof(&params, &pk.vk, &[], &p).is_err());
+        assert!(verify_proof(&params, &pk.vk, &[], &p, &[], None).is_err());
     }
 }
 
@@ -349,6 +420,14 @@ fn multi_row_accumulator_circuit() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(10);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &[], &proof).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
+    verify_proof(&params, &pk.vk, &[], &proof, &[], None).unwrap();
 }

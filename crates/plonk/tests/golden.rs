@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Preprocessed, Rotation, WitnessSource,
+    create_proof_committed, keygen, verify_proof, CellRef, Column, CommittedWeights,
+    ConstraintSystem, Expression, Preprocessed, Rotation, WitnessSource,
 };
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -144,14 +144,30 @@ fn golden_proof(backend: Backend, k: u32) -> Vec<u8> {
     let params = Params::setup(backend, k, &mut srs_rng);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(0x601D_0001);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
     // The fixture must never pin an invalid proof.
-    verify_proof(&params, &pk.vk, &instance, &proof).unwrap();
+    verify_proof(&params, &pk.vk, &instance, &proof, &[], None).unwrap();
 
     // Determinism precondition: a second run from the same seeds must be
     // byte-identical, otherwise the golden comparison is meaningless.
     let mut rng2 = StdRng::seed_from_u64(0x601D_0001);
-    let proof2 = create_proof_with_rng(&params, &pk, &witness, &mut rng2).unwrap();
+    let proof2 = create_proof_committed(
+        &params,
+        &pk,
+        &witness,
+        &mut rng2,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
     assert_eq!(proof, proof2, "proof generation must be deterministic");
     proof
 }

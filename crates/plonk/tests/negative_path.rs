@@ -15,8 +15,8 @@ use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::protocol::opening_plan;
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Preprocessed, Rotation, VerifyingKey, WitnessSource,
+    create_proof_committed, keygen, verify_proof, CellRef, Column, CommittedWeights,
+    ConstraintSystem, Expression, Preprocessed, Rotation, VerifyingKey, WitnessSource,
 };
 
 struct VecWitness {
@@ -189,7 +189,15 @@ fn prove(
     let params = Params::setup(backend, params_k, &mut rng);
     let pk = keygen(&params, cs, pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, witness, &mut rng).unwrap();
+    let proof = create_proof_committed(
+        &params,
+        &pk,
+        witness,
+        &mut rng,
+        &[],
+        &CommittedWeights::empty(),
+    )
+    .unwrap();
     (params, pk, proof)
 }
 
@@ -202,7 +210,7 @@ fn assert_all_sections_reject(
     instance: &[Vec<Fr>],
 ) {
     let (params, pk, proof) = prove(backend, params_k, cs, pre, witness);
-    verify_proof(&params, &pk.vk, instance, &proof).unwrap();
+    verify_proof(&params, &pk.vk, instance, &proof, &[], None).unwrap();
     for (name, start, end) in sections(cs, 5, proof.len()) {
         if start == end {
             continue;
@@ -212,14 +220,14 @@ fn assert_all_sections_reject(
         let pos = start + (end - start) / 2;
         bad[pos] ^= 0x2a;
         assert!(
-            verify_proof(&params, &pk.vk, instance, &bad).is_err(),
+            verify_proof(&params, &pk.vk, instance, &bad, &[], None).is_err(),
             "{backend}: corrupting '{name}' (byte {pos}) was accepted"
         );
         // Truncate the proof at the section start: must be a clean read
         // error, not a panic.
         let truncated = proof[..start].to_vec();
         assert!(
-            verify_proof(&params, &pk.vk, instance, &truncated).is_err(),
+            verify_proof(&params, &pk.vk, instance, &truncated, &[], None).is_err(),
             "{backend}: truncation before '{name}' was accepted"
         );
     }
@@ -253,35 +261,35 @@ fn corrupted_sections_rejected_lookup_ipa() {
 fn empty_and_garbage_proofs_rejected() {
     let (cs, pre, witness, instance) = mul_chain();
     let (params, pk, proof) = prove(Backend::Kzg, 6, &cs, &pre, &witness);
-    assert!(verify_proof(&params, &pk.vk, &instance, &[]).is_err());
-    assert!(verify_proof(&params, &pk.vk, &instance, &[0u8; 7]).is_err());
+    assert!(verify_proof(&params, &pk.vk, &instance, &[], &[], None).is_err());
+    assert!(verify_proof(&params, &pk.vk, &instance, &[0u8; 7], &[], None).is_err());
     let garbage: Vec<u8> = (0..proof.len()).map(|i| (i * 37 + 11) as u8).collect();
-    assert!(verify_proof(&params, &pk.vk, &instance, &garbage).is_err());
+    assert!(verify_proof(&params, &pk.vk, &instance, &garbage, &[], None).is_err());
 }
 
 #[test]
 fn malformed_public_instances_rejected() {
     let (cs, pre, witness, instance) = mul_chain();
     let (params, pk, proof) = prove(Backend::Kzg, 6, &cs, &pre, &witness);
-    verify_proof(&params, &pk.vk, &instance, &proof).unwrap();
+    verify_proof(&params, &pk.vk, &instance, &proof, &[], None).unwrap();
 
     // Wrong public value.
     let wrong = vec![vec![instance[0][0] + Fr::one()]];
-    assert!(verify_proof(&params, &pk.vk, &wrong, &proof).is_err());
+    assert!(verify_proof(&params, &pk.vk, &wrong, &proof, &[], None).is_err());
 
     // Truncated: the instance column missing entirely.
-    assert!(verify_proof(&params, &pk.vk, &[], &proof).is_err());
+    assert!(verify_proof(&params, &pk.vk, &[], &proof, &[], None).is_err());
     let empty_col: Vec<Vec<Fr>> = vec![vec![]];
-    assert!(verify_proof(&params, &pk.vk, &empty_col, &proof).is_err());
+    assert!(verify_proof(&params, &pk.vk, &empty_col, &proof, &[], None).is_err());
 
     // Extra instance column.
     let extra = vec![instance[0].clone(), vec![Fr::one()]];
-    assert!(verify_proof(&params, &pk.vk, &extra, &proof).is_err());
+    assert!(verify_proof(&params, &pk.vk, &extra, &proof, &[], None).is_err());
 
     // Instance column longer than the usable rows.
     let n = 1usize << 5;
     let overlong = vec![vec![Fr::one(); n]];
-    assert!(verify_proof(&params, &pk.vk, &overlong, &proof).is_err());
+    assert!(verify_proof(&params, &pk.vk, &overlong, &proof, &[], None).is_err());
 }
 
 /// A verifying key is attacker-controlled bytes (it rides inside bundles and
@@ -307,7 +315,7 @@ fn assert_vk_mutations_handled(
             let Ok(mut vk) = VerifyingKey::from_bytes(&bad) else {
                 continue;
             };
-            if verify_proof(&params, &vk, instance, &proof).is_err() {
+            if verify_proof(&params, &vk, instance, &proof, &[], None).is_err() {
                 continue;
             }
             for (g, orig) in vk.cs.gates.iter_mut().zip(&pk.vk.cs.gates) {

@@ -7,8 +7,8 @@ use rand::SeedableRng;
 use zkml_ff::{Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Preprocessed, Rotation, WitnessSource,
+    create_proof_committed, keygen, verify_proof, CellRef, Column, CommittedWeights,
+    ConstraintSystem, Expression, Preprocessed, Rotation, WitnessSource,
 };
 
 struct VecWitness {
@@ -116,11 +116,11 @@ proptest! {
         let (cs, pre, witness, result) = affine_chain(&coeffs, start);
         let pk = keygen(params(), &cs, &pre, 7).unwrap();
         let mut rng = StdRng::seed_from_u64(coeffs.len() as u64);
-        let proof = create_proof_with_rng(params(), &pk, &witness, &mut rng).unwrap();
-        verify_proof(params(), &pk.vk, &[vec![result]], &proof).unwrap();
+        let proof = create_proof_committed(params(), &pk, &witness, &mut rng, &[], &CommittedWeights::empty()).unwrap();
+        verify_proof(params(), &pk.vk, &[vec![result]], &proof, &[], None).unwrap();
         // The wrong result must be rejected.
         prop_assert!(
-            verify_proof(params(), &pk.vk, &[vec![result + Fr::ONE]], &proof).is_err()
+            verify_proof(params(), &pk.vk, &[vec![result + Fr::ONE]], &proof, &[], None).is_err()
         );
     }
 
@@ -133,12 +133,12 @@ proptest! {
         let (cs, pre, witness, result) = affine_chain(&coeffs, 3);
         let pk = keygen(params(), &cs, &pre, 7).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let proof = create_proof_with_rng(params(), &pk, &witness, &mut rng).unwrap();
+        let proof = create_proof_committed(params(), &pk, &witness, &mut rng, &[], &CommittedWeights::empty()).unwrap();
         let mut bad = proof.clone();
         let pos = ((bad.len() - 1) as f64 * pos_frac) as usize;
         bad[pos] ^= 1 << bit;
         prop_assert!(
-            verify_proof(params(), &pk.vk, &[vec![result]], &bad).is_err(),
+            verify_proof(params(), &pk.vk, &[vec![result]], &bad, &[], None).is_err(),
             "corruption at byte {pos} bit {bit} accepted"
         );
     }

@@ -10,8 +10,9 @@ use zkml_ff::{Fr, PrimeField};
 use zkml_pcs::{Backend, Params, Reader, Writer};
 use zkml_plonk::serialize::{read_cs, write_cs};
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Gate, Lookup, Preprocessed, ProvingKey, Rotation, VerifyingKey, WitnessSource,
+    create_proof_committed, keygen, verify_proof, CellRef, Column, CommittedWeights,
+    ConstraintSystem, Expression, Gate, Lookup, Preprocessed, ProvingKey, Rotation, VerifyingKey,
+    WitnessSource,
 };
 
 /// Deterministically builds an expression tree from a byte stream, covering
@@ -247,10 +248,10 @@ proptest! {
         prop_assert_eq!(&restored.l0_ext, &pk.l0_ext);
         // A proof from the restored key verifies under the *original* vk.
         let mut rng = StdRng::seed_from_u64(coeffs.len() as u64);
-        let proof = create_proof_with_rng(params(), &restored, &witness, &mut rng).unwrap();
-        verify_proof(params(), &pk.vk, &[vec![result]], &proof).unwrap();
+        let proof = create_proof_committed(params(), &restored, &witness, &mut rng, &[], &CommittedWeights::empty()).unwrap();
+        verify_proof(params(), &pk.vk, &[vec![result]], &proof, &[], None).unwrap();
         prop_assert!(
-            verify_proof(params(), &pk.vk, &[vec![result + Fr::ONE]], &proof).is_err()
+            verify_proof(params(), &pk.vk, &[vec![result + Fr::ONE]], &proof, &[], None).is_err()
         );
     }
 }

@@ -73,14 +73,4 @@ impl std::fmt::Display for ServiceError {
     }
 }
 
-impl ServiceError {
-    /// True for rejections that are pure backpressure: the request was
-    /// well-formed and would likely succeed if retried after a backoff.
-    /// Front-ends map these to distinct exit codes / HTTP 429 so callers
-    /// can tell "try again later" apart from "this job is broken".
-    pub fn is_backpressure(&self) -> bool {
-        matches!(self, ServiceError::Busy { .. })
-    }
-}
-
 impl std::error::Error for ServiceError {}

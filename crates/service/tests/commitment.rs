@@ -247,6 +247,72 @@ fn tampered_weights_and_wrong_digests_are_rejected() {
     );
 }
 
+/// The commitment rule needs no registry: a service that never saw the
+/// publication (a restart, another process) verifies a proof against the
+/// commitment it carries when that commitment's digest is the named model's,
+/// and refuses a carried commitment under another digest, or a digest with
+/// nothing carried, as a commitment mismatch.
+#[test]
+fn a_carried_commitment_verifies_without_the_registry() {
+    let publisher = start(1);
+    let graph = Arc::new(mlp(77));
+    let digest = publisher
+        .submit(JobSpec::commit_model(graph.clone(), Backend::Kzg))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .unwrap()
+        .model_digest
+        .unwrap();
+    let other = publisher
+        .submit(JobSpec::commit_model(Arc::new(mlp(99)), Backend::Kzg))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .unwrap()
+        .model_digest
+        .unwrap();
+    assert_ne!(digest, other);
+    let artifacts = publisher
+        .submit(JobSpec::prove_committed(graph, Backend::Kzg, 1, digest))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .unwrap();
+
+    let fresh = start(1);
+    assert_eq!(fresh.registry().len(), 0);
+    let verify = |model: [u8; 32], weight_commitment: Vec<u8>| {
+        fresh
+            .submit(JobSpec::new(JobKind::Verify {
+                backend: artifacts.backend,
+                vk: artifacts.vk_bytes.clone(),
+                public: artifacts.public.clone(),
+                proof: artifacts.proof.clone(),
+                model: Some(model),
+                weight_commitment,
+            }))
+            .unwrap()
+            .wait()
+    };
+    verify(digest, artifacts.weight_commitment.clone())
+        .expect("a carried commitment hashing to the named digest is that commitment");
+    for (model, carried) in [
+        (other, artifacts.weight_commitment.clone()),
+        (digest, Vec::new()),
+    ] {
+        match verify(model, carried) {
+            Err(ServiceError::CommitmentMismatch(_)) => {}
+            other => panic!("expected a commitment mismatch, got {other:?}"),
+        }
+    }
+    let snap = fresh.snapshot();
+    assert_eq!(
+        (snap.proofs_verified, snap.jobs_rejected_commitment),
+        (1, 2)
+    );
+}
+
 /// The CI regression for weight-independent proving costs: after one
 /// publication, proving twice against the digest performs ZERO keygens and
 /// ZERO weight encodings — both were paid at publication. Ignored by

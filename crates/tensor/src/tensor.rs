@@ -72,11 +72,6 @@ impl<T: Clone> Tensor<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data.
-    pub fn into_data(self) -> Vec<T> {
-        self.data
-    }
-
     /// Element access by multi-index.
     pub fn get(&self, index: &[usize]) -> &T {
         &self.data[flatten_index(&self.shape, index)]

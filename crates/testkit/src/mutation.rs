@@ -172,11 +172,18 @@ pub fn cross_check_real_verifier(
             .to_witness()
             .ok_or_else(|| "circuit uses challenges; cannot cross-check".to_string())?;
         let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed + i as u64);
-        let accepted = match zkml_plonk::create_proof_with_rng(params, &pk, &witness, &mut rng) {
+        let accepted = match zkml_plonk::create_proof_committed(
+            params,
+            &pk,
+            &witness,
+            &mut rng,
+            &[],
+            &zkml_plonk::CommittedWeights::empty(),
+        ) {
             Err(_) => false,
             Ok(proof) => {
                 let instance = zkml_plonk::WitnessSource::instance(&witness);
-                zkml_plonk::verify_proof(params, &pk.vk, &instance, &proof).is_ok()
+                zkml_plonk::verify_proof(params, &pk.vk, &instance, &proof, &[], None).is_ok()
             }
         };
         mock.set_cell(*cell, orig);

@@ -67,17 +67,6 @@ impl Transcript {
         }
         F::from_u512(lo, hi)
     }
-
-    /// Squeezes raw challenge bytes (for non-field uses such as seeding).
-    pub fn challenge_bytes(&mut self, label: &'static [u8]) -> [u8; 64] {
-        let mut h = Blake2b::new();
-        h.update(&self.state);
-        h.update(&[0x03]);
-        h.update(&(label.len() as u64).to_le_bytes());
-        h.update(label);
-        self.state = h.finalize();
-        self.state
-    }
 }
 
 #[cfg(test)]

@@ -104,6 +104,20 @@ if ./target/release/zkml verify --dir "$CP_TMP/proof" --model "$BAD_DIGEST"; the
 else
   [ $? -eq 4 ] || { echo "commitment mismatch should map to exit code 4" >&2; exit 1; }
 fi
+# The rest of `zkml verify`'s commitment rule, by exit code: a committed proof
+# without its commitment.bin is a mismatch (4) with or without --model, and a
+# bundle, which carries its own commitments, refuses --model (1).
+expect_verify_exit() { # $1 = expected exit code, the rest = verify arguments
+  local want="$1" rc=0
+  shift
+  ./target/release/zkml verify "$@" || rc=$?
+  [ "$rc" -eq "$want" ] || { echo "zkml verify $* should exit $want, not $rc" >&2; exit 1; }
+}
+mkdir "$CP_TMP/bare"
+cp "$CP_TMP/proof"/{proof,vk,public}.bin "$CP_TMP/bare/"
+expect_verify_exit 4 --dir "$CP_TMP/bare"
+expect_verify_exit 4 --dir "$CP_TMP/bare" --model "$DIGEST"
+expect_verify_exit 1 --dir "$SEG_TMP/default" --model "$DIGEST"
 # Counter regression: after one publication, proving twice against the digest
 # performs zero keygens and zero weight re-encodings (runs alone because it
 # reads process-global counters).
