@@ -3,15 +3,15 @@
 //! The default kernel ([`msm`]) uses **signed-digit windows** — digits in
 //! `[-(2^(c-1) - 1), 2^(c-1)]`, which halve the bucket count relative to the
 //! unsigned method because `-d * P = d * (-P)` and negating an affine point
-//! is free — and accumulates buckets with **batch-affine additions**: the
-//! per-window scheduler collects independent bucket additions into rounds
-//! and resolves each round with one Montgomery batch inversion, so an
-//! addition costs ~6 field multiplications instead of a full Jacobian mixed
-//! addition (~13). A point whose bucket is already scheduled in the current
-//! round is deferred to the next round; pathological streams that keep
-//! colliding (e.g. every point in one bucket) fall back to Jacobian
-//! accumulation after `MAX_SCHED_ROUNDS` rounds, bounding the worst case
-//! at the old kernel's cost.
+//! is free — and accumulates buckets with **batch-affine additions**: a
+//! scheduler collects independent bucket additions into rounds and resolves
+//! each round with one Montgomery batch inversion, so an addition costs ~6
+//! field multiplications instead of a full Jacobian mixed addition (~13). A
+//! point whose bucket is already scheduled in the current round is deferred
+//! to the next round; pathological streams that keep colliding (e.g. every
+//! point in one bucket) fall back to Jacobian accumulation after
+//! `MAX_SCHED_ROUNDS` rounds, bounding the worst case at the old kernel's
+//! cost.
 //!
 //! The kernel is **width-aware**. Each scalar is first normalised to the
 //! smaller of `s` and `p − s` (a negative one adds the negated base, through
@@ -23,16 +23,25 @@
 //! scalars normalise to 253 bits and take exactly the windows they always
 //! did.
 //!
-//! Windows run in parallel on the zkml-par pool. Each window's schedule is a
-//! deterministic function of the inputs alone (point order, fixed batch
-//! boundaries), so the result — and therefore every commitment and proof
-//! byte downstream — is bit-identical at any thread count.
+//! Windows run in **groups that share their inversions**: the windows are
+//! split into contiguous groups, one per zkml-par pool thread but none over
+//! `GROUP_BUCKETS` buckets, and a group runs one scheduler over the
+//! concatenated buckets of its windows and reduces them in lockstep, so each
+//! scheduler round and each reduction step pays one batch inversion for the
+//! whole group instead of one per window. A uniform 2^10 MSM pays about 30
+//! inversions instead of 719; at large `n` one window fills its batches
+//! alone and is a group of its own. Groups run in parallel on the pool. The
+//! split depends on the thread count, but every group's sums are exact
+//! group elements, so the result — and therefore every commitment and proof
+//! byte downstream — is identical at any thread count.
 //!
 //! The previous unsigned Jacobian kernel is kept as [`msm_jacobian`]; the
 //! scaling study in `BENCH_PAR.json` records both so the batch-affine
 //! speedup is a tracked regression gate.
 
 use crate::g1::{G1Affine, G1Projective};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use zkml_ff::arith::sbb;
 use zkml_ff::field::mont::lt;
 use zkml_ff::{batch_invert_with_scratch, Field, Fq, Fr, PrimeField};
@@ -40,13 +49,31 @@ use zkml_par as par;
 
 /// Points below which the bucket method loses to the naive sum: with `n`
 /// points Pippenger still touches `254/c` windows of buckets each, so for
-/// tiny inputs the setup dwarfs the saved additions.
-const NAIVE_CUTOFF: usize = 32;
+/// tiny inputs the setup dwarfs the saved additions. Since the windows share
+/// their batch inversions the bucket method wins from 16 points on (see the
+/// `probe_window_bits` perf test).
+const NAIVE_CUTOFF: usize = 16;
 
 /// Batch-affine additions resolved per batch inversion. Large enough to
 /// amortize the single field inversion (~1 inversion ≈ 250 muls) to noise,
 /// small enough that the entry buffer stays cache-resident.
 const BATCH_ADDS: usize = 2048;
+
+/// Bucket budget of one window group: the windows of a group share one
+/// scheduler, so each round and each reduction step pays one batch
+/// inversion for all of them, and this caps the group's bucket array so it
+/// stays cache-resident. A window with at least this many buckets fills its
+/// batches alone and is a group of its own.
+const GROUP_BUCKETS: usize = 8192;
+
+/// Count of the kernel's batch inversions in this process: scheduler rounds
+/// plus reduction steps, the per-round cost window groups share.
+static BATCH_INVERSIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Total batch inversions [`msm`] has performed so far in this process.
+pub fn batch_inversions() -> usize {
+    BATCH_INVERSIONS.load(Ordering::Relaxed)
+}
 
 /// Scheduler rounds before heavily-colliding leftovers fall back to Jacobian
 /// accumulation. Random inputs clear their collisions in 2–3 rounds; only
@@ -63,7 +90,8 @@ const MAX_SCHED_ROUNDS: usize = 16;
 fn window_bits(n: usize) -> usize {
     match n {
         0..=127 => 4,
-        128..=511 => 6,
+        128..=255 => 6,
+        256..=511 => 8,
         512..=2047 => 9,
         2048..=8191 => 11,
         8192..=32767 => 12,
@@ -190,7 +218,7 @@ fn addend(bases: &[G1Affine], code: u32) -> G1Affine {
     }
 }
 
-/// Per-window batch-affine bucket accumulator.
+/// Batch-affine bucket accumulator of one window group.
 ///
 /// Scheduled additions are stored as packed `(bucket, base index | sign)`
 /// pairs — 8 bytes instead of two point copies — and resolved by reading the
@@ -279,6 +307,7 @@ impl Scheduler {
             self.dens.push(den);
         }
         batch_invert_with_scratch(&mut self.dens, &mut self.scratch);
+        BATCH_INVERSIONS.fetch_add(1, Ordering::Relaxed);
         for (&(b, code), den_inv) in self.entries.iter().zip(self.dens.iter()) {
             let out = &mut self.buckets[b as usize];
             let base = &bases[(code & !SIGN_BIT) as usize];
@@ -357,82 +386,108 @@ fn affine_add_resolved(a: &G1Affine, b: &G1Affine, inv: &Fq) -> G1Affine {
     }
 }
 
-/// Batch-affine running-sum reduction: `sum_j (j+1) * buckets[j]`.
+/// Batch-affine running-sum reduction of several windows at once: for each
+/// bucket array `b` of `windows` (all of one length `m`),
+/// `sum_j (j+1) * b[j]`.
 ///
-/// The buckets split into `K` interleaved chains — chain `g` owns buckets
-/// `{g, g+K, g+2K, ...}` so each step reads one contiguous row — and every
-/// step advances all chains by one plain-sum and one weighted-sum affine
-/// addition: `2K` independent additions sharing a single batch inversion,
-/// versus one Jacobian mixed plus one full addition per bucket serially.
-/// With `W_g` / `P_g` the per-chain weighted / plain sums, the identity
-/// `sum_j (j+1) B_j = K * sum_g W_g + sum_g (g+1) P_g` recombines the
-/// chains with ~3K Jacobian operations.
-fn reduce_buckets_batch(
-    buckets: &[G1Affine],
+/// Each window's buckets split into `K` interleaved chains — chain `g` owns
+/// buckets `{g, g+K, g+2K, ...}` so each step reads one contiguous row — and
+/// every step advances all chains of all windows by one plain-sum and one
+/// weighted-sum affine addition: `2K` independent additions per window, all
+/// sharing a single batch inversion, versus one Jacobian mixed plus one full
+/// addition per bucket serially. With `W_g` / `P_g` the per-chain weighted /
+/// plain sums, the identity `sum_j (j+1) B_j = K * sum_g W_g + sum_g (g+1) P_g`
+/// recombines each window's chains with ~3K Jacobian operations.
+fn reduce_buckets(
+    windows: &[&[G1Affine]],
     dens: &mut Vec<Fq>,
     scratch: &mut Vec<Fq>,
-) -> G1Projective {
-    let m = buckets.len();
+) -> Vec<G1Projective> {
+    let m = windows[0].len();
     let k = (m / 16).clamp(8, 256).min(m);
     debug_assert_eq!(m % k, 0, "chain count must divide the bucket count");
-    let l = m / k;
-    let mut w = vec![G1Affine::identity(); k];
-    let mut p = vec![G1Affine::identity(); k];
-    for u in (0..l).rev() {
-        let row = &buckets[u * k..(u + 1) * k];
+    let chains = windows.len() * k;
+    let mut w = vec![G1Affine::identity(); chains];
+    let mut p = vec![G1Affine::identity(); chains];
+    for u in (0..m / k).rev() {
+        let rows = || windows.iter().flat_map(|b| &b[u * k..(u + 1) * k]);
         dens.clear();
-        for g in 0..k {
-            dens.push(affine_den(&w[g], &p[g]));
-        }
-        for g in 0..k {
-            dens.push(affine_den(&p[g], &row[g]));
-        }
+        dens.extend(w.iter().zip(&p).map(|(wg, pg)| affine_den(wg, pg)));
+        dens.extend(p.iter().zip(rows()).map(|(pg, bg)| affine_den(pg, bg)));
         batch_invert_with_scratch(dens, scratch);
+        BATCH_INVERSIONS.fetch_add(1, Ordering::Relaxed);
         // W before P: the weighted chain must read this step's pre-update
         // plain sum (W += P_old; P += B), which is what makes
         // W_g + P_g = sum_u (u+1) B_{uK+g} hold.
-        for g in 0..k {
-            w[g] = affine_add_resolved(&w[g], &p[g], &dens[g]);
+        for ((wg, pg), inv) in w.iter_mut().zip(&p).zip(&dens[..chains]) {
+            *wg = affine_add_resolved(wg, pg, inv);
         }
-        for g in 0..k {
-            p[g] = affine_add_resolved(&p[g], &row[g], &dens[k + g]);
+        for ((pg, bg), inv) in p.iter_mut().zip(rows()).zip(&dens[chains..]) {
+            *pg = affine_add_resolved(pg, bg, inv);
         }
     }
-    let mut s1 = G1Projective::identity();
-    for wg in &w {
-        s1 = s1.add_affine(wg);
-    }
-    let mut run = G1Projective::identity();
-    let mut s2 = G1Projective::identity();
-    for pg in p.iter().rev() {
-        run = run.add_affine(pg);
-        s2 += run;
-    }
-    for _ in 0..k.trailing_zeros() {
-        s1 = s1.double();
-    }
-    s1 += s2;
-    s1
+    w.chunks_exact(k)
+        .zip(p.chunks_exact(k))
+        .map(|(w, p)| {
+            let mut s1 = G1Projective::identity();
+            for wg in w {
+                s1 = s1.add_affine(wg);
+            }
+            let mut run = G1Projective::identity();
+            let mut s2 = G1Projective::identity();
+            for pg in p.iter().rev() {
+                run = run.add_affine(pg);
+                s2 += run;
+            }
+            for _ in 0..k.trailing_zeros() {
+                s1 = s1.double();
+            }
+            s1 + s2
+        })
+        .collect()
 }
 
-/// Accumulates one window's buckets (batch-affine with Jacobian fallback)
-/// and reduces them with the running-sum trick. `digits` is the scalar-major
-/// digit table; window `w`'s digit for point `i` is `digits[i * nwin + w]`.
-fn window_sum(bases: &[G1Affine], digits: &[i32], w: usize, nwin: usize, c: usize) -> G1Projective {
-    let nbuckets = 1usize << (c - 1);
-    let mut sched = Scheduler::new(nbuckets);
-    for (i, (base, d)) in bases
-        .iter()
-        .zip(digits[w..].iter().step_by(nwin))
-        .enumerate()
-    {
-        let d = *d;
-        if d == 0 || base.infinity {
+/// Splits the batch windows `0..nwin` into contiguous groups of sizes that
+/// differ by at most one: one group per pool thread, or the next multiple of
+/// the thread count where a group would otherwise hold over `GROUP_BUCKETS`
+/// buckets — at large `n` one window fills a batch on its own and is its own
+/// group. The split depends only on `(nwin, c, threads)`, and any split
+/// gives the same sum.
+fn window_groups(nwin: usize, c: usize, threads: usize) -> Vec<Range<usize>> {
+    let per_group = (GROUP_BUCKETS >> (c - 1)).max(1);
+    let count = (nwin.div_ceil(per_group).div_ceil(threads) * threads).min(nwin);
+    (0..count)
+        .map(|g| g * nwin / count..(g + 1) * nwin / count)
+        .collect()
+}
+
+/// Accumulates the windows `ws` in one batch-affine scheduler over their
+/// concatenated buckets (window `ws.start + j` owns buckets
+/// `j * 2^(c-1) ..`), so every round pays one batch inversion for all of
+/// them, then reduces their buckets in lockstep. Returns one sum per window.
+/// `digits` is the scalar-major digit table: window `w`'s digit for point
+/// `i` is `digits[i * nwin + w]`.
+fn group_sums(
+    bases: &[G1Affine],
+    digits: &[i32],
+    ws: Range<usize>,
+    nwin: usize,
+    c: usize,
+) -> Vec<G1Projective> {
+    let m = 1usize << (c - 1);
+    let mut sched = Scheduler::new(ws.len() * m);
+    for (i, (base, row)) in bases.iter().zip(digits.chunks_exact(nwin)).enumerate() {
+        if base.infinity {
             continue;
         }
-        let b = d.unsigned_abs() - 1;
-        let code = i as u32 | if d < 0 { SIGN_BIT } else { 0 };
-        sched.push(b, code, bases);
+        for (j, &d) in row[ws.clone()].iter().enumerate() {
+            if d == 0 {
+                continue;
+            }
+            let b = (j * m) as u32 + d.unsigned_abs() - 1;
+            let code = i as u32 | if d < 0 { SIGN_BIT } else { 0 };
+            sched.push(b, code, bases);
+        }
     }
     sched.flush(bases);
     let mut rounds = 0;
@@ -446,33 +501,52 @@ fn window_sum(bases: &[G1Affine], digits: &[i32], w: usize, nwin: usize, c: usiz
     }
     // Collision fallback: anything still deferred after the round cap is a
     // degenerate stream hammering few buckets — absorb it with plain
-    // Jacobian mixed additions.
+    // Jacobian mixed additions, and note which windows it touched.
     let mut jac: Vec<G1Projective> = Vec::new();
+    let mut fell_back = vec![false; ws.len()];
     if !sched.deferred.is_empty() {
-        jac = vec![G1Projective::identity(); nbuckets];
+        jac = vec![G1Projective::identity(); ws.len() * m];
         for (b, code) in sched.deferred.drain(..) {
             jac[b as usize] = jac[b as usize].add_affine(&addend(bases, code));
+            fell_back[b as usize / m] = true;
         }
     }
 
-    // Running-sum trick: sum_j (j+1) * bucket_j. The common (no-fallback)
-    // case uses the batch-affine chain reduction; windows that needed the
-    // Jacobian fallback merge both bucket sets serially.
-    if jac.is_empty() && nbuckets >= 128 {
-        return reduce_buckets_batch(&sched.buckets, &mut sched.dens, &mut sched.scratch);
+    // Running-sum trick: sum_j (j+1) * bucket_j. Windows without fallback
+    // share the batch-affine chain reduction; small bucket sets and windows
+    // that needed the fallback merge both bucket sets serially.
+    let batched = |j: usize| m >= 128 && !fell_back[j];
+    let buckets: Vec<&[G1Affine]> = sched.buckets.chunks_exact(m).collect();
+    let rows: Vec<&[G1Affine]> = (0..ws.len())
+        .filter(|&j| batched(j))
+        .map(|j| buckets[j])
+        .collect();
+    let mut reduced = if rows.is_empty() {
+        Vec::new()
+    } else {
+        reduce_buckets(&rows, &mut sched.dens, &mut sched.scratch)
     }
-    let mut running = G1Projective::identity();
-    let mut acc = G1Projective::identity();
-    for b in (0..nbuckets).rev() {
-        running = running.add_affine(&sched.buckets[b]);
-        if let Some(j) = jac.get(b) {
-            if !j.is_identity() {
-                running += *j;
+    .into_iter();
+    (0..ws.len())
+        .map(|j| {
+            if batched(j) {
+                return reduced.next().expect("one reduced sum per batched window");
             }
-        }
-        acc += running;
-    }
-    acc
+            let jac = jac.get(j * m..(j + 1) * m).unwrap_or(&[]);
+            let mut running = G1Projective::identity();
+            let mut acc = G1Projective::identity();
+            for b in (0..m).rev() {
+                running = running.add_affine(&buckets[j][b]);
+                if let Some(p) = jac.get(b) {
+                    if !p.is_identity() {
+                        running += *p;
+                    }
+                }
+                acc += running;
+            }
+            acc
+        })
+        .collect()
 }
 
 /// Accumulates the top (carry-fold) window with plain Jacobian buckets.
@@ -510,31 +584,37 @@ fn window_sum_top(
     acc
 }
 
-/// Dispatches one window to the right accumulator: the carry-fold top window
-/// of a large MSM goes to the Jacobian walk, everything else to the
-/// batch-affine scheduler. `topbits` is the number of magnitude bits the top
-/// window holds. The choice depends only on `(n, c, w, topbits)`, so it is
-/// deterministic at any thread count.
-fn accumulate_window(
+/// Sums every window of an `n`-point digit table: the carry-fold top window
+/// of a large MSM on its own Jacobian task, the rest in window groups that
+/// share their batch inversions, all tasks on the zkml-par pool. `topbits`
+/// is the number of magnitude bits the top window holds. Returns the window
+/// sums in window order.
+fn window_sums(
     bases: &[G1Affine],
     digits: &[i32],
-    w: usize,
     nwin: usize,
     c: usize,
     topbits: usize,
-) -> G1Projective {
-    // Route to the Jacobian walk once the expected hits per top bucket
-    // (n / 2^topbits) would drown the scheduler in deferral rounds.
-    if w == nwin - 1 && bases.len() >= (8usize << topbits) {
-        window_sum_top(bases, digits, w, nwin, topbits)
-    } else {
-        window_sum(bases, digits, w, nwin, c)
-    }
+) -> Vec<G1Projective> {
+    // Route the top window to the Jacobian walk once the expected hits per
+    // top bucket (n / 2^topbits) would drown a scheduler in deferral rounds.
+    let top_jacobian = bases.len() >= (8usize << topbits);
+    let nbatch = nwin - usize::from(top_jacobian);
+    let groups = window_groups(nbatch, c, par::current_threads());
+    let sums: Vec<Vec<G1Projective>> =
+        par::par_map(groups.len() + usize::from(top_jacobian), |t| {
+            match groups.get(t) {
+                Some(ws) => group_sums(bases, digits, ws.clone(), nwin, c),
+                None => vec![window_sum_top(bases, digits, nwin - 1, nwin, topbits)],
+            }
+        });
+    sums.into_iter().flatten().collect()
 }
 
 /// Computes `sum_i scalars[i] * bases[i]` with signed-digit windows and
-/// batch-affine bucket accumulation; windows are processed in parallel, and
-/// only as many as the scalars' signed magnitudes need are built.
+/// batch-affine bucket accumulation; window groups are processed in
+/// parallel, and only as many windows as the scalars' signed magnitudes need
+/// are built.
 ///
 /// # Panics
 ///
@@ -583,8 +663,8 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 
     let nwin = num_windows(bits, c);
     // Scalar-major signed-digit table: digits[i * nwin + w]. Decomposition
-    // parallelizes over disjoint per-scalar rows; window tasks read their
-    // column with a short stride. An outlier's row stays zero.
+    // parallelizes over disjoint per-scalar rows; a window group reads its
+    // columns of each row contiguously. An outlier's row stays zero.
     let mut digits = vec![0i32; n * nwin];
     par::for_each_chunk_exact(&mut digits, 1024 * nwin, |_, start, rows| {
         let first = start / nwin;
@@ -601,13 +681,9 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     drop(mags);
 
     let topbits = bits - (nwin - 1) * c;
-    let window_sums: Vec<G1Projective> = par::par_map(nwin, |w| {
-        accumulate_window(bases, &digits, w, nwin, c, topbits)
-    });
-
     // Combine: acc = sum_w 2^(w*c) * window_sums[w].
     let mut acc = G1Projective::identity();
-    for ws in window_sums.iter().rev() {
+    for ws in window_sums(bases, &digits, nwin, c, topbits).iter().rev() {
         for _ in 0..c {
             acc = acc.double();
         }
@@ -801,7 +877,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(47);
         // Boundaries of window_bits(); +/-1 around each (capped for test
         // runtime — the larger boundaries exercise identical code paths).
-        for boundary in [128usize, 512, 2048] {
+        for boundary in [128usize, 256, 512, 2048] {
             for n in [boundary - 1, boundary, boundary + 1] {
                 let (pts, scalars) = random_points(n, &mut rng);
                 assert_eq!(msm(&pts, &scalars), msm_jacobian(&pts, &scalars), "n={n}");
@@ -812,6 +888,8 @@ mod tests {
             1usize,
             127,
             128,
+            255,
+            256,
             511,
             512,
             2047,
@@ -1015,6 +1093,119 @@ mod tests {
         }
     }
 
+    /// The window-group split changes with the pool size (3 threads splits
+    /// unevenly), the sum does not: byte-identical on 1, 2 and 3 threads and
+    /// equal to the Jacobian reference, at a size where groups are capped
+    /// by their bucket budget and at one below 128 points.
+    #[test]
+    fn window_groups_identical_across_pools() {
+        let mut rng = StdRng::seed_from_u64(51);
+        for n in [1usize << 10, 123] {
+            let (pts, scalars) = random_points(n, &mut rng);
+            let want = msm_jacobian(&pts, &scalars).to_affine().to_bytes();
+            for threads in [1, 2, 3] {
+                let got =
+                    zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(&pts, &scalars));
+                assert_eq!(got.to_affine().to_bytes(), want, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_groups_partition_the_windows() {
+        for (nwin, c, threads) in [
+            (28, 9, 1),
+            (28, 9, 2),
+            (28, 9, 3),
+            (63, 4, 2),
+            (18, 14, 1),
+            (23, 11, 2),
+        ] {
+            let groups = window_groups(nwin, c, threads);
+            assert_eq!(groups.first().map(|g| g.start), Some(0));
+            assert_eq!(groups.last().map(|g| g.end), Some(nwin));
+            assert!(groups.windows(2).all(|g| g[0].end == g[1].start));
+            let budget = (GROUP_BUCKETS >> (c - 1)).max(1);
+            assert!(groups.iter().all(|g| !g.is_empty() && g.len() <= budget));
+            assert!(groups.len() >= threads.min(nwin));
+            assert!(groups.len().is_multiple_of(threads) || groups.len() == nwin);
+        }
+        assert!(window_groups(0, 9, 2).is_empty());
+        // One window already fills a batch: each is a group of its own.
+        assert_eq!(window_groups(18, 14, 1).len(), 18);
+        // Three capped groups would leave one of two threads idle a third
+        // of the time; four keep both busy.
+        assert_eq!(window_groups(23, 11, 2).len(), 4);
+    }
+
+    /// One window of a group has every digit in the same bucket, so its
+    /// collisions outlast the round cap and reach the Jacobian fallback and
+    /// the serial reduction, while its neighbours in the same scheduler
+    /// clear in a few rounds and take the shared batch reduction.
+    #[test]
+    fn one_colliding_window_in_a_group() {
+        let mut rng = StdRng::seed_from_u64(52);
+        let n = 600;
+        let c = window_bits(n);
+        assert!(
+            1 << (c - 1) >= 128,
+            "neighbours must take the batch reduction"
+        );
+        let (pts, _) = random_points(n, &mut rng);
+        // Unsigned digits below 2^(c-1) decompose without carries, so each
+        // window sees exactly the digit written here; window 2 sees 7 on
+        // every point.
+        let windows = 240 / c;
+        let scalars: Vec<Fr> = (0..n)
+            .map(|_| {
+                let mut acc = Fr::zero();
+                for w in (0..windows).rev() {
+                    let d = if w == 2 {
+                        7
+                    } else {
+                        rand::RngCore::next_u64(&mut rng) % (1 << (c - 1))
+                    };
+                    acc = acc * Fr::from_u64(1 << c) + Fr::from_u64(d);
+                }
+                acc
+            })
+            .collect();
+        let want = msm_jacobian(&pts, &scalars);
+        for threads in [1, 2, 3] {
+            let got = zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(&pts, &scalars));
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    /// A 13-bit column with a few full-width outliers (blinding rows): one
+    /// batch window in a group of its own, the Jacobian top window beside
+    /// it, and the outliers summed apart.
+    #[test]
+    fn narrow_column_with_outliers_takes_one_group_and_the_top_window() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let n = 1 << 10;
+        let (pts, uniform) = random_points(n, &mut rng);
+        let mut scalars: Vec<Fr> = (0..n)
+            .map(|_| {
+                Fr::from_i64((rand::RngCore::next_u64(&mut rng) % (1 << 14)) as i64 - (1 << 13))
+            })
+            .collect();
+        for i in [0, 300, 777, n - 1] {
+            scalars[i] = uniform[i];
+        }
+        let c = window_bits(n);
+        assert_eq!(num_windows(13, c), 2);
+        assert!(
+            n >= 8 << (13 - c),
+            "the top window must take the Jacobian walk"
+        );
+        let want = msm_jacobian(&pts, &scalars);
+        for threads in [1, 2] {
+            let got = zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(&pts, &scalars));
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
     /// Batch-affine vs Jacobian vs naive on a mid-size random input.
     #[test]
     fn kernels_agree_random_midsize() {
@@ -1082,34 +1273,69 @@ mod perf {
         }
     }
 
-    /// Sweeps window widths per size to re-fit the `window_bits` table.
+    /// Median wall time of `reps` runs of `f`.
+    fn median_time<R>(reps: usize, mut f: impl FnMut() -> R) -> std::time::Duration {
+        let mut times: Vec<_> = (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(f());
+                t.elapsed()
+            })
+            .collect();
+        times.sort();
+        times[reps / 2]
+    }
+
+    /// Sweeps window widths per size, at 1 and 2 threads, to re-fit the
+    /// `window_bits` table; below 128 points it also times the naive sum
+    /// that `NAIVE_CUTOFF` picks.
     #[test]
     #[ignore = "performance probe, run explicitly"]
     fn probe_window_bits() {
-        for k in [10u32, 12, 14, 16] {
-            let n = 1usize << k;
-            let (bases, scalars) = inputs(n);
-            eprint!("n=2^{k}:");
-            for c in (k as usize).saturating_sub(3)..=(k as usize) + 2 {
-                let c = c.clamp(2, 16);
-                let nwin = num_windows(253, c);
-                let mut digits = vec![0i32; n * nwin];
-                for (i, row) in digits.chunks_exact_mut(nwin).enumerate() {
-                    let (mag, neg) = signed_magnitude(&scalars[i]);
-                    decompose_signed(&mag, c, row);
-                    if neg {
-                        row.iter_mut().for_each(|d| *d = -*d);
-                    }
+        for threads in [1usize, 2] {
+            let pool = zkml_par::Pool::new(threads);
+            for n in [
+                8usize,
+                12,
+                16,
+                24,
+                32,
+                64,
+                128,
+                256,
+                384,
+                512,
+                1 << 10,
+                1 << 12,
+                1 << 14,
+                1 << 16,
+            ] {
+                let (bases, scalars) = inputs(n);
+                let reps = ((1usize << 18) / n).clamp(5, 200);
+                let lg = n.ilog2() as usize;
+                eprint!("threads={threads} n={n} (c={}):", window_bits(n));
+                if n < 128 {
+                    let t = median_time(reps, || msm_naive(&bases, &scalars));
+                    eprint!("  naive: {t:?}");
                 }
-                let topbits = 253 - (nwin - 1) * c;
-                let t = Instant::now();
-                let sums: Vec<G1Projective> = (0..nwin)
-                    .map(|w| accumulate_window(&bases, &digits, w, nwin, c, topbits))
-                    .collect();
-                std::hint::black_box(sums);
-                eprint!("  c={c}: {:?}", t.elapsed());
+                for c in lg.saturating_sub(3).max(3)..=(lg + 2).min(16) {
+                    let nwin = num_windows(253, c);
+                    let mut digits = vec![0i32; n * nwin];
+                    for (i, row) in digits.chunks_exact_mut(nwin).enumerate() {
+                        let (mag, neg) = signed_magnitude(&scalars[i]);
+                        decompose_signed(&mag, c, row);
+                        if neg {
+                            row.iter_mut().for_each(|d| *d = -*d);
+                        }
+                    }
+                    let topbits = 253 - (nwin - 1) * c;
+                    let t = zkml_par::with_pool(&pool, || {
+                        median_time(reps, || window_sums(&bases, &digits, nwin, c, topbits))
+                    });
+                    eprint!("  c={c}: {t:?}");
+                }
+                eprintln!();
             }
-            eprintln!();
         }
     }
 }

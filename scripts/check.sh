@@ -38,6 +38,19 @@ cmp "$SEG_TMP/default/bundle.bin" "$SEG_TMP/serial/bundle.bin"
 ./target/release/zkml verify --dir "$SEG_TMP/default"
 ZKML_THREADS=1 ./target/release/zkml verify --dir "$SEG_TMP/serial"
 
+echo "==> proof and bundle bytes are pinned (MNIST, seed 7, fixture calibration)"
+# A kernel change that alters one byte of a proof or a bundle fails here, not
+# only a thread-count cmp. The calibration is a copy of the fixture, because
+# an unreadable cache file is overwritten with a fresh calibration.
+cp benchmark/hw-fixture.txt "$SEG_TMP/hw.txt"
+ZKML_HW_CACHE="$SEG_TMP/hw.txt" ./target/release/zkml prove MNIST --dir "$SEG_TMP/pinned" --seed 7
+ZKML_HW_CACHE="$SEG_TMP/hw.txt" ./target/release/zkml prove MNIST --dir "$SEG_TMP/pinned-seg" \
+  --segments 3 --seed 7
+sha256sum -c - <<EOF
+2cd01267e72f6d22f3aac6857ee41920196cc6a7290cd61f46ebfdc9b15d483f  $SEG_TMP/pinned/proof.bin
+04b97ea0fb225a4056470e182eba0ce0d8e02cdfb17f8b57200cba0db829251c  $SEG_TMP/pinned-seg/bundle.bin
+EOF
+
 echo "==> HTTP is the only transport (the removed --spool flag is a usage error)"
 for cmd in "serve --spool x" "submit MNIST --spool x"; do
   # shellcheck disable=SC2086
