@@ -9,7 +9,7 @@
 //! field multiplications instead of a full Jacobian mixed addition (~13). A
 //! point whose bucket is already scheduled in the current round is deferred
 //! to the next round; pathological streams that keep colliding (e.g. every
-//! point in one bucket) fall back to Jacobian accumulation after
+//! point in one bucket of a window) fall back to Jacobian accumulation after
 //! `MAX_SCHED_ROUNDS` rounds, bounding the worst case at the old kernel's
 //! cost.
 //!
@@ -34,6 +34,19 @@
 //! split depends on the thread count, but every group's sums are exact
 //! group elements, so the result — and therefore every commitment and proof
 //! byte downstream — is identical at any thread count.
+//!
+//! **Equal scalars share one base.** Before any window is built, equal
+//! magnitudes are grouped: the bases of a magnitude that repeats are summed
+//! once with Jacobian additions (a scalar normalised from `p − s` adds the
+//! negated base) and one batch conversion to affine, and the windows run
+//! over the distinct magnitudes only — `Σ sᵢ·Gᵢ = Σ_s s·(Σ_{sᵢ=s} Gᵢ)` is the
+//! same group element. A grand product stands still on every row whose
+//! factor is 1, so its column repeats one value on hundreds of rows;
+//! unmerged, every repeat lands in the same bucket of every window, runs the
+//! scheduler through all `MAX_SCHED_ROUNDS` and ends in the Jacobian
+//! fallback. Without repeats the step is one sort of `(low limb, index)`
+//! pairs. What still reaches the fallback is a stream of distinct scalars
+//! that share one window's digit ([`fallback_additions`] counts it).
 //!
 //! The previous unsigned Jacobian kernel is kept as [`msm_jacobian`]; the
 //! scaling study in `BENCH_PAR.json` records both so the batch-affine
@@ -73,6 +86,16 @@ static BATCH_INVERSIONS: AtomicUsize = AtomicUsize::new(0);
 /// Total batch inversions [`msm`] has performed so far in this process.
 pub fn batch_inversions() -> usize {
     BATCH_INVERSIONS.load(Ordering::Relaxed)
+}
+
+/// Count of the scheduler entries this process absorbed with Jacobian
+/// additions after `MAX_SCHED_ROUNDS` deferral rounds.
+static FALLBACK_ADDITIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Total entries [`msm`]'s collision fallback has absorbed so far in this
+/// process.
+pub fn fallback_additions() -> usize {
+    FALLBACK_ADDITIONS.load(Ordering::Relaxed)
 }
 
 /// Scheduler rounds before heavily-colliding leftovers fall back to Jacobian
@@ -505,6 +528,7 @@ fn group_sums(
     let mut jac: Vec<G1Projective> = Vec::new();
     let mut fell_back = vec![false; ws.len()];
     if !sched.deferred.is_empty() {
+        FALLBACK_ADDITIONS.fetch_add(sched.deferred.len(), Ordering::Relaxed);
         jac = vec![G1Projective::identity(); ws.len() * m];
         for (b, code) in sched.deferred.drain(..) {
             jac[b as usize] = jac[b as usize].add_affine(&addend(bases, code));
@@ -613,8 +637,8 @@ fn window_sums(
 
 /// Computes `sum_i scalars[i] * bases[i]` with signed-digit windows and
 /// batch-affine bucket accumulation; window groups are processed in
-/// parallel, and only as many windows as the scalars' signed magnitudes need
-/// are built.
+/// parallel, equal scalars share one summed base, and only as many windows
+/// as the distinct signed magnitudes need are built.
 ///
 /// # Panics
 ///
@@ -632,14 +656,87 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
         n < (1 << 31),
         "msm: scheduler entries pack the index in 31 bits"
     );
-    let c = window_bits(n);
-
     let mut mags = vec![([0u64; 4], false); n];
     par::par_chunks_mut(&mut mags, 1024, |_, start, chunk| {
         for (m, s) in chunk.iter_mut().zip(&scalars[start..]) {
             *m = signed_magnitude(s);
         }
     });
+    match merge_equal(bases, &mags) {
+        Some((bases, mags)) => msm_signed(&bases, mags),
+        None => msm_signed(bases, mags),
+    }
+}
+
+/// A scalar as its signed magnitude: the smaller of `s` and `p − s`, and
+/// whether it is the negation (see [`signed_magnitude`]).
+type Signed = ([u64; 4], bool);
+
+/// Sums the bases of every repeated magnitude once, so the windows see each
+/// distinct magnitude once: `sum_i s_i * G_i = sum_s s * (sum_{s_i = s} ±G_i)`,
+/// where a scalar normalised from `p − s` adds its negated base. Returns the
+/// distinct entries in index order — a repeated magnitude at its first
+/// index, positive, on its summed base — without zero scalars, identity
+/// bases or sums that cancel to the identity; `None` when no magnitude
+/// repeats, and the caller keeps its input.
+///
+/// Grouping sorts `(low limb, index)` pairs and confirms equality on the
+/// full limbs, so a uniform MSM pays one sort of `n` small pairs.
+fn merge_equal(bases: &[G1Affine], mags: &[Signed]) -> Option<(Vec<G1Affine>, Vec<Signed>)> {
+    let mut keys: Vec<(u64, u32)> = (0..bases.len())
+        .filter(|&i| !bases[i].infinity && mags[i].0 != [0; 4])
+        .map(|i| (mags[i].0[0], i as u32))
+        .collect();
+    let full = |k: &(u64, u32)| mags[k.1 as usize].0;
+    // The full limbs are read only where the low limbs tie.
+    keys.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| full(a).cmp(&full(b)))
+            .then(a.1.cmp(&b.1))
+    });
+    // One run per repeated magnitude, lowest index first.
+    let runs: Vec<&[(u64, u32)]> = keys
+        .chunk_by(|a, b| a.0 == b.0 && full(a) == full(b))
+        .filter(|run| run.len() > 1)
+        .collect();
+    if runs.is_empty() {
+        return None;
+    }
+
+    let sums: Vec<G1Projective> = par::par_map(runs.len(), |r| {
+        runs[r]
+            .iter()
+            .fold(G1Projective::identity(), |acc, &(_, i)| {
+                let sign = if mags[i as usize].1 { SIGN_BIT } else { 0 };
+                acc.add_affine(&addend(bases, i | sign))
+            })
+    });
+    // Each index keeps its own entry, its run's sum (first index) or none.
+    let mut kept: Vec<Option<(G1Affine, Signed)>> = vec![None; bases.len()];
+    for &(_, i) in &keys {
+        kept[i as usize] = Some((bases[i as usize], mags[i as usize]));
+    }
+    for (run, sum) in runs.iter().zip(G1Projective::batch_to_affine(&sums)) {
+        for &(_, i) in *run {
+            kept[i as usize] = None;
+        }
+        let first = run[0].1 as usize;
+        if !sum.infinity {
+            kept[first] = Some((sum, (mags[first].0, false)));
+        }
+    }
+    Some(kept.into_iter().flatten().unzip())
+}
+
+/// [`msm`] over signed magnitudes: builds the windows the magnitudes need,
+/// sums the few wide outliers apart, and falls back to the naive sum below
+/// `NAIVE_CUTOFF` entries.
+fn msm_signed(bases: &[G1Affine], mags: Vec<Signed>) -> G1Projective {
+    let n = bases.len();
+    if n < NAIVE_CUTOFF {
+        return naive_signed(bases, &mags);
+    }
+    let c = window_bits(n);
     let mut hist = [0usize; 254];
     for (m, _) in &mags {
         hist[bit_len(m)] += 1;
@@ -649,11 +746,11 @@ pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     // The outliers' sum first, so the magnitudes can go before the windows
     // are accumulated.
     let outliers = if wide > 0 {
-        let (wide_bases, wide_scalars): (Vec<G1Affine>, Vec<Fr>) = (0..n)
+        let (wide_bases, wide_mags): (Vec<G1Affine>, Vec<Signed>) = (0..n)
             .filter(|&i| bit_len(&mags[i].0) > bits)
-            .map(|i| (bases[i], scalars[i]))
+            .map(|i| (bases[i], mags[i]))
             .unzip();
-        msm(&wide_bases, &wide_scalars)
+        msm_signed(&wide_bases, wide_mags)
     } else {
         G1Projective::identity()
     };
@@ -752,19 +849,26 @@ pub fn msm_jacobian(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     acc
 }
 
-/// Naive MSM (reference for tests, and the kernel for tiny inputs and for
-/// the few wide outliers [`msm`] sets aside): bit-serial double-and-add with
-/// the doublings shared by all points, so each extra point costs only its
-/// additions.
+/// Naive MSM (reference for tests, and the kernel for tiny inputs): a
+/// bit-serial double-and-add over the scalars' signed magnitudes.
 pub fn msm_naive(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len());
-    let reprs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical()).collect();
+    let mags: Vec<Signed> = scalars.iter().map(signed_magnitude).collect();
+    naive_signed(bases, &mags)
+}
+
+/// Bit-serial double-and-add over signed magnitudes with the doublings
+/// shared by all points, so each extra point costs only its additions: the
+/// kernel for fewer than `NAIVE_CUTOFF` entries, before or after equal
+/// scalars are merged, and for the few wide outliers [`msm`] sets aside.
+fn naive_signed(bases: &[G1Affine], mags: &[Signed]) -> G1Projective {
+    let top = mags.iter().map(|(m, _)| bit_len(m)).max().unwrap_or(0);
     let mut acc = G1Projective::identity();
-    for bit in (0..Fr::NUM_BITS as usize).rev() {
+    for bit in (0..top).rev() {
         acc = acc.double();
-        for (base, repr) in bases.iter().zip(&reprs) {
-            if (repr[bit / 64] >> (bit % 64)) & 1 == 1 {
-                acc = acc.add_affine(base);
+        for (base, (m, neg)) in bases.iter().zip(mags) {
+            if (m[bit / 64] >> (bit % 64)) & 1 == 1 {
+                acc = acc.add_affine(&if *neg { base.negate() } else { *base });
             }
         }
     }
@@ -826,9 +930,10 @@ mod tests {
         assert_eq!(msm(&pts, &scalars), msm_naive(&pts, &scalars));
     }
 
-    /// Every point in the same bucket of every window: the scheduler defers
-    /// everything, hits the round cap, and falls back to Jacobian
-    /// accumulation — the result must still be exact.
+    /// Every point with the same base and scalar: the merge sums the bases
+    /// into one entry before any window is built (without it every point
+    /// would land in the same bucket of every window and reach the Jacobian
+    /// fallback) — the result must still be exact.
     #[test]
     fn all_same_base_and_scalar_collision_storm() {
         let mut rng = StdRng::seed_from_u64(46);
@@ -844,6 +949,117 @@ mod tests {
         // sometimes).
         let scalars2: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         assert_eq!(msm(&pts, &scalars2), msm_jacobian(&pts, &scalars2));
+    }
+
+    /// `msm` on 1-, 2- and 3-thread pools equals the Jacobian reference.
+    fn assert_pools_match_jacobian(pts: &[G1Affine], scalars: &[Fr], what: &str) {
+        let want = msm_jacobian(pts, scalars);
+        for threads in [1, 2, 3] {
+            let got = zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(pts, scalars));
+            assert_eq!(got, want, "{what}, threads={threads}");
+        }
+    }
+
+    /// The edge cases of merging equal magnitudes: opposite signs, bases
+    /// that cancel, identity bases, zeros and wide outliers beside the
+    /// repeats, a merge that leaves the naive sum, and magnitudes that share
+    /// their low limb only.
+    #[test]
+    fn equal_scalars_merge_matches_jacobian() {
+        let mut rng = StdRng::seed_from_u64(54);
+        let n = 300;
+        let (pts, uniform) = random_points(n, &mut rng);
+        let s = uniform[0];
+
+        // One magnitude, both signs: s on even rows, p − s on odd ones.
+        let signs: Vec<Fr> = (0..n).map(|i| if i % 2 == 0 { s } else { -s }).collect();
+        assert_pools_match_jacobian(&pts, &signs, "s and p - s");
+
+        // Each repeated magnitude's bases cancel (G beside −G, and G under
+        // s beside G under p − s); a hundred distinct rows keep the sum away
+        // from the identity.
+        let mut cancel_pts = pts.clone();
+        let mut cancel: Vec<Fr> = uniform.clone();
+        for i in (0..200).step_by(2) {
+            cancel[i] = uniform[1 + i % 16];
+            if i % 4 == 0 {
+                cancel_pts[i + 1] = pts[i].negate();
+                cancel[i + 1] = cancel[i];
+            } else {
+                cancel_pts[i + 1] = pts[i];
+                cancel[i + 1] = -cancel[i];
+            }
+        }
+        assert_pools_match_jacobian(&cancel_pts, &cancel, "cancelling bases");
+        assert_pools_match_jacobian(&cancel_pts[..200], &cancel[..200], "all cancel");
+        assert_eq!(
+            msm(&cancel_pts[..200], &cancel[..200]),
+            G1Projective::identity()
+        );
+
+        // Repeats on identity bases: every other base is the identity.
+        let holes: Vec<G1Affine> = (0..n)
+            .map(|i| {
+                if i % 2 == 0 {
+                    G1Affine::identity()
+                } else {
+                    pts[i]
+                }
+            })
+            .collect();
+        assert_pools_match_jacobian(&holes, &signs, "identity bases");
+        assert_pools_match_jacobian(&holes, &vec![s; n], "identity bases, one scalar");
+
+        // Small values, most of them twice (rows 2k and 2k + 1 share ±k), a
+        // third zero, and full-width outliers, one of them twice: the merged
+        // list still splits its outliers off.
+        let mut small: Vec<Fr> = (0..n)
+            .map(|i| match (i % 3, i % 5) {
+                (0, _) => Fr::zero(),
+                (_, 0) => -Fr::from_u64(i as u64 / 2),
+                _ => Fr::from_u64(i as u64 / 2),
+            })
+            .collect();
+        for i in [5, 77, 150, 151] {
+            small[i] = uniform[i];
+        }
+        small[151] = small[150];
+        let mut hist = [0usize; 254];
+        let mut distinct: Vec<[u64; 4]> = small
+            .iter()
+            .map(|v| signed_magnitude(v).0)
+            .filter(|m| *m != [0; 4])
+            .collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for m in &distinct {
+            hist[bit_len(m)] += 1;
+        }
+        assert_eq!(
+            bulk_width(&hist, distinct.len(), window_bits(distinct.len())),
+            (8, 3),
+            "the outliers must split off the merged list"
+        );
+        assert_pools_match_jacobian(&pts, &small, "zeros and outliers");
+
+        // Five distinct scalars on 300 rows: the merge leaves the naive sum.
+        let few: Vec<Fr> = (0..n).map(|i| uniform[i % 5]).collect();
+        assert_pools_match_jacobian(&pts, &few, "below the naive cutoff");
+        let few_signed: Vec<Fr> = (0..n)
+            .map(|i| if i % 3 == 0 { -few[i] } else { few[i] })
+            .collect();
+        assert_pools_match_jacobian(&pts, &few_signed, "below the naive cutoff, signed");
+
+        // Equal low limbs, different magnitudes: a + 2^64 b for three b.
+        let two64 = Fr::from_u64(1 << 32) * Fr::from_u64(1 << 32);
+        let low = Fr::from_u64(0x1234_5678_9abc_def0);
+        let shared: Vec<Fr> = (0..n)
+            .map(|i| match i % 4 {
+                3 => uniform[i],
+                b => low + two64 * Fr::from_u64(b as u64 + 1),
+            })
+            .collect();
+        assert_pools_match_jacobian(&pts, &shared, "shared low limb");
     }
 
     #[test]
@@ -1170,11 +1386,7 @@ mod tests {
                 acc
             })
             .collect();
-        let want = msm_jacobian(&pts, &scalars);
-        for threads in [1, 2, 3] {
-            let got = zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(&pts, &scalars));
-            assert_eq!(got, want, "threads={threads}");
-        }
+        assert_pools_match_jacobian(&pts, &scalars, "window 2 collides");
     }
 
     /// A 13-bit column with a few full-width outliers (blinding rows): one

@@ -396,6 +396,12 @@ pub fn create_proof_committed(
         proof.g1(&com);
         lookup_z_polys.push(Coeffs::new(z));
     }
+    // The row vectors are dead from here on: release them before the
+    // quotient's coset extensions, which are the proof's memory peak.
+    drop(instance);
+    drop(advice_values);
+    let (lookup_a_polys, lookup_s_polys): (Vec<Coeffs<Fr>>, Vec<Coeffs<Fr>>) =
+        lookups.into_iter().map(|w| (w.a_poly, w.s_poly)).unzip();
 
     let y: Fr = transcript.challenge(b"y");
 
@@ -411,9 +417,9 @@ pub fn create_proof_committed(
     let perm_z_ext: Vec<Vec<Fr>> =
         zkml_par::par_map(perm_z_polys.len(), |i| poly_to_ext(&perm_z_polys[i]));
     let lookup_a_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(lookups.len(), |i| poly_to_ext(&lookups[i].a_poly));
+        zkml_par::par_map(lookup_a_polys.len(), |i| poly_to_ext(&lookup_a_polys[i]));
     let lookup_s_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(lookups.len(), |i| poly_to_ext(&lookups[i].s_poly));
+        zkml_par::par_map(lookup_s_polys.len(), |i| poly_to_ext(&lookup_s_polys[i]));
     let lookup_z_ext: Vec<Vec<Fr>> =
         zkml_par::par_map(lookup_z_polys.len(), |i| poly_to_ext(&lookup_z_polys[i]));
 
@@ -580,8 +586,8 @@ pub fn create_proof_committed(
             PolyId::Committed(i) => &weights.polys[i],
             PolyId::Sigma(i) => &pk.sigma_polys[i],
             PolyId::PermZ(i) => &perm_z_polys[i],
-            PolyId::LookupA(i) => &lookups[i].a_poly,
-            PolyId::LookupS(i) => &lookups[i].s_poly,
+            PolyId::LookupA(i) => &lookup_a_polys[i],
+            PolyId::LookupS(i) => &lookup_s_polys[i],
             PolyId::LookupZ(i) => &lookup_z_polys[i],
             PolyId::Quotient(i) => &quotient_polys[i],
         }

@@ -137,10 +137,11 @@ expect_verify_exit 1 --dir "$SEG_TMP/default" --model "$DIGEST"
 cargo test -p zkml-service --test commitment -q -- --ignored --test-threads=1
 
 echo "==> perf smoke (kernel + 4-thread ratios at small k vs PERF_THRESHOLDS.json)"
-# Gates the serial jacobian/batch-affine MSM ratio, the small-over-uniform
-# MSM ratio, the verify-over-MSM ratio and the 4-thread/1-thread MSM and FFT
-# ratios. Thresholds are hardware-stamped: on a machine with a different
-# core count the parallel gates auto-skip; re-baseline with
+# Gates the serial jacobian/batch-affine MSM ratio, the small-over-uniform and
+# grand-product-over-uniform MSM ratios, the verify-over-Jacobian-MSM ratio
+# and the 4-thread/1-thread MSM and FFT ratios. Thresholds are
+# hardware-stamped: on a machine with a different core count the parallel
+# gates auto-skip; re-baseline with
 # ZKML_PERF_RECORD=1 cargo run --release -p zkml-bench --bin perf_smoke
 cargo run --release -q -p zkml-bench --bin perf_smoke
 
