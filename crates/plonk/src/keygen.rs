@@ -3,6 +3,7 @@
 
 use crate::circuit::{CellRef, ConstraintSystem, Preprocessed};
 use crate::expression::Column;
+use crate::protocol::delta_powers;
 use crate::PlonkError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use zkml_curves::G1Affine;
@@ -96,9 +97,8 @@ impl ExtendedDomain {
     /// Rotation indexing on the extended coset: `rot` base-domain steps.
     #[inline]
     pub fn rotated_index(&self, i: usize, rot: i32) -> usize {
-        let n = self.ext.n as i64;
-        let idx = i as i64 + rot as i64 * self.factor as i64;
-        idx.rem_euclid(n) as usize
+        // `ext.n` is a power of two, so masking the wrapped sum reduces it.
+        i.wrapping_add_signed(rot as isize * self.factor as isize) & (self.ext.n - 1)
     }
 }
 
@@ -466,13 +466,7 @@ pub fn keygen(
         || {
             let mapping = build_permutation(cs, &pre.copies, n)?;
             let omega_powers: Vec<Fr> = domains.domain.elements();
-            let delta = Fr::delta();
-            let mut delta_powers = Vec::with_capacity(cs.permutation_columns.len());
-            let mut cur = Fr::one();
-            for _ in 0..cs.permutation_columns.len() {
-                delta_powers.push(cur);
-                cur *= delta;
-            }
+            let delta_powers = delta_powers(cs.permutation_columns.len());
             let sigma_values: Vec<Vec<Fr>> = zkml_par::par_map(mapping.len(), |m| {
                 mapping[m]
                     .iter()

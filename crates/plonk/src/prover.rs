@@ -1,9 +1,9 @@
 //! Proof creation.
 
 use crate::circuit::WitnessSource;
-use crate::expression::{Column, Expression};
+use crate::expression::Column;
 use crate::keygen::{CommittedWeights, ProvingKey};
-use crate::protocol::{opening_plan, PolyId};
+use crate::protocol::{compress, opening_plan, Argument, Challenges, Lagrange, Point, PolyId};
 use crate::PlonkError;
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -48,17 +48,58 @@ fn scan_products(seed: Fr, factors: &[Fr], out: &mut [Fr]) {
     });
 }
 
-/// Evaluates an expression on row `i` against value tables (wrapping rows).
-fn eval_on_row(
-    e: &Expression,
-    i: usize,
-    n: usize,
-    instance: &[Vec<Fr>],
-    advice: &[Vec<Fr>],
-    fixed: &[Vec<Fr>],
-    challenges: &[Fr],
-) -> Fr {
-    e.evaluate_on_grid(i, n, instance, advice, fixed, challenges)
+/// Overwrites the blinding rows with fresh randomness.
+fn blind(rows: &mut [Fr], rng: &mut impl RngCore) {
+    for v in rows {
+        *v = Fr::random(&mut *rng);
+    }
+}
+
+/// The quotient's tables on the extended coset.
+struct Coset<'a> {
+    pk: &'a ProvingKey,
+    weights: &'a CommittedWeights,
+    instance: Vec<Vec<Fr>>,
+    advice: Vec<Vec<Fr>>,
+    perm_z: Vec<Vec<Fr>>,
+    lookup_a: Vec<Vec<Fr>>,
+    lookup_s: Vec<Vec<Fr>>,
+    lookup_z: Vec<Vec<Fr>>,
+    /// The coset points themselves.
+    x: Vec<Fr>,
+}
+
+/// Point `i` of the extended coset.
+impl Point for (&Coset<'_>, usize) {
+    fn poly(&self, id: PolyId, rotation: i32) -> Fr {
+        let (t, i) = *self;
+        let values = match id {
+            PolyId::Advice(c) => &t.advice[c],
+            PolyId::Fixed(c) => &t.pk.fixed_ext[c],
+            PolyId::Committed(c) => &t.weights.ext[c],
+            PolyId::Sigma(c) => &t.pk.sigma_ext[c],
+            PolyId::PermZ(c) => &t.perm_z[c],
+            PolyId::LookupA(c) => &t.lookup_a[c],
+            PolyId::LookupS(c) => &t.lookup_s[c],
+            PolyId::LookupZ(c) => &t.lookup_z[c],
+            PolyId::Quotient(_) => unreachable!("no identity reads the quotient"),
+        };
+        values[t.pk.domains.rotated_index(i, rotation)]
+    }
+
+    fn instance(&self, column: usize, rotation: i32) -> Fr {
+        let (t, i) = *self;
+        t.instance[column][t.pk.domains.rotated_index(i, rotation)]
+    }
+
+    fn lagrange(&self, which: Lagrange) -> Fr {
+        let (t, i) = *self;
+        [&t.pk.l0_ext, &t.pk.l_last_ext, &t.pk.l_active_ext][which as usize][i]
+    }
+
+    fn x(&self) -> Fr {
+        self.0.x[self.1]
+    }
 }
 
 /// Creates a proof — the one prover — optionally bound to a context string
@@ -137,11 +178,13 @@ pub fn create_proof_committed(
         }
         transcript.absorb(b"instance", &bytes);
     }
-    let instance_polys: Vec<Coeffs<Fr>> = zkml_par::par_map(instance.len(), |c| {
-        let mut v = instance[c].clone();
-        domain.ifft(&mut v);
-        Coeffs::new(v)
-    });
+    let interpolate = |values: &[Fr]| {
+        let mut coeffs = values.to_vec();
+        domain.ifft(&mut coeffs);
+        Coeffs::new(coeffs)
+    };
+    let instance_polys: Vec<Coeffs<Fr>> =
+        zkml_par::par_map(instance.len(), |c| interpolate(&instance[c]));
 
     // --- Advice columns (two phases) --------------------------------------
     let mut advice_values: Vec<Option<Vec<Fr>>> = vec![None; cs.num_advice];
@@ -163,9 +206,7 @@ pub fn create_proof_committed(
                 )));
             }
             vals.resize(n, Fr::zero());
-            for v in vals[usable + 1..].iter_mut() {
-                *v = Fr::random(rng);
-            }
+            blind(&mut vals[usable + 1..], rng);
             advice_values[idx] = Some(vals);
         }
         // Commit this phase's columns in column order.
@@ -180,12 +221,9 @@ pub fn create_proof_committed(
             // witness values are small fixed-point integers, and the MSM is
             // charged for their width.
             let com = params.commit_lagrange(vals);
-            let mut coeffs = vals.clone();
-            domain.ifft(&mut coeffs);
-            let poly = Coeffs::new(coeffs);
             transcript.absorb(b"advice", &com.to_bytes());
             proof.g1(&com);
-            advice_polys[c] = Some(poly);
+            advice_polys[c] = Some(interpolate(vals));
         }
         if phase == 0 {
             for _ in 0..cs.num_challenges {
@@ -204,23 +242,17 @@ pub fn create_proof_committed(
 
     // --- Lookup permuted columns ------------------------------------------
     let theta: Fr = transcript.challenge(b"theta");
-
-    let compress = |exprs: &[Expression], i: usize| -> Fr {
-        let mut acc = Fr::zero();
-        let mut t = Fr::one();
-        for e in exprs {
-            acc += t * eval_on_row(
-                e,
+    let compress_rows = |exprs, i| {
+        compress(exprs, theta, |e| {
+            e.evaluate_on_grid(
                 i,
                 n,
                 &instance,
                 &advice_values,
                 &pk.fixed_values,
                 &challenges,
-            );
-            t *= theta;
-        }
-        acc
+            )
+        })
     };
 
     struct LookupWitness {
@@ -228,14 +260,12 @@ pub fn create_proof_committed(
         t_compressed: Vec<Fr>,
         a_permuted: Vec<Fr>,
         s_permuted: Vec<Fr>,
-        a_poly: Coeffs<Fr>,
-        s_poly: Coeffs<Fr>,
     }
 
     let mut lookups = Vec::with_capacity(cs.lookups.len());
     for lk in &cs.lookups {
-        let a_compressed: Vec<Fr> = zkml_par::par_map(n, |i| compress(&lk.inputs, i));
-        let t_compressed: Vec<Fr> = zkml_par::par_map(n, |i| compress(&lk.table, i));
+        let a_compressed: Vec<Fr> = zkml_par::par_map(n, |i| compress_rows(&lk.inputs, i));
+        let t_compressed: Vec<Fr> = zkml_par::par_map(n, |i| compress_rows(&lk.table, i));
 
         // Sort the active-row inputs; lay the table out so each first
         // occurrence matches, filling repeats with leftover table values.
@@ -254,41 +284,27 @@ pub fn create_proof_committed(
                         lk.name
                     ))
                 })?;
+                // Each distinct input takes one copy; the rest are leftovers.
                 *cnt -= 1;
-                if *cnt == 0 {
-                    t_counts.remove(&a_sorted[i]);
-                }
                 s_permuted[i] = Some(a_sorted[i]);
             }
         }
         let mut leftovers = t_counts
             .into_iter()
             .flat_map(|(v, c)| std::iter::repeat_n(v, c));
-        let s_permuted: Vec<Fr> = s_permuted
+        let mut s_permuted: Vec<Fr> = s_permuted
             .into_iter()
             .map(|slot| {
                 slot.unwrap_or_else(|| leftovers.next().expect("table and input row counts match"))
             })
             .collect();
 
-        let mut a_full = a_sorted.clone();
-        a_full.resize(n, Fr::zero());
-        let mut s_full = s_permuted.clone();
-        s_full.resize(n, Fr::zero());
-        for v in a_full[usable..].iter_mut() {
-            *v = Fr::random(rng);
-        }
-        for v in s_full[usable..].iter_mut() {
-            *v = Fr::random(rng);
-        }
-        let mut a_coeffs = a_full.clone();
-        domain.ifft(&mut a_coeffs);
-        let a_poly = Coeffs::new(a_coeffs);
-        let mut s_coeffs = s_full.clone();
-        domain.ifft(&mut s_coeffs);
-        let s_poly = Coeffs::new(s_coeffs);
-        let a_com = params.commit_lagrange(&a_full);
-        let s_com = params.commit_lagrange(&s_full);
+        a_sorted.resize(n, Fr::zero());
+        s_permuted.resize(n, Fr::zero());
+        blind(&mut a_sorted[usable..], rng);
+        blind(&mut s_permuted[usable..], rng);
+        let a_com = params.commit_lagrange(&a_sorted);
+        let s_com = params.commit_lagrange(&s_permuted);
         transcript.absorb(b"lookup-a", &a_com.to_bytes());
         transcript.absorb(b"lookup-s", &s_com.to_bytes());
         proof.g1(&a_com);
@@ -296,15 +312,20 @@ pub fn create_proof_committed(
         lookups.push(LookupWitness {
             a_compressed,
             t_compressed,
-            a_permuted: a_full,
-            s_permuted: s_full,
-            a_poly,
-            s_poly,
+            a_permuted: a_sorted,
+            s_permuted,
         });
     }
 
     let beta: Fr = transcript.challenge(b"beta");
     let gamma: Fr = transcript.challenge(b"gamma");
+    let ch = Challenges {
+        phase: &challenges,
+        theta,
+        beta,
+        gamma,
+    };
+    let argument = Argument::new(cs, usable);
 
     // --- Permutation grand products ----------------------------------------
     let perm_col_value = |col: Column, i: usize| -> Fr {
@@ -316,32 +337,17 @@ pub fn create_proof_committed(
         }
     };
     let omega_powers = domain.elements();
-    let delta = Fr::delta();
-    let mut delta_powers = Vec::with_capacity(cs.permutation_columns.len());
-    {
-        let mut cur = Fr::one();
-        for _ in 0..cs.permutation_columns.len() {
-            delta_powers.push(cur);
-            cur *= delta;
-        }
-    }
-    let chunk_size = cs.permutation_chunk();
-    let mut perm_z_values: Vec<Vec<Fr>> = Vec::new();
     let mut perm_z_polys: Vec<Coeffs<Fr>> = Vec::new();
     let mut carry = Fr::one();
-    for (chunk_idx, cols) in cs.permutation_columns.chunks(chunk_size).enumerate() {
-        let base = chunk_idx * chunk_size;
-        // Each row's numerator/denominator multiplies column terms in the
-        // same (ascending `j`) order as the serial loop, so the products are
-        // bit-identical.
-        let mut nd: Vec<(Fr, Fr)> = vec![(Fr::one(), Fr::one()); usable];
-        zkml_par::par_for_each_mut(&mut nd, |i, pair| {
-            for (j, col) in cols.iter().enumerate() {
-                let global = base + j;
-                let v = perm_col_value(*col, i);
-                pair.0 *= v + beta * delta_powers[global] * omega_powers[i] + gamma;
-                pair.1 *= v + beta * pk.sigma_values[global][i] + gamma;
-            }
+    for chunk in 0..cs.permutation_z_count() {
+        let nd: Vec<(Fr, Fr)> = zkml_par::par_map(usable, |i| {
+            argument.permutation_factors(
+                chunk,
+                &ch,
+                omega_powers[i],
+                |col| perm_col_value(col, i),
+                |j| pk.sigma_values[j][i],
+            )
         });
         let (num, mut den): (Vec<Fr>, Vec<Fr>) = nd.into_iter().unzip();
         // Chunked batch inversion: every element's inverse is exact, so the
@@ -351,33 +357,28 @@ pub fn create_proof_committed(
         let mut z = vec![Fr::zero(); n];
         scan_products(carry, &factors, &mut z);
         carry = z[usable];
-        for v in z[usable + 1..].iter_mut() {
-            *v = Fr::random(rng);
-        }
-        perm_z_values.push(z);
-    }
-    if !cs.permutation_columns.is_empty() && carry != Fr::one() {
-        return Err(PlonkError::Synthesis(
-            "copy constraints unsatisfied (permutation product != 1)".into(),
-        ));
-    }
-    for mut z in perm_z_values {
+        blind(&mut z[usable + 1..], rng);
         let com = params.commit_lagrange(&z);
         domain.ifft(&mut z);
         transcript.absorb(b"perm-z", &com.to_bytes());
         proof.g1(&com);
         perm_z_polys.push(Coeffs::new(z));
     }
+    if carry != Fr::one() {
+        return Err(PlonkError::Synthesis(
+            "copy constraints unsatisfied (permutation product != 1)".into(),
+        ));
+    }
 
     // --- Lookup grand products ---------------------------------------------
     let mut lookup_z_polys: Vec<Coeffs<Fr>> = Vec::new();
     for (lk, w) in cs.lookups.iter().zip(&lookups) {
         let mut den: Vec<Fr> = zkml_par::par_map(usable, |i| {
-            (w.a_permuted[i] + beta) * (w.s_permuted[i] + gamma)
+            ch.lookup_factor(w.a_permuted[i], w.s_permuted[i])
         });
         zkml_par::par_chunks_mut(&mut den, ROW_CHUNK, |_, _, chunk| batch_invert(chunk));
         let factors: Vec<Fr> = zkml_par::par_map(usable, |i| {
-            (w.a_compressed[i] + beta) * (w.t_compressed[i] + gamma) * den[i]
+            ch.lookup_factor(w.a_compressed[i], w.t_compressed[i]) * den[i]
         });
         let mut z = vec![Fr::zero(); n];
         scan_products(Fr::one(), &factors, &mut z);
@@ -387,9 +388,7 @@ pub fn create_proof_committed(
                 lk.name
             )));
         }
-        for v in z[usable + 1..].iter_mut() {
-            *v = Fr::random(rng);
-        }
+        blind(&mut z[usable + 1..], rng);
         let com = params.commit_lagrange(&z);
         domain.ifft(&mut z);
         transcript.absorb(b"lookup-z", &com.to_bytes());
@@ -400,160 +399,39 @@ pub fn create_proof_committed(
     // quotient's coset extensions, which are the proof's memory peak.
     drop(instance);
     drop(advice_values);
-    let (lookup_a_polys, lookup_s_polys): (Vec<Coeffs<Fr>>, Vec<Coeffs<Fr>>) =
-        lookups.into_iter().map(|w| (w.a_poly, w.s_poly)).unzip();
+    let (lookup_a_polys, lookup_s_polys): (Vec<Coeffs<Fr>>, Vec<Coeffs<Fr>>) = lookups
+        .into_iter()
+        .map(|w| (interpolate(&w.a_permuted), interpolate(&w.s_permuted)))
+        .unzip();
 
     let y: Fr = transcript.challenge(b"y");
 
     // --- Quotient ----------------------------------------------------------
     let ext = &pk.domains;
     let ext_n = ext.ext.n;
-    let poly_to_ext = |p: &Coeffs<Fr>| ext.coset_ext(p.values.clone());
-
-    let instance_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(instance_polys.len(), |i| poly_to_ext(&instance_polys[i]));
-    let advice_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(advice_polys.len(), |i| poly_to_ext(&advice_polys[i]));
-    let perm_z_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(perm_z_polys.len(), |i| poly_to_ext(&perm_z_polys[i]));
-    let lookup_a_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(lookup_a_polys.len(), |i| poly_to_ext(&lookup_a_polys[i]));
-    let lookup_s_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(lookup_s_polys.len(), |i| poly_to_ext(&lookup_s_polys[i]));
-    let lookup_z_ext: Vec<Vec<Fr>> =
-        zkml_par::par_map(lookup_z_polys.len(), |i| poly_to_ext(&lookup_z_polys[i]));
-
-    // Compressed lookup input/table on the extended coset.
-    let eval_expr_ext = |e: &Expression, i: usize| -> Fr {
-        e.evaluate(
-            &|c| c,
-            &|c, r| instance_ext[c][ext.rotated_index(i, r.0)],
-            &|c, r| advice_ext[c][ext.rotated_index(i, r.0)],
-            &|c, r| pk.fixed_ext[c][ext.rotated_index(i, r.0)],
-            &|c| challenges[c],
-        )
+    let to_ext = |polys: &[Coeffs<Fr>]| {
+        zkml_par::par_map(polys.len(), |i| ext.coset_ext(polys[i].values.clone()))
     };
-    let compress_ext = |exprs: &[Expression], i: usize| -> Fr {
-        let mut acc = Fr::zero();
-        let mut t = Fr::one();
-        for e in exprs {
-            acc += t * eval_expr_ext(e, i);
-            t *= theta;
-        }
-        acc
+    let omega_ext = ext.ext.elements();
+    let coset = Coset {
+        pk,
+        weights,
+        instance: to_ext(&instance_polys),
+        advice: to_ext(&advice_polys),
+        perm_z: to_ext(&perm_z_polys),
+        lookup_a: to_ext(&lookup_a_polys),
+        lookup_s: to_ext(&lookup_s_polys),
+        lookup_z: to_ext(&lookup_z_polys),
+        x: zkml_par::par_map(ext_n, |i| ext.ext.coset_gen * omega_ext[i]),
     };
-
-    // Coset point values for the permutation "identity" side.
-    let mut coset_points = vec![Fr::zero(); ext_n];
-    zkml_par::par_chunks_mut(&mut coset_points, ROW_CHUNK, |_, start, chunk| {
-        let mut cur = ext.ext.coset_gen * ext.ext.omega.pow(&[start as u64]);
-        for slot in chunk.iter_mut() {
-            *slot = cur;
-            cur *= ext.ext.omega;
-        }
-    });
 
     let mut combined = vec![Fr::zero(); ext_n];
-    let add_term = |term: &(dyn Fn(usize) -> Fr + Sync), combined: &mut Vec<Fr>| {
-        zkml_par::par_for_each_mut(combined, |i, c| {
-            *c = *c * y + term(i);
+    for term in argument.terms() {
+        zkml_par::par_for_each_mut(&mut combined, |i, c| {
+            *c = *c * y + argument.evaluate(term, &(&coset, i), &ch);
         });
-    };
-
-    // 1. Gates.
-    for gate in &cs.gates {
-        for poly in &gate.polys {
-            add_term(&|i| eval_expr_ext(poly, i), &mut combined);
-        }
     }
-    // 2. Permutation.
-    let z_count = perm_z_ext.len();
-    if z_count > 0 {
-        add_term(
-            &|i| pk.l0_ext[i] * (Fr::one() - perm_z_ext[0][i]),
-            &mut combined,
-        );
-        add_term(
-            &|i| {
-                let z = perm_z_ext[z_count - 1][i];
-                pk.l_last_ext[i] * (z.square() - z)
-            },
-            &mut combined,
-        );
-        for c in 1..z_count {
-            add_term(
-                &|i| {
-                    pk.l0_ext[i]
-                        * (perm_z_ext[c][i]
-                            - perm_z_ext[c - 1][ext.rotated_index(i, usable as i32)])
-                },
-                &mut combined,
-            );
-        }
-        for (chunk_idx, cols) in cs.permutation_columns.chunks(chunk_size).enumerate() {
-            let base = chunk_idx * chunk_size;
-            add_term(
-                &|i| {
-                    let mut left = perm_z_ext[chunk_idx][ext.rotated_index(i, 1)];
-                    let mut right = perm_z_ext[chunk_idx][i];
-                    for (j, col) in cols.iter().enumerate() {
-                        let global = base + j;
-                        let v = match col {
-                            Column::Instance(c) => instance_ext[*c][i],
-                            Column::Advice(c) => advice_ext[*c][i],
-                            Column::Fixed(c) => pk.fixed_ext[*c][i],
-                            Column::Committed(c) => weights.ext[*c][i],
-                        };
-                        left *= v + beta * pk.sigma_ext[global][i] + gamma;
-                        right *= v + beta * delta_powers[global] * coset_points[i] + gamma;
-                    }
-                    pk.l_active_ext[i] * (left - right)
-                },
-                &mut combined,
-            );
-        }
-    }
-    // 3. Lookups.
-    for (lk_idx, lk) in cs.lookups.iter().enumerate() {
-        add_term(
-            &|i| pk.l0_ext[i] * (Fr::one() - lookup_z_ext[lk_idx][i]),
-            &mut combined,
-        );
-        add_term(
-            &|i| {
-                let z = lookup_z_ext[lk_idx][i];
-                pk.l_last_ext[i] * (z.square() - z)
-            },
-            &mut combined,
-        );
-        add_term(
-            &|i| {
-                let z_next = lookup_z_ext[lk_idx][ext.rotated_index(i, 1)];
-                let z = lookup_z_ext[lk_idx][i];
-                let a = compress_ext(&lk.inputs, i);
-                let t = compress_ext(&lk.table, i);
-                pk.l_active_ext[i]
-                    * (z_next
-                        * (lookup_a_ext[lk_idx][i] + beta)
-                        * (lookup_s_ext[lk_idx][i] + gamma)
-                        - z * (a + beta) * (t + gamma))
-            },
-            &mut combined,
-        );
-        add_term(
-            &|i| pk.l0_ext[i] * (lookup_a_ext[lk_idx][i] - lookup_s_ext[lk_idx][i]),
-            &mut combined,
-        );
-        add_term(
-            &|i| {
-                let a = lookup_a_ext[lk_idx][i];
-                pk.l_active_ext[i]
-                    * (a - lookup_s_ext[lk_idx][i])
-                    * (a - lookup_a_ext[lk_idx][ext.rotated_index(i, -1)])
-            },
-            &mut combined,
-        );
-    }
+    drop(coset);
 
     // Divide by the vanishing polynomial and interpolate.
     zkml_par::par_chunks_mut(&mut combined, ROW_CHUNK, |_, start, chunk| {
@@ -562,13 +440,9 @@ pub fn create_proof_committed(
         }
     });
     ext.ext.coset_ifft(&mut combined);
-    let pieces: Vec<Coeffs<Fr>> = combined
-        .chunks(n)
-        .map(|ch| Coeffs::new(ch.to_vec()))
-        .collect();
-    debug_assert_eq!(pieces.len(), ext.factor);
-    let mut quotient_polys = Vec::with_capacity(pieces.len());
-    for piece in pieces {
+    let mut quotient_polys = Vec::with_capacity(ext.factor);
+    for piece in combined.chunks(n) {
+        let piece = Coeffs::new(piece.to_vec());
         let com = params.commit(&piece);
         transcript.absorb(b"quotient", &com.to_bytes());
         proof.g1(&com);
@@ -599,18 +473,16 @@ pub fn create_proof_committed(
         let point = domain.rotate(x, entry.rotation);
         (point, poly_for(entry.poly).evaluate(point))
     });
-    let mut eval_points = Vec::with_capacity(plan.len());
-    for (point, eval) in &evals {
+    for (_, eval) in &evals {
         transcript.absorb_scalar(b"eval", eval);
         proof.scalar(eval);
-        eval_points.push(*point);
     }
 
     // --- Multi-open -----------------------------------------------------------
     let queries: Vec<(&Coeffs<Fr>, Fr)> = plan
         .iter()
-        .zip(&eval_points)
-        .map(|(entry, point)| (poly_for(entry.poly), *point))
+        .zip(&evals)
+        .map(|(entry, (point, _))| (poly_for(entry.poly), *point))
         .collect();
     let opening = params.open(&mut transcript, &queries);
     proof.bytes(&opening);

@@ -1,14 +1,53 @@
 //! Proof verification.
 
-use crate::expression::{Column, Expression, Rotation};
 use crate::keygen::{VerifyingKey, WeightCommitment};
-use crate::protocol::{opening_plan, PolyId};
+use crate::protocol::{opening_plan, Argument, Challenges, Lagrange, PlanEntry, Point, PolyId};
 use crate::PlonkError;
 use zkml_curves::G1Affine;
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Params, Reader, Verification};
-use zkml_poly::{Coeffs, EvaluationDomain};
+use zkml_poly::EvaluationDomain;
 use zkml_transcript::Transcript;
+
+/// The challenge `x`, seen through the proof's opened evaluations.
+struct Opened<'a> {
+    plan: &'a [PlanEntry],
+    evals: &'a [Fr],
+    /// The public inputs, unpadded.
+    instance: &'a [Vec<Fr>],
+    x: Fr,
+    /// `L_i(x)` for every row `i`.
+    lagrange: Vec<Fr>,
+    /// `l_0`, `l_last` and `l_active` at `x`.
+    selectors: [Fr; 3],
+}
+
+impl Point for Opened<'_> {
+    fn poly(&self, id: PolyId, rotation: i32) -> Fr {
+        self.plan
+            .iter()
+            .zip(self.evals)
+            .find(|(entry, _)| entry.poly == id && entry.rotation == rotation)
+            .map(|(_, e)| *e)
+            .unwrap_or_else(|| panic!("the opening plan has no {id:?} at rotation {rotation}"))
+    }
+
+    /// `Σ_i v_i·L_i(x·ω^r)`, where `L_i(x·ω^r) = L_{i−r}(x)`.
+    fn instance(&self, column: usize, rotation: i32) -> Fr {
+        let n = self.lagrange.len() as i64;
+        let row = |i: usize| (i as i64 - rotation as i64).rem_euclid(n) as usize;
+        let column = self.instance[column].iter().enumerate();
+        column.map(|(i, v)| *v * self.lagrange[row(i)]).sum()
+    }
+
+    fn lagrange(&self, which: Lagrange) -> Fr {
+        self.selectors[which as usize]
+    }
+
+    fn x(&self) -> Fr {
+        self.x
+    }
+}
 
 /// Verifies a proof to completion — the one complete check of a single
 /// proof, and the one to call unless the proof is part of a batch.
@@ -101,8 +140,7 @@ pub fn verify_proof_committed(
     let domain = EvaluationDomain::<Fr>::new(vk.k);
     let n = domain.n;
     let usable = cs.usable_rows(n);
-    let degree = cs.degree();
-    let factor = (degree - 1).next_power_of_two();
+    let factor = (cs.degree() - 1).next_power_of_two();
 
     if instance.len() != cs.num_instance {
         return Err(PlonkError::Verify(format!(
@@ -120,37 +158,37 @@ pub fn verify_proof_committed(
     if !binding.is_empty() {
         transcript.absorb(b"bind", binding);
     }
-    let mut instance_padded: Vec<Vec<Fr>> = Vec::with_capacity(instance.len());
     for col in instance {
         if col.len() > usable {
             return Err(PlonkError::Verify(
                 "instance column exceeds usable rows".into(),
             ));
         }
-        let mut v = col.clone();
-        v.resize(n, Fr::zero());
-        let mut bytes = Vec::with_capacity(v.len() * 32);
-        for x in &v {
-            bytes.extend_from_slice(&x.to_bytes());
+        let mut bytes = Vec::with_capacity(n * 32);
+        for v in col {
+            bytes.extend_from_slice(&v.to_bytes());
         }
+        // The prover pads each column with zeros to `n` rows.
+        bytes.resize(n * 32, 0);
         transcript.absorb(b"instance", &bytes);
-        instance_padded.push(v);
     }
 
     let mut r = Reader::new(proof);
 
     // --- Commitments, mirroring the prover's transcript schedule ---------
+    let mut read = |transcript: &mut Transcript, label| -> Result<G1Affine, PlonkError> {
+        let com = r.g1()?;
+        transcript.absorb(label, &com.to_bytes());
+        Ok(com)
+    };
     let mut advice_commitments: Vec<Option<G1Affine>> = vec![None; cs.num_advice];
     let mut challenges: Vec<Fr> = Vec::new();
     let phases: &[u8] = if cs.num_challenges > 0 { &[0, 1] } else { &[0] };
     for &phase in phases {
         for (c, slot) in advice_commitments.iter_mut().enumerate() {
-            if cs.advice_phase[c] != phase {
-                continue;
+            if cs.advice_phase[c] == phase {
+                *slot = Some(read(&mut transcript, b"advice")?);
             }
-            let com = r.g1()?;
-            transcript.absorb(b"advice", &com.to_bytes());
-            *slot = Some(com);
         }
         if phase == 0 {
             for _ in 0..cs.num_challenges {
@@ -164,43 +202,24 @@ pub fn verify_proof_committed(
         .expect("all advice commitments read");
 
     let theta: Fr = transcript.challenge(b"theta");
-
-    let mut lookup_a = Vec::with_capacity(cs.lookups.len());
-    let mut lookup_s = Vec::with_capacity(cs.lookups.len());
+    let (mut lookup_a, mut lookup_s) = (Vec::new(), Vec::new());
     for _ in &cs.lookups {
-        let a = r.g1()?;
-        let s = r.g1()?;
-        transcript.absorb(b"lookup-a", &a.to_bytes());
-        transcript.absorb(b"lookup-s", &s.to_bytes());
-        lookup_a.push(a);
-        lookup_s.push(s);
+        lookup_a.push(read(&mut transcript, b"lookup-a")?);
+        lookup_s.push(read(&mut transcript, b"lookup-s")?);
     }
 
     let beta: Fr = transcript.challenge(b"beta");
     let gamma: Fr = transcript.challenge(b"gamma");
-
-    let z_count = cs.permutation_z_count();
-    let mut perm_z = Vec::with_capacity(z_count);
-    for _ in 0..z_count {
-        let z = r.g1()?;
-        transcript.absorb(b"perm-z", &z.to_bytes());
-        perm_z.push(z);
-    }
-    let mut lookup_z = Vec::with_capacity(cs.lookups.len());
-    for _ in &cs.lookups {
-        let z = r.g1()?;
-        transcript.absorb(b"lookup-z", &z.to_bytes());
-        lookup_z.push(z);
-    }
+    let mut read_all = |transcript: &mut Transcript, label, count| {
+        (0..count)
+            .map(|_| read(transcript, label))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let perm_z = read_all(&mut transcript, b"perm-z", cs.permutation_z_count())?;
+    let lookup_z = read_all(&mut transcript, b"lookup-z", cs.lookups.len())?;
 
     let y: Fr = transcript.challenge(b"y");
-
-    let mut quotient = Vec::with_capacity(factor);
-    for _ in 0..factor {
-        let q = r.g1()?;
-        transcript.absorb(b"quotient", &q.to_bytes());
-        quotient.push(q);
-    }
+    let quotient = read_all(&mut transcript, b"quotient", factor)?;
 
     let x: Fr = transcript.challenge(b"x");
 
@@ -213,137 +232,32 @@ pub fn verify_proof_committed(
         evals.push(e);
     }
 
-    let find_eval = |id: PolyId, rot: i32| -> Fr {
-        plan.iter()
-            .zip(&evals)
-            .find(|(entry, _)| entry.poly == id && entry.rotation == rot)
-            .map(|(_, e)| *e)
-            .unwrap_or_else(|| panic!("missing eval for {id:?} rot {rot}"))
-    };
-
-    // Instance evaluations are computed directly from the public inputs.
-    let instance_polys: Vec<Coeffs<Fr>> = instance_padded
-        .iter()
-        .map(|v| {
-            let mut c = v.clone();
-            domain.ifft(&mut c);
-            Coeffs::new(c)
-        })
-        .collect();
-    let instance_eval =
-        |c: usize, rot: i32| -> Fr { instance_polys[c].evaluate(domain.rotate(x, rot)) };
-
-    let column_eval = |col: Column, rot: Rotation| -> Fr {
-        match col {
-            Column::Advice(c) => find_eval(PolyId::Advice(c), rot.0),
-            Column::Fixed(c) => find_eval(PolyId::Fixed(c), rot.0),
-            Column::Committed(c) => find_eval(PolyId::Committed(c), rot.0),
-            Column::Instance(c) => instance_eval(c, rot.0),
-        }
-    };
-
-    let eval_expr = |e: &Expression| -> Fr {
-        e.evaluate(
-            &|c| c,
-            &|c, rot| column_eval(Column::Instance(c), rot),
-            &|c, rot| column_eval(Column::Advice(c), rot),
-            &|c, rot| column_eval(Column::Fixed(c), rot),
-            &|c| challenges[c],
-        )
-    };
-    let compress = |exprs: &[Expression]| -> Fr {
-        let mut acc = Fr::zero();
-        let mut t = Fr::one();
-        for e in exprs {
-            acc += t * eval_expr(e);
-            t *= theta;
-        }
-        acc
-    };
-
-    // Lagrange selector evaluations at x.
     let lagrange = domain.lagrange_evals(x);
-    let l0_x = lagrange[0];
-    let l_last_x = lagrange[usable];
-    let l_blind_x: Fr = lagrange[usable + 1..].iter().copied().sum();
-    let l_active_x = Fr::one() - l_last_x - l_blind_x;
-
-    // --- Recompute the combined constraint value at x ----------------------
-    let mut combined = Fr::zero();
-    let add_term = |term: Fr, combined: &mut Fr| {
-        *combined = *combined * y + term;
+    // `l_active = 1 − l_last − l_blind`, and the rows from `l_last` on are
+    // the last row and the blinding rows.
+    let l_active = Fr::one() - lagrange[usable..].iter().copied().sum::<Fr>();
+    let opened = Opened {
+        plan: &plan,
+        evals: &evals,
+        instance,
+        x,
+        selectors: [lagrange[0], lagrange[usable], l_active],
+        lagrange,
     };
-
-    for gate in &cs.gates {
-        for poly in &gate.polys {
-            add_term(eval_expr(poly), &mut combined);
-        }
-    }
-
-    if z_count > 0 {
-        let delta = Fr::delta();
-        let mut delta_powers = Vec::with_capacity(cs.permutation_columns.len());
-        let mut cur = Fr::one();
-        for _ in 0..cs.permutation_columns.len() {
-            delta_powers.push(cur);
-            cur *= delta;
-        }
-        add_term(
-            l0_x * (Fr::one() - find_eval(PolyId::PermZ(0), 0)),
-            &mut combined,
-        );
-        let z_last = find_eval(PolyId::PermZ(z_count - 1), 0);
-        add_term(l_last_x * (z_last.square() - z_last), &mut combined);
-        for c in 1..z_count {
-            add_term(
-                l0_x * (find_eval(PolyId::PermZ(c), 0)
-                    - find_eval(PolyId::PermZ(c - 1), usable as i32)),
-                &mut combined,
-            );
-        }
-        let chunk_size = cs.permutation_chunk();
-        for (chunk_idx, cols) in cs.permutation_columns.chunks(chunk_size).enumerate() {
-            let base = chunk_idx * chunk_size;
-            let mut left = find_eval(PolyId::PermZ(chunk_idx), 1);
-            let mut right = find_eval(PolyId::PermZ(chunk_idx), 0);
-            for (j, col) in cols.iter().enumerate() {
-                let global = base + j;
-                let v = column_eval(*col, Rotation::cur());
-                left *= v + beta * find_eval(PolyId::Sigma(global), 0) + gamma;
-                right *= v + beta * delta_powers[global] * x + gamma;
-            }
-            add_term(l_active_x * (left - right), &mut combined);
-        }
-    }
-
-    for (lk_idx, lk) in cs.lookups.iter().enumerate() {
-        let z = find_eval(PolyId::LookupZ(lk_idx), 0);
-        let z_next = find_eval(PolyId::LookupZ(lk_idx), 1);
-        let a_perm = find_eval(PolyId::LookupA(lk_idx), 0);
-        let a_prev = find_eval(PolyId::LookupA(lk_idx), -1);
-        let s_perm = find_eval(PolyId::LookupS(lk_idx), 0);
-        add_term(l0_x * (Fr::one() - z), &mut combined);
-        add_term(l_last_x * (z.square() - z), &mut combined);
-        let a = compress(&lk.inputs);
-        let t = compress(&lk.table);
-        add_term(
-            l_active_x
-                * (z_next * (a_perm + beta) * (s_perm + gamma) - z * (a + beta) * (t + gamma)),
-            &mut combined,
-        );
-        add_term(l0_x * (a_perm - s_perm), &mut combined);
-        add_term(
-            l_active_x * (a_perm - s_perm) * (a_perm - a_prev),
-            &mut combined,
-        );
-    }
+    let ch = Challenges {
+        phase: &challenges,
+        theta,
+        beta,
+        gamma,
+    };
+    let combined = Argument::new(cs, usable).fold(&opened, &ch, y);
 
     // --- Vanishing check ----------------------------------------------------
     let zh_x = domain.evaluate_vanishing(x);
     let xn = x.pow(&[n as u64]);
     let mut h_x = Fr::zero();
     for j in (0..factor).rev() {
-        h_x = h_x * xn + find_eval(PolyId::Quotient(j), 0);
+        h_x = h_x * xn + opened.poly(PolyId::Quotient(j), 0);
     }
     if combined != zh_x * h_x {
         return Err(PlonkError::Verify(
