@@ -19,8 +19,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
-use zkml_bench::scaling::{cores, msm_inputs, mul_chain, time_with_pool, write_bench_par};
-use zkml_curves::{msm, msm_jacobian};
+use zkml_bench::scaling::{
+    cores, msm_inputs, msm_jacobian, mul_chain, time_with_pool, write_bench_par,
+};
+use zkml_curves::msm;
 use zkml_ff::{Field, Fr};
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{create_proof_committed, keygen, CommittedWeights, ProvingKey};

@@ -32,6 +32,54 @@ pub fn msm_inputs(k: u32) -> (Vec<G1Affine>, Vec<Fr>) {
     (bases, scalars)
 }
 
+/// The unsigned-window, Jacobian-bucket Pippenger kernel that `msm`'s
+/// batch-affine one replaced: the yardstick of the scaling study's
+/// `msm_jacobian` rows and of `perf_smoke`'s `min_msm_kernel_ratio`. Its
+/// windows run in parallel on the current pool.
+pub fn msm_jacobian(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
+    assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
+    let c = match bases.len() {
+        0..=63 => 3,
+        64..=127 => 4,
+        128..=1023 => 7,
+        1024..=8191 => 10,
+        8192..=65535 => 12,
+        65536..=524287 => 14,
+        _ => 16,
+    };
+    let repr: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical()).collect();
+    // The `c`-bit digit of a canonical scalar starting at `bit` (< 254).
+    let digit = |s: &[u64; 4], bit: usize| {
+        let (limb, shift) = (bit / 64, bit % 64);
+        let mut v = s[limb] >> shift;
+        if shift + c > 64 && limb + 1 < 4 {
+            v |= s[limb + 1] << (64 - shift);
+        }
+        (v as usize) & ((1 << c) - 1)
+    };
+    let window_sums = zkml_par::par_map(254usize.div_ceil(c), |w| {
+        let mut buckets = vec![G1Projective::identity(); (1 << c) - 1];
+        for (base, s) in bases.iter().zip(&repr) {
+            let d = digit(s, w * c);
+            if d != 0 && !base.is_identity() {
+                buckets[d - 1] = buckets[d - 1].add_affine(base);
+            }
+        }
+        let (mut running, mut acc) = (G1Projective::identity(), G1Projective::identity());
+        for b in buckets.iter().rev() {
+            running += *b;
+            acc += running;
+        }
+        acc
+    });
+    window_sums
+        .iter()
+        .rev()
+        .fold(G1Projective::identity(), |acc, ws| {
+            (0..c).fold(acc, |acc, _| acc.double()) + *ws
+        })
+}
+
 /// Times `f` under `pool`: one warmup, then the median of `reps` runs, in
 /// milliseconds, along with the last result (for cross-pool identity
 /// checks without an extra run).
@@ -181,6 +229,16 @@ mod tests {
     use rand::SeedableRng;
     use zkml_pcs::{Backend, Params};
     use zkml_plonk::{create_proof_committed, keygen, verify_proof, CommittedWeights};
+
+    /// The yardstick sums what `msm` sums, from few points to many.
+    #[test]
+    fn jacobian_yardstick_is_the_msm() {
+        for k in [4u32, 10] {
+            let (bases, scalars) = msm_inputs(k);
+            let want = zkml_curves::msm(&bases, &scalars);
+            assert_eq!(msm_jacobian(&bases, &scalars), want, "k={k}");
+        }
+    }
 
     /// The synthetic scaling circuit proves and verifies at a small k.
     #[test]

@@ -22,5 +22,5 @@ pub use fq2::Fq2;
 pub use fq6::Fq6;
 pub use g1::{G1Affine, G1Projective};
 pub use g2::G2Affine;
-pub use msm::{msm, msm_jacobian, msm_naive};
+pub use msm::{msm, msm_naive};
 pub use pairing::{final_exponentiation, multi_miller_loop, pairing, G2Prepared};

@@ -48,9 +48,9 @@
 //! pairs. What still reaches the fallback is a stream of distinct scalars
 //! that share one window's digit ([`fallback_additions`] counts it).
 //!
-//! The previous unsigned Jacobian kernel is kept as [`msm_jacobian`]; the
-//! scaling study in `BENCH_PAR.json` records both so the batch-affine
-//! speedup is a tracked regression gate.
+//! The previous unsigned Jacobian kernel lives on in the bench crate
+//! (`zkml_bench::scaling::msm_jacobian`) as the yardstick of the scaling
+//! study and `perf_smoke`; the tests here compare against [`msm_naive`].
 
 use crate::g1::{G1Affine, G1Projective};
 use std::ops::Range;
@@ -86,6 +86,20 @@ static BATCH_INVERSIONS: AtomicUsize = AtomicUsize::new(0);
 /// Total batch inversions [`msm`] has performed so far in this process.
 pub fn batch_inversions() -> usize {
     BATCH_INVERSIONS.load(Ordering::Relaxed)
+}
+
+/// Count of [`msm`] calls in this process, and of the points they summed.
+static MSM_CALLS: AtomicUsize = AtomicUsize::new(0);
+static MSM_POINTS: AtomicUsize = AtomicUsize::new(0);
+
+/// Total [`msm`] calls so far in this process.
+pub fn msm_calls() -> usize {
+    MSM_CALLS.load(Ordering::Relaxed)
+}
+
+/// Total points passed to [`msm`] so far in this process.
+pub fn msm_points() -> usize {
+    MSM_POINTS.load(Ordering::Relaxed)
 }
 
 /// Count of the scheduler entries this process absorbed with Jacobian
@@ -646,6 +660,8 @@ fn window_sums(
 pub fn msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
     let n = bases.len();
+    MSM_CALLS.fetch_add(1, Ordering::Relaxed);
+    MSM_POINTS.fetch_add(n, Ordering::Relaxed);
     if n == 0 {
         return G1Projective::identity();
     }
@@ -789,66 +805,6 @@ fn msm_signed(bases: &[G1Affine], mags: Vec<Signed>) -> G1Projective {
     acc + outliers
 }
 
-/// Selects the bucket window width for the Jacobian reference kernel (the
-/// pre-batch-affine heuristic, kept so the baseline stays comparable).
-fn window_bits_jacobian(n: usize) -> usize {
-    match n {
-        0..=63 => 3,
-        64..=127 => 4,
-        128..=1023 => 7,
-        1024..=8191 => 10,
-        8192..=65535 => 12,
-        65536..=524287 => 14,
-        _ => 16,
-    }
-}
-
-/// The previous unsigned-window Jacobian-bucket Pippenger kernel. Kept as
-/// the measured baseline for the batch-affine speedup gate in
-/// `BENCH_PAR.json` and as a cross-check oracle in tests.
-pub fn msm_jacobian(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
-    assert_eq!(bases.len(), scalars.len(), "msm length mismatch");
-    if bases.is_empty() {
-        return G1Projective::identity();
-    }
-    if bases.len() < NAIVE_CUTOFF {
-        return msm_naive(bases, scalars);
-    }
-    let c = window_bits_jacobian(bases.len());
-    let nwin = 254usize.div_ceil(c);
-    let repr: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical()).collect();
-
-    let window_sums: Vec<G1Projective> = par::par_map(nwin, |w| {
-        let bit = w * c;
-        let mut buckets = vec![G1Projective::identity(); (1 << c) - 1];
-        for (base, s) in bases.iter().zip(repr.iter()) {
-            if base.is_identity() {
-                continue;
-            }
-            let d = digit(s, bit, c);
-            if d != 0 {
-                buckets[d - 1] = buckets[d - 1].add_affine(base);
-            }
-        }
-        let mut running = G1Projective::identity();
-        let mut acc = G1Projective::identity();
-        for b in buckets.iter().rev() {
-            running += *b;
-            acc += running;
-        }
-        acc
-    });
-
-    let mut acc = G1Projective::identity();
-    for ws in window_sums.iter().rev() {
-        for _ in 0..c {
-            acc = acc.double();
-        }
-        acc += *ws;
-    }
-    acc
-}
-
 /// Naive MSM (reference for tests, and the kernel for tiny inputs): a
 /// bit-serial double-and-add over the scalars' signed magnitudes.
 pub fn msm_naive(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
@@ -913,7 +869,7 @@ mod tests {
     /// points, tiny scalars (digit 1 in window 0 only), and scalar pairs
     /// `s, -s` on the same base (forces the `P + (-P)` cancellation branch).
     #[test]
-    fn adversarial_inputs_match_jacobian() {
+    fn adversarial_inputs_match_naive() {
         let mut rng = StdRng::seed_from_u64(45);
         let (mut pts, mut scalars) = random_points(96, &mut rng);
         scalars[0] = Fr::zero();
@@ -926,7 +882,6 @@ mod tests {
         // Same base with equal scalars: forces the in-batch doubling branch.
         pts[20] = pts[21];
         scalars[21] = scalars[20];
-        assert_eq!(msm(&pts, &scalars), msm_jacobian(&pts, &scalars));
         assert_eq!(msm(&pts, &scalars), msm_naive(&pts, &scalars));
     }
 
@@ -944,16 +899,16 @@ mod tests {
         let n = 200;
         let pts = vec![base; n];
         let scalars = vec![s; n];
-        assert_eq!(msm(&pts, &scalars), msm_jacobian(&pts, &scalars));
+        assert_eq!(msm(&pts, &scalars), msm_naive(&pts, &scalars));
         // And all-same-base with distinct scalars (colliding buckets only
         // sometimes).
         let scalars2: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        assert_eq!(msm(&pts, &scalars2), msm_jacobian(&pts, &scalars2));
+        assert_eq!(msm(&pts, &scalars2), msm_naive(&pts, &scalars2));
     }
 
-    /// `msm` on 1-, 2- and 3-thread pools equals the Jacobian reference.
-    fn assert_pools_match_jacobian(pts: &[G1Affine], scalars: &[Fr], what: &str) {
-        let want = msm_jacobian(pts, scalars);
+    /// `msm` on 1-, 2- and 3-thread pools equals the naive sum.
+    fn assert_pools_match_naive(pts: &[G1Affine], scalars: &[Fr], what: &str) {
+        let want = msm_naive(pts, scalars);
         for threads in [1, 2, 3] {
             let got = zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(pts, scalars));
             assert_eq!(got, want, "{what}, threads={threads}");
@@ -965,7 +920,7 @@ mod tests {
     /// repeats, a merge that leaves the naive sum, and magnitudes that share
     /// their low limb only.
     #[test]
-    fn equal_scalars_merge_matches_jacobian() {
+    fn equal_scalars_merge_matches_naive() {
         let mut rng = StdRng::seed_from_u64(54);
         let n = 300;
         let (pts, uniform) = random_points(n, &mut rng);
@@ -973,7 +928,7 @@ mod tests {
 
         // One magnitude, both signs: s on even rows, p − s on odd ones.
         let signs: Vec<Fr> = (0..n).map(|i| if i % 2 == 0 { s } else { -s }).collect();
-        assert_pools_match_jacobian(&pts, &signs, "s and p - s");
+        assert_pools_match_naive(&pts, &signs, "s and p - s");
 
         // Each repeated magnitude's bases cancel (G beside −G, and G under
         // s beside G under p − s); a hundred distinct rows keep the sum away
@@ -990,8 +945,8 @@ mod tests {
                 cancel[i + 1] = -cancel[i];
             }
         }
-        assert_pools_match_jacobian(&cancel_pts, &cancel, "cancelling bases");
-        assert_pools_match_jacobian(&cancel_pts[..200], &cancel[..200], "all cancel");
+        assert_pools_match_naive(&cancel_pts, &cancel, "cancelling bases");
+        assert_pools_match_naive(&cancel_pts[..200], &cancel[..200], "all cancel");
         assert_eq!(
             msm(&cancel_pts[..200], &cancel[..200]),
             G1Projective::identity()
@@ -1007,8 +962,8 @@ mod tests {
                 }
             })
             .collect();
-        assert_pools_match_jacobian(&holes, &signs, "identity bases");
-        assert_pools_match_jacobian(&holes, &vec![s; n], "identity bases, one scalar");
+        assert_pools_match_naive(&holes, &signs, "identity bases");
+        assert_pools_match_naive(&holes, &vec![s; n], "identity bases, one scalar");
 
         // Small values, most of them twice (rows 2k and 2k + 1 share ±k), a
         // third zero, and full-width outliers, one of them twice: the merged
@@ -1040,15 +995,15 @@ mod tests {
             (8, 3),
             "the outliers must split off the merged list"
         );
-        assert_pools_match_jacobian(&pts, &small, "zeros and outliers");
+        assert_pools_match_naive(&pts, &small, "zeros and outliers");
 
         // Five distinct scalars on 300 rows: the merge leaves the naive sum.
         let few: Vec<Fr> = (0..n).map(|i| uniform[i % 5]).collect();
-        assert_pools_match_jacobian(&pts, &few, "below the naive cutoff");
+        assert_pools_match_naive(&pts, &few, "below the naive cutoff");
         let few_signed: Vec<Fr> = (0..n)
             .map(|i| if i % 3 == 0 { -few[i] } else { few[i] })
             .collect();
-        assert_pools_match_jacobian(&pts, &few_signed, "below the naive cutoff, signed");
+        assert_pools_match_naive(&pts, &few_signed, "below the naive cutoff, signed");
 
         // Equal low limbs, different magnitudes: a + 2^64 b for three b.
         let two64 = Fr::from_u64(1 << 32) * Fr::from_u64(1 << 32);
@@ -1059,7 +1014,7 @@ mod tests {
                 b => low + two64 * Fr::from_u64(b as u64 + 1),
             })
             .collect();
-        assert_pools_match_jacobian(&pts, &shared, "shared low limb");
+        assert_pools_match_naive(&pts, &shared, "shared low limb");
     }
 
     #[test]
@@ -1086,17 +1041,17 @@ mod tests {
 
     /// Crossover table: at every window-width boundary of the tuned
     /// heuristic, the batch-affine kernel (which switches `c` there) must
-    /// agree with the Jacobian reference, and the width table must be
+    /// agree with the naive sum, and the width table must be
     /// monotone non-decreasing in `n`.
     #[test]
-    fn window_width_boundaries_match_jacobian() {
+    fn window_width_boundaries_match_naive() {
         let mut rng = StdRng::seed_from_u64(47);
         // Boundaries of window_bits(); +/-1 around each (capped for test
         // runtime — the larger boundaries exercise identical code paths).
         for boundary in [128usize, 256, 512, 2048] {
             for n in [boundary - 1, boundary, boundary + 1] {
                 let (pts, scalars) = random_points(n, &mut rng);
-                assert_eq!(msm(&pts, &scalars), msm_jacobian(&pts, &scalars), "n={n}");
+                assert_eq!(msm(&pts, &scalars), msm_naive(&pts, &scalars), "n={n}");
             }
         }
         let mut prev = 0;
@@ -1215,7 +1170,7 @@ mod tests {
     /// Scalars around the sign-normalisation edges, on every base at once
     /// and mixed: `±1`, `(p−1)/2`, `(p+1)/2`, `p−1`.
     #[test]
-    fn edge_scalars_match_jacobian() {
+    fn edge_scalars_match_naive() {
         let mut rng = StdRng::seed_from_u64(49);
         let (pts, _) = random_points(160, &mut rng);
         let edges = [
@@ -1227,10 +1182,10 @@ mod tests {
         ];
         for e in edges {
             let scalars = vec![e; pts.len()];
-            assert_eq!(msm(&pts, &scalars), msm_jacobian(&pts, &scalars));
+            assert_eq!(msm(&pts, &scalars), msm_naive(&pts, &scalars));
         }
         let mixed: Vec<Fr> = (0..pts.len()).map(|i| edges[i % edges.len()]).collect();
-        assert_eq!(msm(&pts, &mixed), msm_jacobian(&pts, &mixed));
+        assert_eq!(msm(&pts, &mixed), msm_naive(&pts, &mixed));
     }
 
     /// Small fixed-point-like scalars (the shape of witness columns) at
@@ -1239,7 +1194,7 @@ mod tests {
     /// full-width outliers (blinding rows) — below and above the outlier
     /// budget.
     #[test]
-    fn small_scalars_match_jacobian_at_every_width_boundary() {
+    fn small_scalars_match_naive_at_every_width_boundary() {
         let mut rng = StdRng::seed_from_u64(50);
         for n in [33usize, 127, 128, 511, 512, 2047, 2048] {
             let (pts, uniform) = random_points(n, &mut rng);
@@ -1276,7 +1231,7 @@ mod tests {
                 ] {
                     assert_eq!(
                         msm(&pts, scalars),
-                        msm_jacobian(&pts, scalars),
+                        msm_naive(&pts, scalars),
                         "n={n} bits={bits} {name}"
                     );
                 }
@@ -1285,7 +1240,7 @@ mod tests {
             assert_eq!(msm(&pts, &zeros), G1Projective::identity(), "n={n}");
             let mut only_wide = zeros;
             only_wide[1] = uniform[1];
-            assert_eq!(msm(&pts, &only_wide), msm_jacobian(&pts, &only_wide));
+            assert_eq!(msm(&pts, &only_wide), msm_naive(&pts, &only_wide));
         }
     }
 
@@ -1311,14 +1266,14 @@ mod tests {
 
     /// The window-group split changes with the pool size (3 threads splits
     /// unevenly), the sum does not: byte-identical on 1, 2 and 3 threads and
-    /// equal to the Jacobian reference, at a size where groups are capped
+    /// equal to the naive sum, at a size where groups are capped
     /// by their bucket budget and at one below 128 points.
     #[test]
     fn window_groups_identical_across_pools() {
         let mut rng = StdRng::seed_from_u64(51);
         for n in [1usize << 10, 123] {
             let (pts, scalars) = random_points(n, &mut rng);
-            let want = msm_jacobian(&pts, &scalars).to_affine().to_bytes();
+            let want = msm_naive(&pts, &scalars).to_affine().to_bytes();
             for threads in [1, 2, 3] {
                 let got =
                     zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(&pts, &scalars));
@@ -1386,7 +1341,7 @@ mod tests {
                 acc
             })
             .collect();
-        assert_pools_match_jacobian(&pts, &scalars, "window 2 collides");
+        assert_pools_match_naive(&pts, &scalars, "window 2 collides");
     }
 
     /// A 13-bit column with a few full-width outliers (blinding rows): one
@@ -1411,21 +1366,21 @@ mod tests {
             n >= 8 << (13 - c),
             "the top window must take the Jacobian walk"
         );
-        let want = msm_jacobian(&pts, &scalars);
+        let want = msm_naive(&pts, &scalars);
         for threads in [1, 2] {
             let got = zkml_par::with_pool(&zkml_par::Pool::new(threads), || msm(&pts, &scalars));
             assert_eq!(got, want, "threads={threads}");
         }
     }
 
-    /// Batch-affine vs Jacobian vs naive on a mid-size random input.
+    /// Batch-affine vs naive on a mid-size random input.
     #[test]
     fn kernels_agree_random_midsize() {
         let mut rng = StdRng::seed_from_u64(44);
         for n in [200usize, 600, 1500] {
             let (pts, scalars) = random_points(n, &mut rng);
             let fast = msm(&pts, &scalars);
-            assert_eq!(fast, msm_jacobian(&pts, &scalars), "n={n}");
+            assert_eq!(fast, msm_naive(&pts, &scalars), "n={n}");
         }
     }
 
@@ -1472,13 +1427,6 @@ mod perf {
             let r = msm(&bases, &scalars);
             eprintln!(
                 "msm 2^{k} batch-affine: {:?} ({})",
-                t.elapsed(),
-                r.is_identity()
-            );
-            let t = Instant::now();
-            let r = msm_jacobian(&bases, &scalars);
-            eprintln!(
-                "msm 2^{k} jacobian:     {:?} ({})",
                 t.elapsed(),
                 r.is_identity()
             );

@@ -24,6 +24,7 @@ use crate::fq12::Fq12;
 use crate::fq2::Fq2;
 use crate::g1::G1Affine;
 use crate::g2::G2Affine;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use zkml_ff::{Fq, PrimeField};
 
 /// BN parameter `x` for BN254.
@@ -89,10 +90,26 @@ impl G2Prepared {
     }
 }
 
+/// Count of the pairs [`multi_miller_loop`] was given in this process, and
+/// of [`final_exponentiation`] calls.
+static MILLER_PAIRS: AtomicUsize = AtomicUsize::new(0);
+static FINAL_EXPONENTIATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Total pairs passed to [`multi_miller_loop`] so far in this process.
+pub fn miller_loop_pairs() -> usize {
+    MILLER_PAIRS.load(Ordering::Relaxed)
+}
+
+/// Total [`final_exponentiation`] calls so far in this process.
+pub fn final_exponentiations() -> usize {
+    FINAL_EXPONENTIATIONS.load(Ordering::Relaxed)
+}
+
 /// Computes `prod_i f_{6x+2, Q_i}(P_i)`, the optimal ate Miller loop with
 /// its two Frobenius additions, for all pairs at once. A pair with the
 /// identity on either side contributes one.
 pub fn multi_miller_loop(terms: &[(G1Affine, &G2Prepared)]) -> Fq12 {
+    MILLER_PAIRS.fetch_add(terms.len(), Ordering::Relaxed);
     // For the D-type twist the line through T with slope λ, at P, is
     // `y_P − (λ x_P)·w + (λ x_T − y_T)·v·w`.
     let terms: Vec<&(G1Affine, &G2Prepared)> = terms
@@ -163,6 +180,7 @@ fn hard_part(g: &Fq12) -> Fq12 {
 
 /// The final exponentiation `f^((q^12 - 1)/r)`.
 pub fn final_exponentiation(f: &Fq12) -> Fq12 {
+    FINAL_EXPONENTIATIONS.fetch_add(1, Ordering::Relaxed);
     // Easy part: f^((q^6 - 1)(q^2 + 1)), which lands in the cyclotomic
     // subgroup the hard part works in.
     let f_inv = f.invert().expect("Miller value nonzero");

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 use zkml_curves::msm::{batch_inversions, fallback_additions};
-use zkml_curves::{msm, msm_jacobian, G1Affine, G1Projective};
+use zkml_curves::{msm, msm_naive, G1Affine, G1Projective};
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_par::{with_pool, Pool};
 
@@ -81,7 +81,7 @@ fn grand_product_column_pays_no_fallback() {
         .collect();
     // Scatter the runs over the rows (389 is odd, so this permutes 0..2^10).
     column = (0..n).map(|i| column[i * 389 % n]).collect();
-    let want = msm_jacobian(&bases, &column);
+    let want = msm_naive(&bases, &column);
     for threads in [1, 2] {
         let (inversions, fallback, got) = counted(threads, &bases, &column);
         assert_eq!(got, want, "threads={threads}");
@@ -120,6 +120,6 @@ fn shared_digit_still_reaches_the_fallback() {
         })
         .collect();
     let (_, fallback, got) = counted(1, &bases, &scalars);
-    assert_eq!(got, msm_jacobian(&bases, &scalars));
+    assert_eq!(got, msm_naive(&bases, &scalars));
     assert!(fallback > 0, "the shared digit must reach the fallback");
 }
