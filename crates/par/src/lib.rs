@@ -8,7 +8,7 @@
 //! * a **global, lazily-initialized pool** sized from the available cores,
 //!   overridable with the `ZKML_THREADS` environment variable;
 //! * **scoped execution**: [`join`], [`par_for_each_mut`], [`par_map`],
-//!   [`par_chunks_mut`], [`for_each_chunk_exact`] and [`map_reduce`] accept
+//!   [`par_chunks_mut`] and [`for_each_chunk_exact`] accept
 //!   non-`'static` closures and do not return until every spawned task has
 //!   completed, so borrowed data stays valid;
 //! * **work stealing** over crossbeam deques: each worker owns a LIFO deque,
@@ -20,13 +20,10 @@
 //! # Determinism contract
 //!
 //! Every primitive decomposes work into chunks whose *contents* are a pure
-//! function of the input length, and either writes results into disjoint,
-//! index-addressed slots or (for [`map_reduce`]) reduces chunk results in
-//! chunk order on the calling thread. Field arithmetic is exact, so results
-//! are bit-identical at any thread count — `ZKML_THREADS=1` and the default
-//! produce the same proofs byte for byte. Callers of [`map_reduce`] must
-//! supply an associative reduction (exact field ops qualify; floating point
-//! would not).
+//! function of the input length and writes results into disjoint,
+//! index-addressed slots. Field arithmetic is exact, so results are
+//! bit-identical at any thread count — `ZKML_THREADS=1` and the default
+//! produce the same proofs byte for byte.
 //!
 //! A pool constructed with one thread executes everything inline on the
 //! caller with no queue traffic, which is both the serial baseline and the
@@ -640,31 +637,6 @@ pub fn for_each_chunk_exact<T: Send, F: Fn(usize, usize, &mut [T]) + Sync>(
     })
 }
 
-/// Chunked map-reduce over `0..n`: `map(start, end)` produces one value per
-/// chunk in parallel, and `reduce` folds the chunk values **in chunk order**
-/// on the calling thread. Returns `None` for `n == 0`.
-///
-/// Chunk boundaries may vary with the thread count, so `reduce` (and the
-/// within-chunk accumulation inside `map`) must be associative for results
-/// to be thread-count-independent; exact field arithmetic qualifies.
-pub fn map_reduce<T, M, R>(n: usize, min_chunk: usize, map: M, reduce: R) -> Option<T>
-where
-    T: Send,
-    M: Fn(usize, usize) -> T + Sync,
-    R: Fn(T, T) -> T,
-{
-    if n == 0 {
-        return None;
-    }
-    let chunk = with_current(|shared| balanced_chunk(n, shared.threads, min_chunk));
-    let chunks = n.div_ceil(chunk);
-    let partials = par_map(chunks, |c| {
-        let start = c * chunk;
-        map(start, (start + chunk).min(n))
-    });
-    partials.into_iter().reduce(reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,21 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_sums() {
-        let pool = Pool::new(4);
-        with_pool(&pool, || {
-            let total = map_reduce(
-                10_000,
-                16,
-                |start, end| (start..end).map(|i| i as u64).sum::<u64>(),
-                |a, b| a + b,
-            );
-            assert_eq!(total, Some(9_999 * 10_000 / 2));
-            assert_eq!(map_reduce(0, 1, |_, _| 0u64, |a, b| a + b), None);
-        });
-    }
-
-    #[test]
     fn nested_scopes_do_not_deadlock() {
         let pool = Pool::new(2);
         with_pool(&pool, || {
@@ -843,13 +800,13 @@ mod tests {
         let run = |pool: &Pool| {
             with_pool(pool, || {
                 let mapped = par_map(257, |i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-                let reduced = map_reduce(
-                    257,
-                    8,
-                    |s, e| mapped[s..e].iter().copied().fold(0u64, u64::wrapping_add),
-                    u64::wrapping_add,
-                );
-                (mapped, reduced)
+                let mut chunked = mapped.clone();
+                par_chunks_mut(&mut chunked, 8, |_, start, chunk| {
+                    for (i, x) in chunk.iter_mut().enumerate() {
+                        *x ^= (start + i) as u64;
+                    }
+                });
+                (mapped, chunked)
             })
         };
         let a = run(&serial);

@@ -4,8 +4,7 @@
 //! must match the serial result exactly, at every pool width.
 
 use zkml_par::{
-    for_each_chunk_exact, join, map_reduce, par_chunks_mut, par_for_each_mut, par_map, with_pool,
-    Pool,
+    for_each_chunk_exact, join, par_chunks_mut, par_for_each_mut, par_map, with_pool, Pool,
 };
 
 /// Runs `f` under pools of width 1, 2, and 4 so every code path (inline
@@ -25,7 +24,6 @@ fn empty_inputs_are_noops() {
         assert!(empty.is_empty());
 
         assert_eq!(par_map(0, |i| i * 2), Vec::<usize>::new());
-        assert_eq!(map_reduce(0, 4, |s, e| e - s, |a, b| a + b), None);
 
         // Chunked traversals over empty data must not visit any element.
         for_each_chunk_exact(&mut empty, 8, |_, _, chunk| assert!(chunk.is_empty()));
@@ -45,10 +43,6 @@ fn single_element_inputs() {
         assert_eq!(one, vec![42]);
 
         assert_eq!(par_map(1, |i| i + 10), vec![10]);
-        assert_eq!(
-            map_reduce(1, 1, |s, e| (s, e), |a, _| a),
-            Some((0usize, 1usize))
-        );
 
         for_each_chunk_exact(&mut one, 16, |c, start, chunk| {
             assert_eq!((c, start, chunk.len()), (0, 0, 1));
@@ -80,12 +74,6 @@ fn chunk_size_exceeding_len_degenerates_to_one_chunk() {
             }
         });
         assert_eq!(data, (0..7).map(|x| x * 3 + 1).collect::<Vec<u64>>());
-
-        // map_reduce with min_chunk > n folds a single chunk.
-        assert_eq!(
-            map_reduce(5, 1000, |s, e| (e - s) as u64, |a, b| a + b),
-            Some(5)
-        );
     });
 }
 
@@ -124,11 +112,7 @@ fn nested_join_on_single_thread_pool_does_not_deadlock() {
     // Deep nesting of heterogeneous primitives under one thread.
     let nested = with_pool(&pool, || {
         let (sums, product) = join(
-            || {
-                par_map(8, |i| {
-                    map_reduce(i, 1, |s, e| e - s, |a, b| a + b).unwrap_or(0)
-                })
-            },
+            || par_map(8, |i| par_map(i, |_| 1usize).into_iter().sum::<usize>()),
             || {
                 let mut v: Vec<u64> = (1..=6).collect();
                 par_chunks_mut(&mut v, 2, |_, _, chunk| {
@@ -150,7 +134,7 @@ fn nested_join_matches_across_widths() {
     fn work() -> (Vec<u64>, u64) {
         let (doubles, total) = join(
             || par_map(100, |i| (i as u64) * 2),
-            || map_reduce(100, 8, |s, e| (s..e).map(|i| i as u64).sum(), |a, b| a + b).unwrap(),
+            || par_map(100, |i| i as u64).into_iter().sum::<u64>(),
         );
         (doubles, total)
     }
