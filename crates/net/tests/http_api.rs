@@ -292,6 +292,26 @@ fn submissions_rejected_while_draining() {
     gw.shutdown();
 }
 
+/// A body nested far past any sane document is a 400, not a handler thread
+/// that overflows its stack and takes the server down with it.
+#[test]
+fn deeply_nested_body_is_refused_and_the_server_lives() {
+    let (gw, addr) = start(GatewayConfig {
+        service: small_service(),
+        ..GatewayConfig::default()
+    });
+    let r = post_job(&addr, &"[".repeat(1 << 20));
+    assert_eq!(r.status, 400, "body: {}", r.body);
+    assert!(r.body.contains("nesting"), "body: {}", r.body);
+    let health = http_request(&addr, "GET", "/v1/healthz", None).unwrap();
+    assert_eq!(health.status, 200);
+    assert_eq!(
+        post_job(&addr, "{\"kind\":\"sleep\",\"sleep_ms\":1}").status,
+        202
+    );
+    gw.shutdown();
+}
+
 /// Shutdown right after start returns, whether or not the accept thread,
 /// the handlers and the dispatcher had reached their first wait.
 #[test]
