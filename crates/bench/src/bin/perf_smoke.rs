@@ -3,7 +3,7 @@
 //! Runs the scaling kernels at a small size and fails (exit 1) if any
 //! measured ratio regresses past the thresholds stored in
 //! `PERF_THRESHOLDS.json` at the repository root (alongside
-//! `BENCH_PAR.json`). Five ratios are gated:
+//! `BENCH_PAR.json`). Six ratios are gated:
 //!
 //! - `min_msm_kernel_ratio`: serial jacobian-bucket MSM time
 //!   ([`zkml_bench::scaling::msm_jacobian`]) over serial batch-affine MSM
@@ -25,6 +25,13 @@
 //!   0.32–0.53; without the merge every repeat collides in one bucket of
 //!   every window and the column cost 1.6–2.6 uniform MSMs. It binds on any
 //!   core count and is never recorded looser than 1.0.
+//! - `max_json_parse_growth`: the time `zkml_net::Json::parse` takes over a
+//!   1 MiB `{"proof_hex":"…"}` document over its time over a 256 KiB one,
+//!   each the median of `4 * REPS` parses. The parser copies each run of
+//!   plain string bytes as one slice, so this reads 4.0–4.7; a parser that
+//!   re-scans the rest of the input per character reads about 16 (22.8 s
+//!   for 1 MB on a 2-vCPU host). It is a ratio of one kernel to itself, so
+//!   it binds on any host, and it is never recorded looser than 8.
 //!
 //! The verifier's work is not timed here: its MSM calls and points,
 //! Miller-loop pairs and final exponentiations are counted, and
@@ -41,6 +48,7 @@
 use zkml_bench::scaling::{cores, msm_inputs, msm_jacobian, time_with_pool};
 use zkml_curves::msm;
 use zkml_ff::{Field, Fr, PrimeField};
+use zkml_net::{encode_hex, Json, JsonObj};
 use zkml_poly::EvaluationDomain;
 
 /// Grid size for the smoke kernels: large enough that the batch-affine and
@@ -58,6 +66,13 @@ const SMALL_MSM_CEILING: f64 = 0.25;
 /// The loosest `max_plateau_msm_ratio` ever recorded: a grand-product
 /// column may cost at most one uniform MSM.
 const PLATEAU_MSM_CEILING: f64 = 1.0;
+/// Sizes of the small and the large document `max_json_parse_growth`
+/// compares: four times the bytes.
+const JSON_SMALL_BYTES: usize = 256 << 10;
+const JSON_LARGE_BYTES: usize = 1 << 20;
+/// The loosest `max_json_parse_growth` ever recorded: four times the bytes
+/// may cost at most eight times the time.
+const JSON_PARSE_GROWTH_CEILING: f64 = 8.0;
 
 fn thresholds_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../PERF_THRESHOLDS.json")
@@ -81,6 +96,15 @@ struct Measured {
     par4_fft_ratio: f64,
     small_msm_ratio: f64,
     plateau_msm_ratio: f64,
+    json_parse_growth: f64,
+}
+
+/// A status-shaped document of about `bytes` bytes: one hex-encoded proof.
+fn proof_document(bytes: usize) -> String {
+    let proof: Vec<u8> = (0..bytes / 2).map(|i| (i * 131 + i / 7) as u8).collect();
+    JsonObj::new()
+        .str("proof_hex", &encode_hex(&proof))
+        .finish()
 }
 
 /// A grand-product-shaped column of `2^SMALL_MSM_K` = 1 024 rows: a running
@@ -137,17 +161,26 @@ fn measure() -> Measured {
     let (fft1_ms, _) = time_with_pool(&serial, REPS + 4, run_fft);
     let (fft4_ms, _) = time_with_pool(&quad, REPS + 4, run_fft);
 
+    let (small_doc, large_doc) = (
+        proof_document(JSON_SMALL_BYTES),
+        proof_document(JSON_LARGE_BYTES),
+    );
+    let (json_small_ms, _) = time_with_pool(&serial, 4 * REPS, || Json::parse(&small_doc));
+    let (json_large_ms, _) = time_with_pool(&serial, 4 * REPS, || Json::parse(&large_doc));
+
     println!(
         "perf-smoke k={SMOKE_K}: msm jacobian {jac_ms:.2} ms, batch-affine {msm1_ms:.2} ms \
          (kernel {:.2}x); msm 4-thread {msm4_ms:.2} ms ({:.2}x); \
          fft 1-thread {fft1_ms:.2} ms, 4-thread {fft4_ms:.2} ms ({:.2}x); \
          msm 2^{SMALL_MSM_K} uniform {uniform_ms:.2} ms, 13-bit signed {small_ms:.2} ms ({:.3}), \
-         grand-product column {plateau_ms:.2} ms ({:.3})",
+         grand-product column {plateau_ms:.2} ms ({:.3}); \
+         json parse 256 KiB {json_small_ms:.3} ms, 1 MiB {json_large_ms:.3} ms ({:.2}x)",
         jac_ms / msm1_ms,
         msm1_ms / msm4_ms,
         fft1_ms / fft4_ms,
         small_ms / uniform_ms,
         plateau_ms / uniform_ms,
+        json_large_ms / json_small_ms,
     );
     Measured {
         kernel_ratio: jac_ms / msm1_ms,
@@ -155,6 +188,7 @@ fn measure() -> Measured {
         par4_fft_ratio: fft1_ms / fft4_ms,
         small_msm_ratio: small_ms / uniform_ms,
         plateau_msm_ratio: plateau_ms / uniform_ms,
+        json_parse_growth: json_large_ms / json_small_ms,
     }
 }
 
@@ -162,13 +196,15 @@ fn record(m: &Measured) {
     let body = format!(
         "{{\n  \"cores\": {},\n  \"k\": {SMOKE_K},\n  \"min_msm_kernel_ratio\": {:.2},\n  \
          \"min_par4_msm_ratio\": {:.2},\n  \"min_par4_fft_ratio\": {:.2},\n  \
-         \"max_small_msm_ratio\": {:.2},\n  \"max_plateau_msm_ratio\": {:.2}\n}}\n",
+         \"max_small_msm_ratio\": {:.2},\n  \"max_plateau_msm_ratio\": {:.2},\n  \
+         \"max_json_parse_growth\": {:.2}\n}}\n",
         cores(),
         m.kernel_ratio * RECORD_MARGIN,
         m.par4_msm_ratio * RECORD_MARGIN,
         m.par4_fft_ratio * RECORD_MARGIN,
         (m.small_msm_ratio / RECORD_MARGIN).min(SMALL_MSM_CEILING),
         (m.plateau_msm_ratio / RECORD_MARGIN).min(PLATEAU_MSM_CEILING),
+        (m.json_parse_growth / RECORD_MARGIN).min(JSON_PARSE_GROWTH_CEILING),
     );
     std::fs::write(thresholds_path(), &body).expect("write PERF_THRESHOLDS.json");
     println!("recorded thresholds:\n{body}");
@@ -213,6 +249,7 @@ fn main() {
     gate("min_msm_kernel_ratio", m.kernel_ratio);
     gate("max_small_msm_ratio", m.small_msm_ratio);
     gate("max_plateau_msm_ratio", m.plateau_msm_ratio);
+    gate("max_json_parse_growth", m.json_parse_growth);
     if stored_cores == cores() {
         gate("min_par4_msm_ratio", m.par4_msm_ratio);
         gate("min_par4_fft_ratio", m.par4_fft_ratio);

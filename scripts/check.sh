@@ -138,8 +138,9 @@ cargo test -p zkml-service --test commitment -q -- --ignored --test-threads=1
 
 echo "==> perf smoke (kernel + 4-thread ratios at small k vs PERF_THRESHOLDS.json)"
 # Gates the serial jacobian/batch-affine MSM ratio, the small-over-uniform and
-# grand-product-over-uniform MSM ratios and the 4-thread/1-thread MSM and FFT
-# ratios (the verifier's work is pinned by counts in the test run). Thresholds are
+# grand-product-over-uniform MSM ratios, the 1 MiB-over-256 KiB JSON parse
+# ratio and the 4-thread/1-thread MSM and FFT ratios (the verifier's work is
+# pinned by counts in the test run). Thresholds are
 # hardware-stamped: on a machine with a different core count the parallel
 # gates auto-skip; re-baseline with
 # ZKML_PERF_RECORD=1 cargo run --release -p zkml-bench --bin perf_smoke
