@@ -92,7 +92,7 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    pub fn new(
+    pub(crate) fn new(
         cs: &'a ConstraintSystem,
         pre: &'a Preprocessed,
         k: u32,
@@ -223,24 +223,24 @@ impl<'a> Engine<'a> {
         self.size[ra] += self.size[rb];
     }
 
-    pub fn class_root(&mut self, cell: &CellRef) -> Option<usize> {
+    pub(crate) fn class_root(&mut self, cell: &CellRef) -> Option<usize> {
         self.node(cell).map(|n| self.find(n))
     }
 
-    pub fn class_size(&mut self, cell: &CellRef) -> u32 {
+    pub(crate) fn class_size(&mut self, cell: &CellRef) -> u32 {
         match self.class_root(cell) {
             Some(r) => self.size[r],
             None => 1,
         }
     }
 
-    pub fn is_anchored(&mut self, cell: &CellRef) -> bool {
+    pub(crate) fn is_anchored(&mut self, cell: &CellRef) -> bool {
         self.class_root(cell)
             .map(|r| self.anchored[r])
             .unwrap_or(false)
     }
 
-    pub fn has_occurred(&mut self, cell: &CellRef) -> bool {
+    pub(crate) fn has_occurred(&mut self, cell: &CellRef) -> bool {
         self.class_root(cell)
             .map(|r| self.occurred[r])
             .unwrap_or(false)
@@ -248,7 +248,7 @@ impl<'a> Engine<'a> {
 
     /// Whether a cell's class is known: anchored to public data, an input
     /// class, deduced, or entirely unassigned (prover-default cells).
-    pub fn cell_known(&mut self, cell: &CellRef) -> bool {
+    pub(crate) fn cell_known(&mut self, cell: &CellRef) -> bool {
         match self.class_root(cell) {
             Some(r) => self.var_known(r as VarId),
             None => true,
@@ -761,7 +761,7 @@ impl<'a> Engine<'a> {
     /// become known and every rule needs an unknown to act on, so a row
     /// whose constraints mention no unknown class is settled: later rounds
     /// skip it, and deduce exactly what a full sweep would.
-    pub fn run(&mut self) {
+    pub(crate) fn run(&mut self) {
         let mut live: Vec<usize> = (0..self.n).collect();
         let mut occ = Vec::new();
         loop {

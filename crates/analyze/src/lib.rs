@@ -183,7 +183,7 @@ impl AnalysisReport {
     }
 
     /// One-line human summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "{} free cell(s) / {} checked ({} inputs), {} round(s)",
             self.free.len(),

@@ -59,14 +59,14 @@ pub(crate) struct Form {
 }
 
 impl Form {
-    pub fn constant(c: Fr) -> Self {
+    pub(crate) fn constant(c: Fr) -> Self {
         Form {
             c,
             terms: Vec::new(),
         }
     }
 
-    pub fn var(v: VarId) -> Self {
+    pub(crate) fn var(v: VarId) -> Self {
         Form {
             c: Fr::ZERO,
             terms: vec![(v, Coeff::Concrete(Fr::ONE))],
@@ -74,16 +74,16 @@ impl Form {
     }
 
     /// True when the form has no variable terms at all.
-    pub fn is_const(&self) -> bool {
+    pub(crate) fn is_const(&self) -> bool {
         self.terms.is_empty()
     }
 
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.is_const() && self.c.is_zero()
     }
 
     /// Merges two sorted term lists, cancelling concrete zeros.
-    pub fn add(&self, other: &Form) -> Form {
+    pub(crate) fn add(&self, other: &Form) -> Form {
         let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
         let (mut i, mut j) = (0, 0);
         while i < self.terms.len() && j < other.terms.len() {
@@ -118,7 +118,7 @@ impl Form {
 
     /// Scales every coefficient by a concrete scalar; zero collapses the
     /// form to the zero constant.
-    pub fn scale(&self, s: Fr) -> Form {
+    pub(crate) fn scale(&self, s: Fr) -> Form {
         if s.is_zero() {
             return Form::constant(Fr::ZERO);
         }

@@ -232,13 +232,13 @@ impl zkml_shard::KeySource for CachedKeys {
 /// slow-down is keygen-dominated: three segments mean three keygens plus
 /// ~1.5x the total rows of the monolithic layout (3 x 2^14 vs 2^15).
 fn bench_segmented(rows: &mut Vec<String>) {
-    use zkml::{optimizer, OptimizerOptions};
+    use zkml::OptimizerOptions;
 
     let g = zkml_model::zoo::by_name("MNIST").expect("zoo model");
     let backend = Backend::Kzg;
     let opts = OptimizerOptions::new(backend, 15);
     let hw = zkml::cost::HardwareStats::cached();
-    let inputs = optimizer::zero_inputs(&g);
+    let inputs = zkml::zero_inputs(&g);
     let sched = zkml::layers::lower_graph(&g, &inputs, opts.numeric);
 
     let report = zkml::optimize_schedule(sched.clone(), &opts, hw).expect("monolithic layout");

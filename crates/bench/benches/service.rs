@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkml::{optimizer, OptimizerOptions};
+use zkml::OptimizerOptions;
 use zkml_bench::random_inputs;
 use zkml_model::{Activation, GraphBuilder, Op};
 use zkml_pcs::Backend;
@@ -37,7 +37,7 @@ fn bench_cache(c: &mut Criterion) {
     let opts = OptimizerOptions::new(backend, 15);
     let fp = FixedPoint::new(opts.numeric.scale_bits);
     let inputs = random_inputs(&g, 1, fp);
-    let report = optimizer::optimize(&g, &inputs, &opts, hw).unwrap();
+    let report = zkml::optimize(&g, &inputs, &opts, hw).unwrap();
     let compiled = report.synthesize_best().unwrap();
     let key = ArtifactKey::for_circuit(g.content_hash(), backend, &compiled);
 

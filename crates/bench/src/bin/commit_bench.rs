@@ -8,7 +8,7 @@
 //! `commit_and_prove` section.
 
 use std::time::Instant;
-use zkml::{optimizer, OptimizerOptions};
+use zkml::OptimizerOptions;
 use zkml_pcs::{Backend, Params};
 use zkml_shard::DEFAULT_SRS_SEED as SRS_SEED;
 
@@ -29,9 +29,9 @@ fn main() {
     assert_ne!(graph_a.content_hash(), graph_b.content_hash());
 
     let opts = OptimizerOptions::new(Backend::Kzg, MAX_K);
-    let inputs = optimizer::zero_inputs(&graph_a);
+    let inputs = zkml::zero_inputs(&graph_a);
     let compile = |g: &zkml_model::Graph| {
-        optimizer::optimize(g, &inputs, &opts, hw)
+        zkml::optimize(g, &inputs, &opts, hw)
             .expect("optimize")
             .synthesize_best()
             .expect("synthesize")

@@ -15,7 +15,7 @@
 //! anchored against a real KZG proof of the synthesized circuit).
 
 use std::time::Instant;
-use zkml::{optimizer, LayoutChoices, OptimizerOptions};
+use zkml::{LayoutChoices, OptimizerOptions};
 use zkml_par::{with_pool, Pool};
 use zkml_pcs::{Backend, Params};
 use zkml_shard::DEFAULT_SRS_SEED as SRS_SEED;
@@ -33,7 +33,7 @@ struct ModelResult {
 }
 
 fn run_model(g: &zkml_model::Graph, hw: &zkml::cost::HardwareStats) -> ModelResult {
-    let inputs = optimizer::zero_inputs(g);
+    let inputs = zkml::zero_inputs(g);
 
     // Before: serial, one lowering per candidate, no column pruning (the
     // old builder could not reuse placements across candidates).
@@ -43,7 +43,7 @@ fn run_model(g: &zkml_model::Graph, hw: &zkml::cost::HardwareStats) -> ModelResu
             let mut opts = OptimizerOptions::new(Backend::Kzg, MAX_K);
             opts.candidates = Some(vec![choices]);
             opts.prune = false;
-            optimizer::optimize(g, &inputs, &opts, hw).expect("optimize candidate");
+            zkml::optimize(g, &inputs, &opts, hw).expect("optimize candidate");
         }
     });
     let before_s = t.elapsed().as_secs_f64();
@@ -51,7 +51,7 @@ fn run_model(g: &zkml_model::Graph, hw: &zkml::cost::HardwareStats) -> ModelResu
     // After: one call, one lowering, parallel pruned sweep.
     let opts = OptimizerOptions::new(Backend::Kzg, MAX_K);
     let t = Instant::now();
-    let report = optimizer::optimize(g, &inputs, &opts, hw).expect("optimize");
+    let report = zkml::optimize(g, &inputs, &opts, hw).expect("optimize");
     let after_s = t.elapsed().as_secs_f64();
 
     // Anchor the estimate: synthesize the winning plan and prove it.

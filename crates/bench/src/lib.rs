@@ -13,20 +13,18 @@ pub mod tables;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-use zkml::{compile, optimizer, CircuitConfig, LayoutChoices, OptimizerOptions};
+use zkml::{compile, CircuitConfig, LayoutChoices, OptimizerOptions};
 use zkml_model::Graph;
 use zkml_pcs::{Backend, Params};
 use zkml_tensor::{FixedPoint, Tensor};
 
 /// Measured end-to-end numbers for one model/backend pair.
 #[derive(Clone, Debug)]
-pub struct EndToEnd {
+pub(crate) struct EndToEnd {
     /// Model name.
     pub model: String,
     /// Grid height.
     pub k: u32,
-    /// Advice columns.
-    pub cols: usize,
     /// Proving wall-clock.
     pub prove: Duration,
     /// Verification wall-clock.
@@ -52,7 +50,7 @@ pub fn random_inputs(g: &Graph, seed: u64, fp: FixedPoint) -> Vec<Tensor<i64>> {
 }
 
 /// Caches per-backend params at the maximum k needed by the harness.
-pub fn shared_params(backend: Backend, k: u32) -> Params {
+pub(crate) fn shared_params(backend: Backend, k: u32) -> Params {
     let mut rng = StdRng::seed_from_u64(0xD00D);
     Params::setup(backend, k, &mut rng)
 }
@@ -62,7 +60,12 @@ pub fn shared_params(backend: Backend, k: u32) -> Params {
 /// # Panics
 ///
 /// Panics on any compile/prove/verify failure — harness bugs should be loud.
-pub fn measure(g: &Graph, cfg: CircuitConfig, backend: Backend, params: &Params) -> EndToEnd {
+pub(crate) fn measure(
+    g: &Graph,
+    cfg: CircuitConfig,
+    backend: Backend,
+    params: &Params,
+) -> EndToEnd {
     let fp = FixedPoint::new(cfg.numeric.scale_bits);
     let inputs = random_inputs(g, 0xBEEF, fp);
     let compiled =
@@ -92,7 +95,6 @@ pub fn measure(g: &Graph, cfg: CircuitConfig, backend: Backend, params: &Params)
     EndToEnd {
         model: g.name.clone(),
         k: compiled.k,
-        cols: cfg.num_cols,
         prove,
         verify,
         proof_bytes: proof.len(),
@@ -101,11 +103,11 @@ pub fn measure(g: &Graph, cfg: CircuitConfig, backend: Backend, params: &Params)
 
 /// Runs the optimizer for a model, caching results per (model, backend)
 /// since several tables query the same plans.
-pub fn optimize_for(
+pub(crate) fn optimize_for(
     g: &Graph,
     backend: Backend,
     max_k: u32,
-) -> (CircuitConfig, optimizer::OptimizerReport) {
+) -> (CircuitConfig, zkml::OptimizerReport) {
     use std::collections::HashMap;
     use std::sync::Mutex;
     type PlanCache = HashMap<(String, Backend, u32), CircuitConfig>;
@@ -122,13 +124,13 @@ pub fn optimize_for(
         let mut opts = OptimizerOptions::new(backend, max_k);
         opts.candidates = Some(vec![cfg.choices]);
         opts.n_cols_range = (cfg.num_cols, cfg.num_cols);
-        let report = optimizer::optimize(g, &optimizer::zero_inputs(g), &opts, hw)
+        let report = zkml::optimize(g, &zkml::zero_inputs(g), &opts, hw)
             .expect("cached layout became infeasible");
         return (*cfg, report);
     }
     let opts = OptimizerOptions::new(backend, max_k);
     let hw = zkml::cost::HardwareStats::cached();
-    let report = optimizer::optimize(g, &optimizer::zero_inputs(g), &opts, hw)
+    let report = zkml::optimize(g, &zkml::zero_inputs(g), &opts, hw)
         .expect("no feasible layout for benchmark model");
     CACHE
         .lock()
@@ -140,14 +142,14 @@ pub fn optimize_for(
 
 /// The fixed configuration used by the Table 10 ablation: the default
 /// gadget set at a fixed, model-independent column count.
-pub fn fixed_configuration() -> CircuitConfig {
+pub(crate) fn fixed_configuration() -> CircuitConfig {
     let mut cfg = CircuitConfig::default_with(LayoutChoices::optimized());
     cfg.num_cols = 40;
     cfg
 }
 
 /// Formats a duration like the paper's tables (seconds or milliseconds).
-pub fn fmt_duration(d: Duration) -> String {
+pub(crate) fn fmt_duration(d: Duration) -> String {
     let s = d.as_secs_f64();
     if s >= 1.0 {
         format!("{s:.2} s")
@@ -157,12 +159,12 @@ pub fn fmt_duration(d: Duration) -> String {
 }
 
 /// Prints a markdown table row.
-pub fn row(cells: &[String]) -> String {
+pub(crate) fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))
 }
 
 /// Kendall's rank correlation coefficient (for §9.5).
-pub fn kendall_tau(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn kendall_tau(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     let n = xs.len();
     let mut concordant = 0i64;
@@ -184,12 +186,12 @@ pub fn kendall_tau(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 /// The nano model zoo in Table 5/6/7 order.
-pub fn zoo() -> Vec<Graph> {
+pub(crate) fn zoo() -> Vec<Graph> {
     zkml_model::zoo::all_models()
 }
 
 /// A smaller zoo subset for the slowest ablations.
-pub fn small_zoo() -> Vec<Graph> {
+pub(crate) fn small_zoo() -> Vec<Graph> {
     vec![
         zkml_model::zoo::mnist_cnn(),
         zkml_model::zoo::dlrm(),

@@ -11,16 +11,16 @@ use crate::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use zkml::{optimizer, CircuitConfig, LayoutChoices, Objective, OptimizerOptions};
+use zkml::{CircuitConfig, LayoutChoices, Objective, OptimizerOptions};
 use zkml_pcs::{Backend, Params};
 use zkml_tensor::FixedPoint;
 
 /// Maximum grid height the harness SRS supports.
-pub const HARNESS_MAX_K: u32 = 15;
+pub(crate) const HARNESS_MAX_K: u32 = 15;
 
 /// The prior-work baseline circuits are intentionally enormous (that is the
 /// point of Tables 9 and 11); they get their own larger SRS.
-pub const BASELINE_MAX_K: u32 = 17;
+pub(crate) const BASELINE_MAX_K: u32 = 17;
 
 fn baseline_params() -> &'static Params {
     static P: std::sync::OnceLock<Params> = std::sync::OnceLock::new();
@@ -263,7 +263,7 @@ pub fn table11() -> String {
         // the optimizer sweep columns.
         let mut opts = OptimizerOptions::new(Backend::Kzg, BASELINE_MAX_K);
         opts.candidates = Some(vec![LayoutChoices::prior_work()]);
-        let report = optimizer::optimize(g, &optimizer::zero_inputs(g), &opts, hw)
+        let report = zkml::optimize(g, &zkml::zero_inputs(g), &opts, hw)
             .expect("prior-work gadget set infeasible");
         let fixed = measure(g, report.best, Backend::Kzg, baseline_params());
         let imp = 100.0 * (fixed.prove.as_secs_f64() / full.prove.as_secs_f64() - 1.0);
@@ -303,13 +303,13 @@ pub fn table12() -> String {
         assert_eq!(g.name, pname);
         let mut opts = OptimizerOptions::new(Backend::Kzg, HARNESS_MAX_K);
         opts.prune = true;
-        let inputs = optimizer::zero_inputs(g);
+        let inputs = zkml::zero_inputs(g);
         let t = Instant::now();
-        let pruned = optimizer::optimize(g, &inputs, &opts, hw).expect("optimize");
+        let pruned = zkml::optimize(g, &inputs, &opts, hw).expect("optimize");
         let pruned_t = t.elapsed();
         opts.prune = false;
         let t = Instant::now();
-        let full = optimizer::optimize(g, &inputs, &opts, hw).expect("optimize");
+        let full = zkml::optimize(g, &inputs, &opts, hw).expect("optimize");
         let full_t = t.elapsed();
         out += &row(&[
             g.name.clone(),
@@ -352,8 +352,8 @@ pub fn table14() -> String {
         let rt = measure(g, rt_cfg, Backend::Kzg, &params);
         let mut opts = OptimizerOptions::new(Backend::Kzg, HARNESS_MAX_K);
         opts.objective = Objective::ProofSize;
-        let report = optimizer::optimize(g, &optimizer::zero_inputs(g), &opts, hw)
-            .expect("size-objective optimize");
+        let report =
+            zkml::optimize(g, &zkml::zero_inputs(g), &opts, hw).expect("size-objective optimize");
         let sz = measure(g, report.best, Backend::Kzg, &params);
         out += &row(&[
             g.name.clone(),
@@ -383,8 +383,7 @@ pub fn opt_savings() -> String {
         let mut opts = OptimizerOptions::new(Backend::Kzg, HARNESS_MAX_K);
         opts.prune = false;
         let t = Instant::now();
-        let report =
-            optimizer::optimize(&g, &optimizer::zero_inputs(&g), &opts, hw).expect("optimize");
+        let report = zkml::optimize(&g, &zkml::zero_inputs(&g), &opts, hw).expect("optimize");
         let opt_t = t.elapsed().as_secs_f64();
         // Anchor the cost model: prove the best config, compute the
         // measured/estimated ratio, and scale the summed estimates.
@@ -415,8 +414,7 @@ pub fn cost_accuracy() -> String {
         let params = shared_params(backend, HARNESS_MAX_K);
         let mut opts = OptimizerOptions::new(backend, HARNESS_MAX_K);
         opts.prune = false;
-        let report =
-            optimizer::optimize(&g, &optimizer::zero_inputs(&g), &opts, hw).expect("optimize");
+        let report = zkml::optimize(&g, &zkml::zero_inputs(&g), &opts, hw).expect("optimize");
         // Sample layouts across the cost spectrum.
         let mut sorted = report.all.clone();
         sorted.sort_by(|a, b| {
@@ -457,8 +455,7 @@ pub fn case_study() -> String {
     let mut out = String::from("## §9.4 case study — GPT-2 chosen configurations\n\n");
     for backend in [Backend::Kzg, Backend::Ipa] {
         let opts = OptimizerOptions::new(backend, HARNESS_MAX_K);
-        let report =
-            optimizer::optimize(&g, &optimizer::zero_inputs(&g), &opts, hw).expect("optimize");
+        let report = zkml::optimize(&g, &zkml::zero_inputs(&g), &opts, hw).expect("optimize");
         out += &format!(
             "- {backend}: 2^{} rows x {} columns (est. {:.2}s proving; paper chose \
              2^25 x 13 for KZG, 2^24 x 25 for IPA at full scale)\n",

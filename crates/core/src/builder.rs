@@ -174,7 +174,7 @@ impl CircuitBuilder {
     /// return are not the witness (lookups, divisions and Freivalds
     /// products come back as zeros). This is stage 2's engine — the
     /// optimizer sweeps candidate layouts with placer builders only.
-    pub fn placer(cfg: CircuitConfig) -> Self {
+    pub(crate) fn placer(cfg: CircuitConfig) -> Self {
         Self::with_mode(cfg, true)
     }
 
@@ -237,7 +237,7 @@ impl CircuitBuilder {
     }
 
     /// Current size of the range table (`[0, next_pow2(needed))`).
-    pub fn range_size(&self) -> usize {
+    pub(crate) fn range_size(&self) -> usize {
         (self.range_needed.max(2) as usize).next_power_of_two()
     }
 
@@ -354,7 +354,7 @@ impl CircuitBuilder {
     }
 
     /// Returns a pinned constant cell (creating it on first use).
-    pub fn constant(&mut self, v: i64) -> AValue {
+    pub(crate) fn constant(&mut self, v: i64) -> AValue {
         if let Some(&row) = self.const_rows.get(&v) {
             return AValue {
                 cell: CellRef {
@@ -432,7 +432,7 @@ impl CircuitBuilder {
     /// CP-SNARK link). Unlike advice, committed columns are committed once
     /// per model (`commit_weights`) and bound to the transcript by digest,
     /// so the same published commitment serves every proof.
-    pub fn load_weights(&mut self, values: &[i64]) -> Vec<AValue> {
+    pub(crate) fn load_weights(&mut self, values: &[i64]) -> Vec<AValue> {
         self.ensure_committed();
         let n = self.cfg.num_cols;
         let mut out = Vec::with_capacity(values.len());
@@ -452,7 +452,7 @@ impl CircuitBuilder {
     }
 
     /// Exposes values as public outputs (instance column).
-    pub fn expose(&mut self, values: &[AValue]) {
+    pub(crate) fn expose(&mut self, values: &[AValue]) {
         for v in values {
             let row = self.instance_vals.len();
             let inst = CellRef {
@@ -487,7 +487,7 @@ impl CircuitBuilder {
     }
 
     /// Ensures phase-1 columns and the challenge exist (Freivalds).
-    pub fn ensure_phase1(&mut self) {
+    pub(crate) fn ensure_phase1(&mut self) {
         if self.challenge.is_some() {
             return;
         }
@@ -773,7 +773,7 @@ impl CircuitBuilder {
     }
 
     /// Lookup packing for nonlinearity rows (2 cells per slot).
-    pub fn nonlin_packs(&self) -> usize {
+    pub(crate) fn nonlin_packs(&self) -> usize {
         self.cfg
             .choices
             .lookup_packs
@@ -782,7 +782,7 @@ impl CircuitBuilder {
     }
 
     /// Packing for 3-cell lookup gadgets (DivRound, Max).
-    pub fn pack3(&self) -> usize {
+    pub(crate) fn pack3(&self) -> usize {
         self.cfg
             .choices
             .lookup_packs
@@ -1073,7 +1073,10 @@ impl CircuitBuilder {
     }
 
     /// Pairwise maximum (packed).
-    pub fn max_pairs(&mut self, pairs: &[(AValue, AValue)]) -> Result<Vec<AValue>, BuildError> {
+    pub(crate) fn max_pairs(
+        &mut self,
+        pairs: &[(AValue, AValue)],
+    ) -> Result<Vec<AValue>, BuildError> {
         let slots = self.pack3();
         let rb = 1i64 << self.cfg.numeric.table_bits();
         let mut out = Vec::with_capacity(pairs.len());
@@ -1178,7 +1181,7 @@ impl CircuitBuilder {
     // --- finalization ----------------------------------------------------
 
     /// Total rows required (grid, phase-1 plane, constants, tables).
-    pub fn rows_used(&self) -> usize {
+    pub(crate) fn rows_used(&self) -> usize {
         let range_rows = if self.range_table.is_some() {
             self.range_size()
         } else {
@@ -1197,14 +1200,14 @@ impl CircuitBuilder {
     }
 
     /// Minimal `k` for this circuit.
-    pub fn min_k(&self) -> u32 {
+    pub(crate) fn min_k(&self) -> u32 {
         ((self.rows_used() + BLINDING_FACTORS + 1).next_power_of_two())
             .trailing_zeros()
             .max(3)
     }
 
     /// Structure statistics for the cost model.
-    pub fn stats(&self) -> LayoutStats {
+    pub(crate) fn stats(&self) -> LayoutStats {
         LayoutStats {
             rows: self.rows_used(),
             num_instance: self.cs.num_instance,

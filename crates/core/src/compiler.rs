@@ -137,7 +137,7 @@ fn identity_digest(cfg: &CircuitConfig, k: u32, cs: &ConstraintSystem) -> [u8; 3
     ] {
         w.u64(v);
     }
-    zkml_plonk::serialize::write_cs(&mut w, cs);
+    zkml_plonk::write_cs(&mut w, cs);
     let mut h = zkml_transcript::Blake2b::new();
     h.update(b"zkml-circuit-digest-v1");
     h.update(&w.finish());
@@ -380,7 +380,10 @@ fn finalize(
 /// Synthesizes a schedule under a plan and runs the static analyzer over
 /// the result — the optimizer-sweep entry point for checking that a
 /// *candidate* layout (not just the winner) is fully constrained.
-pub fn analyze_plan(sched: &OpSchedule, plan: &LayoutPlan) -> Result<AnalysisReport, ZkmlError> {
+pub(crate) fn analyze_plan(
+    sched: &OpSchedule,
+    plan: &LayoutPlan,
+) -> Result<AnalysisReport, ZkmlError> {
     Ok(synthesize(sched, plan)?.analyze())
 }
 
@@ -577,12 +580,6 @@ impl CompiledCircuit {
                 detail: report.to_string(),
             })
         }
-    }
-
-    /// Labelled layout regions (gadget rows, input rows, the Freivalds
-    /// phase-1 plane) for attributing cells to gadgets.
-    pub fn regions(&self) -> &[RegionSpan] {
-        &self.regions
     }
 
     /// Every witness cell assigned during synthesis: the phase-0 cells the

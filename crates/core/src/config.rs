@@ -136,7 +136,7 @@ impl NumericConfig {
     }
 
     /// The fixed-point scale factor.
-    pub fn scale(&self) -> i64 {
+    pub(crate) fn scale(&self) -> i64 {
         1 << self.scale_bits
     }
 }

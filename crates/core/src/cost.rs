@@ -1,7 +1,7 @@
 //! The cost model (§7.4, Eq. 1–2) and hardware calibration.
 //!
 //! Calibration takes several seconds, so [`HardwareStats::cached`]
-//! persists the table to disk (see [`HardwareStats::save`]) and later
+//! persists the table to disk (see `HardwareStats::save`) and later
 //! processes load it instead of re-benchmarking. Set `ZKML_HW_CACHE` to
 //! choose the file, or to the empty string to disable persistence.
 
@@ -132,7 +132,7 @@ impl HardwareStats {
     /// Serializes the table to a text file, atomically (write to a
     /// temporary sibling, then rename). Floats are stored as `to_bits`
     /// hex so the round-trip is exact.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> std::io::Result<()> {
         let mut body = String::from("zkml-hw-cache-v1\n");
         for row in [&self.t_fft, &self.t_msm, &self.t_lookup] {
             let line: Vec<String> = row
@@ -154,7 +154,7 @@ impl HardwareStats {
         std::fs::rename(&tmp, path)
     }
 
-    /// Loads a table previously written by [`save`](Self::save). Returns
+    /// Loads a table previously written by `save`. Returns
     /// `None` on any anomaly (missing file, wrong header, wrong arity) so
     /// callers fall back to benchmarking.
     pub fn load(path: &Path) -> Option<Self> {
@@ -247,7 +247,7 @@ pub struct CostEstimate {
 }
 
 /// Number of quotient pieces for a degree bound.
-pub fn quotient_pieces(degree: usize) -> usize {
+pub(crate) fn quotient_pieces(degree: usize) -> usize {
     (degree - 1).next_power_of_two()
 }
 

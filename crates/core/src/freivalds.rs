@@ -18,7 +18,7 @@ use zkml_plonk::{CellRef, Column};
 
 /// How a phase-1 cell's value is derived from the challenge.
 #[derive(Clone, Copy, Debug)]
-pub enum Vs {
+pub(crate) enum Vs {
     /// A literal (copied phase-0 operand).
     Lit(i64),
     /// `χ^e`.
@@ -35,7 +35,7 @@ pub enum Vs {
 
 /// Identifies one of the region's dot products.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DotId {
+pub(crate) enum DotId {
     /// `u_i = B_i · r` (row `i` of B against the power vector).
     U(usize),
     /// `v_i = C_i · r`.
@@ -45,7 +45,7 @@ pub enum DotId {
 }
 
 /// A deferred phase-1 witness job for one matrix multiplication.
-pub struct FreivaldsJob {
+pub(crate) struct FreivaldsJob {
     /// Rows of A (s x k).
     pub a: Vec<i64>,
     /// Rows of B (k x t).
@@ -74,7 +74,7 @@ fn y_spec(dot: DotId, idx: usize) -> Vs {
 /// scale — callers rescale).
 ///
 /// A placer builder gets the same rows, selectors and copies but no
-/// witness: the product cells hold zeros and no [`FreivaldsJob`] is
+/// witness: the product cells hold zeros and no `FreivaldsJob` is
 /// recorded.
 pub fn freivalds_matmul(
     bld: &mut CircuitBuilder,
@@ -278,7 +278,7 @@ fn p1_dot(
 /// and the challenge, so the result is thread-count independent).
 ///
 /// Returns `(cs_column, values)` pairs, each of length `rows`.
-pub fn fill_jobs(
+pub(crate) fn fill_jobs(
     jobs: &[FreivaldsJob],
     p1_cols: &[usize],
     challenges: &[Fr],

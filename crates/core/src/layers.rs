@@ -7,7 +7,7 @@
 //! ids, which is the paper's "free" shape-op property. Every arithmetic
 //! output value is later produced by the gadgets themselves (during
 //! schedule replay) with the same quantized semantics as
-//! `zkml_model::exec::execute_fixed`, so the circuit witness and the
+//! `zkml_model::execute_fixed`, so the circuit witness and the
 //! reference executor agree bit-for-bit (cross-checked in tests).
 //!
 //! The replay half — resolving implementation choices like Freivalds vs.
@@ -114,7 +114,7 @@ fn mean_of(sb: &mut ScheduleBuilder, xs: &[SVal], count: i64) -> SVal {
 }
 
 /// Lowers one node into schedule ops.
-pub fn lower_node(
+pub(crate) fn lower_node(
     sb: &mut ScheduleBuilder,
     g: &Graph,
     node: &Node,
@@ -424,8 +424,8 @@ fn conv2d(
     let (n, h, wid, cin) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
     let (kh, kw) = (w.shape()[0], w.shape()[1]);
     let cout = if depthwise { cin } else { w.shape()[3] };
-    let (oh, ph, _) = zkml_model::op::conv_output_dim(h, kh, stride.0, padding);
-    let (ow, pw, _) = zkml_model::op::conv_output_dim(wid, kw, stride.1, padding);
+    let (oh, ph, _) = zkml_model::conv_output_dim(h, kh, stride.0, padding);
+    let (ow, pw, _) = zkml_model::conv_output_dim(wid, kw, stride.1, padding);
     let bias2 = node.inputs.get(2).map(|id| load_bias2(sb, g, *id));
     let zero = sb.constant(0);
 

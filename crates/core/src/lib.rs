@@ -3,12 +3,12 @@
 //!
 //! The crate mirrors the paper's two components (§4):
 //!
-//! * **Gadgets** ([`builder`]): efficient single-row constraint patterns for
+//! * **Gadgets** (`builder`): efficient single-row constraint patterns for
 //!   ML operations — packed arithmetic, dot products with two accumulation
 //!   strategies, lookup non-linearities, max, rounded variable division,
 //!   bit-decomposition ReLU, and Freivalds-checked matrix multiplication
-//!   using multi-phase challenges ([`freivalds`]).
-//! * **Optimizer** ([`optimizer`]): generates logical layouts (gadget
+//!   using multi-phase challenges (`freivalds`).
+//! * **Optimizer** (`optimizer`): generates logical layouts (gadget
 //!   choices), searches each one's column range for the left edges of its
 //!   `k` plateaus — the only column counts that can win — placing just
 //!   the points that search needs row-exactly, and picks the cheapest
@@ -17,7 +17,7 @@
 //!
 //! Compilation is a three-stage pipeline:
 //!
-//! 1. **Schedule** ([`schedule`], built by [`layers::lower_graph`]): the
+//! 1. **Schedule** (`schedule`, built by [`layers::lower_graph`]): the
 //!    model is lowered **once** into an [`OpSchedule`] — the ordered,
 //!    backend-independent gadget invocations, with no rows or columns
 //!    chosen.
@@ -30,26 +30,27 @@
 //!    result is cross-checked against the plan. Keys, proofs (KZG or IPA),
 //!    and verification hang off the resulting [`CompiledCircuit`].
 
-pub mod builder;
-pub mod compiler;
-pub mod config;
+mod builder;
+mod compiler;
+mod config;
 pub mod cost;
-pub mod freivalds;
+mod freivalds;
 pub mod layers;
-pub mod optimizer;
-pub mod schedule;
-pub mod segment;
-pub mod tables;
+mod optimizer;
+mod schedule;
+mod segment;
+mod tables;
 
-pub use builder::{AValue, BuildError, CircuitBuilder, Gadget, LayoutStats};
+pub use builder::{AValue, BuildError, CircuitBuilder, Gadget};
 pub use compiler::{
-    analyze_plan, compile, compile_with, place, synthesize, CompiledCircuit, LayoutPlan, ZkmlError,
+    compile, compile_with, place, synthesize, CompiledCircuit, LayoutPlan, ZkmlError,
 };
 pub use config::{
-    ArithImpl, CircuitConfig, DotImpl, LayoutChoices, MatmulImpl, NumericConfig, Objective,
-    ReluImpl,
+    CircuitConfig, DotImpl, LayoutChoices, MatmulImpl, NumericConfig, Objective, ReluImpl,
 };
-pub use cost::{CostEstimate, HardwareStats};
-pub use optimizer::{optimize, optimize_schedule, OptimizerOptions, OptimizerReport};
+pub use cost::HardwareStats;
+pub use freivalds::freivalds_matmul;
+pub use optimizer::{optimize, optimize_schedule, zero_inputs, OptimizerOptions, OptimizerReport};
 pub use schedule::{schedules_built, OpSchedule, ScheduleBuilder};
-pub use segment::{cut_schedule, eval_schedule, SegmentError, SegmentPlan, SegmentSchedule};
+pub use segment::{cut_schedule, eval_schedule, SegmentError, SegmentPlan};
+pub use tables::{ActKey, TableFn};

@@ -123,11 +123,6 @@ impl OpSchedule {
         self.ops.len()
     }
 
-    /// Number of abstract values the schedule produces.
-    pub fn num_values(&self) -> usize {
-        self.num_vals
-    }
-
     /// Number of compute ops — everything except `Load`/`Const`, which
     /// carry raw data and are rematerialized (not threaded) across segment
     /// boundaries. Segmentation partitions exactly these.
@@ -187,7 +182,7 @@ impl ScheduleBuilder {
     }
 
     /// The fixed-point scale factor.
-    pub fn scale(&self) -> i64 {
+    pub(crate) fn scale(&self) -> i64 {
         self.numeric.scale()
     }
 
@@ -221,7 +216,7 @@ impl ScheduleBuilder {
 
     /// Returns a pinned constant (deduplicated, like the builder's
     /// constant column).
-    pub fn constant(&mut self, v: i64) -> SVal {
+    pub(crate) fn constant(&mut self, v: i64) -> SVal {
         if let Some(&s) = self.consts.get(&v) {
             return s;
         }
@@ -254,7 +249,7 @@ impl ScheduleBuilder {
     }
 
     /// Packed squaring.
-    pub fn square_pack(&mut self, xs: &[SVal]) -> Vec<SVal> {
+    pub(crate) fn square_pack(&mut self, xs: &[SVal]) -> Vec<SVal> {
         self.push(SchedOp::Square { xs: ids(xs) })
     }
 
@@ -264,7 +259,7 @@ impl ScheduleBuilder {
     }
 
     /// Pointwise non-linearity lookup.
-    pub fn nonlin(&mut self, f: TableFn, xs: &[SVal]) -> Vec<SVal> {
+    pub(crate) fn nonlin(&mut self, f: TableFn, xs: &[SVal]) -> Vec<SVal> {
         self.push(SchedOp::Nonlin { f, xs: ids(xs) })
     }
 
@@ -274,7 +269,7 @@ impl ScheduleBuilder {
     }
 
     /// Packed pairwise maximum.
-    pub fn max_pairs(&mut self, pairs: &[(SVal, SVal)]) -> Vec<SVal> {
+    pub(crate) fn max_pairs(&mut self, pairs: &[(SVal, SVal)]) -> Vec<SVal> {
         self.push(SchedOp::MaxPairs {
             pairs: pair_ids(pairs),
         })
@@ -305,7 +300,7 @@ impl ScheduleBuilder {
     }
 
     /// Rounded variable division with scaled numerators.
-    pub fn var_div(&mut self, nums: &[SVal], den: SVal, den_bound: i64) -> Vec<SVal> {
+    pub(crate) fn var_div(&mut self, nums: &[SVal], den: SVal, den_bound: i64) -> Vec<SVal> {
         self.push(SchedOp::VarDiv {
             nums: ids(nums),
             den: den.0,
@@ -315,7 +310,7 @@ impl ScheduleBuilder {
 
     /// Matrix multiply producing raw (double-scale) outputs; the
     /// implementation (Freivalds vs. direct) is resolved at replay time.
-    pub fn matmul_raw(
+    pub(crate) fn matmul_raw(
         &mut self,
         x: &[SVal],
         w: &[SVal],
@@ -504,7 +499,6 @@ mod tests {
         let d = sb.dot(&xs, &xs, Some(c));
         assert_eq!(d.0, 4);
         let sched = sb.finish(vec![(vec![1], vec![d])]);
-        assert_eq!(sched.num_values(), 5);
         assert_eq!(sched.num_ops(), 3);
     }
 

@@ -30,7 +30,7 @@ impl ActKey {
     }
 
     /// Recovers the activation.
-    pub fn activation(&self) -> Activation {
+    pub(crate) fn activation(&self) -> Activation {
         match self.0 {
             "relu" => Activation::Relu,
             "relu6" => Activation::Relu6,
@@ -46,7 +46,7 @@ impl ActKey {
 }
 
 /// Extension trait providing a `'static` name for activations.
-pub trait ActName {
+pub(crate) trait ActName {
     /// The static name.
     fn name_static(&self) -> &'static str;
 }
@@ -58,7 +58,7 @@ impl ActName for Activation {
 }
 
 /// Evaluates a table function on a quantized input.
-pub fn table_eval(f: TableFn, x: i64, scale: i64) -> i64 {
+pub(crate) fn table_eval(f: TableFn, x: i64, scale: i64) -> i64 {
     match f {
         TableFn::Act(key) => qops::act_q(key.activation(), x, scale),
         TableFn::Exp => qops::exp_q(x, scale),
@@ -72,7 +72,7 @@ pub fn table_eval(f: TableFn, x: i64, scale: i64) -> i64 {
 /// The domain is the signed range `[-2^(tb-1), 2^(tb-1))` where
 /// `tb = numeric.table_bits()`; this is the coupling between fixed-point
 /// precision and grid size described in §5.1.
-pub fn nonlin_entries(f: TableFn, numeric: &NumericConfig) -> Vec<(i64, i64)> {
+pub(crate) fn nonlin_entries(f: TableFn, numeric: &NumericConfig) -> Vec<(i64, i64)> {
     let half = 1i64 << (numeric.table_bits() - 1);
     let scale = numeric.scale();
     (-half..half)

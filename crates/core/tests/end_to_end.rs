@@ -181,7 +181,7 @@ fn placement_structure_matches_synthesis() {
     let real = compile(&g, &inputs, config).unwrap();
     // A plan placed from a zero-input schedule must predict the real
     // circuit's structure exactly (layouts are input-independent).
-    let sched = zkml::layers::lower_graph(&g, &zkml::optimizer::zero_inputs(&g), config.numeric);
+    let sched = zkml::layers::lower_graph(&g, &zkml::zero_inputs(&g), config.numeric);
     let plan = zkml::place(&sched, config).unwrap();
     assert_eq!(real.k, plan.k, "planned k mismatch");
     assert_eq!(real.stats, plan.stats, "planned stats mismatch");

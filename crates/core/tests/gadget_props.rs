@@ -2,7 +2,7 @@
 //! operations for arbitrary in-range inputs, under every layout choice.
 
 use proptest::prelude::*;
-use zkml::{builder::CircuitBuilder, CircuitConfig, Gadget, LayoutChoices};
+use zkml::{CircuitBuilder, CircuitConfig, Gadget, LayoutChoices};
 use zkml_model::qops;
 
 fn builder(packs: usize) -> CircuitBuilder {

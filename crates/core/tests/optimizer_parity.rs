@@ -11,8 +11,8 @@ use std::sync::Mutex;
 use zkml::cost::HardwareStats;
 use zkml::layers::lower_graph;
 use zkml::{
-    cut_schedule, optimize_schedule, optimizer, schedules_built, LayoutChoices, Objective,
-    OpSchedule, OptimizerOptions, SegmentPlan,
+    cut_schedule, optimize_schedule, schedules_built, LayoutChoices, Objective, OpSchedule,
+    OptimizerOptions, SegmentPlan,
 };
 use zkml_par::{with_pool, Pool};
 use zkml_pcs::{Backend, Params};
@@ -43,9 +43,9 @@ fn lower_graph_runs_exactly_once_per_optimize() {
     let _guard = lock();
     let hw = HardwareStats::fixture();
     for g in small_zoo() {
-        let inputs = optimizer::zero_inputs(&g);
+        let inputs = zkml::zero_inputs(&g);
         let before = schedules_built();
-        let report = optimizer::optimize(&g, &inputs, &opts(), &hw).expect("optimize");
+        let report = zkml::optimize(&g, &inputs, &opts(), &hw).expect("optimize");
         assert_eq!(
             schedules_built(),
             before + 1,
@@ -73,7 +73,7 @@ fn lower_graph_runs_exactly_once_per_optimize() {
 fn small_schedules() -> Vec<(String, OpSchedule)> {
     let mut out = Vec::new();
     for g in small_zoo() {
-        let inputs = optimizer::zero_inputs(&g);
+        let inputs = zkml::zero_inputs(&g);
         let sched = lower_graph(&g, &inputs, opts().numeric);
         if g.name == "MNIST" {
             let plan = SegmentPlan::balanced(&sched, 3);
@@ -158,8 +158,8 @@ fn winning_plan_synthesizes_and_proves() {
     let _guard = lock();
     let hw = HardwareStats::fixture();
     let g = zkml_model::zoo::mnist_cnn();
-    let inputs = optimizer::zero_inputs(&g);
-    let report = optimizer::optimize(&g, &inputs, &opts(), &hw).expect("optimize");
+    let inputs = zkml::zero_inputs(&g);
+    let report = zkml::optimize(&g, &inputs, &opts(), &hw).expect("optimize");
     let compiled = report.synthesize_best().expect("synthesize");
     assert_eq!(compiled.circuit_digest(), report.best_plan.digest());
     // Row-exact constraint check.

@@ -3,7 +3,7 @@
 //! structural predictions match real synthesis for arbitrary models.
 
 use proptest::prelude::*;
-use zkml::{compile, optimizer, place, CircuitConfig, LayoutChoices, OptimizerOptions};
+use zkml::{compile, place, CircuitConfig, LayoutChoices, OptimizerOptions};
 use zkml_model::{Activation, Graph, GraphBuilder, Op};
 use zkml_pcs::Backend;
 
@@ -43,8 +43,8 @@ proptest! {
         let mut opts = OptimizerOptions::new(Backend::Kzg, 14);
         opts.prune = false;
         opts.n_cols_range = (8, 20);
-        let inputs = optimizer::zero_inputs(&g);
-        let report = optimizer::optimize(&g, &inputs, &opts, &hw).unwrap();
+        let inputs = zkml::zero_inputs(&g);
+        let report = zkml::optimize(&g, &inputs, &opts, &hw).unwrap();
         for e in &report.all {
             prop_assert!(
                 report.best_cost.proving_s <= e.cost.proving_s + 1e-12,
@@ -61,7 +61,7 @@ proptest! {
         let g = random_mlp(&widths, false);
         let mut cfg = CircuitConfig::default_with(LayoutChoices::optimized());
         cfg.num_cols = ncols;
-        let inputs = optimizer::zero_inputs(&g);
+        let inputs = zkml::zero_inputs(&g);
         let sched = zkml::layers::lower_graph(&g, &inputs, cfg.numeric);
         let plan = place(&sched, cfg).unwrap();
         let real = compile(&g, &inputs, cfg).unwrap();
@@ -84,7 +84,7 @@ proptest! {
         // (proving time or proof size, KZG or IPA) falls. Underneath
         // them, the row count never rises with more columns either.
         let g = random_mlp(&widths, softmax);
-        let inputs = optimizer::zero_inputs(&g);
+        let inputs = zkml::zero_inputs(&g);
         let sched = zkml::layers::lower_graph(&g, &inputs, zkml::NumericConfig::default_nano());
         let hw = zkml::cost::HardwareStats::fixture();
         let (lo, hi) = OptimizerOptions::new(Backend::Kzg, 15).n_cols_range;

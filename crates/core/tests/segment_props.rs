@@ -6,7 +6,7 @@
 //! byte-identical cuts.
 
 use proptest::prelude::*;
-use zkml::schedule::OpSchedule;
+use zkml::OpSchedule;
 use zkml::{cut_schedule, eval_schedule, Gadget, NumericConfig, ScheduleBuilder, SegmentPlan};
 
 /// Opcode stream interpreted by [`build_schedule`]; magnitudes stay far

@@ -30,7 +30,7 @@ fn frobenius_coeff() -> &'static Fq2 {
 
 impl Fq12 {
     /// Creates an element from its two `Fq6` coefficients.
-    pub const fn new(c0: Fq6, c1: Fq6) -> Self {
+    pub(crate) const fn new(c0: Fq6, c1: Fq6) -> Self {
         Self { c0, c1 }
     }
 
@@ -39,18 +39,8 @@ impl Fq12 {
         Self::new(Fq6::one(), Fq6::zero())
     }
 
-    /// The additive identity.
-    pub fn zero() -> Self {
-        Self::new(Fq6::zero(), Fq6::zero())
-    }
-
-    /// Returns true if this is zero.
-    pub fn is_zero(&self) -> bool {
-        self.c0.is_zero() && self.c1.is_zero()
-    }
-
     /// Squares this element.
-    pub fn square(&self) -> Self {
+    pub(crate) fn square(&self) -> Self {
         // Complex squaring over Fq6 with w^2 = v.
         let v0 = self.c0 * self.c1;
         let t = self.c1.mul_by_v();
@@ -115,7 +105,7 @@ impl Fq12 {
     }
 
     /// Computes the multiplicative inverse if nonzero.
-    pub fn invert(&self) -> Option<Self> {
+    pub(crate) fn invert(&self) -> Option<Self> {
         // 1/(c0 + c1 w) = (c0 - c1 w)/(c0^2 - v c1^2)
         let norm = self.c0.square() - self.c1.square().mul_by_v();
         norm.invert()
@@ -123,32 +113,14 @@ impl Fq12 {
     }
 
     /// Conjugation `c0 - c1·w`, which equals the `q^6`-power Frobenius.
-    pub fn conjugate(&self) -> Self {
+    pub(crate) fn conjugate(&self) -> Self {
         Self::new(self.c0, -self.c1)
     }
 
     /// Applies the `q`-power Frobenius endomorphism.
-    pub fn frobenius(&self) -> Self {
+    pub(crate) fn frobenius(&self) -> Self {
         let gamma = *frobenius_coeff();
         Self::new(self.c0.frobenius(), self.c1.frobenius().scale(gamma))
-    }
-
-    /// Raises to a power given as little-endian limbs.
-    pub fn pow(&self, exp: &[u64]) -> Self {
-        let mut res = Self::one();
-        let mut started = false;
-        for e in exp.iter().rev() {
-            for i in (0..64).rev() {
-                if started {
-                    res = res.square();
-                }
-                if (*e >> i) & 1 == 1 {
-                    res = res * *self;
-                    started = true;
-                }
-            }
-        }
-        res
     }
 }
 
@@ -189,6 +161,27 @@ mod tests {
     use rand::SeedableRng;
     use zkml_ff::Field;
 
+    impl Fq12 {
+        /// Square-and-multiply power by little-endian limbs: the reference
+        /// the Frobenius map and the pairing's order are checked against.
+        pub(crate) fn pow(&self, exp: &[u64]) -> Self {
+            let mut res = Self::one();
+            let mut started = false;
+            for e in exp.iter().rev() {
+                for i in (0..64).rev() {
+                    if started {
+                        res = res.square();
+                    }
+                    if (*e >> i) & 1 == 1 {
+                        res = res * *self;
+                        started = true;
+                    }
+                }
+            }
+            res
+        }
+    }
+
     fn rand_fq12(rng: &mut StdRng) -> Fq12 {
         let mut f2 = || Fq2::new(Fq::random(rng), Fq::random(rng));
         let c0 = Fq6::new(f2(), f2(), f2());
@@ -212,8 +205,8 @@ mod tests {
             let b = rand_fq12(&mut rng);
             assert_eq!(a * b, b * a);
             assert_eq!(a.square(), a * a);
-            if !a.is_zero() {
-                assert_eq!(a * a.invert().unwrap(), Fq12::one());
+            if let Some(inv) = a.invert() {
+                assert_eq!(a * inv, Fq12::one());
             }
         }
     }

@@ -14,32 +14,32 @@ pub struct Fq2 {
 
 impl Fq2 {
     /// Creates an element from its two coefficients.
-    pub const fn new(c0: Fq, c1: Fq) -> Self {
+    pub(crate) const fn new(c0: Fq, c1: Fq) -> Self {
         Self { c0, c1 }
     }
 
     /// The additive identity.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self::new(Fq::ZERO, Fq::ZERO)
     }
 
     /// The multiplicative identity.
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         Self::new(Fq::ONE, Fq::ZERO)
     }
 
     /// Returns true if this is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.c0.is_zero() && self.c1.is_zero()
     }
 
     /// Embeds an `Fq` element.
-    pub fn from_base(c0: Fq) -> Self {
+    pub(crate) fn from_base(c0: Fq) -> Self {
         Self::new(c0, Fq::ZERO)
     }
 
     /// Squares this element.
-    pub fn square(&self) -> Self {
+    pub(crate) fn square(&self) -> Self {
         // (c0 + c1 u)^2 = (c0+c1)(c0-c1) + 2 c0 c1 u
         let a = self.c0 + self.c1;
         let b = self.c0 - self.c1;
@@ -48,23 +48,23 @@ impl Fq2 {
     }
 
     /// Doubles this element.
-    pub fn double(&self) -> Self {
+    pub(crate) fn double(&self) -> Self {
         Self::new(self.c0.double(), self.c1.double())
     }
 
     /// Multiplies by an `Fq` scalar.
-    pub fn scale(&self, s: Fq) -> Self {
+    pub(crate) fn scale(&self, s: Fq) -> Self {
         Self::new(self.c0 * s, self.c1 * s)
     }
 
     /// Complex conjugation `c0 - c1·u`; this is also the `p`-power Frobenius
     /// (since `p ≡ 3 mod 4`).
-    pub fn conjugate(&self) -> Self {
+    pub(crate) fn conjugate(&self) -> Self {
         Self::new(self.c0, -self.c1)
     }
 
     /// Computes the multiplicative inverse if nonzero.
-    pub fn invert(&self) -> Option<Self> {
+    pub(crate) fn invert(&self) -> Option<Self> {
         // 1/(c0 + c1 u) = (c0 - c1 u) / (c0^2 + c1^2)
         let norm = self.c0.square() + self.c1.square();
         norm.invert()
@@ -72,7 +72,7 @@ impl Fq2 {
     }
 
     /// Raises to a power given as little-endian limbs.
-    pub fn pow(&self, exp: &[u64]) -> Self {
+    pub(crate) fn pow(&self, exp: &[u64]) -> Self {
         let mut res = Self::one();
         for e in exp.iter().rev() {
             for i in (0..64).rev() {
@@ -86,7 +86,7 @@ impl Fq2 {
     }
 
     /// Multiplies by the sextic non-residue `xi = 9 + u`.
-    pub fn mul_by_xi(&self) -> Self {
+    pub(crate) fn mul_by_xi(&self) -> Self {
         // (c0 + c1 u)(9 + u) = (9 c0 - c1) + (c0 + 9 c1) u
         let t0 = self.c0.double().double().double() + self.c0; // 9 c0
         let t1 = self.c1.double().double().double() + self.c1; // 9 c1

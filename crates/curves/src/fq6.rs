@@ -32,43 +32,38 @@ fn frobenius_coeffs() -> &'static (Fq2, Fq2) {
 
 impl Fq6 {
     /// Creates an element from its three `Fq2` coefficients.
-    pub const fn new(c0: Fq2, c1: Fq2, c2: Fq2) -> Self {
+    pub(crate) const fn new(c0: Fq2, c1: Fq2, c2: Fq2) -> Self {
         Self { c0, c1, c2 }
     }
 
     /// The additive identity.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self::new(Fq2::zero(), Fq2::zero(), Fq2::zero())
     }
 
     /// The multiplicative identity.
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         Self::new(Fq2::one(), Fq2::zero(), Fq2::zero())
-    }
-
-    /// Returns true if this is zero.
-    pub fn is_zero(&self) -> bool {
-        self.c0.is_zero() && self.c1.is_zero() && self.c2.is_zero()
     }
 
     /// Multiplies by `v` (the cubic generator): shifts coefficients and
     /// multiplies the wrapped one by `xi`.
-    pub fn mul_by_v(&self) -> Self {
+    pub(crate) fn mul_by_v(&self) -> Self {
         Self::new(self.c2.mul_by_xi(), self.c0, self.c1)
     }
 
     /// Squares this element.
-    pub fn square(&self) -> Self {
+    pub(crate) fn square(&self) -> Self {
         *self * *self
     }
 
     /// Doubles this element.
-    pub fn double(&self) -> Self {
+    pub(crate) fn double(&self) -> Self {
         Self::new(self.c0.double(), self.c1.double(), self.c2.double())
     }
 
     /// Multiplies every coefficient by an `Fq2` scalar.
-    pub fn scale(&self, s: Fq2) -> Self {
+    pub(crate) fn scale(&self, s: Fq2) -> Self {
         Self::new(self.c0 * s, self.c1 * s, self.c2 * s)
     }
 
@@ -84,7 +79,7 @@ impl Fq6 {
     }
 
     /// Computes the multiplicative inverse if nonzero.
-    pub fn invert(&self) -> Option<Self> {
+    pub(crate) fn invert(&self) -> Option<Self> {
         // Standard formula via the "adjoint" coefficients.
         let c0 = self.c0.square() - (self.c1 * self.c2).mul_by_xi();
         let c1 = self.c2.square().mul_by_xi() - self.c0 * self.c1;
@@ -95,7 +90,7 @@ impl Fq6 {
     }
 
     /// Applies the `q`-power Frobenius endomorphism.
-    pub fn frobenius(&self) -> Self {
+    pub(crate) fn frobenius(&self) -> Self {
         let (gamma1, gamma2) = *frobenius_coeffs();
         Self::new(
             self.c0.conjugate(),
@@ -169,8 +164,8 @@ mod tests {
             assert_eq!((a + b) * c, a * c + b * c);
             assert_eq!(a * b, b * a);
             assert_eq!(a.square(), a * a);
-            if !a.is_zero() {
-                assert_eq!(a * a.invert().unwrap(), Fq6::one());
+            if let Some(inv) = a.invert() {
+                assert_eq!(a * inv, Fq6::one());
             }
         }
     }

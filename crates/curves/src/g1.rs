@@ -26,7 +26,7 @@ pub struct G1Projective {
 }
 
 /// The curve coefficient `b = 3`.
-pub fn curve_b() -> Fq {
+pub(crate) fn curve_b() -> Fq {
     Fq::from_u64(3)
 }
 
@@ -52,11 +52,6 @@ impl G1Affine {
     /// Returns true if the point is the identity.
     pub fn is_identity(&self) -> bool {
         self.infinity
-    }
-
-    /// Checks the curve equation (identity counts as on-curve).
-    pub fn is_on_curve(&self) -> bool {
-        self.infinity || self.y.square() == self.x.square() * self.x + curve_b()
     }
 
     /// Converts to Jacobian coordinates.
@@ -116,7 +111,7 @@ impl G1Affine {
     }
 
     /// Negates the point (reflection across the x-axis).
-    pub fn negate(&self) -> Self {
+    pub(crate) fn negate(&self) -> Self {
         if self.infinity {
             *self
         } else {
@@ -242,7 +237,7 @@ impl G1Projective {
     }
 
     /// General Jacobian addition.
-    pub fn add(&self, rhs: &Self) -> Self {
+    pub(crate) fn add(&self, rhs: &Self) -> Self {
         if self.is_identity() {
             return *rhs;
         }
@@ -395,6 +390,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl G1Affine {
+        /// Checks the curve equation (identity counts as on-curve).
+        fn is_on_curve(&self) -> bool {
+            self.infinity || self.y.square() == self.x.square() * self.x + curve_b()
+        }
+    }
 
     #[test]
     fn generator_on_curve() {

@@ -4,7 +4,7 @@
 use crate::fq2::Fq2;
 use std::sync::OnceLock;
 use zkml_ff::bigint::BigUint;
-use zkml_ff::{Field, Fq, Fr, PrimeField};
+use zkml_ff::{Fq, Fr, PrimeField};
 
 /// A point on the twist `E'(Fq2)` in affine coordinates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,7 +18,7 @@ pub struct G2Affine {
 }
 
 /// The twist coefficient `b' = 3/(9+u)`.
-pub fn twist_b() -> Fq2 {
+pub(crate) fn twist_b() -> Fq2 {
     static B: OnceLock<Fq2> = OnceLock::new();
     *B.get_or_init(|| {
         let xi = Fq2::new(Fq::from_u64(9), Fq::ONE);
@@ -78,7 +78,7 @@ impl G2Affine {
     }
 
     /// The point at infinity.
-    pub fn identity() -> Self {
+    pub(crate) fn identity() -> Self {
         Self {
             x: Fq2::zero(),
             y: Fq2::zero(),
@@ -87,17 +87,17 @@ impl G2Affine {
     }
 
     /// Returns true if the point is the identity.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.infinity
     }
 
     /// Checks the twist equation.
-    pub fn is_on_curve(&self) -> bool {
+    pub(crate) fn is_on_curve(&self) -> bool {
         self.infinity || self.y.square() == self.x.square() * self.x + twist_b()
     }
 
     /// Negates the point.
-    pub fn negate(&self) -> Self {
+    pub(crate) fn negate(&self) -> Self {
         Self {
             x: self.x,
             y: -self.y,
@@ -106,7 +106,7 @@ impl G2Affine {
     }
 
     /// Doubles the point (affine formulas).
-    pub fn double(&self) -> Self {
+    pub(crate) fn double(&self) -> Self {
         if self.infinity || self.y.is_zero() {
             return Self::identity();
         }
@@ -165,7 +165,7 @@ impl G2Affine {
     ///
     /// `psi(x, y) = (conj(x) * xi^((q-1)/3), conj(y) * xi^((q-1)/2))`.
     /// Satisfies `psi(Q) = [q]Q` on the G2 subgroup.
-    pub fn psi(&self) -> Self {
+    pub(crate) fn psi(&self) -> Self {
         static COEFFS: OnceLock<(Fq2, Fq2)> = OnceLock::new();
         let (cx, cy) = *COEFFS.get_or_init(|| {
             let xi = Fq2::new(Fq::from_u64(9), Fq::ONE);
@@ -184,93 +184,11 @@ impl G2Affine {
             infinity: false,
         }
     }
-
-    /// Uncompressed 64-byte encoding (`x.c0 || x.c1`, flags in the top byte).
-    pub fn to_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        if self.infinity {
-            out[63] = 0x80;
-            return out;
-        }
-        out[..32].copy_from_slice(&self.x.c0.to_bytes());
-        out[32..].copy_from_slice(&self.x.c1.to_bytes());
-        if self.y.c0.to_canonical()[0] & 1 == 1 {
-            out[63] |= 0x40;
-        }
-        out
-    }
-
-    /// Decodes the 64-byte encoding, checking curve membership and the
-    /// prime-order subgroup (via `psi(Q) == [q mod r] Q`? — we use the direct
-    /// order check `[r]Q = O`, which is slower but unconditionally correct).
-    pub fn from_bytes(bytes: &[u8; 64]) -> Option<Self> {
-        if bytes[63] & 0x80 != 0 {
-            return Some(Self::identity());
-        }
-        let mut c0b = [0u8; 32];
-        let mut c1b = [0u8; 32];
-        c0b.copy_from_slice(&bytes[..32]);
-        c1b.copy_from_slice(&bytes[32..]);
-        let parity = (c1b[31] & 0x40) != 0;
-        c1b[31] &= 0x3f;
-        let x = Fq2::new(Fq::from_bytes(&c0b)?, Fq::from_bytes(&c1b)?);
-        let y2 = x.square() * x + twist_b();
-        let mut y = sqrt_fq2(&y2)?;
-        if (y.c0.to_canonical()[0] & 1 == 1) != parity {
-            y = -y;
-        }
-        let p = Self {
-            x,
-            y,
-            infinity: false,
-        };
-        // Subgroup check: [r]P must be the identity.
-        let r_minus_1 = -Fr::ONE;
-        if p.mul_scalar(&r_minus_1).add(&p) != Self::identity() {
-            return None;
-        }
-        Some(p)
-    }
-}
-
-/// Square root in `Fq2` (complex method for `q ≡ 3 mod 4`).
-fn sqrt_fq2(a: &Fq2) -> Option<Fq2> {
-    if a.is_zero() {
-        return Some(Fq2::zero());
-    }
-    // Write a = c0 + c1 u. If c1 = 0, either sqrt(c0) works in Fq, or
-    // sqrt(-c0) * u does (since u^2 = -1).
-    if a.c1.is_zero() {
-        if let Some(r) = a.c0.sqrt() {
-            return Some(Fq2::new(r, Fq::ZERO));
-        }
-        let r = (-a.c0).sqrt()?;
-        return Some(Fq2::new(Fq::ZERO, r));
-    }
-    // norm = c0^2 + c1^2 must be a QR in Fq; alpha = sqrt(norm);
-    // then x0 = sqrt((c0 + alpha)/2) (or with -alpha), x1 = c1/(2 x0).
-    let norm = a.c0.square() + a.c1.square();
-    let alpha = norm.sqrt()?;
-    let two_inv = Fq::from_u64(2).invert().expect("2 nonzero");
-    let mut delta = (a.c0 + alpha) * two_inv;
-    if delta.sqrt().is_none() {
-        delta = (a.c0 - alpha) * two_inv;
-    }
-    let x0 = delta.sqrt()?;
-    let x1 = a.c1 * two_inv * x0.invert()?;
-    let cand = Fq2::new(x0, x1);
-    if cand.square() == *a {
-        Some(cand)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn generator_on_curve_and_in_subgroup() {
@@ -304,28 +222,5 @@ mod tests {
         };
         assert_eq!(g.psi(), g.mul_scalar(&q_mod_r));
         assert!(g.psi().is_on_curve());
-    }
-
-    #[test]
-    fn sqrt_fq2_works() {
-        let mut rng = StdRng::seed_from_u64(20);
-        for _ in 0..10 {
-            let a = Fq2::new(Fq::random(&mut rng), Fq::random(&mut rng));
-            let sq = a.square();
-            let r = sqrt_fq2(&sq).expect("square must have root");
-            assert!(r == a || r == -a);
-        }
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = G2Affine::generator();
-        for _ in 0..3 {
-            let p = g.mul_scalar(&Fr::random(&mut rng));
-            assert_eq!(G2Affine::from_bytes(&p.to_bytes()), Some(p));
-        }
-        let id = G2Affine::identity();
-        assert_eq!(G2Affine::from_bytes(&id.to_bytes()), Some(id));
     }
 }

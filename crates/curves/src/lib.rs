@@ -9,17 +9,15 @@
 //! against the exponent derived from them, and all of it is validated by
 //! structural tests (bilinearity, subgroup orders, `psi = [q]`).
 
-pub mod fq12;
-pub mod fq2;
-pub mod fq6;
-pub mod g1;
-pub mod g2;
+mod fq12;
+mod fq2;
+mod fq6;
+mod g1;
+mod g2;
 pub mod msm;
 pub mod pairing;
 
 pub use fq12::Fq12;
-pub use fq2::Fq2;
-pub use fq6::Fq6;
 pub use g1::{G1Affine, G1Projective};
 pub use g2::G2Affine;
 pub use msm::{msm, msm_naive};

@@ -55,8 +55,7 @@
 use crate::g1::{G1Affine, G1Projective};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use zkml_ff::arith::sbb;
-use zkml_ff::field::mont::lt;
+use zkml_ff::arith::{lt, sbb};
 use zkml_ff::{batch_invert_with_scratch, Field, Fq, Fr, PrimeField};
 use zkml_par as par;
 

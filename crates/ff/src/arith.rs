@@ -6,7 +6,7 @@
 
 /// Computes `a + b + carry`, returning the result and the new carry.
 #[inline(always)]
-pub const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+pub(crate) const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
     let ret = (a as u128) + (b as u128) + (carry as u128);
     (ret as u64, (ret >> 64) as u64)
 }
@@ -23,9 +23,26 @@ pub const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
 
 /// Computes `a + b * c + carry`, returning the result and the new carry.
 #[inline(always)]
-pub const fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+pub(crate) const fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
     let ret = (a as u128) + ((b as u128) * (c as u128)) + (carry as u128);
     (ret as u64, (ret >> 64) as u64)
+}
+
+/// Returns true if `a < b` (little-endian limbs).
+pub const fn lt(a: &[u64; 4], b: &[u64; 4]) -> bool {
+    let mut i = 3;
+    loop {
+        if a[i] < b[i] {
+            return true;
+        }
+        if a[i] > b[i] {
+            return false;
+        }
+        if i == 0 {
+            return false;
+        }
+        i -= 1;
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ impl BigUint {
     }
 
     /// The value zero.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self { limbs: vec![] }
     }
 
@@ -55,7 +55,7 @@ impl BigUint {
     }
 
     /// Number of significant bits.
-    pub fn bits(&self) -> usize {
+    pub(crate) fn bits(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(&top) => self.limbs.len() * 64 - top.leading_zeros() as usize,
@@ -63,7 +63,7 @@ impl BigUint {
     }
 
     /// Returns bit `i` (0 = least significant).
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         let limb = i / 64;
         if limb >= self.limbs.len() {
             return false;
@@ -72,7 +72,7 @@ impl BigUint {
     }
 
     /// Compares two values.
-    pub fn cmp_big(&self, other: &Self) -> std::cmp::Ordering {
+    pub(crate) fn cmp_big(&self, other: &Self) -> std::cmp::Ordering {
         use std::cmp::Ordering;
         if self.limbs.len() != other.limbs.len() {
             return self.limbs.len().cmp(&other.limbs.len());
@@ -143,7 +143,7 @@ impl BigUint {
     }
 
     /// Shifts left by `n` bits.
-    pub fn shl(&self, n: usize) -> Self {
+    pub(crate) fn shl(&self, n: usize) -> Self {
         if self.is_zero() {
             return Self::zero();
         }

@@ -128,7 +128,6 @@ pub fn batch_invert_with_scratch<F: Field>(values: &mut [F], scratch: &mut Vec<F
 ///
 /// All derived constants (`R`, `R2`, `R3`, `INV`) are computed by `const fn`
 /// from the modulus literal alone, eliminating constant-transcription risk.
-#[macro_export]
 macro_rules! impl_prime_field {
     ($vis:vis struct $name:ident, modulus = $modulus:expr, generator = $generator:expr, num_bits = $num_bits:expr, doc = $doc:expr) => {
         #[doc = $doc]
@@ -137,17 +136,17 @@ macro_rules! impl_prime_field {
 
         impl $name {
             /// The modulus as little-endian limbs.
-            pub const MODULUS: [u64; 4] = $modulus;
+            pub(crate) const MODULUS: [u64; 4] = $modulus;
             /// `-p^{-1} mod 2^64`.
-            pub const INV: u64 = $crate::field::mont::compute_inv(Self::MODULUS[0]);
+            pub(crate) const INV: u64 = $crate::field::mont::compute_inv(Self::MODULUS[0]);
             /// `2^256 mod p` (the Montgomery radix; also `one()`).
-            pub const R: [u64; 4] = $crate::field::mont::compute_pow2_mod(&Self::MODULUS, 256);
+            pub(crate) const R: [u64; 4] = $crate::field::mont::compute_pow2_mod(&Self::MODULUS, 256);
             /// `2^512 mod p`.
-            pub const R2: [u64; 4] = $crate::field::mont::compute_pow2_mod(&Self::MODULUS, 512);
+            pub(crate) const R2: [u64; 4] = $crate::field::mont::compute_pow2_mod(&Self::MODULUS, 512);
             /// `2^768 mod p`.
-            pub const R3: [u64; 4] = $crate::field::mont::compute_pow2_mod(&Self::MODULUS, 768);
+            pub(crate) const R3: [u64; 4] = $crate::field::mont::compute_pow2_mod(&Self::MODULUS, 768);
             /// `p - 2` (inversion exponent).
-            pub const MODULUS_MINUS_2: [u64; 4] =
+            pub(crate) const MODULUS_MINUS_2: [u64; 4] =
                 $crate::field::mont::sub_small(&Self::MODULUS, 2);
 
             /// The zero element (usable in const contexts).
@@ -192,7 +191,7 @@ macro_rules! impl_prime_field {
             }
 
             /// Raises to a power given as little-endian limbs (const-capable).
-            pub fn pow_vartime(&self, exp: &[u64]) -> Self {
+            pub(crate) fn pow_vartime(&self, exp: &[u64]) -> Self {
                 let mut res = Self::ONE;
                 for e in exp.iter().rev() {
                     for i in (0..64).rev() {
@@ -250,7 +249,7 @@ macro_rules! impl_prime_field {
                         *l = rng.next_u64();
                     }
                     limbs[3] &= top_mask;
-                    if $crate::field::mont::lt(&limbs, &Self::MODULUS) {
+                    if $crate::arith::lt(&limbs, &Self::MODULUS) {
                         // Convert to Montgomery form.
                         let wide = $crate::field::mont::mul_wide(&limbs, &Self::R2);
                         return Self($crate::field::mont::mont_reduce(
@@ -311,7 +310,7 @@ macro_rules! impl_prime_field {
             }
 
             fn from_canonical(limbs: [u64; 4]) -> Option<Self> {
-                if !$crate::field::mont::lt(&limbs, &Self::MODULUS) {
+                if !$crate::arith::lt(&limbs, &Self::MODULUS) {
                     return None;
                 }
                 let wide = $crate::field::mont::mul_wide(&limbs, &Self::R2);
@@ -364,7 +363,7 @@ macro_rules! impl_prime_field {
                     (c[0] as u128 | ((c[1] as u128) << 64)) as i128
                 } else if small(&neg) {
                     -((neg[0] as u128 | ((neg[1] as u128) << 64)) as i128)
-                } else if $crate::field::mont::lt(&neg, &c) {
+                } else if $crate::arith::lt(&neg, &c) {
                     i128::MIN
                 } else {
                     i128::MAX
@@ -490,13 +489,14 @@ macro_rules! impl_prime_field {
         }
     };
 }
+pub(crate) use impl_prime_field;
 
 /// Const helpers for Montgomery arithmetic, shared by the field macro.
-pub mod mont {
-    use crate::arith::{adc, mac, sbb};
+pub(crate) mod mont {
+    use crate::arith::{adc, lt, mac, sbb};
 
     /// Computes `-m0^{-1} mod 2^64` by Newton iteration.
-    pub const fn compute_inv(m0: u64) -> u64 {
+    pub(crate) const fn compute_inv(m0: u64) -> u64 {
         // x_{k+1} = x_k (2 - m0 x_k) doubles correct low bits each step.
         let mut x = 1u64;
         let mut i = 0;
@@ -507,25 +507,8 @@ pub mod mont {
         x.wrapping_neg()
     }
 
-    /// Returns true if `a < b` (little-endian limbs).
-    pub const fn lt(a: &[u64; 4], b: &[u64; 4]) -> bool {
-        let mut i = 3;
-        loop {
-            if a[i] < b[i] {
-                return true;
-            }
-            if a[i] > b[i] {
-                return false;
-            }
-            if i == 0 {
-                return false;
-            }
-            i -= 1;
-        }
-    }
-
     /// Computes `a - small` for a small `u64` subtrahend (no full underflow).
-    pub const fn sub_small(a: &[u64; 4], small: u64) -> [u64; 4] {
+    pub(crate) const fn sub_small(a: &[u64; 4], small: u64) -> [u64; 4] {
         let (d0, b) = sbb(a[0], small, 0);
         let (d1, b) = sbb(a[1], 0, b);
         let (d2, b) = sbb(a[2], 0, b);
@@ -534,7 +517,7 @@ pub mod mont {
     }
 
     /// Subtracts `p` from `v` if `v >= p` (v known `< 2p`, no carry-out).
-    pub const fn sub_p_if_ge(v: &[u64; 4], p: &[u64; 4]) -> [u64; 4] {
+    pub(crate) const fn sub_p_if_ge(v: &[u64; 4], p: &[u64; 4]) -> [u64; 4] {
         if lt(v, p) {
             *v
         } else {
@@ -547,7 +530,7 @@ pub mod mont {
     }
 
     /// Computes `2^bits mod p` by repeated doubling (const-capable).
-    pub const fn compute_pow2_mod(p: &[u64; 4], bits: u32) -> [u64; 4] {
+    pub(crate) const fn compute_pow2_mod(p: &[u64; 4], bits: u32) -> [u64; 4] {
         let mut v = [1u64, 0, 0, 0];
         let mut i = 0;
         while i < bits {
@@ -565,7 +548,7 @@ pub mod mont {
 
     /// Full 256x256 -> 512-bit schoolbook multiplication.
     #[inline(always)]
-    pub const fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
+    pub(crate) const fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
         let (t0, carry) = mac(0, a[0], b[0], 0);
         let (t1, carry) = mac(0, a[0], b[1], carry);
         let (t2, carry) = mac(0, a[0], b[2], carry);
@@ -591,7 +574,7 @@ pub mod mont {
 
     /// Montgomery reduction of a 512-bit value: returns `t / 2^256 mod p`.
     #[inline(always)]
-    pub const fn mont_reduce(t: [u64; 8], m: &[u64; 4], inv: u64) -> [u64; 4] {
+    pub(crate) const fn mont_reduce(t: [u64; 8], m: &[u64; 4], inv: u64) -> [u64; 4] {
         let [r0, r1, r2, r3, r4, r5, r6, r7] = t;
 
         let k = r0.wrapping_mul(inv);

@@ -6,8 +6,8 @@
 //! `2^28` — exactly the ceiling of the Perpetual-Powers-of-Tau trusted setup
 //! the paper uses.
 
+use crate::field::impl_prime_field;
 use crate::field::{FftField, Field, PrimeField};
-use crate::impl_prime_field;
 use std::sync::OnceLock;
 
 impl_prime_field!(

@@ -6,13 +6,13 @@
 //! the rest of the workspace builds on.
 //!
 //! All Montgomery constants are derived from the modulus literal by `const fn`
-//! (see [`field::mont`]), so only the two modulus literals are transcribed
+//! (see `field::mont`), so only the two modulus literals are transcribed
 //! from the curve specification; everything else is computed and then
 //! cross-checked against a big-integer reference implementation in tests.
 
 pub mod arith;
 pub mod bigint;
-pub mod field;
+mod field;
 mod fq;
 mod fr;
 

@@ -22,7 +22,7 @@ impl<T: Clone> Execution<T> {
     /// # Panics
     ///
     /// Panics if the tensor was never computed.
-    pub fn value(&self, id: TensorId) -> &Tensor<T> {
+    pub(crate) fn value(&self, id: TensorId) -> &Tensor<T> {
         self.values[id].as_ref().expect("tensor not computed")
     }
 
@@ -407,7 +407,7 @@ pub fn execute_fixed(g: &Graph, inputs: &[Tensor<i64>], fp: FixedPoint) -> Execu
 }
 
 /// Evaluates a single node in fixed point (exposed for witness generation).
-pub fn eval_fixed(
+pub(crate) fn eval_fixed(
     g: &Graph,
     node: &crate::graph::Node,
     values: &[Option<Tensor<i64>>],
@@ -700,7 +700,7 @@ fn pool_fixed(
 
 /// Fixed-point softmax exactly as the circuit computes it (§6.1): max-shift,
 /// scaled-exp lookup, sum, then scaled-numerator rounded variable division.
-pub fn softmax_fixed(x: &Tensor<i64>, sf: i64) -> Tensor<i64> {
+pub(crate) fn softmax_fixed(x: &Tensor<i64>, sf: i64) -> Tensor<i64> {
     let d = *x.shape().last().unwrap();
     let mut out = x.data().to_vec();
     for row in out.chunks_mut(d) {
@@ -715,7 +715,7 @@ pub fn softmax_fixed(x: &Tensor<i64>, sf: i64) -> Tensor<i64> {
 }
 
 /// Fixed-point layer norm as the circuit computes it.
-pub fn layernorm_fixed(
+pub(crate) fn layernorm_fixed(
     x: &Tensor<i64>,
     gamma: &Tensor<i64>,
     beta: &Tensor<i64>,

@@ -5,15 +5,15 @@
 //! TFLite ops ZKML consumes), an f32 reference executor, and a fixed-point
 //! executor whose semantics the circuit compiler reproduces bit-exactly.
 
-pub mod exec;
-pub mod graph;
-pub mod op;
+mod exec;
+mod graph;
+mod op;
 pub mod qops;
-pub mod serialize;
+mod serialize;
 pub mod stats;
 pub mod zoo;
 
-pub use exec::{execute_f32, execute_fixed, Execution};
-pub use graph::{Graph, GraphBuilder, Node, TensorId, TensorKind, TensorMeta};
-pub use op::{Activation, Op, Padding};
-pub use stats::{stats, ModelStats};
+pub use exec::{execute_f32, execute_fixed};
+pub use graph::{Graph, GraphBuilder, Node, TensorId, TensorKind};
+pub use op::{conv_output_dim, Activation, Op, Padding};
+pub use stats::stats;

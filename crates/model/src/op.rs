@@ -31,7 +31,7 @@ pub enum Activation {
 
 impl Activation {
     /// Evaluates the activation in f32.
-    pub fn eval(&self, x: f32) -> f32 {
+    pub(crate) fn eval(&self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Relu6 => x.clamp(0.0, 6.0),
@@ -184,7 +184,7 @@ pub enum Op {
 impl Op {
     /// True for operations that are free in-circuit (pure reference
     /// rearrangement, §5.1 of the paper).
-    pub fn is_shape_op(&self) -> bool {
+    pub(crate) fn is_shape_op(&self) -> bool {
         matches!(
             self,
             Op::Reshape { .. }

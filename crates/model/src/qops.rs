@@ -7,7 +7,7 @@
 
 use crate::op::Activation;
 
-pub use zkml_tensor::fixed::div_round;
+pub use zkml_tensor::div_round;
 
 /// Quantized pointwise activation: `round(f(x / SF) * SF)`.
 pub fn act_q(act: Activation, x: i64, scale: i64) -> i64 {
@@ -49,13 +49,13 @@ pub fn var_div_scaled(b: i64, a: i64, scale: i64) -> i64 {
 
 /// Rounded division on i128 (round-half-up via euclidean floor, matching
 /// the in-circuit `DivRound` relation), for scaled numerators.
-pub fn div_round_i128(a: i128, b: i128) -> i128 {
+pub(crate) fn div_round_i128(a: i128, b: i128) -> i128 {
     assert!(b > 0);
     (2 * a + b).div_euclid(2 * b)
 }
 
 /// Division by a quantized constant: `round(x / c)` where `c_q = round(c*SF)`.
-pub fn div_const_q(x: i64, c_q: i64, scale: i64) -> i64 {
+pub(crate) fn div_const_q(x: i64, c_q: i64, scale: i64) -> i64 {
     assert!(c_q > 0, "divisor must be positive");
     div_round_i128(x as i128 * scale as i128, c_q as i128) as i64
 }

@@ -177,7 +177,7 @@ pub fn resnet18() -> Graph {
 
 /// MobileNetV2 on ImageNet (paper model 5): stem plus inverted-residual
 /// blocks with depthwise convolutions and ReLU6, at nano scale.
-pub fn mobilenet_v2() -> Graph {
+pub(crate) fn mobilenet_v2() -> Graph {
     let mut b = GraphBuilder::new("MobileNet", 0x5EED_0005);
     let x = b.input(vec![1, 16, 16, 3], "image");
     let mut cur = conv(&mut b, x, 3, 8, 3, 2, Some(Activation::Relu6), "stem");
@@ -355,7 +355,7 @@ pub fn gpt2() -> Graph {
 }
 
 /// GPT-2 with explicit (seq, d_model, layers, vocab) for scaling studies.
-pub fn gpt2_config(seq: usize, d: usize, layers: usize, vocab: usize) -> Graph {
+pub(crate) fn gpt2_config(seq: usize, d: usize, layers: usize, vocab: usize) -> Graph {
     let mut b = GraphBuilder::new("GPT-2", 0x5EED_0001);
     let x = b.input(vec![1, seq, d], "embedded_tokens");
     let mut cur = x;
@@ -417,7 +417,7 @@ pub fn gpt2_config(seq: usize, d: usize, layers: usize, vocab: usize) -> Graph {
 /// A small latent diffusion denoiser (paper model 2): UNet with SiLU convs,
 /// a self-attention middle block, timestep-embedding injection, and skip
 /// connections through nearest-neighbour upsampling.
-pub fn diffusion() -> Graph {
+pub(crate) fn diffusion() -> Graph {
     let mut b = GraphBuilder::new("Diffusion", 0x5EED_0002);
     let x = b.input(vec![1, 8, 8, 4], "latent");
     let t_emb = b.input(vec![1, 8], "t_embedding");
@@ -479,22 +479,10 @@ pub fn diffusion() -> Graph {
     b.finish(vec![out])
 }
 
-/// Canonical CLI names of the zoo models, in the paper's Table 5 order.
-pub const MODEL_NAMES: [&str; 8] = [
-    "gpt2",
-    "diffusion",
-    "twitter",
-    "dlrm",
-    "mobilenet",
-    "resnet18",
-    "vgg16",
-    "mnist",
-];
-
 /// Looks up a zoo model by name (case-insensitive, common aliases accepted).
 ///
 /// This is the single source of truth for name-to-model resolution; the CLI
-/// and the proving service both route through it.
+/// and the HTTP gateway both route through it.
 pub fn by_name(name: &str) -> Option<Graph> {
     Some(match name.to_ascii_lowercase().as_str() {
         "mnist" => mnist_cnn(),
@@ -583,8 +571,19 @@ mod tests {
 
     #[test]
     fn by_name_covers_the_zoo() {
-        // Every canonical name resolves, matching all_models() order.
-        let from_names: Vec<String> = MODEL_NAMES
+        // Every canonical CLI name resolves, matching all_models() order
+        // (the paper's Table 5 order).
+        let names = [
+            "gpt2",
+            "diffusion",
+            "twitter",
+            "dlrm",
+            "mobilenet",
+            "resnet18",
+            "vgg16",
+            "mnist",
+        ];
+        let from_names: Vec<String> = names
             .iter()
             .map(|n| by_name(n).expect("canonical name").name)
             .collect();

@@ -23,7 +23,7 @@ pub enum Priority {
 
 impl Priority {
     /// Parses the wire name.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "interactive" => Some(Priority::Interactive),
             "batch" => Some(Priority::Batch),
@@ -113,7 +113,7 @@ pub enum AdmitError {
 
 impl AdmitError {
     /// A conservative retry hint for the `Retry-After` header.
-    pub fn retry_after(&self) -> Duration {
+    pub(crate) fn retry_after(&self) -> Duration {
         match self {
             AdmitError::RateLimited { retry_after } => *retry_after,
             // Quota and lane pressure clear when a job finishes; one second
@@ -143,7 +143,7 @@ impl std::fmt::Display for AdmitError {
 
 /// How an admitted job left the system (for the per-tenant counters).
 #[derive(Debug, Clone, Copy)]
-pub enum ReleaseOutcome {
+pub(crate) enum ReleaseOutcome {
     /// The job completed successfully.
     Completed,
     /// The job failed.
@@ -154,7 +154,7 @@ pub enum ReleaseOutcome {
 
 /// Per-tenant counters surfaced in `/v1/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantCounters {
+pub(crate) struct TenantCounters {
     /// Submissions seen (admitted + rejected).
     pub submitted: u64,
     /// Submissions admitted into a lane.
@@ -262,7 +262,7 @@ impl Admission {
 
     /// Records a lane-full rejection (the gateway checks lane bounds; the
     /// admitted token and slot are refunded since the job never queued).
-    pub fn refund_lane_full(&self, tenant: &str) {
+    pub(crate) fn refund_lane_full(&self, tenant: &str) {
         self.with_state(tenant, |s| {
             s.counters.admitted = s.counters.admitted.saturating_sub(1);
             s.counters.in_flight = s.counters.in_flight.saturating_sub(1);
@@ -272,7 +272,7 @@ impl Admission {
     }
 
     /// Releases an admitted job's in-flight slot with its outcome.
-    pub fn release(&self, tenant: &str, outcome: ReleaseOutcome) {
+    pub(crate) fn release(&self, tenant: &str, outcome: ReleaseOutcome) {
         self.with_state(tenant, |s| {
             s.counters.in_flight = s.counters.in_flight.saturating_sub(1);
             match outcome {
@@ -286,7 +286,7 @@ impl Admission {
     /// Re-claims an in-flight slot without charging a token: used when the
     /// journal replays still-queued jobs at startup, so quotas keep holding
     /// across a restart.
-    pub fn restore(&self, tenant: &str) {
+    pub(crate) fn restore(&self, tenant: &str) {
         self.with_state(tenant, |s| {
             s.counters.submitted += 1;
             s.counters.admitted += 1;
@@ -294,14 +294,9 @@ impl Admission {
         });
     }
 
-    /// A copy of one tenant's counters (tests and introspection).
-    pub fn counters(&self, tenant: &str) -> Option<TenantCounters> {
-        self.tenants.lock().unwrap().get(tenant).map(|s| s.counters)
-    }
-
     /// The per-tenant counters as a JSON object keyed by tenant name,
     /// sorted for deterministic output.
-    pub fn tenants_json(&self) -> String {
+    pub(crate) fn tenants_json(&self) -> String {
         let tenants = self.tenants.lock().unwrap();
         let mut names: Vec<&String> = tenants.keys().collect();
         names.sort();
@@ -328,6 +323,13 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Admission {
+        /// A copy of one tenant's counters.
+        fn counters(&self, tenant: &str) -> Option<TenantCounters> {
+            self.tenants.lock().unwrap().get(tenant).map(|s| s.counters)
+        }
+    }
 
     fn cfg(rate: f64, burst: f64, quota: usize) -> AdmissionConfig {
         AdmissionConfig {

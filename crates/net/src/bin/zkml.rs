@@ -20,7 +20,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use zkml::{optimizer, OptimizerOptions};
+use zkml::OptimizerOptions;
 use zkml_ff::{Fr, PrimeField};
 use zkml_model::Graph;
 use zkml_net::{
@@ -235,7 +235,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let max_k: u32 = parsed_flag(args, "--max-k", 15)?;
             let hw = zkml::cost::HardwareStats::cached();
             let opts = OptimizerOptions::new(backend, max_k);
-            let report = optimizer::optimize(&g, &optimizer::zero_inputs(&g), &opts, hw)
+            let report = zkml::optimize(&g, &zkml::zero_inputs(&g), &opts, hw)
                 .map_err(|e| CliError::Msg(format!("optimize {}: {e}", g.name)))?;
             println!(
                 "{} ({backend}): {} layouts evaluated ({} pruned) in {:?}",
@@ -293,7 +293,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// The pipeline a served job runs (`zkml_service::pipeline`), standing
+/// The pipeline a served job runs (`zkml_service::Pipeline`), standing
 /// alone: an in-memory cache, an empty registry, and no cancellation or
 /// deadline between stages.
 fn standalone(max_k: u32) -> Pipeline {

@@ -397,9 +397,9 @@ fn handler_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, inner: Arc<Inner>) {
 }
 
 fn handle_connection(inner: &Arc<Inner>, stream: &mut TcpStream) {
-    let request = match read_request(stream) {
+    let request = match read_request(&mut *stream) {
         Ok(r) => r,
-        Err(ParseError::ConnectionClosed) | Err(ParseError::Io(_)) => return,
+        Err(ParseError::ConnectionClosed) => return,
         Err(ParseError::TooLarge) => {
             let body = JsonObj::new()
                 .str("error", "request body too large")

@@ -10,54 +10,43 @@ use std::net::TcpStream;
 /// Largest accepted header block.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Largest accepted request body (verify jobs carry hex-encoded bundles).
-pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Uppercase method (`GET`, `POST`, `DELETE`, ...).
     pub method: String,
     /// Path component only; any query string is stripped.
     pub path: String,
-    /// Headers with lowercased names.
-    pub headers: Vec<(String, String)>,
     /// The body (empty without `Content-Length`).
     pub body: Vec<u8>,
 }
 
-impl Request {
-    /// First header with the given (lowercase) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// Why a request could not be parsed; maps to a 4xx.
 #[derive(Debug)]
-pub enum ParseError {
-    /// Connection closed before a full request arrived.
+pub(crate) enum ParseError {
+    /// The connection closed or failed before a full request arrived.
     ConnectionClosed,
     /// Malformed request line or headers.
     Bad(String),
     /// Body longer than [`MAX_BODY_BYTES`].
     TooLarge,
-    /// Socket error while reading.
-    Io(std::io::Error),
 }
 
-/// Reads one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
-    let mut reader = BufReader::new(stream);
+/// Reads one request from `input` (the gateway passes its `TcpStream`).
+pub(crate) fn read_request(input: impl Read) -> Result<Request, ParseError> {
+    let mut reader = BufReader::new(input);
     let mut head = Vec::new();
-    // Read the header block up to the blank line.
+    // Read the header block up to the blank line. Each read is capped at
+    // what is left of the limit, so a line without `\n` cannot outgrow it.
     loop {
         let mut line = Vec::new();
-        reader
+        let room = (MAX_HEADER_BYTES + 1 - head.len()) as u64;
+        (&mut reader)
+            .take(room)
             .read_until(b'\n', &mut line)
-            .map_err(ParseError::Io)?;
+            .map_err(|_| ParseError::ConnectionClosed)?;
         if line.is_empty() {
             return Err(ParseError::ConnectionClosed);
         }
@@ -86,7 +75,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    let mut headers = Vec::new();
+    // Only `Content-Length` is read (the first one wins); every header line
+    // must still be `name: value`.
+    let mut content_length = None;
     for line in lines {
         if line.is_empty() {
             break;
@@ -94,30 +85,27 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| ParseError::Bad(format!("bad header line '{line}'")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        if content_length.is_none() && name.trim().eq_ignore_ascii_case("content-length") {
+            let n: usize = value
+                .trim()
+                .parse()
+                .map_err(|_| ParseError::Bad("bad content-length".into()))?;
+            content_length = Some(n);
+        }
     }
-
-    let content_length: usize = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse()
-            .map_err(|_| ParseError::Bad("bad content-length".into()))?,
-        None => 0,
-    };
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ParseError::TooLarge);
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(ParseError::Io)?;
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
+    reader
+        .read_exact(&mut body)
+        .map_err(|_| ParseError::ConnectionClosed)?;
+    Ok(Request { method, path, body })
 }
 
 /// The reason phrase for the handful of status codes the API uses.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -135,7 +123,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Writes a complete JSON response and flushes. `extra` headers are emitted
 /// verbatim (used for `Retry-After`).
-pub fn write_json_response(
+pub(crate) fn write_json_response(
     stream: &mut TcpStream,
     status: u16,
     extra: &[(&str, String)],
@@ -161,36 +149,26 @@ pub fn write_json_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
-    fn roundtrip(raw: &[u8]) -> Result<Request, ParseError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let req = read_request(&mut conn);
-        writer.join().unwrap();
-        req
+    /// Parses a byte string (a literal is an array, not a `Read`).
+    fn parse(raw: &[u8]) -> Result<Request, ParseError> {
+        read_request(raw)
     }
 
     #[test]
     fn parses_post_with_body() {
-        let req =
-            roundtrip(b"POST /v1/jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody")
-                .unwrap();
+        let req = parse(b"POST /v1/jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody")
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/jobs");
-        assert_eq!(req.header("host"), Some("h"));
         assert_eq!(req.body, b"body");
     }
 
     #[test]
     fn parses_get_without_body() {
-        let req = roundtrip(b"GET /v1/healthz HTTP/1.1\r\n\r\n").unwrap();
+        let req = parse(b"GET /v1/healthz HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/v1/healthz");
         assert!(req.body.is_empty());
@@ -198,17 +176,21 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        assert!(matches!(roundtrip(b""), Err(ParseError::ConnectionClosed)));
+        assert!(matches!(parse(b""), Err(ParseError::ConnectionClosed)));
         assert!(matches!(
-            roundtrip(b"GET /x SPDY/3\r\n\r\n"),
+            parse(b"GET /x SPDY/3\r\n\r\n"),
             Err(ParseError::Bad(_))
         ));
         assert!(matches!(
-            roundtrip(b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n"),
+            parse(b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n"),
             Err(ParseError::Bad(_))
         ));
         assert!(matches!(
-            roundtrip(
+            parse(b"POST /x HTTP/1.1\r\nContent-Length: x\r\n\r\n"),
+            Err(ParseError::Bad(_))
+        ));
+        assert!(matches!(
+            parse(
                 format!(
                     "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
                     MAX_BODY_BYTES + 1
@@ -217,5 +199,62 @@ mod tests {
             ),
             Err(ParseError::TooLarge)
         ));
+        // A body shorter than its Content-Length, and a header block that
+        // never ends, are both a closed connection.
+        assert!(matches!(
+            parse(b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort"),
+            Err(ParseError::ConnectionClosed)
+        ));
+        assert!(matches!(
+            parse(b"GET /x HTTP/1.1\r\nHost: h\r\n"),
+            Err(ParseError::ConnectionClosed)
+        ));
+        // A header line without `\n` stops at the header limit.
+        let mut long = b"GET /x HTTP/1.1\r\nx: ".to_vec();
+        long.resize(2 * MAX_HEADER_BYTES, b'a');
+        assert!(matches!(parse(&long), Err(ParseError::Bad(_))));
+    }
+
+    /// A string of `len` characters drawn from `alphabet`.
+    fn word(alphabet: &'static [u8], len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        prop::collection::vec(0..alphabet.len(), len)
+            .prop_map(move |ix| ix.into_iter().map(|i| alphabet[i] as char).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Request bytes come straight from the network: no input panics
+        /// the parser.
+        #[test]
+        fn arbitrary_bytes_never_panic(raw in prop::collection::vec(any::<u8>(), 0..256)) {
+            let _ = parse(&raw);
+        }
+
+        /// A well-formed request parses back to its method, path and body,
+        /// whatever other headers and query string ride along.
+        #[test]
+        fn well_formed_requests_round_trip(
+            method in word(b"GETPOSDLU", 1..8),
+            path in word(b"abcxyz019-_./", 0..24),
+            query in word(b"abc=&019", 0..12),
+            extra in prop::collection::vec(
+                (word(b"abcxyz-", 1..10), word(b"abc xyz019;=,", 0..16)),
+                0..4,
+            ),
+            body in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut raw = format!("{method} /{path}?{query} HTTP/1.1\r\n");
+            for (name, value) in &extra {
+                raw.push_str(&format!("x-{name}: {value}\r\n"));
+            }
+            raw.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+            let mut raw = raw.into_bytes();
+            raw.extend_from_slice(&body);
+            let req = parse(&raw).map_err(|e| TestCaseError::Fail(format!("{e:?}")))?;
+            prop_assert_eq!(req.method, method.to_ascii_uppercase());
+            prop_assert_eq!(req.path, format!("/{path}"));
+            prop_assert_eq!(req.body, body);
+        }
     }
 }

@@ -17,7 +17,7 @@ use crate::json::{decode_hex, encode_hex, escape, Json, JsonObj};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use zkml_pcs::Backend;
 use zkml_shard::SegmentSpec;
@@ -56,7 +56,7 @@ pub enum JobDesc {
 
 impl JobDesc {
     /// Short kind tag used on the wire and in the journal.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             JobDesc::Prove {
                 segments: Some(_), ..
@@ -352,7 +352,6 @@ impl Record {
 /// returning, so an acknowledged record survives a crash.
 pub struct Journal {
     file: Mutex<File>,
-    path: PathBuf,
 }
 
 impl Journal {
@@ -395,7 +394,6 @@ impl Journal {
         Ok((
             Journal {
                 file: Mutex::new(file),
-                path: path.to_path_buf(),
             },
             records,
         ))
@@ -412,19 +410,14 @@ impl Journal {
 
     /// Forces the journal to disk (a no-op given per-append fsync, kept as
     /// the explicit shutdown barrier).
-    pub fn sync(&self) -> std::io::Result<()> {
+    pub(crate) fn sync(&self) -> std::io::Result<()> {
         self.file.lock().unwrap().sync_all()
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
 /// A job reconstructed from the journal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReplayJob {
+pub(crate) struct ReplayJob {
     /// The job's id (preserved across restarts).
     pub id: u64,
     /// Submitting tenant.
@@ -439,7 +432,7 @@ pub struct ReplayJob {
 
 /// A job's state at the end of the journal.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReplayState {
+pub(crate) enum ReplayState {
     /// Submitted but never started: safe to re-run.
     Queued,
     /// Started but no terminal record: the process died with the job in
@@ -463,7 +456,7 @@ pub enum ReplayState {
 /// Folds raw records into per-job replay states (in submission order) and
 /// the next free job id. Records for unknown job ids (a truncated journal
 /// head) are ignored rather than fatal.
-pub fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
+pub(crate) fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
     let mut jobs: Vec<ReplayJob> = Vec::new();
     // Job id → position in `jobs` (which keeps submission order).
     let mut index: HashMap<u64, usize> = HashMap::new();
@@ -525,8 +518,9 @@ pub fn replay(records: &[Record]) -> (Vec<ReplayJob>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn tempfile(tag: &str) -> PathBuf {
+    fn tempfile(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "zkml-journal-test-{tag}-{}-{:?}.log",
             std::process::id(),
@@ -582,6 +576,117 @@ mod tests {
         for rec in sample_records() {
             let line = rec.encode();
             assert_eq!(Record::decode(&line).unwrap(), rec, "line: {line}");
+        }
+    }
+
+    /// Characters that stress the JSON string codec: quotes, backslashes,
+    /// control bytes, multi-byte UTF-8 and a supplementary-plane character
+    /// (a surrogate pair when escaped), beside plain ASCII.
+    const TRICKY: &[char] = &[
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', '/', 'e', 'é', '\u{2028}', '😀',
+    ];
+
+    fn any_string(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        prop::collection::vec((any::<bool>(), 0..TRICKY.len(), 0x20u8..0x7f), len).prop_map(|cs| {
+            cs.into_iter()
+                .map(|(tricky, i, b)| if tricky { TRICKY[i] } else { char::from(b) })
+                .collect()
+        })
+    }
+
+    /// A tenant name the gateway accepts: 1..=64 printable ASCII bytes,
+    /// `"` and `\\` included.
+    fn tenant() -> impl Strategy<Value = String> {
+        prop::collection::vec(0x21u8..0x7f, 1..65)
+            .prop_map(|bs| bs.into_iter().map(char::from).collect())
+    }
+
+    fn job_desc() -> impl Strategy<Value = JobDesc> {
+        (
+            (0u8..6, any_string(0..12), any::<bool>(), any::<u64>()),
+            (1usize..1000, any::<[u8; 32]>(), 0u64..=60_000),
+        )
+            .prop_map(|((kind, model, ipa, seed), (n, digest, ms))| {
+                let backend = if ipa { Backend::Ipa } else { Backend::Kzg };
+                let prove = |segments, model_digest| JobDesc::Prove {
+                    model: model.clone(),
+                    backend,
+                    seed,
+                    segments,
+                    model_digest,
+                };
+                match kind {
+                    0 => prove(None, None),
+                    1 => prove(None, Some(digest)),
+                    2 => prove(Some(SegmentSpec::Fixed(n)), None),
+                    3 => prove(Some(SegmentSpec::Auto), None),
+                    4 => JobDesc::Sleep { ms },
+                    _ => JobDesc::Verify,
+                }
+            })
+    }
+
+    fn record() -> impl Strategy<Value = Record> {
+        (
+            (0u8..5, any::<u64>(), tenant(), any::<bool>()),
+            job_desc(),
+            (any::<u32>(), any::<u32>(), any::<u64>()),
+            any_string(0..40),
+        )
+            .prop_map(
+                |((tag, job, tenant, batch), desc, (k, segments, prove_ms), error)| match tag {
+                    0 => Record::Submitted {
+                        job,
+                        tenant,
+                        priority: if batch {
+                            Priority::Batch
+                        } else {
+                            Priority::Interactive
+                        },
+                        desc,
+                    },
+                    1 => Record::Started { job },
+                    2 => Record::Completed {
+                        job,
+                        k,
+                        segments,
+                        prove_ms,
+                    },
+                    3 => Record::Failed { job, error },
+                    _ => Record::Cancelled { job },
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every record the gateway can write reads back as itself.
+        #[test]
+        fn generated_records_round_trip(rec in record()) {
+            let line = rec.encode();
+            prop_assert!(!line.contains('\n'), "a record must stay on one line: {line}");
+            prop_assert_eq!(Record::decode(&line).map_err(|e| format!("{e}: {line}")), Ok(rec));
+        }
+
+        /// Journal lines are untrusted bytes: no string panics the decoder.
+        #[test]
+        fn arbitrary_lines_never_panic(line in any_string(0..64)) {
+            let _ = Record::decode(&line);
+        }
+
+        /// Nor does any cut or one-byte corruption of a valid line.
+        #[test]
+        fn damaged_lines_never_panic(rec in record(), at in any::<usize>(), b in 0x20u8..0x7f) {
+            let line = rec.encode();
+            let mut cut = at % (line.len() + 1);
+            while !line.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let _ = Record::decode(&line[..cut]);
+            let mut damaged = line.clone().into_bytes();
+            damaged[at % line.len()] = b;
+            let _ = Record::decode(&String::from_utf8_lossy(&damaged));
         }
     }
 

@@ -287,8 +287,15 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err("truncated \\u escape".into());
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end]).map_err(|_| "bad \\u escape")?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape")?;
+        // Exactly four hex digits: no sign, space or other byte.
+        let mut v = 0;
+        for &b in &self.bytes[self.pos..end] {
+            let nibble = NIBBLES[usize::from(b)];
+            if nibble == NOT_HEX {
+                return Err("bad \\u escape".into());
+            }
+            v = v << 4 | u32::from(nibble);
+        }
         self.pos = end;
         Ok(v)
     }
@@ -323,7 +330,7 @@ impl Parser<'_> {
 }
 
 /// Escapes a string for embedding in JSON (without the surrounding quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     escape_into(&mut out, s);
     out
@@ -391,28 +398,28 @@ impl JsonObj {
     }
 
     /// Adds an unsigned integer field.
-    pub fn u64(mut self, k: &str, v: u64) -> Self {
+    pub(crate) fn u64(mut self, k: &str, v: u64) -> Self {
         self.key(k);
         let _ = write!(self.buf, "{v}");
         self
     }
 
     /// Adds a float field (4 decimal places, matching the stats JSON).
-    pub fn f64(mut self, k: &str, v: f64) -> Self {
+    pub(crate) fn f64(mut self, k: &str, v: f64) -> Self {
         self.key(k);
         let _ = write!(self.buf, "{v:.4}");
         self
     }
 
     /// Adds a boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> Self {
+    pub(crate) fn bool(mut self, k: &str, v: bool) -> Self {
         self.key(k);
         self.buf.push_str(if v { "true" } else { "false" });
         self
     }
 
     /// Adds a `null` field.
-    pub fn null(mut self, k: &str) -> Self {
+    pub(crate) fn null(mut self, k: &str) -> Self {
         self.key(k);
         self.buf.push_str("null");
         self
@@ -420,7 +427,7 @@ impl JsonObj {
 
     /// Embeds pre-rendered JSON verbatim (e.g. `StatsSnapshot::to_json()`
     /// or a nested [`JsonObj`]).
-    pub fn raw(mut self, k: &str, json: &str) -> Self {
+    pub(crate) fn raw(mut self, k: &str, json: &str) -> Self {
         self.key(k);
         self.buf.push_str(json);
         self
@@ -584,6 +591,9 @@ mod tests {
             ("\"a\u{1f}b\"", "raw control byte in string"),
             ("\"a\\qb\"", "bad escape at byte 4"),
             ("\"a\\u12zz\"", "bad \\u escape"),
+            ("\"\\u+041\"", "bad \\u escape"),
+            ("\"\\u-041\"", "bad \\u escape"),
+            ("\"\\u 041\"", "bad \\u escape"),
             ("\"a\\u12", "truncated \\u escape"),
             ("\"\\ud83dx\"", "lone high surrogate"),
             ("\"\\ud83d\\u0041\"", "bad low surrogate"),

@@ -11,28 +11,26 @@
 //!
 //! Three mechanisms distinguish it from a plain wrapper:
 //!
-//! * a **durable job journal** ([`journal`]): every submission, start, and
+//! * a **durable job journal** (`journal`): every submission, start, and
 //!   terminal outcome is a fsync'd JSON line; on startup the journal is
 //!   replayed so queued jobs re-run and jobs interrupted mid-flight are
 //!   deterministically failed — no job is lost and none completes twice;
-//! * **tenant-aware admission** ([`admission`]): per-tenant token buckets
+//! * **tenant-aware admission** (`admission`): per-tenant token buckets
 //!   and in-flight quotas in front of the service's bounded queue, with
 //!   rejections mapped to HTTP 429 + `Retry-After`;
-//! * **priority lanes** ([`gateway`]): interactive and batch submissions
+//! * **priority lanes** (`gateway`): interactive and batch submissions
 //!   queue separately and are drained by weighted round-robin, so bulk
 //!   batch work cannot starve interactive callers.
 
-pub mod admission;
-pub mod client;
-pub mod gateway;
-pub mod http;
-pub mod journal;
-pub mod json;
+mod admission;
+mod client;
+mod gateway;
+mod http;
+mod journal;
+mod json;
 
-pub use admission::{
-    Admission, AdmissionConfig, AdmitError, Priority, ReleaseOutcome, TenantCounters, TenantPolicy,
-};
+pub use admission::{Admission, AdmissionConfig, Priority, TenantPolicy};
 pub use client::{http_request, HttpResponse};
 pub use gateway::{Gateway, GatewayConfig};
-pub use journal::{replay, JobDesc, Journal, Record, ReplayJob, ReplayState};
+pub use journal::{JobDesc, Journal, Record};
 pub use json::{decode_hex, encode_hex, Json, JsonObj};

@@ -418,11 +418,11 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 /// Largest thread count an explicit `ZKML_THREADS` override may request.
 /// A typo like `ZKML_THREADS=100000` would otherwise try to spawn that many
 /// OS threads before anything useful runs.
-pub const MAX_OVERRIDE_THREADS: usize = 1024;
+pub(crate) const MAX_OVERRIDE_THREADS: usize = 1024;
 
 /// Parses a `ZKML_THREADS`-style override. Zero, garbage, and counts above
 /// [`MAX_OVERRIDE_THREADS`] are rejected with a message saying why.
-pub fn parse_threads(s: &str) -> Result<usize, String> {
+pub(crate) fn parse_threads(s: &str) -> Result<usize, String> {
     match s.trim().parse::<usize>() {
         Ok(0) => Err(format!(
             "ZKML_THREADS={s:?} is zero; the pool always includes the calling \

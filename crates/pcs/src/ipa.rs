@@ -30,7 +30,7 @@ pub struct IpaParams {
 
 impl IpaParams {
     /// Derives parameters of size `2^k` deterministically (no trusted setup).
-    pub fn setup(k: u32) -> Self {
+    pub(crate) fn setup(k: u32) -> Self {
         let n = 1usize << k;
         let basis = zkml_par::par_map(n, |i| {
             let mut seed = b"zkml-ipa-basis-".to_vec();
@@ -46,7 +46,7 @@ impl IpaParams {
     /// # Panics
     ///
     /// Panics if the polynomial is longer than the basis.
-    pub fn commit(&self, poly: &Coeffs<Fr>) -> G1Affine {
+    pub(crate) fn commit(&self, poly: &Coeffs<Fr>) -> G1Affine {
         assert!(poly.len() <= self.basis.len(), "polynomial exceeds basis");
         msm(&self.basis[..poly.len()], &poly.values).to_affine()
     }
@@ -56,7 +56,11 @@ impl IpaParams {
     /// Queries sharing a point are folded with a transcript challenge into a
     /// single polynomial, then one logarithmic argument is run per distinct
     /// point. Claimed evaluations must already be in the transcript.
-    pub fn open(&self, transcript: &mut Transcript, queries: &[(&Coeffs<Fr>, Fr)]) -> Vec<u8> {
+    pub(crate) fn open(
+        &self,
+        transcript: &mut Transcript,
+        queries: &[(&Coeffs<Fr>, Fr)],
+    ) -> Vec<u8> {
         let gamma: Fr = transcript.challenge(b"ipa-gamma");
         let groups = group_points(queries.iter().map(|(_, z)| *z));
         let mut w = Writer::new();
@@ -127,7 +131,7 @@ impl IpaParams {
     }
 
     /// Verifies a batched opening produced by [`IpaParams::open`].
-    pub fn verify(
+    pub(crate) fn verify(
         &self,
         transcript: &mut Transcript,
         queries: &[(G1Affine, Fr, Fr)],

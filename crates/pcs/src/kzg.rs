@@ -124,7 +124,7 @@ impl KzgSrs {
     /// # Panics
     ///
     /// Panics unless there are exactly `2^k` values.
-    pub fn commit_lagrange(&self, values: &[Fr]) -> G1Affine {
+    pub(crate) fn commit_lagrange(&self, values: &[Fr]) -> G1Affine {
         msm(&self.g1_lagrange, values).to_affine()
     }
 
@@ -134,7 +134,11 @@ impl KzgSrs {
     /// with powers of a transcript challenge `gamma`, and one quotient
     /// witness is emitted per distinct point. The claimed evaluations must
     /// already have been absorbed into the transcript by the caller.
-    pub fn open(&self, transcript: &mut Transcript, queries: &[(&Coeffs<Fr>, Fr)]) -> Vec<u8> {
+    pub(crate) fn open(
+        &self,
+        transcript: &mut Transcript,
+        queries: &[(&Coeffs<Fr>, Fr)],
+    ) -> Vec<u8> {
         let gamma: Fr = transcript.challenge(b"kzg-gamma");
         let groups = group_points(queries.iter().map(|(_, z)| *z));
         let mut w = Writer::new();
@@ -167,7 +171,7 @@ impl KzgSrs {
     /// scalar (same `tau_g2`) can be folded with [`batch_check`] so one
     /// multi-pairing settles many proofs — the amortization segmented
     /// proving relies on.
-    pub fn prepare(
+    pub(crate) fn prepare(
         &self,
         transcript: &mut Transcript,
         queries: &[(G1Affine, Fr, Fr)],
@@ -243,14 +247,14 @@ impl KzgAccumulator {
     /// Settles this accumulator alone with one pairing check: one two-pair
     /// Miller loop over the SRS's prepared lines and one final
     /// exponentiation.
-    pub fn check(&self, srs: &KzgSrs) -> bool {
+    pub(crate) fn check(&self, srs: &KzgSrs) -> bool {
         let points = G1Projective::batch_to_affine(&[self.lhs, self.rhs.negate()]);
         let f = multi_miller_loop(&[(points[0], &srs.tau_g2_lines), (points[1], &srs.g2_lines)]);
         final_exponentiation(&f) == Fq12::one()
     }
 }
 
-/// Settles many [`KzgAccumulator`]s with **one** pairing check.
+/// Settles many `KzgAccumulator`s with **one** pairing check.
 ///
 /// The accumulators are folded with powers of a Fiat–Shamir challenge
 /// derived from every accumulator point, so a prover cannot craft segments
@@ -286,7 +290,7 @@ fn fold(accs: &[KzgAccumulator]) -> KzgAccumulator {
 }
 
 /// Groups query indices by point, preserving first-occurrence order.
-pub fn group_points(points: impl Iterator<Item = Fr>) -> Vec<(Fr, Vec<usize>)> {
+pub(crate) fn group_points(points: impl Iterator<Item = Fr>) -> Vec<(Fr, Vec<usize>)> {
     let mut groups: Vec<(Fr, Vec<usize>)> = Vec::new();
     for (i, z) in points.enumerate() {
         if let Some((_, idxs)) = groups.iter_mut().find(|(p, _)| *p == z) {

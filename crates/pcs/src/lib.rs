@@ -4,19 +4,21 @@
 //!
 //! * [`KzgSrs`] — pairing-based, universal trusted setup, constant-size
 //!   verification (one batched pairing check), smaller per-point openings.
-//! * [`IpaParams`] — transparent (no trusted setup), logarithmic proofs per
+//! * `IpaParams` — transparent (no trusted setup), logarithmic proofs per
 //!   point but `O(n)` group operations to verify.
 //!
 //! Both are driven through the [`Params`] enum so the Plonkish layer and the
 //! ZKML optimizer can switch backends with a configuration flag, exactly as
 //! the paper's Tables 6 and 7 do.
 
-pub mod ipa;
-pub mod kzg;
-pub mod serial;
+mod ipa;
+mod kzg;
+mod serial;
 
-pub use ipa::IpaParams;
-pub use kzg::{batch_check, KzgAccumulator, KzgSrs};
+pub use kzg::{batch_check, KzgSrs};
+
+use ipa::IpaParams;
+use kzg::KzgAccumulator;
 pub use serial::{ReadError, Reader, Writer};
 
 use rand::RngCore;
@@ -155,7 +157,7 @@ impl Params {
 }
 
 /// The outcome of [`Params::verify_deferred`]: either the opening is fully
-/// verified, or its final pairing check is pending as a [`KzgAccumulator`].
+/// verified, or its final pairing check is pending as a `KzgAccumulator`.
 #[derive(Clone, Debug)]
 #[must_use = "a deferred verification accepts nothing until it is settled"]
 pub enum Verification {
@@ -174,14 +176,6 @@ impl Verification {
             (Verification::Deferred(acc), Params::Kzg(s)) => acc.check(s),
             // A deferred KZG accumulator cannot be settled by IPA params.
             (Verification::Deferred(_), Params::Ipa(_)) => false,
-        }
-    }
-
-    /// The pending accumulator, if any.
-    pub fn accumulator(&self) -> Option<&KzgAccumulator> {
-        match self {
-            Verification::Complete => None,
-            Verification::Deferred(acc) => Some(acc),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Byte-stream helpers for proof and key serialization.
 
-use zkml_curves::{G1Affine, G2Affine};
+use zkml_curves::G1Affine;
 use zkml_ff::{Fr, PrimeField};
 
 /// A growable byte sink for proof serialization.
@@ -40,24 +40,9 @@ impl Writer {
         self.buf.extend_from_slice(&p.to_bytes());
     }
 
-    /// Appends a G2 point (64 bytes).
-    pub fn g2(&mut self, p: &G2Affine) {
-        self.buf.extend_from_slice(&p.to_bytes());
-    }
-
     /// Finishes and returns the bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns true if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -117,12 +102,6 @@ impl<'a> Reader<'a> {
         G1Affine::from_bytes(&b).ok_or(ReadError("invalid G1 point"))
     }
 
-    /// Reads a G2 point, checking curve and subgroup membership.
-    pub fn g2(&mut self) -> Result<G2Affine, ReadError> {
-        let b: [u8; 64] = self.take(64)?.try_into().expect("64 bytes");
-        G2Affine::from_bytes(&b).ok_or(ReadError("invalid G2 point"))
-    }
-
     /// Returns true if all bytes have been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
@@ -154,7 +133,6 @@ mod tests {
         w.scalar(&Fr::from_u64(123456));
         w.g1(&G1Affine::generator());
         w.g1(&G1Affine::identity());
-        w.g2(&G2Affine::generator());
         let bytes = w.finish();
 
         let mut r = Reader::new(&bytes);
@@ -163,7 +141,6 @@ mod tests {
         assert_eq!(r.scalar().unwrap(), Fr::from_u64(123456));
         assert_eq!(r.g1().unwrap(), G1Affine::generator());
         assert!(r.g1().unwrap().is_identity());
-        assert_eq!(r.g2().unwrap(), G2Affine::generator());
         assert!(r.is_exhausted());
     }
 

@@ -164,7 +164,7 @@ impl ConstraintSystem {
     }
 
     /// Permutation chunk size (`degree - 2`).
-    pub fn permutation_chunk(&self) -> usize {
+    pub(crate) fn permutation_chunk(&self) -> usize {
         self.degree() - 2
     }
 
@@ -192,7 +192,7 @@ impl ConstraintSystem {
     }
 
     /// Every `(column, rotation)` query needed for evaluation, deduplicated.
-    pub fn queries(&self) -> Vec<(Column, Rotation)> {
+    pub(crate) fn queries(&self) -> Vec<(Column, Rotation)> {
         let mut out = Vec::new();
         for g in &self.gates {
             for p in &g.polys {

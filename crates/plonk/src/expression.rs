@@ -42,18 +42,6 @@ impl Rotation {
     }
 }
 
-/// Syntactic linearity of an [`Expression`] in its advice queries — see
-/// [`Expression::linearity`]. Ordered so `max` combines classifications.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Linearity {
-    /// No advice queries: fully known given public data.
-    Constant,
-    /// Degree exactly one in advice queries.
-    Linear,
-    /// Advice queries multiply each other somewhere.
-    NonLinear,
-}
-
 /// A polynomial constraint over the circuit columns.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expression {
@@ -79,7 +67,7 @@ pub enum Expression {
 
 impl Expression {
     /// The degree of the expression, counting each column query as 1.
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         match self {
             Expression::Constant(_) | Expression::Challenge(_) => 0,
             Expression::Instance(..) | Expression::Advice(..) | Expression::Fixed(..) => 1,
@@ -126,7 +114,7 @@ impl Expression {
     /// Evaluates the expression at `row` of concrete column grids, each of
     /// length `n`, wrapping rotations around the domain (matching the
     /// cyclic evaluation domain of the prover).
-    pub fn evaluate_on_grid(
+    pub(crate) fn evaluate_on_grid(
         &self,
         row: usize,
         n: usize,
@@ -148,35 +136,10 @@ impl Expression {
         )
     }
 
-    /// Structural linearity of the expression in its **advice** queries.
-    ///
-    /// Instance and fixed queries, constants, and challenges all count as
-    /// coefficients (they are known to a verifier-side analysis), so e.g.
-    /// `q_fixed * (a - b)` classifies as [`Linearity::Linear`] even though
-    /// its total degree is 2. This is a syntactic over-approximation: an
-    /// expression that classifies `NonLinear` may still evaluate linearly
-    /// on rows where a multiplicand is zero (static analyses re-classify
-    /// after partial evaluation against the fixed columns).
-    pub fn linearity(&self) -> Linearity {
-        match self {
-            Expression::Constant(_)
-            | Expression::Challenge(_)
-            | Expression::Instance(..)
-            | Expression::Fixed(..) => Linearity::Constant,
-            Expression::Advice(..) => Linearity::Linear,
-            Expression::Neg(e) | Expression::Scaled(e, _) => e.linearity(),
-            Expression::Sum(a, b) => a.linearity().max(b.linearity()),
-            Expression::Product(a, b) => match (a.linearity(), b.linearity()) {
-                (Linearity::Constant, x) | (x, Linearity::Constant) => x,
-                _ => Linearity::NonLinear,
-            },
-        }
-    }
-
     /// True when the expression queries only fixed columns (constants are
     /// allowed; instance, advice and challenges are not) — i.e. it is fully
     /// determined by the preprocessed circuit data.
-    pub fn references_only_fixed(&self) -> bool {
+    pub(crate) fn references_only_fixed(&self) -> bool {
         match self {
             Expression::Constant(_) | Expression::Fixed(..) => true,
             Expression::Instance(..) | Expression::Advice(..) | Expression::Challenge(_) => false,
@@ -188,7 +151,7 @@ impl Expression {
     }
 
     /// Collects every `(column, rotation)` query in the expression.
-    pub fn collect_queries(&self, out: &mut Vec<(Column, Rotation)>) {
+    pub(crate) fn collect_queries(&self, out: &mut Vec<(Column, Rotation)>) {
         match self {
             Expression::Constant(_) | Expression::Challenge(_) => {}
             Expression::Instance(c, r) => out.push((Column::Instance(*c), *r)),
@@ -276,34 +239,6 @@ mod tests {
             &|_| Fr::ZERO,
         );
         assert_eq!(r, -Fr::ONE);
-    }
-
-    #[test]
-    fn linearity_classification() {
-        let q = Expression::Fixed(0, Rotation::cur());
-        let inst = Expression::Instance(0, Rotation::cur());
-        assert_eq!(
-            Expression::Constant(Fr::ONE).linearity(),
-            Linearity::Constant
-        );
-        assert_eq!(q.clone().linearity(), Linearity::Constant);
-        assert_eq!(
-            (inst * Expression::Challenge(0)).linearity(),
-            Linearity::Constant
-        );
-        // Selector-gated linear combination stays Linear.
-        assert_eq!(
-            (q.clone() * (adv(0) + adv(1) - adv(2))).linearity(),
-            Linearity::Linear
-        );
-        assert_eq!(
-            (adv(0) * Fr::from_u64(7) - Expression::Constant(Fr::ONE)).linearity(),
-            Linearity::Linear
-        );
-        assert_eq!((adv(0) * adv(1)).linearity(), Linearity::NonLinear);
-        assert_eq!((q * (adv(0) * adv(1))).linearity(), Linearity::NonLinear);
-        // Neg preserves the class.
-        assert_eq!((-adv(0)).linearity(), Linearity::Linear);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub struct ExtendedDomain {
 
 impl ExtendedDomain {
     /// Builds the extended domain for degree bound `degree`.
-    pub fn new(k: u32, degree: usize) -> Self {
+    pub(crate) fn new(k: u32, degree: usize) -> Self {
         let domain = EvaluationDomain::new(k);
         let log_factor = (degree - 1).next_power_of_two().trailing_zeros();
         let ext = EvaluationDomain::<Fr>::new(k + log_factor);
@@ -88,7 +88,7 @@ impl ExtendedDomain {
 
     /// Evaluates a base-domain polynomial (coefficients) over the extended
     /// coset.
-    pub fn coset_ext(&self, mut coeffs: Vec<Fr>) -> Vec<Fr> {
+    pub(crate) fn coset_ext(&self, mut coeffs: Vec<Fr>) -> Vec<Fr> {
         coeffs.resize(self.ext.n, Fr::zero());
         self.ext.coset_fft(&mut coeffs);
         coeffs
@@ -96,7 +96,7 @@ impl ExtendedDomain {
 
     /// Rotation indexing on the extended coset: `rot` base-domain steps.
     #[inline]
-    pub fn rotated_index(&self, i: usize, rot: i32) -> usize {
+    pub(crate) fn rotated_index(&self, i: usize, rot: i32) -> usize {
         // `ext.n` is a power of two, so masking the wrapped sum reduces it.
         i.wrapping_add_signed(rot as isize * self.factor as isize) & (self.ext.n - 1)
     }
@@ -147,7 +147,7 @@ pub struct WeightCommitment {
 
 impl WeightCommitment {
     /// Recomputes the digest over `k` and the commitments.
-    pub fn compute_digest(k: u32, commitments: &[G1Affine]) -> [u8; 32] {
+    pub(crate) fn compute_digest(k: u32, commitments: &[G1Affine]) -> [u8; 32] {
         let mut h = Blake2b::new();
         h.update(b"zkml-weight-commitment-v1");
         h.update(&k.to_le_bytes());
@@ -292,7 +292,7 @@ impl ProvingKey {
     /// plus the fixed and sigma column *values*. Everything else in the key
     /// (coefficient forms, coset extensions, Lagrange selectors) is derived
     /// data and is recomputed here, which keeps the serialized form small.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         vk: VerifyingKey,
         fixed_values: Vec<Vec<Fr>>,
         sigma_values: Vec<Vec<Fr>>,
@@ -342,7 +342,7 @@ impl ProvingKey {
 
 /// Builds the permutation mapping from copy constraints using the PLONK
 /// cycle-merging construction.
-pub fn build_permutation(
+pub(crate) fn build_permutation(
     cs: &ConstraintSystem,
     copies: &[(CellRef, CellRef)],
     n: usize,

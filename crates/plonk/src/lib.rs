@@ -17,25 +17,27 @@
 //! is what makes the ZKML cost model (crate `zkml`, module `cost`)
 //! transferable.
 
-pub mod circuit;
-pub mod expression;
+mod circuit;
+mod expression;
 pub mod keygen;
-pub mod mock;
-pub mod protocol;
-pub mod prover;
-pub mod serialize;
-pub mod verifier;
+mod mock;
+mod protocol;
+mod prover;
+mod serialize;
+mod verifier;
 
 pub use circuit::{
     CellRef, ConstraintSystem, Gate, Lookup, Preprocessed, WitnessSource, BLINDING_FACTORS,
 };
-pub use expression::{Column, Expression, Linearity, Rotation};
+pub use expression::{Column, Expression, Rotation};
 pub use keygen::{
-    commit_weights, keygen, keygens, weight_encodings, CommittedWeights, ExtendedDomain,
-    ProvingKey, VerifyingKey, WeightCommitment,
+    commit_weights, keygen, keygens, weight_encodings, CommittedWeights, ProvingKey, VerifyingKey,
+    WeightCommitment,
 };
-pub use mock::{GridWitness, MockProver, VerifyFailure};
+pub use mock::{MockProver, VerifyFailure};
+pub use protocol::opening_plan;
 pub use prover::create_proof_committed;
+pub use serialize::{read_cs, write_cs};
 pub use verifier::{verify_proof, verify_proof_committed};
 
 /// Errors produced by key generation, proving, or verification.

@@ -330,11 +330,6 @@ impl MockProver {
         self.usable
     }
 
-    /// The frozen transcript challenges.
-    pub fn challenges(&self) -> &[Fr] {
-        &self.challenges
-    }
-
     /// Reads one cell of the grid.
     pub fn cell(&self, cell: CellRef) -> Fr {
         self.column(cell.column)[cell.row]
@@ -791,7 +786,7 @@ mod tests {
         let m1 = MockProver::run(4, &cs, &pre, &W(1)).unwrap();
         let m2 = MockProver::run(4, &cs, &pre, &W(1)).unwrap();
         let m3 = MockProver::run(4, &cs, &pre, &W(2)).unwrap();
-        assert_eq!(m1.challenges(), m2.challenges());
-        assert_ne!(m1.challenges()[0], m3.challenges()[0]);
+        assert_eq!(m1.challenges, m2.challenges);
+        assert_ne!(m1.challenges[0], m3.challenges[0]);
     }
 }

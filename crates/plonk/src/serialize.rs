@@ -416,7 +416,7 @@ impl ProvingKey {
     /// Serializes the proving key: the verifying key plus the fixed and
     /// sigma column values. Derived data (coefficient forms, coset
     /// extensions, Lagrange selectors) is recomputed on load by
-    /// [`ProvingKey::from_parts`], trading a few FFTs at read time for an
+    /// `ProvingKey::from_parts`, trading a few FFTs at read time for an
     /// encoding linear in the preprocessed columns.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();

@@ -13,9 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
-use zkml_plonk::protocol::opening_plan;
 use zkml_plonk::{
-    create_proof_committed, keygen, verify_proof, CellRef, Column, CommittedWeights,
+    create_proof_committed, keygen, opening_plan, verify_proof, CellRef, Column, CommittedWeights,
     ConstraintSystem, Expression, Preprocessed, Rotation, VerifyingKey, WitnessSource,
 };
 

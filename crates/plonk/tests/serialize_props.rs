@@ -8,11 +8,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml_ff::{Fr, PrimeField};
 use zkml_pcs::{Backend, Params, Reader, Writer};
-use zkml_plonk::serialize::{read_cs, write_cs};
 use zkml_plonk::{
-    create_proof_committed, keygen, verify_proof, CellRef, Column, CommittedWeights,
-    ConstraintSystem, Expression, Gate, Lookup, Preprocessed, ProvingKey, Rotation, VerifyingKey,
-    WitnessSource,
+    create_proof_committed, keygen, read_cs, verify_proof, write_cs, CellRef, Column,
+    CommittedWeights, ConstraintSystem, Expression, Gate, Lookup, Preprocessed, ProvingKey,
+    Rotation, VerifyingKey, WitnessSource,
 };
 
 /// Deterministically builds an expression tree from a byte stream, covering

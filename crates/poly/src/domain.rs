@@ -85,7 +85,7 @@ impl<F: FftField> EvaluationDomain<F> {
     }
 
     /// Returns the cached inverse twiddle table, building it on first use.
-    pub fn inv_twiddles(&self) -> Arc<Vec<F>> {
+    pub(crate) fn inv_twiddles(&self) -> Arc<Vec<F>> {
         self.inv_twiddles
             .get_or_init(|| Arc::new(build_twiddles(self.omega_inv, self.n)))
             .clone()
@@ -171,14 +171,6 @@ impl<F: FftField> EvaluationDomain<F> {
         }
         out
     }
-
-    /// Evaluates a single Lagrange basis polynomial `l_i` at `x`.
-    pub fn lagrange_eval(&self, i: usize, x: F) -> F {
-        let zh = self.evaluate_vanishing(x);
-        let wi = self.omega.pow(&[i as u64]);
-        let denom = (x - wi).invert().expect("point not in domain");
-        zh * self.n_inv * wi * denom
-    }
 }
 
 #[cfg(test)]
@@ -234,10 +226,6 @@ mod tests {
         let ls = domain.lagrange_evals(x);
         let bary: Fr = ls.iter().zip(evals.iter()).map(|(l, e)| *l * *e).sum();
         assert_eq!(bary, horner);
-        // Single-basis evaluation agrees with the batch.
-        for i in [0usize, 1, 7, 15] {
-            assert_eq!(domain.lagrange_eval(i, x), ls[i]);
-        }
     }
 
     /// Regression: many pool tasks hitting a *cold* twiddle cache at once.

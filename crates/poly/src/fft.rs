@@ -20,7 +20,7 @@ const PAR_CHUNK_MIN: usize = 1024;
 
 /// Reverses the low `bits` bits of `n`.
 #[inline]
-pub fn bitreverse(n: usize, bits: u32) -> usize {
+pub(crate) fn bitreverse(n: usize, bits: u32) -> usize {
     n.reverse_bits() >> (usize::BITS - bits)
 }
 
@@ -180,7 +180,7 @@ fn scale_all<F: FftField>(a: &mut [F], n_inv: F) {
 
 /// Performs an in-place inverse FFT (includes the `1/n` scaling) using a
 /// precomputed table of `omega_inv` powers.
-pub fn ifft_in_place_with<F: FftField>(a: &mut [F], k: u32, inv_twiddles: &[F], n_inv: F) {
+pub(crate) fn ifft_in_place_with<F: FftField>(a: &mut [F], k: u32, inv_twiddles: &[F], n_inv: F) {
     fft_in_place_with(a, k, inv_twiddles);
     scale_all(a, n_inv);
 }

@@ -1,12 +1,12 @@
 //! Polynomial arithmetic for the ZKML proving stack.
 //!
 //! Provides power-of-two [`EvaluationDomain`]s with (coset) NTTs, dense
-//! polynomials in coefficient ([`Coeffs`]) and evaluation ([`Evals`]) form,
-//! and the Kate division used by the KZG opening procedure.
+//! polynomials in coefficient form ([`Coeffs`]), and the Kate division
+//! used by the KZG opening procedure.
 
-pub mod domain;
+mod domain;
 pub mod fft;
-pub mod poly;
+mod poly;
 
 pub use domain::EvaluationDomain;
-pub use poly::{Coeffs, Evals};
+pub use poly::Coeffs;

@@ -1,19 +1,12 @@
-//! Dense polynomial containers in coefficient and evaluation form.
+//! Dense polynomials in coefficient form.
 
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, Index, IndexMut, Sub};
 use zkml_ff::Field;
 
 /// A dense polynomial in coefficient form (`coeffs[i]` multiplies `X^i`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Coeffs<F: Field> {
     /// Coefficients, lowest degree first. May contain leading zeros.
-    pub values: Vec<F>,
-}
-
-/// A polynomial in evaluation form over some (implicit) evaluation domain.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Evals<F: Field> {
-    /// Evaluations at `omega^0, ..., omega^{n-1}`.
     pub values: Vec<F>,
 }
 
@@ -49,13 +42,6 @@ impl<F: Field> Coeffs<F> {
         acc
     }
 
-    /// Scales every coefficient by `s`.
-    pub fn scale(&self, s: F) -> Self {
-        Self {
-            values: self.values.iter().map(|c| *c * s).collect(),
-        }
-    }
-
     /// Divides by the linear factor `(X - z)`, returning the quotient.
     ///
     /// This is the "Kate division" used to open KZG commitments: if
@@ -87,103 +73,48 @@ impl<F: Field> Coeffs<F> {
         }
         Self { values: out }
     }
-
-    /// Degree of the polynomial ignoring leading zeros (zero poly -> 0).
-    pub fn degree(&self) -> usize {
-        self.values.iter().rposition(|c| !c.is_zero()).unwrap_or(0)
-    }
 }
 
-impl<F: Field> Evals<F> {
-    /// Creates evaluations from raw values.
-    pub fn new(values: Vec<F>) -> Self {
-        Self { values }
-    }
-
-    /// The all-zero evaluation vector of length `n`.
-    pub fn zero(n: usize) -> Self {
-        Self {
-            values: vec![F::zero(); n],
-        }
-    }
-
-    /// Number of evaluation points.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns true if no evaluations are stored.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Scales every evaluation by `s`.
-    pub fn scale(&self, s: F) -> Self {
-        Self {
-            values: self.values.iter().map(|c| *c * s).collect(),
-        }
-    }
-}
-
-macro_rules! impl_pointwise {
-    ($ty:ident) => {
-        impl<F: Field> Add for &$ty<F> {
-            type Output = $ty<F>;
-            fn add(self, rhs: Self) -> $ty<F> {
-                assert_eq!(self.values.len(), rhs.values.len());
-                $ty {
-                    values: self
-                        .values
-                        .iter()
-                        .zip(&rhs.values)
-                        .map(|(a, b)| *a + *b)
-                        .collect(),
-                }
-            }
-        }
-        impl<F: Field> Sub for &$ty<F> {
-            type Output = $ty<F>;
-            fn sub(self, rhs: Self) -> $ty<F> {
-                assert_eq!(self.values.len(), rhs.values.len());
-                $ty {
-                    values: self
-                        .values
-                        .iter()
-                        .zip(&rhs.values)
-                        .map(|(a, b)| *a - *b)
-                        .collect(),
-                }
-            }
-        }
-        impl<F: Field> Index<usize> for $ty<F> {
-            type Output = F;
-            fn index(&self, i: usize) -> &F {
-                &self.values[i]
-            }
-        }
-        impl<F: Field> IndexMut<usize> for $ty<F> {
-            fn index_mut(&mut self, i: usize) -> &mut F {
-                &mut self.values[i]
-            }
-        }
-    };
-}
-
-impl_pointwise!(Coeffs);
-impl_pointwise!(Evals);
-
-impl<F: Field> Mul for &Evals<F> {
-    type Output = Evals<F>;
-    fn mul(self, rhs: Self) -> Evals<F> {
+impl<F: Field> Add for &Coeffs<F> {
+    type Output = Coeffs<F>;
+    fn add(self, rhs: Self) -> Coeffs<F> {
         assert_eq!(self.values.len(), rhs.values.len());
-        Evals {
+        Coeffs {
             values: self
                 .values
                 .iter()
                 .zip(&rhs.values)
-                .map(|(a, b)| *a * *b)
+                .map(|(a, b)| *a + *b)
                 .collect(),
         }
+    }
+}
+
+impl<F: Field> Sub for &Coeffs<F> {
+    type Output = Coeffs<F>;
+    fn sub(self, rhs: Self) -> Coeffs<F> {
+        assert_eq!(self.values.len(), rhs.values.len());
+        Coeffs {
+            values: self
+                .values
+                .iter()
+                .zip(&rhs.values)
+                .map(|(a, b)| *a - *b)
+                .collect(),
+        }
+    }
+}
+
+impl<F: Field> Index<usize> for Coeffs<F> {
+    type Output = F;
+    fn index(&self, i: usize) -> &F {
+        &self.values[i]
+    }
+}
+
+impl<F: Field> IndexMut<usize> for Coeffs<F> {
+    fn index_mut(&mut self, i: usize) -> &mut F {
+        &mut self.values[i]
     }
 }
 
@@ -199,7 +130,6 @@ mod tests {
         // p(x) = 3 + 2x + x^2; p(5) = 3 + 10 + 25 = 38.
         let p = Coeffs::new(vec![Fr::from_u64(3), Fr::from_u64(2), Fr::from_u64(1)]);
         assert_eq!(p.evaluate(Fr::from_u64(5)), Fr::from_u64(38));
-        assert_eq!(p.degree(), 2);
     }
 
     #[test]
@@ -216,12 +146,10 @@ mod tests {
 
     #[test]
     fn pointwise_ops() {
-        let a = Evals::new(vec![Fr::from_u64(1), Fr::from_u64(2)]);
-        let b = Evals::new(vec![Fr::from_u64(10), Fr::from_u64(20)]);
+        let a = Coeffs::new(vec![Fr::from_u64(1), Fr::from_u64(2)]);
+        let b = Coeffs::new(vec![Fr::from_u64(10), Fr::from_u64(20)]);
         assert_eq!((&a + &b).values, vec![Fr::from_u64(11), Fr::from_u64(22)]);
         assert_eq!((&b - &a).values, vec![Fr::from_u64(9), Fr::from_u64(18)]);
-        assert_eq!((&a * &b).values, vec![Fr::from_u64(10), Fr::from_u64(40)]);
-        assert_eq!(a.scale(Fr::from_u64(3)).values[1], Fr::from_u64(6));
     }
 
     #[test]

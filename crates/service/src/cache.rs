@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use zkml::{CompiledCircuit, NumericConfig, ZkmlError};
 use zkml_pcs::{Backend, Params, Writer};
-use zkml_plonk::{serialize::write_cs, ProvingKey};
+use zkml_plonk::{write_cs, ProvingKey};
 use zkml_shard::{SegmentLayout, SegmentSpec, DEFAULT_SRS_SEED};
 
 /// Identity of a cached proving key.
@@ -60,7 +60,7 @@ pub struct ArtifactKey {
 /// process, so the cost table needs no field here; the request's inputs do
 /// not reach placement at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+pub(crate) struct PlanKey {
     /// `Graph::arch_hash()`: layouts ignore weight values.
     pub arch_hash: [u8; 32],
     /// Commitment backend the cost model priced.
@@ -100,7 +100,7 @@ impl ArtifactKey {
     /// [`ArtifactKey::for_circuit`] of the eventual compilation — key
     /// lookups (and keygen) can start as soon as the optimizer picks a
     /// plan.
-    pub fn for_plan(arch_hash: [u8; 32], backend: Backend, plan: &zkml::LayoutPlan) -> Self {
+    pub(crate) fn for_plan(arch_hash: [u8; 32], backend: Backend, plan: &zkml::LayoutPlan) -> Self {
         Self {
             arch_hash,
             backend,
@@ -190,11 +190,6 @@ impl ArtifactCache {
         })
     }
 
-    /// The spill directory, if configured.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
-    }
-
     /// Returns the SRS for `(backend, k)`, generating it on first use.
     ///
     /// Generation happens outside the lock so concurrent workers are never
@@ -217,7 +212,7 @@ impl ArtifactCache {
     /// the first stored layout wins and both use it, so every job of one
     /// process — publish, prove, monolithic or segmented — compiles an
     /// architecture to the same circuits.
-    pub fn layout_or_sweep<E>(
+    pub(crate) fn layout_or_sweep<E>(
         &self,
         key: PlanKey,
         sweep: impl FnOnce() -> Result<SegmentLayout, E>,
@@ -318,16 +313,6 @@ impl ArtifactCache {
         }
         let pk = generate()?;
         Ok((self.insert(key, pk), CacheOutcome::Miss))
-    }
-
-    /// Number of proving keys currently held in memory.
-    pub fn len(&self) -> usize {
-        self.keys.read().len()
-    }
-
-    /// Whether the in-memory cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -15,8 +15,6 @@ pub enum ServiceError {
         /// How long the job had been in the system when it was abandoned.
         elapsed: Duration,
     },
-    /// The requested model name is not in the zoo.
-    UnknownModel(String),
     /// Lowering the model to a circuit failed.
     Compile(String),
     /// The static analyzer found advice cells not uniquely determined by
@@ -53,9 +51,6 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::Timeout { elapsed } => {
                 write!(f, "job deadline exceeded after {elapsed:?}")
-            }
-            ServiceError::UnknownModel(name) => {
-                write!(f, "unknown model '{name}' (try `zkml models`)")
             }
             ServiceError::Compile(msg) => write!(f, "compile failed: {msg}"),
             ServiceError::Underconstrained(msg) => {

@@ -44,7 +44,7 @@ pub enum Stage {
 }
 
 /// The caller's between-stage check: an error stops the job there.
-pub type Check<'a> = &'a dyn Fn(Stage) -> Result<(), ServiceError>;
+pub(crate) type Check<'a> = &'a dyn Fn(Stage) -> Result<(), ServiceError>;
 
 /// Everything a completed proving job produced.
 #[derive(Debug, Clone)]
@@ -601,7 +601,7 @@ impl Pipeline {
     /// serialized [`SegmentedProof`] bundle. The weight commitment is the one
     /// [`Pipeline::commitment_for`] picks from `model` and the `carried`
     /// serialized commitment (empty: none).
-    pub fn verify(
+    pub(crate) fn verify(
         &self,
         backend: Backend,
         vk: &[u8],

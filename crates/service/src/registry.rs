@@ -57,13 +57,13 @@ pub struct ModelRegistry {
 
 impl ModelRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Publishes a model, returning its digest. Republishing the same
     /// commitment is idempotent (the digest is content-derived).
-    pub fn publish(&self, entry: ModelEntry) -> [u8; 32] {
+    pub(crate) fn publish(&self, entry: ModelEntry) -> [u8; 32] {
         let digest = entry.digest;
         self.entries
             .write()

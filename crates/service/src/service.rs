@@ -7,7 +7,7 @@ use crate::cache::ArtifactCache;
 use crate::error::ServiceError;
 use crate::pipeline::{Pipeline, ProofArtifacts, Stage};
 use crate::registry::ModelRegistry;
-use crate::stats::{ServiceStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -118,7 +118,7 @@ pub enum JobKind {
 }
 
 /// A shared cooperative cancellation flag. Cloning shares the flag: the
-/// submitter keeps one end (via [`JobHandle::cancel`] or directly) and the
+/// submitter keeps one end (via `JobHandle::cancel` or directly) and the
 /// worker checks the other between pipeline stages (compile → keygen →
 /// prove → verify), so a cancelled job stops at the next stage boundary
 /// instead of running to completion after its caller gave up on it.
@@ -150,7 +150,7 @@ pub struct JobSpec {
     /// Deadline measured from submission; `None` uses the service default.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation flag, checked between pipeline stages. The
-    /// submitted job's [`JobHandle`] shares this token.
+    /// submitted job's `JobHandle` shares this token.
     pub cancel: CancelToken,
 }
 
@@ -240,17 +240,11 @@ struct Job {
 
 /// A submitted job's receipt; await the result through it.
 pub struct JobHandle {
-    id: u64,
     rx: Receiver<JobResult>,
     cancel: CancelToken,
 }
 
 impl JobHandle {
-    /// The job's id (also stamped into its artifacts).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Requests cooperative cancellation of this job. If the job is still
     /// queued it fails with [`ServiceError::Cancelled`] at pickup; if it is
     /// running it stops at the next stage boundary. The usual pairing is
@@ -354,11 +348,11 @@ impl ProvingService {
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, ServiceError> {
         let (reply, rx) = channel::unbounded();
         let cancel = spec.cancel.clone();
-        let id = self.submit_with(spec, move |result| {
+        self.submit_with(spec, move |result| {
             // The submitter may have dropped its handle; that is not an error.
             let _ = reply.send(result);
         })?;
-        Ok(JobHandle { id, rx, cancel })
+        Ok(JobHandle { rx, cancel })
     }
 
     /// [`Self::submit`] with the submitter's own completion: the worker that
@@ -395,23 +389,6 @@ impl ProvingService {
         }
     }
 
-    /// Submits a proving job for a zoo model by name.
-    pub fn submit_model(
-        &self,
-        name: &str,
-        backend: Backend,
-        seed: u64,
-    ) -> Result<JobHandle, ServiceError> {
-        let graph = zkml_model::zoo::by_name(name)
-            .ok_or_else(|| ServiceError::UnknownModel(name.to_string()))?;
-        self.submit(JobSpec::prove(Arc::new(graph), backend, seed))
-    }
-
-    /// The live metrics.
-    pub fn stats(&self) -> &ServiceStats {
-        &self.pipe.stats
-    }
-
     /// A snapshot of the metrics with the queue depth refreshed.
     pub fn snapshot(&self) -> StatsSnapshot {
         if let Some(tx) = &self.tx {
@@ -420,21 +397,11 @@ impl ProvingService {
         self.pipe.stats.snapshot()
     }
 
-    /// The shared artifact cache.
-    pub fn cache(&self) -> &ArtifactCache {
-        &self.pipe.cache
-    }
-
     /// The registry of published model commitments. Populated by
     /// [`JobKind::CommitModel`] jobs; front ends read it to list models
     /// and resolve digests.
     pub fn registry(&self) -> &ModelRegistry {
         &self.pipe.registry
-    }
-
-    /// Number of jobs waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.tx.as_ref().map_or(0, Sender::len)
     }
 
     /// Does nothing: every proof is verified in the worker before its job

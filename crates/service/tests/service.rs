@@ -519,17 +519,6 @@ fn expired_deadline_times_out() {
     assert_eq!(service.snapshot().jobs_timed_out, 1);
 }
 
-/// Unknown model names are rejected at submission time.
-#[test]
-fn unknown_model_is_rejected_at_submit() {
-    let service = ProvingService::start(ServiceConfig::default()).unwrap();
-    match service.submit_model("no-such-model", Backend::Kzg, 1) {
-        Err(ServiceError::UnknownModel(name)) => assert_eq!(name, "no-such-model"),
-        Err(other) => panic!("expected UnknownModel, got {other:?}"),
-        Ok(_) => panic!("expected UnknownModel, but the job was accepted"),
-    }
-}
-
 /// A model with no feasible layout within the service's `max_k` fails that
 /// job with a typed compile error — the worker neither panics nor takes
 /// the service down with it.

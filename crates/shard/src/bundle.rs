@@ -75,7 +75,7 @@ impl SegmentedProof {
     /// only cover what exists before any proof does. Everything that
     /// determines what the segments claim is covered, so tampering with any
     /// segment's public data changes every segment's expected binding.
-    pub fn chain_digest(&self) -> [u8; 32] {
+    pub(crate) fn chain_digest(&self) -> [u8; 32] {
         let mut w = Writer::new();
         w.bytes(&self.model_hash);
         w.u32(backend_tag(self.backend));
@@ -216,7 +216,7 @@ impl SegmentedProof {
 /// position in this exact chain: swapping two segments, splicing a segment
 /// from another bundle, or altering any segment's public data all change
 /// the expected binding and make the Fiat–Shamir challenges diverge.
-pub fn segment_binding(chain: &[u8; 32], index: usize, nsegs: usize) -> Vec<u8> {
+pub(crate) fn segment_binding(chain: &[u8; 32], index: usize, nsegs: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + 32 + 8);
     out.extend_from_slice(b"zkml-segment-bind-v1");
     out.extend_from_slice(chain);

@@ -3,7 +3,7 @@
 //! The paper proves one model as one circuit, so the largest provable
 //! model is whatever fits in a single `k`. This crate removes that cap by
 //! sharding the backend-independent [`zkml::OpSchedule`] at tensor
-//! boundaries into `N` sub-schedules (see `zkml::segment`), compiling each
+//! boundaries into `N` sub-schedules (see `zkml::cut_schedule`), compiling each
 //! through the unchanged `place()`/`synthesize()` pipeline into its own
 //! bounded-`k` sub-circuit, and proving the segments concurrently on the
 //! `zkml-par` pool.
@@ -26,11 +26,11 @@
 //!    (the fixed-seed SRS shares one tau across every `k`). IPA verifies
 //!    per segment.
 
-pub mod bundle;
-pub mod prove;
-pub mod verify;
+mod bundle;
+mod prove;
+mod verify;
 
-pub use bundle::{segment_binding, SegmentProof, SegmentedProof};
+pub use bundle::SegmentedProof;
 pub use prove::{
     compile_segments, plan_segments, prove_compiled, synthesize_segments, CompiledSegment,
     FreshKeySource, KeySource, SegmentLayout, SegmentSpec, DEFAULT_SRS_SEED,

@@ -48,12 +48,6 @@ impl FixedPoint {
     pub fn dequantize_tensor(&self, t: &Tensor<i64>) -> Tensor<f32> {
         t.map(|q| self.dequantize(*q))
     }
-
-    /// Rescales a double-scaled product back to single scale with rounding
-    /// (`DivRound(x, SF)` from Table 4 of the paper).
-    pub fn rescale(&self, x: i64) -> i64 {
-        div_round(x, self.scale())
-    }
 }
 
 /// Rounded integer division `round(a / b)` with the paper's `DivRound`
@@ -97,7 +91,8 @@ mod tests {
         let fp = FixedPoint::new(8);
         let a = fp.quantize(1.5);
         let b = fp.quantize(2.25);
-        let prod = fp.rescale(a * b);
+        // `DivRound(x, SF)` from Table 4 of the paper.
+        let prod = div_round(a * b, fp.scale());
         assert!((fp.dequantize(prod) - 3.375).abs() < 0.01);
     }
 

@@ -5,9 +5,9 @@
 //! references — which is what makes the paper's "shape operations are free"
 //! property (§5.1) fall out naturally: shape ops only rearrange references.
 
-pub mod fixed;
+mod fixed;
 pub mod shape;
-pub mod tensor;
+mod tensor;
 
-pub use fixed::FixedPoint;
+pub use fixed::{div_round, FixedPoint};
 pub use tensor::Tensor;

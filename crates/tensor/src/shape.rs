@@ -1,7 +1,7 @@
 //! Shape utilities: strides, index arithmetic, broadcasting.
 
 /// Computes row-major strides for a shape.
-pub fn strides(shape: &[usize]) -> Vec<usize> {
+pub(crate) fn strides(shape: &[usize]) -> Vec<usize> {
     let mut s = vec![1usize; shape.len()];
     for i in (0..shape.len().saturating_sub(1)).rev() {
         s[i] = s[i + 1] * shape[i + 1];
@@ -10,7 +10,7 @@ pub fn strides(shape: &[usize]) -> Vec<usize> {
 }
 
 /// Total number of elements of a shape.
-pub fn numel(shape: &[usize]) -> usize {
+pub(crate) fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
@@ -69,7 +69,7 @@ pub fn broadcast_shape(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
 
 /// Maps an index in the broadcast output back to an index in an input of
 /// shape `src` (which broadcasts to `dst`).
-pub fn broadcast_index(src: &[usize], dst_index: &[usize]) -> Vec<usize> {
+pub(crate) fn broadcast_index(src: &[usize], dst_index: &[usize]) -> Vec<usize> {
     let offset = dst_index.len() - src.len();
     src.iter()
         .enumerate()

@@ -1,8 +1,6 @@
 //! The generic dense tensor container.
 
-use crate::shape::{
-    broadcast_index, broadcast_shape, flatten_index, numel, strides, unflatten_index,
-};
+use crate::shape::{broadcast_index, broadcast_shape, flatten_index, numel, unflatten_index};
 
 /// A dense row-major n-dimensional tensor.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,14 +37,6 @@ impl<T: Clone> Tensor<T> {
         }
     }
 
-    /// A scalar (rank-0) tensor.
-    pub fn scalar(value: T) -> Self {
-        Self {
-            shape: vec![],
-            data: vec![value],
-        }
-    }
-
     /// The shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -75,12 +65,6 @@ impl<T: Clone> Tensor<T> {
     /// Element access by multi-index.
     pub fn get(&self, index: &[usize]) -> &T {
         &self.data[flatten_index(&self.shape, index)]
-    }
-
-    /// Mutable element access by multi-index.
-    pub fn get_mut(&mut self, index: &[usize]) -> &mut T {
-        let off = flatten_index(&self.shape, index);
-        &mut self.data[off]
     }
 
     /// Reshapes without moving data.
@@ -260,11 +244,6 @@ impl<T: Clone> Tensor<T> {
             shape,
             data: self.data.clone(),
         }
-    }
-
-    /// Row-major strides for iteration helpers.
-    pub fn strides(&self) -> Vec<usize> {
-        strides(&self.shape)
     }
 }
 

@@ -17,7 +17,7 @@ pub struct ConformanceReport {
 
 /// Runs one case at one size, collecting mock-checker failures (or the
 /// compile error) as strings.
-pub fn check_case(case: &GadgetCase, num_cols: usize) -> ConformanceReport {
+pub(crate) fn check_case(case: &GadgetCase, num_cols: usize) -> ConformanceReport {
     let compiled = match compile_case(case, num_cols) {
         Ok(c) => c,
         Err(e) => {

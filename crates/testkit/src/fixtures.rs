@@ -11,11 +11,11 @@
 //! expose, then register it in [`zoo`] with the layout choices it needs and
 //! its minimum column count. The harness does the rest.
 
-use zkml::tables::{ActKey, TableFn};
 use zkml::{
     compile_with, AValue, BuildError, CircuitBuilder, CircuitConfig, CompiledCircuit, DotImpl,
     Gadget, LayoutChoices, NumericConfig, ReluImpl, ZkmlError,
 };
+use zkml::{ActKey, TableFn};
 use zkml_model::Activation;
 use zkml_plonk::{Expression, Rotation};
 
@@ -127,7 +127,7 @@ fn freivalds_case(bld: &mut CircuitBuilder) -> Result<Vec<AValue>, BuildError> {
     // random-projection chains.
     let a = bld.load_values(&[1, -2, 3, 4, 5, -6]);
     let b = bld.load_values(&[7, 8, -9, 10, 11, 12]);
-    zkml::freivalds::freivalds_matmul(bld, &a, &b, 2, 3, 2)
+    zkml::freivalds_matmul(bld, &a, &b, 2, 3, 2)
 }
 
 /// A deliberately underconstrained gadget, committed as a fixture so the
@@ -139,7 +139,7 @@ fn freivalds_case(bld: &mut CircuitBuilder) -> Result<Vec<AValue>, BuildError> {
 /// none on the input cells), yet mutating either input cell must go
 /// undetected — a *surviving mutation* — because only the output cell is
 /// pinned by the copy into the instance column.
-pub fn toy_missing_selector(bld: &mut CircuitBuilder) -> Result<Vec<AValue>, BuildError> {
+pub(crate) fn toy_missing_selector(bld: &mut CircuitBuilder) -> Result<Vec<AValue>, BuildError> {
     let sel = bld.cs.fixed_column();
     // Grid advice columns are allocated first by the builder, so advice
     // columns 0..2 are the first three grid columns.
@@ -152,7 +152,7 @@ pub fn toy_missing_selector(bld: &mut CircuitBuilder) -> Result<Vec<AValue>, Bui
     Ok(vec![vals[2]])
 }
 
-/// The toy fixture as a [`GadgetCase`].
+/// The toy fixture as a `GadgetCase`.
 pub fn toy_case() -> GadgetCase {
     GadgetCase {
         name: "toy_missing_selector",

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zkml_ff::{Fr, PrimeField};
-use zkml_testkit::fixtures::{compile_case, toy_case, zoo};
+use zkml_testkit::{compile_case, toy_case, zoo};
 
 /// Sorted multiset of failure descriptions; `VerifyFailure` carries field
 /// values and has no `Ord`, so the canonical form is its Debug rendering.

@@ -6,12 +6,12 @@
 
 use std::collections::BTreeSet;
 use std::time::Instant;
-use zkml::{optimizer, HardwareStats, OptimizerOptions};
+use zkml::{HardwareStats, OptimizerOptions};
 use zkml_analyze::FreeReason;
 use zkml_pcs::Backend;
 use zkml_plonk::Column;
-use zkml_testkit::fixtures::{compile_case, toy_case, zoo};
-use zkml_testkit::mutation::mutate_compiled;
+use zkml_testkit::mutate_compiled;
+use zkml_testkit::{compile_case, toy_case, zoo};
 
 /// Column counts swept for each gadget (matches the soundness harness).
 const SIZES: [usize; 3] = [8, 12, 16];
@@ -110,7 +110,7 @@ fn optimizer_layouts_analyze_clean_for_example_models() {
     let hw = HardwareStats::fixture();
     for name in ["mnist", "dlrm"] {
         let g = zkml_model::zoo::by_name(name).expect("model exists");
-        let inputs = optimizer::zero_inputs(&g);
+        let inputs = zkml::zero_inputs(&g);
         let mut opts = OptimizerOptions::new(Backend::Kzg, 14);
         // Keep the sweep representative but bounded: the full candidate
         // set at a narrower column range still crosses every gadget mix.

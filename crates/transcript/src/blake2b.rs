@@ -55,32 +55,6 @@ impl Blake2b {
         }
     }
 
-    /// Creates a keyed hasher (MAC mode, RFC 7693 §2.9): the key, padded to
-    /// a full 128-byte block, is processed as the first message block.
-    ///
-    /// Panics if `key` is longer than 64 bytes (the BLAKE2b maximum).
-    pub fn new_keyed(key: &[u8]) -> Self {
-        assert!(
-            !key.is_empty() && key.len() <= 64,
-            "BLAKE2b key must be 1..=64 bytes"
-        );
-        let mut h = IV;
-        // Parameter block: digest_length=64, key_length, fanout=1, depth=1.
-        h[0] ^= 0x0101_0000 ^ ((key.len() as u64) << 8) ^ 64;
-        let mut hasher = Self {
-            h,
-            buf: [0u8; 128],
-            buf_len: 0,
-            counter: 0,
-        };
-        let mut block = [0u8; 128];
-        block[..key.len()].copy_from_slice(key);
-        // Buffered like ordinary data: if no message follows, the key block
-        // is finalized as the last (and only) block, per the RFC.
-        hasher.update(&block);
-        hasher
-    }
-
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, mut data: &[u8]) {
         // Fill the partial block first; only compress when we know more data
@@ -202,59 +176,6 @@ mod tests {
         let oneshot = Blake2b::digest(&data);
         for chunk_size in [1usize, 7, 64, 127, 128, 129, 333] {
             let mut h = Blake2b::new();
-            for chunk in data.chunks(chunk_size) {
-                h.update(chunk);
-            }
-            assert_eq!(h.finalize(), oneshot, "chunk_size={chunk_size}");
-        }
-    }
-
-    fn keyed(key: &[u8], data: &[u8]) -> String {
-        let mut h = Blake2b::new_keyed(key);
-        h.update(data);
-        hex(&h.finalize())
-    }
-
-    #[test]
-    fn keyed_known_answers() {
-        // Official BLAKE2b KAT key: 0x00..0x3f (64 bytes). The empty-input
-        // and 255-byte entries are from the reference blake2b-kat.txt; the
-        // others were cross-checked against Python's hashlib.blake2b.
-        let kat_key: Vec<u8> = (0u8..64).collect();
-        assert_eq!(
-            keyed(&kat_key, b""),
-            "10ebb67700b1868efb4417987acf4690ae9d972fb7a590c2f02871799aaa4786\
-             b5e996e8f0f4eb981fc214b005f42d2ff4233499391653df7aefcbc13fc51568"
-        );
-        assert_eq!(
-            keyed(&kat_key, b"abc"),
-            "06bbc3dedf13a31139498655251b7588ccd3bb5aaa071b2d44d8e0a04095579e\
-             d590fbfdcf941f4370ce5ce623624e7a76d33e7a8109dcda9b57d72f8f8efa51"
-        );
-        let kat255: Vec<u8> = (0..255u32).map(|i| (i % 256) as u8).collect();
-        assert_eq!(
-            keyed(&kat_key, &kat255),
-            "142709d62e28fcccd0af97fad0f8465b971e82201dc51070faa0372aa43e9248\
-             4be1c1e73ba10906d5d1853db6a4106e0a7bf9800d373d6dee2d46d62ef2a461"
-        );
-        // Short (non-block-length) key.
-        assert_eq!(
-            keyed(b"short-key", b"abc"),
-            "3cc9a7ad38a80d1bc5028478e8eaf74d3a8c51b2bad273422911d67500d2d022\
-             7b1914cdea2e766d3b30914974a70531d87710f6ddbd98e3684be480dff9db90"
-        );
-    }
-
-    #[test]
-    fn keyed_differs_from_unkeyed_and_streams() {
-        let key = [7u8; 32];
-        let data: Vec<u8> = (0..500u32).map(|i| (i % 251) as u8).collect();
-        let mut h = Blake2b::new_keyed(&key);
-        h.update(&data);
-        let oneshot = h.finalize();
-        assert_ne!(&oneshot[..], &Blake2b::digest(&data)[..]);
-        for chunk_size in [1usize, 64, 128, 129] {
-            let mut h = Blake2b::new_keyed(&key);
             for chunk in data.chunks(chunk_size) {
                 h.update(chunk);
             }

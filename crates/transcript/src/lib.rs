@@ -5,7 +5,7 @@
 //! message bytes; squeezing a challenge ratchets the state and reduces the
 //! full 512-bit output uniformly into the scalar field.
 
-pub mod blake2b;
+mod blake2b;
 
 pub use blake2b::Blake2b;
 use zkml_ff::PrimeField;

@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkml::{optimizer, OptimizerOptions};
+use zkml::OptimizerOptions;
 use zkml_pcs::{Backend, Params};
 use zkml_tensor::FixedPoint;
 
@@ -48,7 +48,7 @@ fn main() {
 
     // Let the optimizer choose gadgets + layout for this machine.
     let hw = zkml::cost::HardwareStats::cached();
-    let report = optimizer::optimize(&model, &inputs, &opts, hw).expect("optimize");
+    let report = zkml::optimize(&model, &inputs, &opts, hw).expect("optimize");
     println!(
         "optimizer: {} layouts in {:?}; chose {} columns at 2^{} rows (est. {:.2}s proving)",
         report.evaluated,

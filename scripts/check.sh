@@ -153,6 +153,9 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
+# The workspace lints include `unreachable_pub`, so a `pub` item that no
+# path outside its crate reaches fails here; it is `pub(crate)`, which lets
+# the dead-code lint judge it.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "All checks passed."

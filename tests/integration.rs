@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkml::{compile, optimizer, CircuitConfig, LayoutChoices, Objective, OptimizerOptions};
+use zkml::{compile, CircuitConfig, LayoutChoices, Objective, OptimizerOptions};
 use zkml_model::{execute_fixed, Activation, GraphBuilder, Op};
 use zkml_pcs::{Backend, Params};
 use zkml_tensor::{FixedPoint, Tensor};
@@ -39,7 +39,7 @@ fn optimizer_chooses_a_config_that_proves() {
     let opts = OptimizerOptions::new(Backend::Kzg, 14);
     let fp = FixedPoint::new(opts.numeric.scale_bits);
     let inputs = quantized_input(fp);
-    let report = optimizer::optimize(&g, &inputs, &opts, hw).expect("optimize");
+    let report = zkml::optimize(&g, &inputs, &opts, hw).expect("optimize");
     assert!(report.evaluated > 0);
     assert!(report.best_k <= 14);
 
@@ -58,11 +58,11 @@ fn size_objective_reduces_estimated_proof_size() {
     let g = tiny_model();
     let hw = zkml::cost::HardwareStats::cached();
     let mut opts = OptimizerOptions::new(Backend::Kzg, 14);
-    let inputs = optimizer::zero_inputs(&g);
+    let inputs = zkml::zero_inputs(&g);
     opts.objective = Objective::ProvingTime;
-    let time_opt = optimizer::optimize(&g, &inputs, &opts, hw).expect("optimize");
+    let time_opt = zkml::optimize(&g, &inputs, &opts, hw).expect("optimize");
     opts.objective = Objective::ProofSize;
-    let size_opt = optimizer::optimize(&g, &inputs, &opts, hw).expect("optimize");
+    let size_opt = zkml::optimize(&g, &inputs, &opts, hw).expect("optimize");
     assert!(
         size_opt.best_cost.proof_bytes <= time_opt.best_cost.proof_bytes,
         "size-optimized layout must not have a larger estimated proof"
@@ -75,11 +75,11 @@ fn pruning_finds_the_same_plan() {
     let g = tiny_model();
     let hw = zkml::cost::HardwareStats::cached();
     let mut opts = OptimizerOptions::new(Backend::Kzg, 14);
-    let inputs = optimizer::zero_inputs(&g);
+    let inputs = zkml::zero_inputs(&g);
     opts.prune = true;
-    let pruned = optimizer::optimize(&g, &inputs, &opts, hw).expect("optimize");
+    let pruned = zkml::optimize(&g, &inputs, &opts, hw).expect("optimize");
     opts.prune = false;
-    let full = optimizer::optimize(&g, &inputs, &opts, hw).expect("optimize");
+    let full = zkml::optimize(&g, &inputs, &opts, hw).expect("optimize");
     assert_eq!(pruned.best, full.best);
     assert!(pruned.evaluated <= full.evaluated);
 }
