@@ -128,6 +128,8 @@ pub fn batch_invert_with_scratch<F: Field>(values: &mut [F], scratch: &mut Vec<F
 ///
 /// All derived constants (`R`, `R2`, `R3`, `INV`) are computed by `const fn`
 /// from the modulus literal alone, eliminating constant-transcription risk.
+/// The modulus is declared once, as the `PrimeField::MODULUS` the macro
+/// implements, so the invoking module must have `PrimeField` in scope.
 macro_rules! impl_prime_field {
     ($vis:vis struct $name:ident, modulus = $modulus:expr, generator = $generator:expr, num_bits = $num_bits:expr, doc = $doc:expr) => {
         #[doc = $doc]
@@ -135,8 +137,6 @@ macro_rules! impl_prime_field {
         $vis struct $name(pub(crate) [u64; 4]);
 
         impl $name {
-            /// The modulus as little-endian limbs.
-            pub(crate) const MODULUS: [u64; 4] = $modulus;
             /// `-p^{-1} mod 2^64`.
             pub(crate) const INV: u64 = $crate::field::mont::compute_inv(Self::MODULUS[0]);
             /// `2^256 mod p` (the Montgomery radix; also `one()`).
@@ -263,7 +263,7 @@ macro_rules! impl_prime_field {
         }
 
         impl $crate::field::PrimeField for $name {
-            const MODULUS: [u64; 4] = Self::MODULUS;
+            const MODULUS: [u64; 4] = $modulus;
             const NUM_BITS: u32 = $num_bits;
             const GENERATOR_U64: u64 = $generator;
 

@@ -5,7 +5,7 @@
 //! `q ≡ 3 (mod 4)`, so square roots are computed as `x^((q+1)/4)`.
 
 use crate::field::impl_prime_field;
-use crate::field::Field;
+use crate::field::{Field, PrimeField};
 use std::sync::OnceLock;
 
 impl_prime_field!(

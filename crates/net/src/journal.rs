@@ -328,12 +328,23 @@ impl Record {
                 })
             }
             "started" => Ok(Record::Started { job }),
-            "completed" => Ok(Record::Completed {
-                job,
-                k: v.get("k").and_then(Json::as_u64).unwrap_or(0) as u32,
-                segments: v.get("segments").and_then(Json::as_u64).unwrap_or(0) as u32,
-                prove_ms: v.get("prove_ms").and_then(Json::as_u64).unwrap_or(0),
-            }),
+            "completed" => {
+                let count = |name: &str| {
+                    v.get(name)
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| format!("completed record needs an unsigned integer {name}"))
+                };
+                let small = |name: &str| {
+                    u32::try_from(count(name)?)
+                        .map_err(|_| format!("completed record {name} exceeds {}", u32::MAX))
+                };
+                Ok(Record::Completed {
+                    job,
+                    k: small("k")?,
+                    segments: small("segments")?,
+                    prove_ms: count("prove_ms")?,
+                })
+            }
             "failed" => Ok(Record::Failed {
                 job,
                 error: v
@@ -658,6 +669,28 @@ mod tests {
             )
     }
 
+    /// A count field that is not a count of its type.
+    #[derive(Clone, Debug)]
+    enum BadCount {
+        /// Its type's maximum plus one plus this.
+        Above(u64),
+        /// Negative, fractional, or not a number.
+        Other(String),
+        Missing,
+    }
+
+    fn bad_count() -> impl Strategy<Value = BadCount> {
+        const OTHER: &[&str] = &["1.5", "0.0", "1e3", "\"7\"", "null", "true", "[1]", "{}"];
+        (0u8..4, any::<u64>(), 1..=i64::MAX, 0..OTHER.len()).prop_map(
+            |(kind, excess, negative, other)| match kind {
+                0 => BadCount::Above(excess),
+                1 => BadCount::Other(format!("-{negative}")),
+                2 => BadCount::Other(OTHER[other].to_string()),
+                _ => BadCount::Missing,
+            },
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -667,6 +700,44 @@ mod tests {
             let line = rec.encode();
             prop_assert!(!line.contains('\n'), "a record must stay on one line: {line}");
             prop_assert_eq!(Record::decode(&line).map_err(|e| format!("{e}: {line}")), Ok(rec));
+        }
+
+        /// A `completed` line whose `k`, `segments` or `prove_ms` is missing,
+        /// outside its type or not an unsigned integer is refused, never
+        /// read as some other number.
+        #[test]
+        fn completed_counts_out_of_range_or_missing_are_refused(
+            job in any::<u64>(),
+            counts in (any::<u32>(), any::<u32>(), any::<u64>()),
+            field in 0usize..3,
+            bad in bad_count(),
+        ) {
+            let mut values = [
+                counts.0.to_string(),
+                counts.1.to_string(),
+                counts.2.to_string(),
+            ];
+            let names = ["k", "segments", "prove_ms"];
+            let bad = match bad {
+                // Above u32 for `k` and `segments`, above u64 for `prove_ms`.
+                BadCount::Above(excess) if field < 2 => {
+                    Some((u128::from(u32::MAX) + 1 + u128::from(excess)).to_string())
+                }
+                BadCount::Above(excess) => {
+                    Some((u128::from(u64::MAX) + 1 + u128::from(excess)).to_string())
+                }
+                BadCount::Other(text) => Some(text),
+                BadCount::Missing => None,
+            };
+            let mut line = format!("{{\"rec\":\"completed\",\"job\":{job}");
+            for (i, name) in names.iter().enumerate() {
+                let value = if i == field { bad.clone() } else { Some(std::mem::take(&mut values[i])) };
+                if let Some(value) = value {
+                    line.push_str(&format!(",\"{name}\":{value}"));
+                }
+            }
+            line.push('}');
+            prop_assert!(Record::decode(&line).is_err(), "accepted: {}", line);
         }
 
         /// Journal lines are untrusted bytes: no string panics the decoder.
@@ -761,6 +832,21 @@ mod tests {
         }
         let (_, records) = Journal::open(&path).unwrap();
         assert_eq!(records, sample_records(), "torn tail dropped, rest intact");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A `completed` line with an out-of-range count is damage like any
+    /// other: dropped as a torn tail, refused anywhere else.
+    #[test]
+    fn out_of_range_completed_line_is_damage() {
+        let path = tempfile("range");
+        let bad = r#"{"rec":"completed","job":1,"k":4294967306,"segments":1,"prove_ms":5}"#;
+        let good = Record::Started { job: 1 }.encode();
+        std::fs::write(&path, format!("{good}\n{bad}\n")).unwrap();
+        let (_, records) = Journal::open(&path).unwrap();
+        assert_eq!(records, vec![Record::Started { job: 1 }]);
+        std::fs::write(&path, format!("{bad}\n{good}\n")).unwrap();
+        assert!(Journal::open(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 

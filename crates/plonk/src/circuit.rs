@@ -1,7 +1,14 @@
 //! Circuit structure: constraint system, gates, lookups and assignments.
 
 use crate::expression::{Column, Expression, Rotation};
-use zkml_ff::Fr;
+use zkml_ff::{Field, Fr};
+
+/// Zero-pads a column to `n` rows, allocating exactly `n`: `Vec::resize`
+/// alone would double the capacity of a column just short of `n`.
+pub(crate) fn pad_rows(values: &mut Vec<Fr>, n: usize) {
+    values.reserve_exact(n.saturating_sub(values.len()));
+    values.resize(n, Fr::zero());
+}
 
 /// A named family of polynomial constraints sharing a selector.
 #[derive(Clone, Debug, PartialEq)]

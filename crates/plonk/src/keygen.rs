@@ -1,7 +1,7 @@
 //! Key generation: preprocessing fixed columns, the permutation, and the
 //! Lagrange selector polynomials.
 
-use crate::circuit::{CellRef, ConstraintSystem, Preprocessed};
+use crate::circuit::{pad_rows, CellRef, ConstraintSystem, Preprocessed};
 use crate::expression::Column;
 use crate::protocol::delta_powers;
 use crate::PlonkError;
@@ -47,6 +47,13 @@ pub struct VerifyingKey {
 }
 
 /// Extended-domain context for quotient computation.
+///
+/// The extended coset `g·⟨ω_ext⟩` of size `n·factor` is the union of the
+/// `factor` cosets `g·ω_ext^j·H` of size `n`: extended point `i·factor + j`
+/// is point `i` of coset `j`. A rotation by `r` rows stays inside its coset
+/// (`i ↦ i + r mod n`) and the vanishing polynomial is one constant on each
+/// coset, so the quotient is built one coset at a time. The key's extended
+/// tables are coset-major: coset `j` of a column is `[j·n, (j+1)·n)`.
 #[derive(Clone)]
 pub struct ExtendedDomain {
     /// The base domain (size `n`).
@@ -55,9 +62,10 @@ pub struct ExtendedDomain {
     pub ext: EvaluationDomain<Fr>,
     /// Extension factor (`2^ceil(log2(degree - 1))`).
     pub factor: usize,
-    /// Inverses of the vanishing polynomial on the extended coset, one per
-    /// residue class mod `factor`.
+    /// Inverses of the vanishing polynomial on each coset.
     pub zh_inv: Vec<Fr>,
+    /// Coset `j`'s shift `g·ω_ext^j`: the coset is `shift·H`.
+    pub(crate) shifts: Vec<Fr>,
 }
 
 impl ExtendedDomain {
@@ -67,38 +75,47 @@ impl ExtendedDomain {
         let log_factor = (degree - 1).next_power_of_two().trailing_zeros();
         let ext = EvaluationDomain::<Fr>::new(k + log_factor);
         let factor = 1usize << log_factor;
-        // Z_H(g * w_ext^i) = g^n * w_ext^(n i) - 1 depends on i mod factor.
-        let n = domain.n as u64;
-        let gn = ext.coset_gen.pow(&[n]);
-        let w_n = ext.omega.pow(&[n]); // order = factor
-        let mut zh_inv = Vec::with_capacity(factor);
-        let mut cur = gn;
-        for _ in 0..factor {
-            zh_inv.push(cur - Fr::one());
-            cur *= w_n;
-        }
+        let shifts: Vec<Fr> = std::iter::successors(Some(ext.coset_gen), |s| Some(*s * ext.omega))
+            .take(factor)
+            .collect();
+        // Z_H(shift·ω^i) = shift^n·ω^(n·i) − 1 = shift^n − 1 on the whole coset.
+        let mut zh_inv: Vec<Fr> = shifts
+            .iter()
+            .map(|s| s.pow(&[domain.n as u64]) - Fr::one())
+            .collect();
         zkml_ff::batch_invert(&mut zh_inv);
         Self {
             domain,
             ext,
             factor,
             zh_inv,
+            shifts,
         }
     }
 
-    /// Evaluates a base-domain polynomial (coefficients) over the extended
-    /// coset.
-    pub(crate) fn coset_ext(&self, mut coeffs: Vec<Fr>) -> Vec<Fr> {
-        coeffs.resize(self.ext.n, Fr::zero());
-        self.ext.coset_fft(&mut coeffs);
-        coeffs
+    /// Evaluates a base-domain polynomial (coefficients) on coset `j`: entry
+    /// `i` is the polynomial at extended point `i·factor + j`.
+    pub(crate) fn coset_evals(&self, coeffs: &[Fr], j: usize) -> Vec<Fr> {
+        let mut evals = coeffs.to_vec();
+        self.domain.shifted_fft(&mut evals, self.shifts[j]);
+        evals
     }
 
-    /// Rotation indexing on the extended coset: `rot` base-domain steps.
+    /// Evaluates a base-domain polynomial on every coset, coset-major.
+    fn extend(&self, coeffs: &[Fr]) -> Vec<Fr> {
+        let mut out = Vec::with_capacity(self.ext.n);
+        for j in 0..self.factor {
+            out.extend(self.coset_evals(coeffs, j));
+        }
+        out
+    }
+
+    /// Row `i` of a coset rotated by `rot` rows: the rotation wraps inside
+    /// the coset.
     #[inline]
-    pub(crate) fn rotated_index(&self, i: usize, rot: i32) -> usize {
-        // `ext.n` is a power of two, so masking the wrapped sum reduces it.
-        i.wrapping_add_signed(rot as isize * self.factor as isize) & (self.ext.n - 1)
+    pub(crate) fn rotated_row(&self, i: usize, rot: i32) -> usize {
+        // `n` is a power of two, so masking the wrapped sum reduces it.
+        i.wrapping_add_signed(rot as isize) & (self.domain.n - 1)
     }
 }
 
@@ -112,19 +129,19 @@ pub struct ProvingKey {
     pub fixed_values: Vec<Vec<Fr>>,
     /// Fixed column polynomials.
     pub fixed_polys: Vec<Coeffs<Fr>>,
-    /// Fixed columns on the extended coset.
+    /// Fixed columns on the extended coset, coset-major.
     pub fixed_ext: Vec<Vec<Fr>>,
     /// Permutation sigma values per permutation column.
     pub sigma_values: Vec<Vec<Fr>>,
     /// Sigma polynomials.
     pub sigma_polys: Vec<Coeffs<Fr>>,
-    /// Sigma columns on the extended coset.
+    /// Sigma columns on the extended coset, coset-major.
     pub sigma_ext: Vec<Vec<Fr>>,
-    /// `l_0` on the extended coset.
+    /// `l_0` on the extended coset, coset-major.
     pub l0_ext: Vec<Fr>,
-    /// `l_last` on the extended coset.
+    /// `l_last` on the extended coset, coset-major.
     pub l_last_ext: Vec<Fr>,
-    /// `l_active = 1 - l_last - l_blind` on the extended coset.
+    /// `l_active = 1 - l_last - l_blind` on the extended coset, coset-major.
     pub l_active_ext: Vec<Fr>,
 }
 
@@ -172,7 +189,7 @@ pub struct CommittedWeights {
     pub values: Vec<Vec<Fr>>,
     /// Coefficient forms of the committed columns.
     pub polys: Vec<Coeffs<Fr>>,
-    /// Committed columns on the extended coset.
+    /// Committed columns on the extended coset, coset-major.
     pub ext: Vec<Vec<Fr>>,
     /// Copy of the published digest, for transcript absorption.
     pub digest: [u8; 32],
@@ -228,7 +245,7 @@ pub fn commit_weights(
             )));
         }
         let mut v = col.clone();
-        v.resize(n, Fr::zero());
+        pad_rows(&mut v, n);
         values.push(v);
     }
     let (polys, ext) = interpolate_columns(&domains, &values);
@@ -251,7 +268,7 @@ pub fn commit_weights(
 }
 
 /// Interpolates column values into coefficient form and evaluates each
-/// polynomial over the extended coset.
+/// polynomial over the extended coset, coset-major.
 fn interpolate_columns(
     domains: &ExtendedDomain,
     values: &[Vec<Fr>],
@@ -261,12 +278,12 @@ fn interpolate_columns(
         domains.domain.ifft(&mut c);
         Coeffs::new(c)
     });
-    let ext = zkml_par::par_map(polys.len(), |i| domains.coset_ext(polys[i].values.clone()));
+    let ext = zkml_par::par_map(polys.len(), |i| domains.extend(&polys[i].values));
     (polys, ext)
 }
 
 /// Computes the `l_0`, `l_last`, and `l_active` selector polynomials on the
-/// extended coset.
+/// extended coset, coset-major.
 fn lagrange_selectors(
     domains: &ExtendedDomain,
     cs: &ConstraintSystem,
@@ -278,7 +295,7 @@ fn lagrange_selectors(
             .map(|i| if rows(i) { Fr::one() } else { Fr::zero() })
             .collect();
         domains.domain.ifft(&mut evals);
-        domains.coset_ext(evals)
+        domains.extend(&evals)
     };
     (
         indicator(&|i| i == 0),
@@ -449,7 +466,7 @@ pub fn keygen(
             )));
         }
         let mut v = col.clone();
-        v.resize(n, Fr::zero());
+        pad_rows(&mut v, n);
         fixed_values.push(v);
     }
     // The fixed-column pipeline and the permutation pipeline are
@@ -528,6 +545,8 @@ pub fn keygen(
 mod tests {
     use super::*;
     use crate::expression::Column;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn permutation_identity_without_copies() {
@@ -601,7 +620,7 @@ mod tests {
     fn extended_domain_vanishing_inverses() {
         let ed = ExtendedDomain::new(4, 5);
         assert_eq!(ed.factor, 4);
-        // zh_inv[i] * Z_H(coset point i) == 1 for a few sample points.
+        // zh_inv[i mod factor] * Z_H(coset point i) == 1 for a few sample points.
         for i in [0usize, 1, 5, 17] {
             let pt = ed.ext.coset_gen * ed.ext.omega.pow(&[i as u64]);
             let zh = pt.pow(&[ed.domain.n as u64]) - Fr::one();
@@ -609,12 +628,71 @@ mod tests {
         }
     }
 
+    fn random_coeffs(n: usize, rng: &mut StdRng) -> Vec<Fr> {
+        (0..n).map(|_| Fr::random(&mut *rng)).collect()
+    }
+
+    /// Horner evaluation of `coeffs` at `x`.
+    fn horner(coeffs: &[Fr], x: Fr) -> Fr {
+        coeffs.iter().rev().fold(Fr::zero(), |acc, c| acc * x + *c)
+    }
+
+    /// Coset `j`'s point `i` is extended point `i·factor + j`: the size-`n`
+    /// transform reproduces the size-`n·factor` coset FFT entry for entry.
     #[test]
-    fn rotated_index_wraps() {
+    fn coset_evals_match_the_extended_coset_fft() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for k in 3..=6u32 {
+            // Degree 3 extends by 2, degree 5 by 4.
+            for (degree, factor) in [(3, 2), (5, 4)] {
+                let ed = ExtendedDomain::new(k, degree);
+                assert_eq!(ed.factor, factor);
+                let coeffs = random_coeffs(ed.domain.n, &mut rng);
+                let mut whole = coeffs.clone();
+                whole.resize(ed.ext.n, Fr::zero());
+                ed.ext.coset_fft(&mut whole);
+                for j in 0..factor {
+                    let coset = ed.coset_evals(&coeffs, j);
+                    assert_eq!(coset.len(), ed.domain.n);
+                    for (i, v) in coset.iter().enumerate() {
+                        assert_eq!(
+                            *v,
+                            whole[i * factor + j],
+                            "k={k} factor={factor} j={j} i={i}"
+                        );
+                    }
+                }
+                // The key's layout: coset j is the slice [j·n, (j+1)·n).
+                let major = ed.extend(&coeffs);
+                for (j, slice) in major.chunks(ed.domain.n).enumerate() {
+                    assert_eq!(slice, ed.coset_evals(&coeffs, j).as_slice());
+                }
+            }
+        }
+    }
+
+    /// A rotation by `r` rows moves point `x` of a coset to `x·ω^r`, which
+    /// is the same coset's row `i + r mod n`.
+    #[test]
+    fn rotation_wraps_inside_a_coset() {
         let ed = ExtendedDomain::new(3, 3);
-        // factor 2, ext n = 16.
-        assert_eq!(ed.rotated_index(0, 1), 2);
-        assert_eq!(ed.rotated_index(0, -1), 14);
-        assert_eq!(ed.rotated_index(15, 1), 1);
+        let n = ed.domain.n;
+        assert_eq!((n, ed.factor), (8, 2));
+        assert_eq!(ed.rotated_row(0, 1), 1);
+        assert_eq!(ed.rotated_row(0, -1), 7);
+        assert_eq!(ed.rotated_row(7, 1), 0);
+        assert_eq!(ed.rotated_row(2, 13), 7);
+        let mut rng = StdRng::seed_from_u64(13);
+        let coeffs = random_coeffs(n, &mut rng);
+        for j in 0..ed.factor {
+            let coset = ed.coset_evals(&coeffs, j);
+            for i in 0..n {
+                let x = ed.shifts[j] * ed.domain.omega.pow(&[i as u64]);
+                for rot in [-3, -1, 0, 1, 5, 13] {
+                    let want = horner(&coeffs, ed.domain.rotate(x, rot));
+                    assert_eq!(coset[ed.rotated_row(i, rot)], want, "j={j} i={i} rot={rot}");
+                }
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Proof creation.
 
-use crate::circuit::WitnessSource;
+use crate::circuit::{pad_rows, WitnessSource};
 use crate::expression::Column;
-use crate::keygen::{CommittedWeights, ProvingKey};
+use crate::keygen::{CommittedWeights, ExtendedDomain, ProvingKey};
 use crate::protocol::{compress, opening_plan, Argument, Challenges, Lagrange, Point, PolyId};
 use crate::PlonkError;
 use rand::RngCore;
@@ -14,6 +14,9 @@ use zkml_transcript::Transcript;
 
 /// Minimum rows per parallel task in the row-indexed loops below.
 const ROW_CHUNK: usize = 1024;
+/// Minimum rows per parallel task of the quotient fold: each row folds
+/// every identity, so far fewer rows than `ROW_CHUNK` fill a task.
+const FOLD_ROWS: usize = 64;
 
 /// Fills `out[0] = seed`, `out[i+1] = out[i] * factors[i]` with a parallel
 /// chunk-product scan: per-chunk products in parallel, a serial exclusive
@@ -55,10 +58,15 @@ fn blind(rows: &mut [Fr], rng: &mut impl RngCore) {
     }
 }
 
-/// The quotient's tables on the extended coset.
+/// One coset `g·ω_ext^j·H` of the extended domain: the prover's
+/// polynomials evaluated on its `n` points, beside the key's tables for it.
 struct Coset<'a> {
-    pk: &'a ProvingKey,
-    weights: &'a CommittedWeights,
+    domains: &'a ExtendedDomain,
+    fixed: Vec<&'a [Fr]>,
+    committed: Vec<&'a [Fr]>,
+    sigma: Vec<&'a [Fr]>,
+    /// `l_0`, `l_last` and `l_active`, in [`Lagrange`] order.
+    lagrange: [&'a [Fr]; 3],
     instance: Vec<Vec<Fr>>,
     advice: Vec<Vec<Fr>>,
     perm_z: Vec<Vec<Fr>>,
@@ -69,32 +77,71 @@ struct Coset<'a> {
     x: Vec<Fr>,
 }
 
-/// Point `i` of the extended coset.
+impl<'a> Coset<'a> {
+    /// Extends `polys` (instance, advice, permutation `z`, lookup a′, s′ and
+    /// `z`, in that order) to coset `j`; `omega_powers` are the base
+    /// domain's elements.
+    fn new(
+        pk: &'a ProvingKey,
+        weights: &'a CommittedWeights,
+        j: usize,
+        polys: [&[Coeffs<Fr>]; 6],
+        omega_powers: &[Fr],
+    ) -> Self {
+        let domains = &pk.domains;
+        let n = domains.domain.n;
+        let key = |table: &'a Vec<Fr>| &table[j * n..(j + 1) * n];
+        let columns: Vec<&Coeffs<Fr>> = polys.iter().flat_map(|family| family.iter()).collect();
+        let mut evals = zkml_par::par_map(columns.len(), |c| {
+            domains.coset_evals(&columns[c].values, j)
+        })
+        .into_iter();
+        let [instance, advice, perm_z, lookup_a, lookup_s, lookup_z] =
+            polys.map(|family| evals.by_ref().take(family.len()).collect());
+        let shift = domains.shifts[j];
+        Coset {
+            domains,
+            fixed: pk.fixed_ext.iter().map(key).collect(),
+            committed: weights.ext.iter().map(key).collect(),
+            sigma: pk.sigma_ext.iter().map(key).collect(),
+            lagrange: [&pk.l0_ext, &pk.l_last_ext, &pk.l_active_ext].map(key),
+            instance,
+            advice,
+            perm_z,
+            lookup_a,
+            lookup_s,
+            lookup_z,
+            x: omega_powers.iter().map(|w| shift * *w).collect(),
+        }
+    }
+}
+
+/// Point `i` of a coset.
 impl Point for (&Coset<'_>, usize) {
     fn poly(&self, id: PolyId, rotation: i32) -> Fr {
         let (t, i) = *self;
-        let values = match id {
+        let values: &[Fr] = match id {
             PolyId::Advice(c) => &t.advice[c],
-            PolyId::Fixed(c) => &t.pk.fixed_ext[c],
-            PolyId::Committed(c) => &t.weights.ext[c],
-            PolyId::Sigma(c) => &t.pk.sigma_ext[c],
+            PolyId::Fixed(c) => t.fixed[c],
+            PolyId::Committed(c) => t.committed[c],
+            PolyId::Sigma(c) => t.sigma[c],
             PolyId::PermZ(c) => &t.perm_z[c],
             PolyId::LookupA(c) => &t.lookup_a[c],
             PolyId::LookupS(c) => &t.lookup_s[c],
             PolyId::LookupZ(c) => &t.lookup_z[c],
             PolyId::Quotient(_) => unreachable!("no identity reads the quotient"),
         };
-        values[t.pk.domains.rotated_index(i, rotation)]
+        values[t.domains.rotated_row(i, rotation)]
     }
 
     fn instance(&self, column: usize, rotation: i32) -> Fr {
         let (t, i) = *self;
-        t.instance[column][t.pk.domains.rotated_index(i, rotation)]
+        t.instance[column][t.domains.rotated_row(i, rotation)]
     }
 
     fn lagrange(&self, which: Lagrange) -> Fr {
         let (t, i) = *self;
-        [&t.pk.l0_ext, &t.pk.l_last_ext, &t.pk.l_active_ext][which as usize][i]
+        t.lagrange[which as usize][i]
     }
 
     fn x(&self) -> Fr {
@@ -171,7 +218,7 @@ pub fn create_proof_committed(
                 "instance column exceeds usable rows".into(),
             ));
         }
-        col.resize(n, Fr::zero());
+        pad_rows(col, n);
         let mut bytes = Vec::with_capacity(col.len() * 32);
         for v in col.iter() {
             bytes.extend_from_slice(&v.to_bytes());
@@ -205,7 +252,7 @@ pub fn create_proof_committed(
                     vals.len()
                 )));
             }
-            vals.resize(n, Fr::zero());
+            pad_rows(&mut vals, n);
             blind(&mut vals[usable + 1..], rng);
             advice_values[idx] = Some(vals);
         }
@@ -299,8 +346,8 @@ pub fn create_proof_committed(
             })
             .collect();
 
-        a_sorted.resize(n, Fr::zero());
-        s_permuted.resize(n, Fr::zero());
+        pad_rows(&mut a_sorted, n);
+        pad_rows(&mut s_permuted, n);
         blind(&mut a_sorted[usable..], rng);
         blind(&mut s_permuted[usable..], rng);
         let a_com = params.commit_lagrange(&a_sorted);
@@ -407,46 +454,46 @@ pub fn create_proof_committed(
     let y: Fr = transcript.challenge(b"y");
 
     // --- Quotient ----------------------------------------------------------
+    // One coset of the extended domain at a time: extend every polynomial
+    // to the coset's n points, fold the identities there, scatter the folds
+    // (divided by the vanishing polynomial, one constant per coset) into
+    // `combined`, and drop the coset's tables before the next one.
     let ext = &pk.domains;
-    let ext_n = ext.ext.n;
-    let to_ext = |polys: &[Coeffs<Fr>]| {
-        zkml_par::par_map(polys.len(), |i| ext.coset_ext(polys[i].values.clone()))
-    };
-    let omega_ext = ext.ext.elements();
-    let coset = Coset {
-        pk,
-        weights,
-        instance: to_ext(&instance_polys),
-        advice: to_ext(&advice_polys),
-        perm_z: to_ext(&perm_z_polys),
-        lookup_a: to_ext(&lookup_a_polys),
-        lookup_s: to_ext(&lookup_s_polys),
-        lookup_z: to_ext(&lookup_z_polys),
-        x: zkml_par::par_map(ext_n, |i| ext.ext.coset_gen * omega_ext[i]),
-    };
-
-    let mut combined = vec![Fr::zero(); ext_n];
-    for term in argument.terms() {
-        zkml_par::par_for_each_mut(&mut combined, |i, c| {
-            *c = *c * y + argument.evaluate(term, &(&coset, i), &ch);
+    let mut combined = vec![Fr::zero(); ext.ext.n];
+    let mut folded = vec![Fr::zero(); n];
+    for j in 0..ext.factor {
+        let coset = Coset::new(
+            pk,
+            weights,
+            j,
+            [
+                &instance_polys,
+                &advice_polys,
+                &perm_z_polys,
+                &lookup_a_polys,
+                &lookup_s_polys,
+                &lookup_z_polys,
+            ],
+            &omega_powers,
+        );
+        zkml_par::par_chunks_mut(&mut folded, FOLD_ROWS, |_, start, rows| {
+            argument.fold_rows(rows, |i| (&coset, start + i), &ch, y);
         });
-    }
-    drop(coset);
-
-    // Divide by the vanishing polynomial and interpolate.
-    zkml_par::par_chunks_mut(&mut combined, ROW_CHUNK, |_, start, chunk| {
-        for (i, c) in chunk.iter_mut().enumerate() {
-            *c *= ext.zh_inv[(start + i) % ext.factor];
+        for (i, v) in folded.iter().enumerate() {
+            combined[i * ext.factor + j] = *v * ext.zh_inv[j];
         }
-    });
+    }
+    drop(folded);
     ext.ext.coset_ifft(&mut combined);
-    let mut quotient_polys = Vec::with_capacity(ext.factor);
-    for piece in combined.chunks(n) {
-        let piece = Coeffs::new(piece.to_vec());
-        let com = params.commit(&piece);
+    let quotient_polys: Vec<Coeffs<Fr>> = combined
+        .chunks(n)
+        .map(|piece| Coeffs::new(piece.to_vec()))
+        .collect();
+    drop(combined);
+    for piece in &quotient_polys {
+        let com = params.commit(piece);
         transcript.absorb(b"quotient", &com.to_bytes());
         proof.g1(&com);
-        quotient_polys.push(piece);
     }
 
     let x: Fr = transcript.challenge(b"x");

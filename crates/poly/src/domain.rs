@@ -115,9 +115,15 @@ impl<F: FftField> EvaluationDomain<F> {
 
     /// Evaluates the polynomial over the coset `g * H`, in place.
     pub fn coset_fft(&self, a: &mut Vec<F>) {
+        self.shifted_fft(a, self.coset_gen);
+    }
+
+    /// Evaluates the polynomial over the coset `shift * H`, in place:
+    /// coefficient `t` is scaled by `shift^t`, then transformed.
+    pub fn shifted_fft(&self, a: &mut Vec<F>, shift: F) {
         assert!(a.len() <= self.n, "too many coefficients for domain");
         a.resize(self.n, F::zero());
-        scale_by_powers(a, self.coset_gen);
+        scale_by_powers(a, shift);
         fft_in_place_with(a, self.k, &self.twiddles());
     }
 
