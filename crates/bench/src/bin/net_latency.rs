@@ -1,20 +1,16 @@
 //! Submission-path benchmark for the serving layer: latency and throughput
-//! of job submission at 1/4/16 concurrent clients, comparing a file-drop
-//! baseline (the removed spool protocol's submit: atomic tmp-write + rename
-//! into a watched directory, kept here only as the baseline row)
-//! against the HTTP gateway (socket round-trip through parsing, admission,
-//! journal write-ahead, and lane enqueue).
+//! of `POST /v1/jobs` at 1/4/16 concurrent clients against the HTTP gateway
+//! (socket round-trip through parsing, admission, journal write-ahead, and
+//! lane enqueue).
 //!
 //! Jobs are zero-length sleeps so the numbers isolate the submission path
-//! rather than proving. Rows are appended to `BENCH_NET.json` at the repo
-//! root.
+//! rather than proving. The rows replace `BENCH_NET.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p zkml-bench --bin net_latency
 //! ```
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use zkml_net::{http_request, AdmissionConfig, Gateway, GatewayConfig, TenantPolicy};
 use zkml_service::ServiceConfig;
@@ -23,7 +19,6 @@ const CLIENTS: [usize; 3] = [1, 4, 16];
 const REQUESTS_PER_CLIENT: usize = 200;
 
 struct Row {
-    transport: &'static str,
     clients: usize,
     total: usize,
     elapsed_s: f64,
@@ -34,9 +29,8 @@ struct Row {
 impl Row {
     fn json(&self) -> String {
         format!(
-            "{{\"bench\":\"submit\",\"transport\":\"{}\",\"clients\":{},\"requests\":{},\
+            "{{\"bench\":\"submit\",\"transport\":\"http\",\"clients\":{},\"requests\":{},\
              \"throughput_per_s\":{:.1},\"p50_us\":{},\"p95_us\":{}}}",
-            self.transport,
             self.clients,
             self.total,
             self.total as f64 / self.elapsed_s,
@@ -56,20 +50,20 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 /// Runs `clients` threads, each performing `REQUESTS_PER_CLIENT` submits via
 /// `submit_one`, and returns the latency distribution.
-fn run_clients<F>(transport: &'static str, clients: usize, submit_one: F) -> Row
+fn run_clients<F>(clients: usize, submit_one: F) -> Row
 where
-    F: Fn(usize, usize) + Sync,
+    F: Fn() + Sync,
 {
     let start = Instant::now();
     let latencies: Vec<u64> = std::thread::scope(|s| {
         let submit_one = &submit_one;
         let handles: Vec<_> = (0..clients)
-            .map(|c| {
+            .map(|_| {
                 s.spawn(move || {
                     let mut lat = Vec::with_capacity(REQUESTS_PER_CLIENT);
-                    for i in 0..REQUESTS_PER_CLIENT {
+                    for _ in 0..REQUESTS_PER_CLIENT {
                         let t = Instant::now();
-                        submit_one(c, i);
+                        submit_one();
                         lat.push(t.elapsed().as_micros() as u64);
                     }
                     lat
@@ -85,7 +79,6 @@ where
     let mut sorted = latencies;
     sorted.sort_unstable();
     Row {
-        transport,
         clients,
         total: sorted.len(),
         elapsed_s,
@@ -94,24 +87,10 @@ where
     }
 }
 
-/// Spool submission: reserve a unique stem, write the request to a tmp
-/// file, and atomically rename it into place — the steps the removed
-/// `zkml submit --spool` took, minus argument parsing.
-fn bench_spool(clients: usize, dir: &Path) -> Row {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    run_clients("spool", clients, |_, _| {
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let tmp = dir.join(format!("job-{n:08}.tmp"));
-        let req = dir.join(format!("job-{n:08}.req"));
-        std::fs::write(&tmp, "model=mnist\nbackend=kzg\nseed=1\n").unwrap();
-        std::fs::rename(&tmp, &req).unwrap();
-    })
-}
-
 /// HTTP submission: full socket round-trip to a 202, through admission and
 /// the journal write-ahead.
 fn bench_http(clients: usize, addr: &str) -> Row {
-    run_clients("http", clients, |_, _| {
+    run_clients(clients, || {
         let resp = http_request(
             addr,
             "POST",
@@ -129,19 +108,6 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut rows = Vec::new();
-    for clients in CLIENTS {
-        let spool = dir.join(format!("spool-{clients}"));
-        std::fs::create_dir_all(&spool).unwrap();
-        let row = bench_spool(clients, &spool);
-        println!(
-            "spool clients={clients}: {:.0}/s, p50 {} us, p95 {} us",
-            row.total as f64 / row.elapsed_s,
-            row.p50_us,
-            row.p95_us
-        );
-        rows.push(row);
-    }
-
     for clients in CLIENTS {
         // Fresh gateway per point so the journal and lanes start empty;
         // generous limits keep admission out of the rejection path.
@@ -168,7 +134,7 @@ fn main() {
         let addr = gw.local_addr().to_string();
         let row = bench_http(clients, &addr);
         println!(
-            "http  clients={clients}: {:.0}/s, p50 {} us, p95 {} us",
+            "http clients={clients}: {:.0}/s, p50 {} us, p95 {} us",
             row.total as f64 / row.elapsed_s,
             row.p50_us,
             row.p95_us

@@ -13,3 +13,12 @@ fn a_finished_job_holds_no_payload() {
     assert_eq!(registry[&1].state, JobState::Completed);
     assert!(registry[&1].work.is_none());
 }
+
+/// The registry keeps every job for the life of the process, so a finished
+/// job's entry must stay small: its payload and artifacts sit behind
+/// pointers, not inline at the size of their largest variant.
+#[test]
+fn a_job_entry_stays_small() {
+    let size = std::mem::size_of::<JobEntry>();
+    assert!(size <= 192, "JobEntry is {size} bytes");
+}

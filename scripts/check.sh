@@ -6,9 +6,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release (workspace, including the zkml CLI)"
 cargo build --workspace --release
-# One poll is left in the gateway, the accept loop's (two lines: the
-# nonblocking listener and its 5 ms sleep); a second cannot come back unnoticed.
-[ "$(grep -cE 'thread::sleep|set_nonblocking|wait_timeout' crates/net/src/gateway.rs)" = 2 ]
+# The gateway polls nothing: handlers block in accept, the dispatcher in
+# recv. A sleep, a nonblocking socket or a timed wait cannot come back unnoticed.
+[ "$(grep -cE 'thread::sleep|set_nonblocking|wait_timeout' crates/net/src/gateway.rs)" = 0 ]
 
 echo "==> benchmark/ builds against the tree (its API is frozen between benchmark PRs)"
 # benchmark/ is its own package and compiles against the crates' public
@@ -139,7 +139,8 @@ cargo test -p zkml-service --test commitment -q -- --ignored --test-threads=1
 echo "==> perf smoke (kernel + 4-thread ratios at small k vs PERF_THRESHOLDS.json)"
 # Gates the serial jacobian/batch-affine MSM ratio, the small-over-uniform and
 # grand-product-over-uniform MSM ratios, the 1 MiB-over-256 KiB JSON parse
-# ratio and the 4-thread/1-thread MSM and FFT ratios (the verifier's work is
+# ratio, the p50 of 200 sequential healthz round trips to an in-process
+# gateway, and the 4-thread/1-thread MSM and FFT ratios (the verifier's work is
 # pinned by counts in the test run). Thresholds are
 # hardware-stamped: on a machine with a different core count the parallel
 # gates auto-skip; re-baseline with
