@@ -64,6 +64,7 @@ mod engine;
 mod sym;
 
 use engine::Engine;
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 use zkml_plonk::{CellRef, Column, ConstraintSystem, Preprocessed};
@@ -154,7 +155,8 @@ pub struct AnalysisInput<'a> {
     pub pre: &'a Preprocessed,
     /// log2 of the number of rows.
     pub k: u32,
-    /// Every advice cell the synthesis assigned.
+    /// Every advice cell the synthesis assigned, in any order; a cell
+    /// listed twice counts once.
     pub assigned: &'a [CellRef],
     /// The declared input home cells (exempt from determinism, still
     /// required to be bound).
@@ -174,6 +176,12 @@ pub struct AnalysisReport {
     pub inputs_checked: usize,
     /// Fixpoint rounds the engine ran (the last one makes no progress).
     pub rounds: usize,
+    /// Gate polynomials and lookup input tuples evaluated, over all rounds
+    /// (a constraint skipped on a row where its selector is zero is not
+    /// evaluated).
+    pub evaluations: usize,
+    /// Lookup tables materialized: one per distinct fixed-only table.
+    pub tables: usize,
 }
 
 impl AnalysisReport {
@@ -192,15 +200,25 @@ impl AnalysisReport {
             self.rounds
         )
     }
+
+    /// The summary line and the first `max_cells` free cells, then how
+    /// many more there are: a rendering whose size does not grow with the
+    /// number of free cells ([`Display`](fmt::Display) lists them all).
+    pub fn excerpt(&self, max_cells: usize) -> String {
+        let mut out = format!("{}\n", self.summary());
+        for cell in self.free.iter().take(max_cells) {
+            out.push_str(&format!("  {cell}\n"));
+        }
+        if self.free.len() > max_cells {
+            out.push_str(&format!("  … and {} more\n", self.free.len() - max_cells));
+        }
+        out
+    }
 }
 
 impl fmt::Display for AnalysisReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", self.summary())?;
-        for cell in &self.free {
-            writeln!(f, "  {cell}")?;
-        }
-        Ok(())
+        f.write_str(&self.excerpt(self.free.len()))
     }
 }
 
@@ -209,23 +227,33 @@ pub fn analyze(input: &AnalysisInput<'_>) -> AnalysisReport {
     let mut eng = Engine::new(input.cs, input.pre, input.k, input.assigned, input.inputs);
     eng.run();
 
-    let input_set: std::collections::HashSet<CellRef> = input.inputs.iter().copied().collect();
+    // The grid's assigned cells come back from the engine in (column, row)
+    // order, each once; cells outside the grid (none in a compiled circuit)
+    // belong to no class.
+    let outside = |c: &&CellRef| matches!(c.column, Column::Advice(_)) && !eng.in_grid(c);
+    let stray_inputs: HashSet<CellRef> = input.inputs.iter().filter(outside).copied().collect();
+    let mut stray: Vec<CellRef> = input.assigned.iter().filter(outside).copied().collect();
+    stray.sort_by_key(|c| (c.column, c.row));
+    stray.dedup();
+    let stray = stray.into_iter().map(|c| (c, stray_inputs.contains(&c)));
+
     let mut free = Vec::new();
     let mut cells_checked = 0usize;
     let mut inputs_checked = 0usize;
-    for cell in input.assigned {
+    for (cell, is_input) in eng.assigned_cells().chain(stray) {
         let Column::Advice(col) = cell.column else {
             continue;
         };
-        if input_set.contains(cell) {
+        if is_input {
             inputs_checked += 1;
-            let bound = eng.class_size(cell) > 1 || eng.is_anchored(cell) || eng.has_occurred(cell);
+            let bound =
+                eng.class_size(&cell) > 1 || eng.is_anchored(&cell) || eng.has_occurred(&cell);
             if !bound {
                 free.push(make_free(input, col, cell.row, FreeReason::UnboundInput));
             }
         } else {
             cells_checked += 1;
-            if !eng.cell_known(cell) {
+            if !eng.cell_known(&cell) {
                 free.push(make_free(input, col, cell.row, FreeReason::NotDetermined));
             }
         }
@@ -237,6 +265,8 @@ pub fn analyze(input: &AnalysisInput<'_>) -> AnalysisReport {
         cells_checked,
         inputs_checked,
         rounds: eng.rounds,
+        evaluations: eng.evaluations,
+        tables: eng.tables(),
     }
 }
 

@@ -3,7 +3,7 @@
 //! Runs the scaling kernels at a small size and fails (exit 1) if any
 //! measured ratio regresses past the thresholds stored in
 //! `PERF_THRESHOLDS.json` at the repository root (alongside
-//! `BENCH_PAR.json`). Six ratios and one latency are gated:
+//! `BENCH_PAR.json`). Six ratios, one latency and one count are gated:
 //!
 //! - `min_msm_kernel_ratio`: serial jacobian-bucket MSM time
 //!   ([`zkml_bench::scaling::msm_jacobian`]) over serial batch-affine MSM
@@ -40,6 +40,13 @@
 //!   loop that polls every 5 ms reads about 5. The bound is not measured:
 //!   it is the single-client target, 1.0 ms, and recording keeps whatever
 //!   value the file holds (1.0 when it holds none).
+//! - `max_analyze_evals_per_row`: the gate polynomials and lookup input
+//!   tuples the static analyzer evaluates on MNIST at the layout the
+//!   fixture calibration picks, over all rounds, divided by the circuit's
+//!   `2^k` rows. The analyzer skips a constraint on rows where its selector
+//!   is zero, so this reads 13.8; evaluating every lookup on every row
+//!   reads 25.6. It is a count, so it binds on any host; recording keeps
+//!   whatever value the file holds (15.0 when it holds none).
 //!
 //! The verifier's work is not timed here: its MSM calls and points,
 //! Miller-loop pairs and final exponentiations are counted, and
@@ -54,10 +61,12 @@
 //! minus a noise margin.
 
 use std::time::Instant;
+use zkml::{HardwareStats, OptimizerOptions};
 use zkml_bench::scaling::{cores, msm_inputs, msm_jacobian, time_with_pool};
 use zkml_curves::msm;
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_net::{encode_hex, http_request, Gateway, GatewayConfig, Json, JsonObj};
+use zkml_pcs::Backend;
 use zkml_poly::EvaluationDomain;
 
 /// Grid size for the smoke kernels: large enough that the batch-affine and
@@ -87,6 +96,8 @@ const JSON_PARSE_GROWTH_CEILING: f64 = 8.0;
 const HTTP_ROUND_TRIPS: usize = 200;
 /// The `max_http_p50_ms` a first recording writes, in milliseconds.
 const HTTP_P50_TARGET_MS: f64 = 1.0;
+/// The `max_analyze_evals_per_row` a first recording writes.
+const ANALYZE_EVALS_PER_ROW_TARGET: f64 = 15.0;
 
 fn thresholds_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../PERF_THRESHOLDS.json")
@@ -112,6 +123,7 @@ struct Measured {
     plateau_msm_ratio: f64,
     json_parse_growth: f64,
     http_p50_ms: f64,
+    analyze_evals_per_row: f64,
 }
 
 /// A status-shaped document of about `bytes` bytes: one hex-encoded proof.
@@ -184,6 +196,19 @@ fn http_p50_ms() -> f64 {
     times[times.len() / 2]
 }
 
+/// Constraint evaluations per row of one static analysis of MNIST at the
+/// layout the fixture calibration picks.
+fn analyze_evals_per_row() -> f64 {
+    let g = zkml_model::zoo::by_name("mnist").expect("MNIST is in the zoo");
+    let opts = OptimizerOptions::new(Backend::Kzg, 15);
+    let compiled = zkml::optimize(&g, &zkml::zero_inputs(&g), &opts, &HardwareStats::fixture())
+        .and_then(|sweep| sweep.synthesize_best())
+        .expect("MNIST compiles");
+    let report = compiled.analyze();
+    assert!(report.is_clean(), "MNIST: {report}");
+    report.evaluations as f64 / (1u64 << compiled.k) as f64
+}
+
 fn measure() -> Measured {
     let serial = zkml_par::Pool::new(1);
     let quad = zkml_par::Pool::new(4);
@@ -228,6 +253,7 @@ fn measure() -> Measured {
         json_parse_times(4 * REPS, &small_doc, &large_doc);
 
     let http_p50_ms = http_p50_ms();
+    let analyze_evals_per_row = analyze_evals_per_row();
 
     println!(
         "perf-smoke k={SMOKE_K}: msm jacobian {jac_ms:.2} ms, batch-affine {msm1_ms:.2} ms \
@@ -237,7 +263,8 @@ fn measure() -> Measured {
          grand-product column {plateau_ms:.2} ms ({:.3}); \
          json parse 256 KiB {json_small_ms:.3} ms, 1 MiB {json_large_ms:.3} ms \
          ({json_parse_growth:.2}x); http healthz p50 {http_p50_ms:.3} ms \
-         ({HTTP_ROUND_TRIPS} round trips)",
+         ({HTTP_ROUND_TRIPS} round trips); analyzer {analyze_evals_per_row:.2} \
+         evaluations per row",
         jac_ms / msm1_ms,
         msm1_ms / msm4_ms,
         fft1_ms / fft4_ms,
@@ -252,19 +279,21 @@ fn measure() -> Measured {
         plateau_msm_ratio: plateau_ms / uniform_ms,
         json_parse_growth,
         http_p50_ms,
+        analyze_evals_per_row,
     }
 }
 
 fn record(m: &Measured) {
-    let http_p50_bound = std::fs::read_to_string(thresholds_path())
-        .ok()
-        .and_then(|body| json_number(&body, "max_http_p50_ms"))
-        .unwrap_or(HTTP_P50_TARGET_MS);
+    let stored = std::fs::read_to_string(thresholds_path()).unwrap_or_default();
+    let http_p50_bound = json_number(&stored, "max_http_p50_ms").unwrap_or(HTTP_P50_TARGET_MS);
+    let evals_bound =
+        json_number(&stored, "max_analyze_evals_per_row").unwrap_or(ANALYZE_EVALS_PER_ROW_TARGET);
     let body = format!(
         "{{\n  \"cores\": {},\n  \"k\": {SMOKE_K},\n  \"min_msm_kernel_ratio\": {:.2},\n  \
          \"min_par4_msm_ratio\": {:.2},\n  \"min_par4_fft_ratio\": {:.2},\n  \
          \"max_small_msm_ratio\": {:.2},\n  \"max_plateau_msm_ratio\": {:.2},\n  \
-         \"max_json_parse_growth\": {:.2},\n  \"max_http_p50_ms\": {http_p50_bound:.2}\n}}\n",
+         \"max_json_parse_growth\": {:.2},\n  \"max_http_p50_ms\": {http_p50_bound:.2},\n  \
+         \"max_analyze_evals_per_row\": {evals_bound:.2}\n}}\n",
         cores(),
         m.kernel_ratio * RECORD_MARGIN,
         m.par4_msm_ratio * RECORD_MARGIN,
@@ -318,6 +347,7 @@ fn main() {
     gate("max_plateau_msm_ratio", m.plateau_msm_ratio);
     gate("max_json_parse_growth", m.json_parse_growth);
     gate("max_http_p50_ms", m.http_p50_ms);
+    gate("max_analyze_evals_per_row", m.analyze_evals_per_row);
     if stored_cores == cores() {
         gate("min_par4_msm_ratio", m.par4_msm_ratio);
         gate("min_par4_fft_ratio", m.par4_fft_ratio);

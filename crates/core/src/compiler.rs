@@ -377,6 +377,10 @@ fn finalize(
     })
 }
 
+/// How many free cells [`CompiledCircuit::ensure_determined`]'s error
+/// names before it only counts the rest.
+const UNDERCONSTRAINED_DETAIL_CELLS: usize = 16;
+
 /// Synthesizes a schedule under a plan and runs the static analyzer over
 /// the result — the optimizer-sweep entry point for checking that a
 /// *candidate* layout (not just the winner) is fully constrained.
@@ -555,7 +559,7 @@ impl CompiledCircuit {
     /// by the instance/fixed data and the declared input cells, or reports
     /// the cells that are not (see `zkml-analyze` for the rule set).
     pub fn analyze(&self) -> AnalysisReport {
-        let assigned = self.assigned_cells();
+        let assigned = self.unsorted_assigned_cells();
         zkml_analyze::analyze(&AnalysisInput {
             cs: &self.cs,
             pre: &self.pre,
@@ -569,7 +573,9 @@ impl CompiledCircuit {
     /// Fails with [`ZkmlError::Underconstrained`] unless
     /// [`analyze`](CompiledCircuit::analyze) comes back clean. The service
     /// runs this before proving so a layout bug surfaces as a typed
-    /// compile error instead of an unsound proof.
+    /// compile error instead of an unsound proof. The error's detail names
+    /// the first 16 free cells and counts the rest, so its size does not
+    /// grow with the circuit; `analyze` lists them all.
     pub fn ensure_determined(&self) -> Result<(), ZkmlError> {
         let report = self.analyze();
         if report.is_clean() {
@@ -577,7 +583,7 @@ impl CompiledCircuit {
         } else {
             Err(ZkmlError::Underconstrained {
                 free_cells: report.free.len(),
-                detail: report.to_string(),
+                detail: report.excerpt(UNDERCONSTRAINED_DETAIL_CELLS),
             })
         }
     }
@@ -587,17 +593,24 @@ impl CompiledCircuit {
     /// and the phase-1 cells the Freivalds jobs fill at proving time. This
     /// is the mutation surface for the adversarial soundness harness.
     pub fn assigned_cells(&self) -> Vec<zkml_plonk::CellRef> {
-        let mut out = self.assigned.clone();
-        for job in &self.jobs {
-            for (col, row, _) in &job.cells {
-                out.push(zkml_plonk::CellRef {
-                    column: zkml_plonk::Column::Advice(*col),
-                    row: *row,
-                });
-            }
-        }
+        let mut out = self.unsorted_assigned_cells();
         out.sort_by_key(|c| (c.column, c.row));
         out.dedup();
         out
+    }
+
+    /// [`assigned_cells`](CompiledCircuit::assigned_cells) in synthesis
+    /// order, possibly with repeats (the analyzer needs neither the order
+    /// nor the dedup).
+    fn unsorted_assigned_cells(&self) -> Vec<zkml_plonk::CellRef> {
+        let jobs = self.jobs.iter().flat_map(|job| &job.cells);
+        self.assigned
+            .iter()
+            .copied()
+            .chain(jobs.map(|(col, row, _)| zkml_plonk::CellRef {
+                column: zkml_plonk::Column::Advice(*col),
+                row: *row,
+            }))
+            .collect()
     }
 }

@@ -15,8 +15,9 @@ use zkml::{
     compile_with, AValue, BuildError, CircuitBuilder, CircuitConfig, CompiledCircuit, DotImpl,
     Gadget, LayoutChoices, NumericConfig, ReluImpl, ZkmlError,
 };
-use zkml::{ActKey, TableFn};
-use zkml_model::Activation;
+use zkml::{ActKey, HardwareStats, OptimizerOptions, TableFn};
+use zkml_model::{Activation, Graph};
+use zkml_pcs::Backend;
 use zkml_plonk::{Expression, Rotation};
 
 /// One gadget fixture.
@@ -51,6 +52,16 @@ pub fn compile_case(case: &GadgetCase, num_cols: usize) -> Result<CompiledCircui
         numeric: numeric(),
     };
     compile_with(cfg, case.build)
+}
+
+/// A zoo model compiled at the layout the optimizer picks under the fixture
+/// calibration (KZG, `k ≤ 15`): the layout the `zoo-compile` benchmark
+/// checks. Panics when the model does not compile.
+pub fn fixture_circuit(g: &Graph) -> CompiledCircuit {
+    let opts = OptimizerOptions::new(Backend::Kzg, 15);
+    zkml::optimize(g, &zkml::zero_inputs(g), &opts, &HardwareStats::fixture())
+        .and_then(|sweep| sweep.synthesize_best())
+        .unwrap_or_else(|e| panic!("{}: {e}", g.name))
 }
 
 fn dot_case(bld: &mut CircuitBuilder) -> Result<Vec<AValue>, BuildError> {

@@ -20,5 +20,5 @@ mod fixtures;
 mod mutation;
 
 pub use conformance::run_conformance;
-pub use fixtures::{compile_case, toy_case, zoo};
+pub use fixtures::{compile_case, fixture_circuit, toy_case, zoo};
 pub use mutation::{cross_check_real_verifier, mutate_compiled};

@@ -140,7 +140,8 @@ echo "==> perf smoke (kernel + 4-thread ratios at small k vs PERF_THRESHOLDS.jso
 # Gates the serial jacobian/batch-affine MSM ratio, the small-over-uniform and
 # grand-product-over-uniform MSM ratios, the 1 MiB-over-256 KiB JSON parse
 # ratio, the p50 of 200 sequential healthz round trips to an in-process
-# gateway, and the 4-thread/1-thread MSM and FFT ratios (the verifier's work is
+# gateway, the static analyzer's constraint evaluations per row on MNIST, and
+# the 4-thread/1-thread MSM and FFT ratios (the verifier's work is
 # pinned by counts in the test run). Thresholds are
 # hardware-stamped: on a machine with a different core count the parallel
 # gates auto-skip; re-baseline with
