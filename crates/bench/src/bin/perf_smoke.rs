@@ -3,7 +3,7 @@
 //! Runs the scaling kernels at a small size and fails (exit 1) if any
 //! measured ratio regresses past the thresholds stored in
 //! `PERF_THRESHOLDS.json` at the repository root (alongside
-//! `BENCH_PAR.json`). Six ratios, one latency and one count are gated:
+//! `BENCH_PAR.json`). Seven ratios, one latency and one count are gated:
 //!
 //! - `min_msm_kernel_ratio`: serial jacobian-bucket MSM time
 //!   ([`zkml_bench::scaling::msm_jacobian`]) over serial batch-affine MSM
@@ -47,6 +47,15 @@
 //!   is zero, so this reads 13.8; evaluating every lookup on every row
 //!   reads 25.6. It is a count, so it binds on any host; recording keeps
 //!   whatever value the file holds (15.0 when it holds none).
+//! - `max_sweep_over_synthesis`: the time of MNIST's full layout sweep
+//!   (163 placements under the fixture calibration) over the time of one
+//!   synthesis of its winner, the medians of 11 alternating rounds on a
+//!   one-thread pool. Placement sums a schedule's distinct op shapes, so
+//!   this reads 3.3–3.8 on a 2-vCPU host (about 3.3 ms over 0.9 ms);
+//!   replaying every gadget body cell by cell, as placement once did,
+//!   read about 33. Both sides run under the same host load, so it binds
+//!   on any host; recording keeps whatever value the file holds (12.0
+//!   when it holds none).
 //!
 //! The verifier's work is not timed here: its MSM calls and points,
 //! Miller-loop pairs and final exponentiations are counted, and
@@ -61,7 +70,7 @@
 //! minus a noise margin.
 
 use std::time::Instant;
-use zkml::{HardwareStats, OptimizerOptions};
+use zkml::{optimize_schedule, HardwareStats, OptimizerOptions};
 use zkml_bench::scaling::{cores, msm_inputs, msm_jacobian, time_with_pool};
 use zkml_curves::msm;
 use zkml_ff::{Field, Fr, PrimeField};
@@ -98,6 +107,11 @@ const HTTP_ROUND_TRIPS: usize = 200;
 const HTTP_P50_TARGET_MS: f64 = 1.0;
 /// The `max_analyze_evals_per_row` a first recording writes.
 const ANALYZE_EVALS_PER_ROW_TARGET: f64 = 15.0;
+/// Alternating sweep/synthesis rounds `max_sweep_over_synthesis` takes
+/// the medians of.
+const SWEEP_ROUNDS: usize = 11;
+/// The `max_sweep_over_synthesis` a first recording writes.
+const SWEEP_OVER_SYNTHESIS_TARGET: f64 = 12.0;
 
 fn thresholds_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../PERF_THRESHOLDS.json")
@@ -124,6 +138,7 @@ struct Measured {
     json_parse_growth: f64,
     http_p50_ms: f64,
     analyze_evals_per_row: f64,
+    sweep_over_synthesis: f64,
 }
 
 /// A status-shaped document of about `bytes` bytes: one hex-encoded proof.
@@ -209,6 +224,33 @@ fn analyze_evals_per_row() -> f64 {
     report.evaluations as f64 / (1u64 << compiled.k) as f64
 }
 
+/// MNIST's layout sweep time and the time of one synthesis of the sweep's
+/// winner (ms), as medians of alternating rounds on a one-thread pool.
+fn sweep_and_synthesis_ms() -> (f64, f64) {
+    let g = zkml_model::zoo::by_name("mnist").expect("MNIST is in the zoo");
+    let opts = OptimizerOptions::new(Backend::Kzg, 15);
+    let hw = HardwareStats::fixture();
+    let sched = zkml::layers::lower_graph(&g, &zkml::zero_inputs(&g), opts.numeric);
+    let (mut sweep_ms, mut synth_ms) = (Vec::new(), Vec::new());
+    let elapsed_ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    zkml_par::with_pool(&zkml_par::Pool::new(1), || {
+        for _ in 0..SWEEP_ROUNDS {
+            let sched = sched.clone();
+            let t = Instant::now();
+            let sweep = optimize_schedule(sched, &opts, &hw).expect("MNIST sweeps");
+            sweep_ms.push(elapsed_ms(t));
+            let t = Instant::now();
+            std::hint::black_box(sweep.synthesize_best().expect("MNIST synthesizes"));
+            synth_ms.push(elapsed_ms(t));
+        }
+    });
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(sweep_ms), median(synth_ms))
+}
+
 fn measure() -> Measured {
     let serial = zkml_par::Pool::new(1);
     let quad = zkml_par::Pool::new(4);
@@ -254,6 +296,8 @@ fn measure() -> Measured {
 
     let http_p50_ms = http_p50_ms();
     let analyze_evals_per_row = analyze_evals_per_row();
+    let (sweep_ms, synth_ms) = sweep_and_synthesis_ms();
+    let sweep_over_synthesis = sweep_ms / synth_ms;
 
     println!(
         "perf-smoke k={SMOKE_K}: msm jacobian {jac_ms:.2} ms, batch-affine {msm1_ms:.2} ms \
@@ -264,7 +308,8 @@ fn measure() -> Measured {
          json parse 256 KiB {json_small_ms:.3} ms, 1 MiB {json_large_ms:.3} ms \
          ({json_parse_growth:.2}x); http healthz p50 {http_p50_ms:.3} ms \
          ({HTTP_ROUND_TRIPS} round trips); analyzer {analyze_evals_per_row:.2} \
-         evaluations per row",
+         evaluations per row; MNIST sweep {sweep_ms:.2} ms, synthesis {synth_ms:.2} ms \
+         ({sweep_over_synthesis:.2}x)",
         jac_ms / msm1_ms,
         msm1_ms / msm4_ms,
         fft1_ms / fft4_ms,
@@ -280,6 +325,7 @@ fn measure() -> Measured {
         json_parse_growth,
         http_p50_ms,
         analyze_evals_per_row,
+        sweep_over_synthesis,
     }
 }
 
@@ -288,12 +334,15 @@ fn record(m: &Measured) {
     let http_p50_bound = json_number(&stored, "max_http_p50_ms").unwrap_or(HTTP_P50_TARGET_MS);
     let evals_bound =
         json_number(&stored, "max_analyze_evals_per_row").unwrap_or(ANALYZE_EVALS_PER_ROW_TARGET);
+    let sweep_bound =
+        json_number(&stored, "max_sweep_over_synthesis").unwrap_or(SWEEP_OVER_SYNTHESIS_TARGET);
     let body = format!(
         "{{\n  \"cores\": {},\n  \"k\": {SMOKE_K},\n  \"min_msm_kernel_ratio\": {:.2},\n  \
          \"min_par4_msm_ratio\": {:.2},\n  \"min_par4_fft_ratio\": {:.2},\n  \
          \"max_small_msm_ratio\": {:.2},\n  \"max_plateau_msm_ratio\": {:.2},\n  \
          \"max_json_parse_growth\": {:.2},\n  \"max_http_p50_ms\": {http_p50_bound:.2},\n  \
-         \"max_analyze_evals_per_row\": {evals_bound:.2}\n}}\n",
+         \"max_analyze_evals_per_row\": {evals_bound:.2},\n  \
+         \"max_sweep_over_synthesis\": {sweep_bound:.2}\n}}\n",
         cores(),
         m.kernel_ratio * RECORD_MARGIN,
         m.par4_msm_ratio * RECORD_MARGIN,
@@ -348,6 +397,7 @@ fn main() {
     gate("max_json_parse_growth", m.json_parse_growth);
     gate("max_http_p50_ms", m.http_p50_ms);
     gate("max_analyze_evals_per_row", m.analyze_evals_per_row);
+    gate("max_sweep_over_synthesis", m.sweep_over_synthesis);
     if stored_cores == cores() {
         gate("min_par4_msm_ratio", m.par4_msm_ratio);
         gate("min_par4_fft_ratio", m.par4_fft_ratio);

@@ -1,17 +1,20 @@
 //! The circuit builder: gadget registry, row-exact layout, and witness
 //! assignment.
 //!
-//! One code path serves stages 2 and 3 of the compile pipeline. A
-//! *placer* builder ([`CircuitBuilder::placer`], the paper's circuit
-//! simulator, §7.3) creates the identical constraint-system structure and
-//! advances the identical row and copy cursors as real synthesis
-//! ([`CircuitBuilder::new`]) but skips witness/fixed-value writes, which
-//! is what makes the optimizer's placement pass row-exact by
-//! construction. Both modes are driven by replaying an
-//! [`crate::schedule::OpSchedule`] (or a hand-written closure in the
-//! testkit) over the gadget methods below.
+//! Synthesis (stage 3) replays an [`crate::schedule::OpSchedule`] (or a
+//! hand-written closure in the testkit) over the gadget methods below,
+//! which lay out rows, record copies and assign the witness. Placement
+//! (stage 2) uses the same builder without calling a gadget: for each
+//! distinct op shape it runs the registrations [`crate::shape::shape`]
+//! lists through the registry methods here (`selector`, `ensure_phase1`,
+//! `ensure_committed`, `require_range`, `constant`) and then advances the
+//! row and copy cursors by the shape's counts ([`CircuitBuilder::place_shape`]).
+//! Registration writes no values — table and constant contents are written
+//! at finalization ([`CircuitBuilder::write_tables`]) — so the constraint
+//! system a plan carries is built by the very code synthesis runs.
 
 use crate::config::CircuitConfig;
+use crate::shape::{Reg, Shape};
 use crate::tables::{nonlin_entries, TableFn};
 use std::collections::HashMap;
 use zkml_analyze::RegionSpan;
@@ -25,6 +28,18 @@ pub struct AValue {
     pub cell: CellRef,
     /// The fixed-point value.
     pub v: i64,
+}
+
+impl AValue {
+    /// A stand-in for values whose cells do not matter: placement exposes
+    /// as many of these as a schedule has outputs.
+    pub(crate) const BLANK: AValue = AValue {
+        cell: CellRef {
+            column: Column::Advice(0),
+            row: 0,
+        },
+        v: 0,
+    };
 }
 
 /// Errors during circuit construction.
@@ -45,6 +60,30 @@ impl std::fmt::Display for BuildError {
     }
 }
 impl std::error::Error for BuildError {}
+
+/// The layout error a gadget returns below `min` columns; placement by
+/// shape returns the same one.
+pub(crate) fn check_cols(n: usize, min: usize, gadget: &str) -> Result<(), BuildError> {
+    if n < min {
+        return Err(BuildError::Layout(format!(
+            "{gadget} needs >= {min} columns"
+        )));
+    }
+    Ok(())
+}
+
+/// [`check_cols`] for bit-decomposition ReLU, whose row holds the input,
+/// the output and one cell per table bit.
+pub(crate) fn check_relu_bits_cols(cfg: &CircuitConfig) -> Result<(), BuildError> {
+    let need = cfg.numeric.table_bits() as usize + 2;
+    if cfg.num_cols < need {
+        return Err(BuildError::Layout(format!(
+            "bit-decomposition ReLU needs {need} columns, have {}",
+            cfg.num_cols
+        )));
+    }
+    Ok(())
+}
 
 /// Gadget identity within the registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -80,6 +119,7 @@ pub enum Gadget {
 }
 
 struct TableCols {
+    f: TableFn,
     cols: Vec<usize>,
     len: usize,
     /// Default (input, output, ...) tuple guaranteed in-table.
@@ -108,7 +148,7 @@ pub struct LayoutStats {
     pub degree: usize,
     /// Total polynomial constraints.
     pub num_constraints: usize,
-    /// Copy constraints recorded (counted identically in placement mode).
+    /// Copy constraints recorded.
     pub num_copies: usize,
     /// Committed (weight) columns.
     pub num_committed: usize,
@@ -118,7 +158,6 @@ pub struct LayoutStats {
 pub struct CircuitBuilder {
     /// The configuration being compiled under.
     pub cfg: CircuitConfig,
-    count_only: bool,
     /// The constraint system under construction.
     pub cs: ConstraintSystem,
     grid: Vec<usize>,
@@ -129,12 +168,12 @@ pub struct CircuitBuilder {
     row: usize,
     p1_row: usize,
     committed_row: usize,
-    const_row: usize,
     advice_vals: Vec<Vec<Fr>>,
     committed_vals: Vec<Vec<Fr>>,
     fixed_vals: Vec<Vec<Fr>>,
     copies: Vec<(CellRef, CellRef)>,
     instance_vals: Vec<Fr>,
+    /// Each pinned constant's row in the constant column.
     const_rows: HashMap<i64, usize>,
     selectors: HashMap<Gadget, usize>,
     tables: HashMap<TableFn, usize>,
@@ -161,24 +200,9 @@ pub struct CircuitBuilder {
 }
 
 impl CircuitBuilder {
-    /// Creates a synthesis builder: gadget calls assign real witness and
-    /// fixed values.
+    /// Creates a builder: gadget calls lay out rows and assign the
+    /// witness and fixed values.
     pub fn new(cfg: CircuitConfig) -> Self {
-        Self::with_mode(cfg, false)
-    }
-
-    /// Creates a placement builder (the paper's circuit simulator, §7.3):
-    /// gadget calls create the full constraint-system structure and
-    /// advance every row/copy cursor, but skip value writes, table
-    /// contents and value-dependent range checks, and the values they
-    /// return are not the witness (lookups, divisions and Freivalds
-    /// products come back as zeros). This is stage 2's engine — the
-    /// optimizer sweeps candidate layouts with placer builders only.
-    pub(crate) fn placer(cfg: CircuitConfig) -> Self {
-        Self::with_mode(cfg, true)
-    }
-
-    fn with_mode(cfg: CircuitConfig, count_only: bool) -> Self {
         let mut cs = ConstraintSystem::new();
         let instance_col = cs.instance_column();
         cs.enable_equality(Column::Instance(instance_col));
@@ -193,7 +217,6 @@ impl CircuitBuilder {
             .collect();
         Self {
             cfg,
-            count_only,
             cs,
             grid,
             p1: Vec::new(),
@@ -203,7 +226,6 @@ impl CircuitBuilder {
             row: 0,
             p1_row: 0,
             committed_row: 0,
-            const_row: 0,
             advice_vals: Vec::new(),
             committed_vals: Vec::new(),
             fixed_vals: Vec::new(),
@@ -244,9 +266,6 @@ impl CircuitBuilder {
     // --- low-level cell plumbing -----------------------------------------
 
     fn set_advice(&mut self, cs_col: usize, row: usize, v: i64) {
-        if self.count_only {
-            return;
-        }
         self.assigned.push(CellRef {
             column: Column::Advice(cs_col),
             row,
@@ -265,9 +284,6 @@ impl CircuitBuilder {
     }
 
     fn set_fixed(&mut self, cs_col: usize, row: usize, v: i64) {
-        if self.count_only {
-            return;
-        }
         if self.fixed_vals.len() <= cs_col {
             self.fixed_vals.resize(cs_col + 1, Vec::new());
         }
@@ -282,11 +298,7 @@ impl CircuitBuilder {
     }
 
     fn copy(&mut self, a: CellRef, b: CellRef) {
-        // Counted in both modes so placement statistics are copy-exact.
         self.copy_count += 1;
-        if self.count_only {
-            return;
-        }
         self.copies.push((a, b));
     }
 
@@ -313,12 +325,8 @@ impl CircuitBuilder {
 
     /// Records a labelled grid row for analyzer attribution. Rows are
     /// allocated in ascending order, so runs of the same label merge into
-    /// one span. Skipped in placement mode (plans carry no witness to
-    /// analyze).
+    /// one span.
     fn note_region(&mut self, label: &str, row: usize) {
-        if self.count_only {
-            return;
-        }
         let columns = self.grid[0]..self.grid[self.grid.len() - 1] + 1;
         if let Some(last) = self.regions.last_mut() {
             if last.rows.end == row && last.label == label && last.columns == columns {
@@ -338,9 +346,7 @@ impl CircuitBuilder {
         self.row += 1;
         let sel = self.selector(gadget);
         self.set_fixed(sel, r, 1);
-        if !self.count_only {
-            self.note_region(&format!("{gadget:?}"), r);
-        }
+        self.note_region(&format!("{gadget:?}"), r);
         r
     }
 
@@ -353,21 +359,11 @@ impl CircuitBuilder {
         r
     }
 
-    /// Returns a pinned constant cell (creating it on first use).
+    /// Returns a pinned constant cell (taking the next row of the constant
+    /// column on first use; the value is written by `write_tables`).
     pub(crate) fn constant(&mut self, v: i64) -> AValue {
-        if let Some(&row) = self.const_rows.get(&v) {
-            return AValue {
-                cell: CellRef {
-                    column: Column::Fixed(self.const_col),
-                    row,
-                },
-                v,
-            };
-        }
-        let row = self.const_row;
-        self.const_row += 1;
-        self.const_rows.insert(v, row);
-        self.set_fixed(self.const_col, row, v);
+        let next = self.const_rows.len();
+        let row = *self.const_rows.entry(v).or_insert(next);
         AValue {
             cell: CellRef {
                 column: Column::Fixed(self.const_col),
@@ -386,9 +382,7 @@ impl CircuitBuilder {
             let row = self.alloc_free_row();
             for (j, &v) in chunk.iter().enumerate() {
                 let a = self.fresh(j, row, v);
-                if !self.count_only {
-                    self.inputs.push(a.cell);
-                }
+                self.inputs.push(a.cell);
                 out.push(a);
             }
         }
@@ -412,9 +406,6 @@ impl CircuitBuilder {
     }
 
     fn set_committed(&mut self, cs_col: usize, row: usize, v: i64) {
-        if self.count_only {
-            return;
-        }
         if self.committed_vals.len() <= cs_col {
             self.committed_vals.resize(cs_col + 1, Vec::new());
         }
@@ -459,16 +450,9 @@ impl CircuitBuilder {
                 column: Column::Instance(self.instance_col),
                 row,
             };
-            if !self.count_only {
-                self.instance_vals.push(Fr::from_i64(v.v));
-                self.assigned.push(inst);
-            }
+            self.instance_vals.push(Fr::from_i64(v.v));
+            self.assigned.push(inst);
             self.copy(v.cell, inst);
-        }
-        if self.count_only {
-            // Track instance length for sizing.
-            self.instance_vals
-                .resize(self.instance_vals.len() + values.len(), Fr::ZERO);
         }
     }
 
@@ -514,12 +498,30 @@ impl CircuitBuilder {
         col
     }
 
-    /// Writes the range table entries `[0, range_size)`.
-    pub(crate) fn write_range_table(&mut self) {
+    /// Writes what registration left unwritten: the range table entries
+    /// `[0, range_size)`, each non-linearity table over its whole domain
+    /// (see `nonlin_entries`), and the pinned constants.
+    pub(crate) fn write_tables(&mut self) {
         if let Some(col) = self.range_table {
             for i in 0..self.range_size() {
                 self.set_fixed(col, i, i as i64);
             }
+        }
+        for t in 0..self.table_infos.len() {
+            let (f, in_col, out_col) = {
+                let info = &self.table_infos[t];
+                (info.f, info.cols[0], info.cols[1])
+            };
+            let entries = nonlin_entries(f, &self.cfg.numeric);
+            debug_assert_eq!(entries.len(), self.table_infos[t].len, "table length");
+            for (i, (x, y)) in entries.into_iter().enumerate() {
+                self.set_fixed(in_col, i, x);
+                self.set_fixed(out_col, i, y);
+            }
+        }
+        let consts: Vec<(i64, usize)> = self.const_rows.iter().map(|(&v, &r)| (v, r)).collect();
+        for (v, row) in consts {
+            self.set_fixed(self.const_col, row, v);
         }
     }
 
@@ -530,20 +532,12 @@ impl CircuitBuilder {
         }
         let in_col = self.cs.fixed_column();
         let out_col = self.cs.fixed_column();
-        // The table spans the whole domain (see `nonlin_entries`); a placer
-        // needs only its length.
+        // The table spans the whole domain; `write_tables` fills it.
         let len = 1usize << self.cfg.numeric.table_bits();
-        if !self.count_only {
-            let entries = nonlin_entries(f, &self.cfg.numeric);
-            debug_assert_eq!(entries.len(), len, "nonlinearity table length");
-            for (i, (x, y)) in entries.into_iter().enumerate() {
-                self.set_fixed(in_col, i, x);
-                self.set_fixed(out_col, i, y);
-            }
-        }
         let default = (0, crate::tables::table_eval(f, 0, self.scale()));
         self.max_table_len = self.max_table_len.max(len);
         self.table_infos.push(TableCols {
+            f,
             cols: vec![in_col, out_col],
             len,
             defaults: vec![default.0, default.1],
@@ -801,9 +795,7 @@ impl CircuitBuilder {
         init: Option<AValue>,
     ) -> Result<AValue, BuildError> {
         assert_eq!(xs.len(), ys.len(), "dot operand length mismatch");
-        if self.cfg.num_cols < 5 {
-            return Err(BuildError::Layout("dot needs >= 5 columns".into()));
-        }
+        check_cols(self.cfg.num_cols, 5, "dot")?;
         match self.cfg.choices.dot {
             crate::config::DotImpl::BiasChain => self.dot_bias_chain(xs, ys, init),
             crate::config::DotImpl::PartialsThenSum => {
@@ -865,9 +857,7 @@ impl CircuitBuilder {
 
     /// Sums a list of values (tree of sum rows).
     pub fn sum(&mut self, xs: &[AValue]) -> Result<AValue, BuildError> {
-        if self.cfg.num_cols < 3 {
-            return Err(BuildError::Layout("sum needs >= 3 columns".into()));
-        }
+        check_cols(self.cfg.num_cols, 3, "sum")?;
         if xs.is_empty() {
             return Ok(self.constant(0));
         }
@@ -904,11 +894,8 @@ impl CircuitBuilder {
         if matches!(self.cfg.choices.arith, crate::config::ArithImpl::ViaDot) {
             return self.arith_via_dot(kind, pairs);
         }
-        let n = self.cfg.num_cols;
-        let slots = n / 3;
-        if slots == 0 {
-            return Err(BuildError::Layout("arith pack needs >= 3 columns".into()));
-        }
+        check_cols(self.cfg.num_cols, 3, "arith pack")?;
+        let slots = self.cfg.num_cols / 3;
         let mut out = Vec::with_capacity(pairs.len());
         for chunk in pairs.chunks(slots) {
             let row = self.alloc_row(kind);
@@ -1007,19 +994,14 @@ impl CircuitBuilder {
         for chunk in xs.chunks(slots) {
             let row = self.alloc_row(Gadget::Nonlin(f));
             for (s, x) in chunk.iter().enumerate() {
-                if !self.count_only && (x.v < -half || x.v >= half) {
+                if x.v < -half || x.v >= half {
                     return Err(BuildError::Range(format!(
                         "nonlinearity input {} outside table domain [{}, {})",
                         x.v, -half, half
                     )));
                 }
                 self.place(2 * s, row, x);
-                // A placer's operands carry no values (see `run_schedule`).
-                let y = if self.count_only {
-                    0
-                } else {
-                    crate::tables::table_eval(f, x.v, scale)
-                };
+                let y = crate::tables::table_eval(f, x.v, scale);
                 out.push(self.fresh(2 * s + 1, row, y));
             }
             // Unused slots must hold the default table entry (0, f(0)) —
@@ -1034,27 +1016,18 @@ impl CircuitBuilder {
     /// ReLU with the configured implementation.
     pub fn relu(&mut self, xs: &[AValue]) -> Result<Vec<AValue>, BuildError> {
         match self.cfg.choices.relu {
-            crate::config::ReluImpl::Lookup => self.nonlin(
-                TableFn::Act(crate::tables::ActKey::of(zkml_model::Activation::Relu)),
-                xs,
-            ),
+            crate::config::ReluImpl::Lookup => self.nonlin(TableFn::relu(), xs),
             crate::config::ReluImpl::BitDecompose => self.relu_bits(xs),
         }
     }
 
     fn relu_bits(&mut self, xs: &[AValue]) -> Result<Vec<AValue>, BuildError> {
+        check_relu_bits_cols(&self.cfg)?;
         let tb = self.cfg.numeric.table_bits() as usize;
-        if self.cfg.num_cols < tb + 2 {
-            return Err(BuildError::Layout(format!(
-                "bit-decomposition ReLU needs {} columns, have {}",
-                tb + 2,
-                self.cfg.num_cols
-            )));
-        }
         let half = 1i64 << (tb - 1);
         let mut out = Vec::with_capacity(xs.len());
         for x in xs {
-            if !self.count_only && (x.v < -half || x.v >= half) {
+            if x.v < -half || x.v >= half {
                 return Err(BuildError::Range(format!(
                     "ReLU input {} outside {tb}-bit domain",
                     x.v
@@ -1084,7 +1057,7 @@ impl CircuitBuilder {
             let row = self.alloc_row(Gadget::MaxPack);
             for (s, (a, b)) in chunk.iter().enumerate() {
                 let c = a.v.max(b.v);
-                if !self.count_only && (c - a.v >= rb || c - b.v >= rb) {
+                if c - a.v >= rb || c - b.v >= rb {
                     return Err(BuildError::Range(format!(
                         "max difference exceeds range table ({} vs {})",
                         a.v, b.v
@@ -1125,31 +1098,30 @@ impl CircuitBuilder {
     /// `out_i = round(nums_i * SF / den)` (the softmax division, §6.1).
     ///
     /// `den_bound` is a static upper bound on the denominator (known from
-    /// tensor shapes), used to size the range table identically in count
-    /// and real modes.
+    /// tensor shapes), which sizes the range table without reading a value,
+    /// so placement sizes it the same way.
     pub fn var_div(
         &mut self,
         nums: &[AValue],
         den: AValue,
         den_bound: i64,
     ) -> Result<Vec<AValue>, BuildError> {
+        check_cols(self.cfg.num_cols, 4, "variable division")?;
         let slots = (self.cfg.num_cols / 4)
             .min(self.cfg.choices.lookup_packs)
             .max(1);
         let sf = self.scale();
         self.require_range(2 * den_bound);
-        if !self.count_only {
-            if den.v <= 0 {
-                return Err(BuildError::Range(
-                    "variable division by non-positive".into(),
-                ));
-            }
-            if den.v > den_bound {
-                return Err(BuildError::Range(format!(
-                    "variable divisor {} exceeds static bound {den_bound}",
-                    den.v
-                )));
-            }
+        if den.v <= 0 {
+            return Err(BuildError::Range(
+                "variable division by non-positive".into(),
+            ));
+        }
+        if den.v > den_bound {
+            return Err(BuildError::Range(format!(
+                "variable divisor {} exceeds static bound {den_bound}",
+                den.v
+            )));
         }
         let mut out = Vec::with_capacity(nums.len());
         for chunk in nums.chunks(slots) {
@@ -1157,14 +1129,9 @@ impl CircuitBuilder {
             for (s, nv) in chunk.iter().enumerate() {
                 self.place(4 * s, row, nv);
                 self.place(4 * s + 1, row, &den);
-                // A placer's operands carry no values (see `run_schedule`).
-                let (c, r) = if self.count_only {
-                    (0, 0)
-                } else {
-                    let c = zkml_model::qops::var_div_scaled(nv.v, den.v, sf);
-                    (c, 2 * sf * nv.v + den.v - 2 * den.v * c)
-                };
-                debug_assert!((0..2 * den.v).contains(&r) || self.count_only);
+                let c = zkml_model::qops::var_div_scaled(nv.v, den.v, sf);
+                let r = 2 * sf * nv.v + den.v - 2 * den.v * c;
+                debug_assert!((0..2 * den.v).contains(&r));
                 out.push(self.fresh(4 * s + 2, row, c));
                 self.fresh(4 * s + 3, row, r);
             }
@@ -1193,7 +1160,7 @@ impl CircuitBuilder {
         self.row
             .max(self.p1_row)
             .max(self.committed_row)
-            .max(self.const_row)
+            .max(self.const_rows.len())
             .max(self.max_table_len)
             .max(range_rows)
             .max(self.instance_vals.len())
@@ -1222,6 +1189,30 @@ impl CircuitBuilder {
         }
     }
 
+    /// Places `count` ops of one shape: runs the shape's registrations
+    /// through the registry (a repeated shape registers nothing new) and
+    /// advances the cursors by `count` times its rows and copies. Writes
+    /// no value.
+    pub(crate) fn place_shape(&mut self, shape: &Shape, count: usize) {
+        for reg in &shape.regs {
+            match *reg {
+                Reg::Selector(g) => {
+                    self.selector(g);
+                }
+                Reg::Phase1 => self.ensure_phase1(),
+                Reg::Committed => self.ensure_committed(),
+                Reg::Range(bound) => self.require_range(bound),
+            }
+        }
+        for &v in &shape.consts {
+            self.constant(v);
+        }
+        self.row += count * shape.rows;
+        self.p1_row += count * shape.p1_rows;
+        self.committed_row += count * shape.committed_rows;
+        self.copy_count += count * shape.copies;
+    }
+
     // --- accessors for compiler/freivalds modules --------------------------
 
     /// Sizes the value columns and the copy list for a circuit whose plan
@@ -1231,10 +1222,6 @@ impl CircuitBuilder {
     pub(crate) fn reserve(&mut self, k: u32, stats: &LayoutStats) {
         self.col_capacity = (1usize << k) - BLINDING_FACTORS - 1;
         self.copies.reserve_exact(stats.num_copies);
-    }
-    /// Whether this is a placer builder (no witness is assigned).
-    pub(crate) fn is_placer(&self) -> bool {
-        self.count_only
     }
     pub(crate) fn grid_cols(&self) -> &[usize] {
         &self.grid
@@ -1396,26 +1383,6 @@ mod tests {
         for (x, o) in [sf / 2, sf, 3].iter().zip(&out) {
             assert_eq!(o.v, zkml_model::qops::var_div_scaled(*x, 2 * sf, sf));
         }
-    }
-
-    #[test]
-    fn placer_matches_synthesis_structure() {
-        let build = |count: bool| -> LayoutStats {
-            let mut cfg = CircuitConfig::default_with(LayoutChoices::optimized());
-            cfg.num_cols = 10;
-            let mut b = if count {
-                CircuitBuilder::placer(cfg)
-            } else {
-                CircuitBuilder::new(cfg)
-            };
-            let xs = b.load_values(&(0..50).collect::<Vec<i64>>());
-            let ys = b.load_values(&vec![3; 50]);
-            let d = b.dot(&xs, &ys, None).unwrap();
-            let r = b.rescale(&[d]).unwrap();
-            let _ = b.relu(&r).unwrap();
-            b.stats()
-        };
-        assert_eq!(build(false), build(true));
     }
 
     #[test]

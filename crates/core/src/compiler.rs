@@ -1,25 +1,27 @@
 //! Stages 2 and 3 of the compile pipeline, plus keygen/prove/verify.
 //!
-//! Stage 2 — **placement** ([`place`]) — replays an
-//! [`crate::schedule::OpSchedule`] through a placer builder
-//! and captures the result as a [`LayoutPlan`]: the row count, layout
+//! Stage 2 — **placement** ([`place`]) — sums an
+//! [`crate::schedule::OpSchedule`]'s distinct op shapes (see
+//! [`crate::shape`]) into a [`LayoutPlan`]: the row count, layout
 //! statistics, and constraint-system skeleton of one candidate
-//! configuration, with no witness attached. Plans are what the optimizer
+//! configuration, with no witness attached. Its cost grows with the
+//! number of distinct shapes, not of cells. Plans are what the optimizer
 //! sweeps and compares.
 //!
-//! Stage 3 — **synthesis** ([`synthesize`]) — replays the same schedule
-//! through a real builder to assign the witness and cross-checks that it
-//! reproduced exactly the structure the plan promised (same `k`,
-//! statistics, and constraint system), so a stale or mismatched plan
-//! surfaces as [`ZkmlError::PlanMismatch`] instead of an unsound circuit.
-//! Every circuit is built this way: [`compile`] is lower → place →
-//! synthesize under one configuration, and [`compile_with`] runs a gadget
-//! closure through the same two stages.
+//! Stage 3 — **synthesis** ([`synthesize`]) — replays the schedule's ops
+//! through the builder's gadgets to assign the witness and cross-checks
+//! that it reproduced exactly the structure the plan promised (same `k`,
+//! statistics, and constraint system), so a stale, mismatched or
+//! mis-shaped plan surfaces as [`ZkmlError::PlanMismatch`] instead of an
+//! unsound circuit. [`compile`] is lower → place → synthesize under one
+//! configuration; [`compile_with`] synthesizes a gadget closure once, with
+//! no schedule to place.
 
 use crate::builder::{AValue, BuildError, CircuitBuilder, LayoutStats};
 use crate::config::CircuitConfig;
 use crate::freivalds::{fill_jobs, FreivaldsJob};
 use crate::schedule::{run_schedule, OpSchedule};
+use crate::shape::shape;
 use rand::RngCore;
 use zkml_analyze::{AnalysisInput, AnalysisReport, RegionSpan};
 use zkml_ff::Fr;
@@ -201,79 +203,37 @@ fn check_numeric(sched: &OpSchedule, cfg: &CircuitConfig) -> Result<(), ZkmlErro
 /// Stage 2: places a schedule under one candidate configuration, producing
 /// its [`LayoutPlan`] row-exactly without assigning a witness
 /// (GeneratePhysicalLayout, §7.3).
+///
+/// One builder takes the schedule's distinct op shapes in first-occurrence
+/// order: each shape's registrations run through the builder's registry
+/// (so the constraint system is built by synthesis's own code, in
+/// synthesis's order — a repeated shape registers nothing) and its rows
+/// and copies are added times its count. An op that cannot be laid out at
+/// this configuration fails with the error its gadget returns.
 pub fn place(sched: &OpSchedule, cfg: CircuitConfig) -> Result<LayoutPlan, ZkmlError> {
     check_numeric(sched, &cfg)?;
-    place_run(cfg, |b| run_schedule(b, sched))
-}
-
-/// Stage 3: synthesizes the witness for a schedule under a chosen plan.
-///
-/// The schedule is replayed exactly once through a real builder; the
-/// resulting structure is checked against the plan and any drift is a
-/// [`ZkmlError::PlanMismatch`].
-pub fn synthesize(sched: &OpSchedule, plan: &LayoutPlan) -> Result<CompiledCircuit, ZkmlError> {
-    check_numeric(sched, &plan.cfg)?;
-    synthesize_run(plan, |b| run_schedule(b, sched))
-}
-
-/// Compiles a graph (with quantized inputs) straight through under `cfg`:
-/// lower, [`place`], [`synthesize`] — the optimizer's path minus the sweep,
-/// so the circuit passes the same plan cross-check.
-pub fn compile(
-    graph: &Graph,
-    inputs: &[Tensor<i64>],
-    cfg: CircuitConfig,
-) -> Result<CompiledCircuit, ZkmlError> {
-    let sched = crate::layers::lower_graph(graph, inputs, cfg.numeric);
-    synthesize(&sched, &place(&sched, cfg)?)
-}
-
-/// Compiles a hand-written synthesis closure instead of a model graph.
-///
-/// The closure builds any circuit it likes against the gadget API and
-/// returns the values to expose as public outputs. This is how the testkit
-/// drives individual gadgets through the mock checker without constructing
-/// a model around each one. The closure runs through the same placement
-/// and the same plan cross-check as a model's schedule, so every gadget
-/// case in the suite exercises the placement/synthesis consistency
-/// invariant the optimizer relies on. Value-dependent range checks are
-/// placer-skipped, so a closure that fails only on witness values errors in
-/// the synthesis pass instead — same error either way.
-pub fn compile_with<F>(cfg: CircuitConfig, synthesize: F) -> Result<CompiledCircuit, ZkmlError>
-where
-    F: Fn(&mut CircuitBuilder) -> Result<Vec<AValue>, BuildError>,
-{
-    let run = |b: &mut CircuitBuilder| {
-        let vals = synthesize(b)?;
-        Ok(vec![Tensor::new(vec![vals.len()], vals)])
-    };
-    synthesize_run(&place_run(cfg, run)?, run)
-}
-
-/// Placement of whatever `run` builds: its outputs are exposed and the
-/// placer's structure captured as a plan.
-fn place_run(
-    cfg: CircuitConfig,
-    run: impl Fn(&mut CircuitBuilder) -> Result<Vec<Tensor<AValue>>, BuildError>,
-) -> Result<LayoutPlan, ZkmlError> {
-    let mut bld = CircuitBuilder::placer(cfg);
-    let outs = run(&mut bld)?;
-    let flat: Vec<AValue> = outs.iter().flat_map(|t| t.data().iter().copied()).collect();
-    bld.expose(&flat);
+    let mut bld = CircuitBuilder::new(cfg);
+    for (key, count) in &sched.shapes {
+        bld.place_shape(&shape(key, &cfg)?, *count);
+    }
+    let outputs: usize = sched.outputs.iter().map(|(_, ids)| ids.len()).sum();
+    bld.expose(&vec![AValue::BLANK; outputs]);
     let k = bld.min_k();
     let stats = bld.stats();
     let (cs, ..) = bld.take_parts();
     Ok(LayoutPlan { cfg, k, stats, cs })
 }
 
-/// Synthesis of whatever `run` builds under `plan`, checked against it.
-fn synthesize_run(
-    plan: &LayoutPlan,
-    run: impl Fn(&mut CircuitBuilder) -> Result<Vec<Tensor<AValue>>, BuildError>,
-) -> Result<CompiledCircuit, ZkmlError> {
+/// Stage 3: synthesizes the witness for a schedule under a chosen plan.
+///
+/// The schedule is replayed exactly once through the builder; the
+/// resulting structure is checked against the plan and any drift is a
+/// [`ZkmlError::PlanMismatch`].
+pub fn synthesize(sched: &OpSchedule, plan: &LayoutPlan) -> Result<CompiledCircuit, ZkmlError> {
+    check_numeric(sched, &plan.cfg)?;
     let mut bld = CircuitBuilder::new(plan.cfg);
     bld.reserve(plan.k, &plan.stats);
-    let outs = run(&mut bld)?;
+    let outs = run_schedule(&mut bld, sched)?;
     let c = finalize(bld, outs)?;
     if c.k != plan.k {
         return Err(ZkmlError::PlanMismatch(format!(
@@ -295,6 +255,35 @@ fn synthesize_run(
     Ok(c)
 }
 
+/// Compiles a graph (with quantized inputs) straight through under `cfg`:
+/// lower, [`place`], [`synthesize`] — the optimizer's path minus the sweep,
+/// so the circuit passes the same plan cross-check.
+pub fn compile(
+    graph: &Graph,
+    inputs: &[Tensor<i64>],
+    cfg: CircuitConfig,
+) -> Result<CompiledCircuit, ZkmlError> {
+    let sched = crate::layers::lower_graph(graph, inputs, cfg.numeric);
+    synthesize(&sched, &place(&sched, cfg)?)
+}
+
+/// Compiles a hand-written synthesis closure instead of a model graph.
+///
+/// The closure builds any circuit it likes against the gadget API and
+/// returns the values to expose as public outputs. This is how the testkit
+/// drives individual gadgets through the mock checker without constructing
+/// a model around each one. With no schedule there are no op shapes to
+/// place, so the closure is synthesized once and the circuit's `k`,
+/// statistics and constraint system are read off the result.
+pub fn compile_with<F>(cfg: CircuitConfig, synthesize: F) -> Result<CompiledCircuit, ZkmlError>
+where
+    F: Fn(&mut CircuitBuilder) -> Result<Vec<AValue>, BuildError>,
+{
+    let mut bld = CircuitBuilder::new(cfg);
+    let vals = synthesize(&mut bld)?;
+    finalize(bld, vec![Tensor::new(vec![vals.len()], vals)])
+}
+
 /// Shared back half of synthesis: expose outputs, pad tables, and pack the
 /// builder state into a [`CompiledCircuit`].
 fn finalize(
@@ -312,7 +301,7 @@ fn finalize(
 
     // Pad lookup-table columns to the usable height with valid entries so
     // the padding rows do not weaken the table (see builder docs).
-    bld.write_range_table();
+    bld.write_tables();
     let pads = bld.table_pad_info();
     for (cols, len, defaults) in &pads {
         for (col, default) in cols.iter().zip(defaults) {

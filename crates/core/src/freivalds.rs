@@ -11,7 +11,7 @@
 //! recorded at build time with a [`Vs`] value spec, so fill is a direct
 //! evaluation with no layout replay.
 
-use crate::builder::{AValue, BuildError, CircuitBuilder, Gadget};
+use crate::builder::{check_cols, AValue, BuildError, CircuitBuilder, Gadget};
 use std::collections::HashMap;
 use zkml_ff::{Fr, PrimeField};
 use zkml_plonk::{CellRef, Column};
@@ -72,10 +72,6 @@ fn y_spec(dot: DotId, idx: usize) -> Vs {
 /// Lays out a Freivalds-checked matmul. `a_cells` is `s x k` row-major,
 /// `b_cells` is `k x t`; returns the raw product cells (`s x t`, at double
 /// scale — callers rescale).
-///
-/// A placer builder gets the same rows, selectors and copies but no
-/// witness: the product cells hold zeros and no `FreivaldsJob` is
-/// recorded.
 pub fn freivalds_matmul(
     bld: &mut CircuitBuilder,
     a_cells: &[AValue],
@@ -87,36 +83,31 @@ pub fn freivalds_matmul(
     assert_eq!(a_cells.len(), s * k);
     assert_eq!(b_cells.len(), k * t);
     let n = bld.cfg.num_cols;
-    if n < 5 {
-        return Err(BuildError::Layout("freivalds needs >= 5 columns".into()));
-    }
+    check_cols(n, 5, "freivalds")?;
     bld.ensure_phase1();
 
     // Witness the raw product in phase-0 home cells.
-    let placing = bld.is_placer();
     let mut c_vals = vec![0i64; s * t];
-    if !placing {
-        for i in 0..s {
-            for j in 0..t {
-                let mut acc = 0i64;
-                for l in 0..k {
-                    acc = acc
-                        .checked_add(a_cells[i * k + l].v * b_cells[l * t + j].v)
-                        .expect("freivalds product overflow");
-                }
-                c_vals[i * t + j] = acc;
+    for i in 0..s {
+        for j in 0..t {
+            let mut acc = 0i64;
+            for l in 0..k {
+                acc = acc
+                    .checked_add(a_cells[i * k + l].v * b_cells[l * t + j].v)
+                    .expect("freivalds product overflow");
             }
+            c_vals[i * t + j] = acc;
         }
     }
     let c_cells = bld.load_values(&c_vals);
 
-    let mut job = (!placing).then(|| FreivaldsJob {
+    let mut job = FreivaldsJob {
         a: a_cells.iter().map(|x| x.v).collect(),
         b: b_cells.iter().map(|x| x.v).collect(),
         c: c_vals,
         dims: (s, k, t),
         cells: Vec::new(),
-    });
+    };
     let p1_cols: Vec<usize> = bld.p1_cols().to_vec();
 
     // --- Challenge powers (r_e = χ^e for e = 1..) ------------------------
@@ -129,10 +120,8 @@ pub fn freivalds_matmul(
     for i in 0..rp {
         let row = p1_row(bld, Gadget::ChalPow);
         let base = (i * per_row) as u64;
-        if let Some(job) = job.as_mut() {
-            for (j, col) in p1_cols.iter().enumerate() {
-                job.cells.push((*col, row, Vs::Power(base + j as u64)));
-            }
+        for (j, col) in p1_cols.iter().enumerate() {
+            job.cells.push((*col, row, Vs::Power(base + j as u64)));
         }
         let carry_cell = CellRef {
             column: Column::Advice(p1_cols[0]),
@@ -165,30 +154,22 @@ pub fn freivalds_matmul(
     // u_i = B_i . r  (length-t dots).
     let mut u_cells = Vec::with_capacity(k);
     for i in 0..k {
-        u_cells.push(p1_dot(
-            bld,
-            job.as_mut(),
-            &p1_cols,
-            zero,
-            DotId::U(i),
-            t,
-            |j| (b_cells[i * t + j], power_cellref(j as u64 + 1)),
-        ));
+        u_cells.push(p1_dot(bld, &mut job, &p1_cols, zero, DotId::U(i), t, |j| {
+            (b_cells[i * t + j], power_cellref(j as u64 + 1))
+        }));
     }
     // v_i = C_i . r and v'_i = A_i . u must agree.
     for i in 0..s {
-        let v = p1_dot(bld, job.as_mut(), &p1_cols, zero, DotId::V(i), t, |j| {
+        let v = p1_dot(bld, &mut job, &p1_cols, zero, DotId::V(i), t, |j| {
             (c_cells[i * t + j], power_cellref(j as u64 + 1))
         });
-        let vp = p1_dot(bld, job.as_mut(), &p1_cols, zero, DotId::Vp(i), k, |j| {
+        let vp = p1_dot(bld, &mut job, &p1_cols, zero, DotId::Vp(i), k, |j| {
             (a_cells[i * k + j], u_cells[j])
         });
         bld.copy_pub(v, vp);
     }
 
-    if let Some(job) = job {
-        bld.push_freivalds_job(job);
-    }
+    bld.push_freivalds_job(job);
     Ok(c_cells)
 }
 
@@ -203,11 +184,11 @@ fn p1_row(bld: &mut CircuitBuilder, gadget: Gadget) -> usize {
 
 /// Lays out one bias-chained phase-1 dot product over `len` terms, where
 /// `term(j)` names the x operand and the y cell of term `j`; copies both
-/// into their row and returns the cell holding the full sum. With a `job`,
-/// every cell's value spec is recorded for [`fill_jobs`].
+/// into their row and returns the cell holding the full sum. Every cell's
+/// value spec is recorded in `job` for [`fill_jobs`].
 fn p1_dot(
     bld: &mut CircuitBuilder,
-    mut job: Option<&mut FreivaldsJob>,
+    job: &mut FreivaldsJob,
     p1_cols: &[usize],
     zero: CellRef,
     dot: DotId,
@@ -233,35 +214,31 @@ fn p1_dot(
                 row,
             };
             bld.copy_pub(y, ycell);
-            if let Some(job) = job.as_deref_mut() {
-                job.cells.push((p1_cols[j], row, Vs::Lit(src.v)));
-                job.cells
-                    .push((p1_cols[m + j], row, y_spec(dot, chunk_start + j)));
-            }
+            job.cells.push((p1_cols[j], row, Vs::Lit(src.v)));
+            job.cells
+                .push((p1_cols[m + j], row, y_spec(dot, chunk_start + j)));
         }
         let bias_cell = CellRef {
             column: Column::Advice(p1_cols[n - 2]),
             row,
         };
         bld.copy_pub(prev_z, bias_cell);
-        if let Some(job) = job.as_deref_mut() {
-            job.cells.push((
-                p1_cols[n - 2],
-                row,
-                Vs::Partial {
-                    dot,
-                    upto: chunk_start,
-                },
-            ));
-            job.cells.push((
-                p1_cols[n - 1],
-                row,
-                Vs::Partial {
-                    dot,
-                    upto: chunk_start + chunk_len,
-                },
-            ));
-        }
+        job.cells.push((
+            p1_cols[n - 2],
+            row,
+            Vs::Partial {
+                dot,
+                upto: chunk_start,
+            },
+        ));
+        job.cells.push((
+            p1_cols[n - 1],
+            row,
+            Vs::Partial {
+                dot,
+                upto: chunk_start + chunk_len,
+            },
+        ));
         prev_z = CellRef {
             column: Column::Advice(p1_cols[n - 1]),
             row,

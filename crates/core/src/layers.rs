@@ -23,8 +23,8 @@ use zkml_model::{qops, Activation, Graph, Node, Op, Padding, TensorKind};
 use zkml_tensor::{FixedPoint, Tensor};
 
 /// Lowers an entire graph into an [`OpSchedule`] — run **once per model**
-/// per numeric configuration; the schedule is then replayed per candidate
-/// layout by the placer and once more by synthesis.
+/// per numeric configuration; placement then sums its op shapes per
+/// candidate layout, and synthesis replays it once.
 pub fn lower_graph(g: &Graph, inputs: &[Tensor<i64>], numeric: NumericConfig) -> OpSchedule {
     let fp = FixedPoint::new(numeric.scale_bits);
     let mut sb = ScheduleBuilder::new(numeric);

@@ -21,13 +21,16 @@
 //!    model is lowered **once** into an [`OpSchedule`] — the ordered,
 //!    backend-independent gadget invocations, with no rows or columns
 //!    chosen.
-//! 2. **Placement** ([`compiler::place`]): the schedule is replayed
-//!    through a placer [`CircuitBuilder`] per candidate configuration,
+//! 2. **Placement** ([`compiler::place`]): per candidate configuration,
+//!    the schedule's distinct op shapes (`shape`) are summed in closed
+//!    form — each shape's structure registered once through a
+//!    [`CircuitBuilder`], its rows and copies added times its count —
 //!    producing a [`LayoutPlan`] (row count, statistics, constraint-system
 //!    skeleton) without a witness. The optimizer sweeps plans in parallel.
 //! 3. **Synthesis** ([`compiler::synthesize`]): the winning plan's
-//!    configuration drives one real replay that assigns the witness; the
-//!    result is cross-checked against the plan. Keys, proofs (KZG or IPA),
+//!    configuration drives one replay of the ops through the builder's
+//!    gadgets that assigns the witness; the result is cross-checked
+//!    against the plan. Keys, proofs (KZG or IPA),
 //!    and verification hang off the resulting [`CompiledCircuit`].
 
 mod builder;
@@ -39,6 +42,7 @@ pub mod layers;
 mod optimizer;
 mod schedule;
 mod segment;
+mod shape;
 mod tables;
 
 pub use builder::{AValue, BuildError, CircuitBuilder, Gadget};

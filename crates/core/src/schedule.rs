@@ -3,14 +3,16 @@
 //!
 //! `lower_graph` walks a model **once** and records every gadget invocation
 //! as a `SchedOp` over abstract value ids — no rows, columns, or
-//! constraint-system structure are chosen here. The resulting
-//! [`OpSchedule`] is then *replayed* against a [`CircuitBuilder`] by
-//! `run_schedule` (crate-private), either in placement mode (to produce a
-//! [`crate::compiler::LayoutPlan`] row-exactly) or in synthesis mode (to
-//! assign the witness). Because layout-sensitive decisions (dot chunking,
-//! pack widths, ReLU/matmul implementation) live in the builder's gadget
-//! methods, one schedule serves every candidate configuration the
-//! optimizer sweeps.
+//! constraint-system structure are chosen here. Because layout-sensitive
+//! decisions (dot chunking, pack widths, ReLU/matmul implementation) are
+//! made per configuration, one schedule serves every candidate the
+//! optimizer sweeps, two ways:
+//!
+//! * placement reads only the schedule's histogram of op shapes (see
+//!   [`crate::shape`]), built once when the schedule is sealed, to produce
+//!   a [`crate::compiler::LayoutPlan`] row-exactly;
+//! * synthesis *replays* the ops against a [`CircuitBuilder`] by
+//!   `run_schedule` (crate-private) to assign the witness.
 //!
 //! Scheduling has no value-dependent control flow: ops record operand
 //! *ids* plus the raw data of `Load`/`Const` ops, and replay recomputes
@@ -20,7 +22,9 @@
 
 use crate::builder::{AValue, BuildError, CircuitBuilder, Gadget};
 use crate::config::NumericConfig;
+use crate::shape::ShapeKey;
 use crate::tables::TableFn;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use zkml_tensor::Tensor;
 
@@ -87,7 +91,7 @@ pub(crate) enum SchedOp {
 
 impl SchedOp {
     /// Number of value ids the op produces.
-    fn arity_out(&self) -> usize {
+    pub(crate) fn arity_out(&self) -> usize {
         match self {
             SchedOp::Load { values } | SchedOp::LoadWeights { values } => values.len(),
             SchedOp::Const { .. } | SchedOp::Dot { .. } | SchedOp::Sum { .. } => 1,
@@ -103,8 +107,9 @@ impl SchedOp {
 }
 
 /// The ordered gadget invocations for one model at one numeric
-/// configuration — stage 1's output, built once and replayed per candidate
-/// layout.
+/// configuration — stage 1's output, built once; every candidate layout
+/// is placed from its shape histogram and the winner synthesized from its
+/// ops.
 #[derive(Clone, Debug)]
 pub struct OpSchedule {
     /// The fixed-point configuration the schedule's constants and
@@ -115,9 +120,44 @@ pub struct OpSchedule {
     pub(crate) num_vals: usize,
     /// Model outputs: (shape, value ids) per output tensor.
     pub(crate) outputs: Vec<(Vec<usize>, Vec<u32>)>,
+    /// Each distinct op shape and how many ops have it, in order of first
+    /// occurrence — all that placement reads of the ops.
+    pub(crate) shapes: Vec<(ShapeKey, usize)>,
 }
 
 impl OpSchedule {
+    /// Seals a schedule, building its shape histogram (the only place one
+    /// is built: ops never change after this).
+    pub(crate) fn new(
+        numeric: NumericConfig,
+        ops: Vec<SchedOp>,
+        num_vals: usize,
+        outputs: Vec<(Vec<usize>, Vec<u32>)>,
+    ) -> Self {
+        let mut index: HashMap<ShapeKey, usize> = HashMap::new();
+        let mut shapes: Vec<(ShapeKey, usize)> = Vec::new();
+        for op in &ops {
+            let key = ShapeKey::of(op);
+            let i = *index.entry(key).or_insert_with(|| {
+                shapes.push((key, 0));
+                shapes.len() - 1
+            });
+            shapes[i].1 += 1;
+        }
+        Self {
+            numeric,
+            ops,
+            num_vals,
+            outputs,
+            shapes,
+        }
+    }
+
+    /// Number of distinct op shapes: the units a placement is summed over.
+    pub fn num_shapes(&self) -> usize {
+        self.shapes.len()
+    }
+
     /// Number of recorded gadget invocations.
     pub fn num_ops(&self) -> usize {
         self.ops.len()
@@ -331,15 +371,11 @@ impl ScheduleBuilder {
 
     /// Seals the schedule with the model's output tensors.
     pub fn finish(self, outputs: Vec<(Vec<usize>, Vec<SVal>)>) -> OpSchedule {
-        OpSchedule {
-            numeric: self.numeric,
-            ops: self.ops,
-            num_vals: self.next as usize,
-            outputs: outputs
-                .into_iter()
-                .map(|(shape, vals)| (shape, ids(&vals)))
-                .collect(),
-        }
+        let outputs = outputs
+            .into_iter()
+            .map(|(shape, vals)| (shape, ids(&vals)))
+            .collect();
+        OpSchedule::new(self.numeric, self.ops, self.next as usize, outputs)
     }
 }
 
@@ -351,136 +387,106 @@ fn pair_ids(pairs: &[(SVal, SVal)]) -> Vec<(u32, u32)> {
     pairs.iter().map(|(a, b)| (a.0, b.0)).collect()
 }
 
-/// Stage 2/3 entry: replays a schedule against a builder (placement or
-/// synthesis mode), returning the output cell tensors.
+/// Stage 3's replay: runs a schedule's ops through a builder's gadgets,
+/// returning the output cell tensors.
 pub(crate) fn run_schedule(
     bld: &mut CircuitBuilder,
     sched: &OpSchedule,
 ) -> Result<Vec<Tensor<AValue>>, BuildError> {
-    let mut vals = Values::new(bld.is_placer(), sched.num_vals);
+    // Each value id resolved to its cell, in id order.
+    let mut vals: Vec<AValue> = Vec::with_capacity(sched.num_vals);
     // Operand buffers, reused from op to op.
     let (mut xb, mut yb, mut bb, mut pb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for op in &sched.ops {
         match op {
             SchedOp::Load { values } => vals.extend(bld.load_values(values)),
             SchedOp::LoadWeights { values } => vals.extend(bld.load_weights(values)),
-            SchedOp::Const { v } => vals.extend([bld.constant(*v)]),
+            SchedOp::Const { v } => vals.push(bld.constant(*v)),
             SchedOp::Dot { xs, ys, init } => {
-                let x = vals.gather(&mut xb, xs);
-                let y = vals.gather(&mut yb, ys);
-                let r = bld.dot(x, y, init.map(|i| vals.get(i)))?;
-                vals.extend([r]);
+                let x = gather(&vals, &mut xb, xs);
+                let y = gather(&vals, &mut yb, ys);
+                let r = bld.dot(x, y, init.map(|i| vals[i as usize]))?;
+                vals.push(r);
             }
             SchedOp::Sum { xs } => {
-                let r = bld.sum(vals.gather(&mut xb, xs))?;
-                vals.extend([r]);
+                let r = bld.sum(gather(&vals, &mut xb, xs))?;
+                vals.push(r);
             }
             SchedOp::Arith { kind, pairs } => {
-                let p = vals.gather_pairs(&mut pb, pairs);
+                let p = gather_pairs(&vals, &mut pb, pairs);
                 vals.extend(bld.arith_pack(*kind, p)?);
             }
             SchedOp::Square { xs } => {
-                vals.extend(bld.square_pack(vals.gather(&mut xb, xs))?);
+                let out = bld.square_pack(gather(&vals, &mut xb, xs))?;
+                vals.extend(out);
             }
             SchedOp::Rescale { xs } => {
-                vals.extend(bld.rescale(vals.gather(&mut xb, xs))?);
+                let out = bld.rescale(gather(&vals, &mut xb, xs))?;
+                vals.extend(out);
             }
             SchedOp::Nonlin { f, xs } => {
-                vals.extend(bld.nonlin(*f, vals.gather(&mut xb, xs))?);
+                let out = bld.nonlin(*f, gather(&vals, &mut xb, xs))?;
+                vals.extend(out);
             }
             SchedOp::Relu { xs } => {
-                vals.extend(bld.relu(vals.gather(&mut xb, xs))?);
+                let out = bld.relu(gather(&vals, &mut xb, xs))?;
+                vals.extend(out);
             }
             SchedOp::MaxPairs { pairs } => {
-                vals.extend(bld.max_pairs(vals.gather_pairs(&mut pb, pairs))?);
+                let out = bld.max_pairs(gather_pairs(&vals, &mut pb, pairs))?;
+                vals.extend(out);
             }
             SchedOp::VarDiv {
                 nums,
                 den,
                 den_bound,
             } => {
-                let d = vals.get(*den);
-                vals.extend(bld.var_div(vals.gather(&mut xb, nums), d, *den_bound)?);
+                let d = vals[*den as usize];
+                let out = bld.var_div(gather(&vals, &mut xb, nums), d, *den_bound)?;
+                vals.extend(out);
             }
             SchedOp::MatMul { x, w, dims, bias2 } => {
-                let xv = vals.gather(&mut xb, x);
-                let wv = vals.gather(&mut yb, w);
-                let bv = bias2.as_ref().map(|b| vals.gather(&mut bb, b));
+                let xv = gather(&vals, &mut xb, x);
+                let wv = gather(&vals, &mut yb, w);
+                let bv = bias2.as_ref().map(|b| gather(&vals, &mut bb, b));
                 let out = crate::layers::matmul_raw_entry(bld, xv, wv, dims.0, dims.1, dims.2, bv)?;
                 vals.extend(out);
             }
         }
     }
-    debug_assert!(
-        vals.placing || vals.vals.len() == sched.num_vals,
-        "schedule value count drift"
-    );
+    debug_assert_eq!(vals.len(), sched.num_vals, "schedule value count drift");
     Ok(sched
         .outputs
         .iter()
         .map(|(shape, out_ids)| {
             Tensor::new(
                 shape.clone(),
-                out_ids.iter().map(|i| vals.get(*i)).collect(),
+                out_ids.iter().map(|i| vals[*i as usize]).collect(),
             )
         })
         .collect())
 }
 
-/// The replay's value ids resolved to cells. A placer reads neither the
-/// cell nor the value of an operand, only how many operands a gadget
-/// gets, so in placement mode nothing is recorded and every id resolves
-/// to a blank cell.
-struct Values {
-    placing: bool,
-    vals: Vec<AValue>,
+/// Fills `buf` with the values `ids` names and returns it.
+fn gather<'a>(vals: &[AValue], buf: &'a mut Vec<AValue>, ids: &[u32]) -> &'a [AValue] {
+    buf.clear();
+    buf.extend(ids.iter().map(|i| vals[*i as usize]));
+    buf
 }
 
-const BLANK: AValue = AValue {
-    cell: zkml_plonk::CellRef {
-        column: zkml_plonk::Column::Advice(0),
-        row: 0,
-    },
-    v: 0,
-};
-
-impl Values {
-    fn new(placing: bool, num_vals: usize) -> Self {
-        let vals = Vec::with_capacity(if placing { 0 } else { num_vals });
-        Self { placing, vals }
-    }
-
-    fn get(&self, id: u32) -> AValue {
-        if self.placing {
-            BLANK
-        } else {
-            self.vals[id as usize]
-        }
-    }
-
-    fn extend(&mut self, out: impl IntoIterator<Item = AValue>) {
-        if !self.placing {
-            self.vals.extend(out);
-        }
-    }
-
-    /// Fills `buf` with the values `ids` names and returns it.
-    fn gather<'a>(&self, buf: &'a mut Vec<AValue>, ids: &[u32]) -> &'a [AValue] {
-        buf.clear();
-        buf.extend(ids.iter().map(|i| self.get(*i)));
-        buf
-    }
-
-    /// [`Values::gather`] for operand pairs.
-    fn gather_pairs<'a>(
-        &self,
-        buf: &'a mut Vec<(AValue, AValue)>,
-        pairs: &[(u32, u32)],
-    ) -> &'a [(AValue, AValue)] {
-        buf.clear();
-        buf.extend(pairs.iter().map(|(a, b)| (self.get(*a), self.get(*b))));
-        buf
-    }
+/// [`gather`] for operand pairs.
+fn gather_pairs<'a>(
+    vals: &[AValue],
+    buf: &'a mut Vec<(AValue, AValue)>,
+    pairs: &[(u32, u32)],
+) -> &'a [(AValue, AValue)] {
+    buf.clear();
+    buf.extend(
+        pairs
+            .iter()
+            .map(|(a, b)| (vals[*a as usize], vals[*b as usize])),
+    );
+    buf
 }
 
 #[cfg(test)]

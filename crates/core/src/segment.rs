@@ -270,7 +270,7 @@ pub fn cut_schedule(
     {
         let mut next = 0usize;
         for (i, op) in sched.ops.iter().enumerate() {
-            for _ in 0..op_arity_out(op) {
+            for _ in 0..op.arity_out() {
                 producer[next] = i;
                 next += 1;
             }
@@ -379,7 +379,7 @@ pub fn cut_schedule(
 
         let mut next_val = 0u32;
         for (i, op) in sched.ops.iter().enumerate() {
-            let arity = op_arity_out(op) as u32;
+            let arity = op.arity_out() as u32;
             if op_segments[i].contains(&s) {
                 ops.push(remap_op(op, &local));
                 for v in next_val..next_val + arity {
@@ -406,33 +406,12 @@ pub fn cut_schedule(
         }
 
         segments.push(SegmentSchedule {
-            schedule: OpSchedule {
-                numeric: sched.numeric,
-                ops,
-                num_vals: next_local as usize,
-                outputs,
-            },
+            schedule: OpSchedule::new(sched.numeric, ops, next_local as usize, outputs),
             boundary_in_ids: in_ids,
             boundary_out_ids: out_ids,
         });
     }
     Ok(segments)
-}
-
-/// Output arity of an op (mirrors `SchedOp::arity_out`, which is private
-/// to the schedule module's builder path).
-fn op_arity_out(op: &SchedOp) -> usize {
-    match op {
-        SchedOp::Load { values } | SchedOp::LoadWeights { values } => values.len(),
-        SchedOp::Const { .. } | SchedOp::Dot { .. } | SchedOp::Sum { .. } => 1,
-        SchedOp::Arith { pairs, .. } | SchedOp::MaxPairs { pairs } => pairs.len(),
-        SchedOp::Square { xs }
-        | SchedOp::Rescale { xs }
-        | SchedOp::Nonlin { xs, .. }
-        | SchedOp::Relu { xs } => xs.len(),
-        SchedOp::VarDiv { nums, .. } => nums.len(),
-        SchedOp::MatMul { dims, .. } => dims.0 * dims.2,
-    }
 }
 
 /// Every value id an op reads.

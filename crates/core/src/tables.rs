@@ -16,6 +16,13 @@ pub enum TableFn {
     Sqrt,
 }
 
+impl TableFn {
+    /// The ReLU table (the lookup ReLU implementation).
+    pub(crate) fn relu() -> Self {
+        TableFn::Act(ActKey::of(Activation::Relu))
+    }
+}
+
 /// Hashable activation key (LeakyRelu's f32 slope is bit-cast).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ActKey(pub &'static str, pub u32);

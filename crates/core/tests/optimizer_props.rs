@@ -1,5 +1,5 @@
 //! Properties of the layout optimizer: the chosen plan is never worse than
-//! any plan it evaluated, pruning preserves the winner, and the placer's
+//! any plan it evaluated, pruning preserves the winner, and placement's
 //! structural predictions match real synthesis for arbitrary models.
 
 use proptest::prelude::*;

@@ -9,6 +9,9 @@ cargo build --workspace --release
 # The gateway polls nothing: handlers block in accept, the dispatcher in
 # recv. A sleep, a nonblocking socket or a timed wait cannot come back unnoticed.
 [ "$(grep -cE 'thread::sleep|set_nonblocking|wait_timeout' crates/net/src/gateway.rs)" = 0 ]
+# Placement sums op shapes and never replays a gadget body: the builder has
+# no placer mode and no count-only branch for a shape to drift from.
+[ -z "$(grep -rlE 'count_only|placer\(|is_placer' crates/core/src)" ]
 
 echo "==> benchmark/ builds against the tree (its API is frozen between benchmark PRs)"
 # benchmark/ is its own package and compiles against the crates' public
@@ -140,8 +143,9 @@ echo "==> perf smoke (kernel + 4-thread ratios at small k vs PERF_THRESHOLDS.jso
 # Gates the serial jacobian/batch-affine MSM ratio, the small-over-uniform and
 # grand-product-over-uniform MSM ratios, the 1 MiB-over-256 KiB JSON parse
 # ratio, the p50 of 200 sequential healthz round trips to an in-process
-# gateway, the static analyzer's constraint evaluations per row on MNIST, and
-# the 4-thread/1-thread MSM and FFT ratios (the verifier's work is
+# gateway, the static analyzer's constraint evaluations per row on MNIST,
+# MNIST's layout sweep time over one synthesis of its winner, and the
+# 4-thread/1-thread MSM and FFT ratios (the verifier's work is
 # pinned by counts in the test run). Thresholds are
 # hardware-stamped: on a machine with a different core count the parallel
 # gates auto-skip; re-baseline with
